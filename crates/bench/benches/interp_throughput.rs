@@ -148,9 +148,9 @@ fn armed_usefulness(module: &Module, code: &Rc<LoweredCode>, reg: &Rc<Registry>)
 /// what the variable-arity check op costs as the degree grows.
 ///
 /// The `_opt` points run the same transformed modules through the
-/// semantics-preserving pass pipeline (redundant-check elision +
-/// superinstruction fusion); `_pgo` additionally drops check sites a
-/// deterministic armed sweep found useless ([`armed_usefulness`]).
+/// semantics-preserving pass (redundant-check elision); `_pgo`
+/// additionally drops check sites a deterministic armed sweep found
+/// useless ([`armed_usefulness`]).
 fn workloads() -> Vec<Workload> {
     let scale = if smoke() { 1 } else { 4 };
     let victim = micro::resize_victim(16 * scale, 12 * scale);
@@ -216,8 +216,8 @@ fn workloads() -> Vec<Workload> {
             wrappers: true,
         },
         // The scrub trio is the optimizer's acceptance point: a
-        // checked-memory-traffic-dense kernel where fused dispatch and
-        // profile-guided site selection have the most surface.
+        // checked-memory-traffic-dense kernel where profile-guided site
+        // selection has the most surface.
         Workload {
             name: "dpmr_scrub_k2",
             module: scrub_k2.clone(),

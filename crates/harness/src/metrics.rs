@@ -1325,12 +1325,6 @@ pub struct OptComboRow {
     pub live_checks: u64,
     /// Sites replaced by cost-preserving `CheckElided` ops (pass 1).
     pub elided: u64,
-    /// Fused load+check superinstructions (pass 3).
-    pub fused_load_checks: u64,
-    /// Fused store+companion-store superinstructions (pass 3).
-    pub fused_store_pairs: u64,
-    /// Fused straight-line access groups (pass 3).
-    pub fused_groups: u64,
     /// Sites dropped by profile-guided selection (pass 2).
     pub dropped: u64,
     /// Dynamic check executions of the clean instrumented run.
@@ -1376,15 +1370,7 @@ fn opt_combo(
     use dpmr_vm::opt::{PassConfig, ProfileGuided};
     match combo_idx {
         0 => PassConfig::none(),
-        1 => PassConfig {
-            elide_redundant_checks: true,
-            ..PassConfig::none()
-        },
-        2 => PassConfig {
-            fuse_superinstructions: true,
-            ..PassConfig::none()
-        },
-        3 => PassConfig::all(),
+        1 => PassConfig::all(),
         _ => PassConfig::all().with_profile(ProfileGuided {
             usefulness: usefulness.get(app).cloned().unwrap_or_default(),
             threshold: 0.0,
@@ -1393,12 +1379,12 @@ fn opt_combo(
 }
 
 /// Runs the optimizer study (`optP.1`): each app's DPMR-transformed
-/// build is optimized under every pass combination — off, each pass
-/// alone, both semantics-preserving passes, and the profile-guided
-/// pipeline fed by the profS.1 armed-sweep detection counts — then
-/// executed once cleanly with full telemetry. Rows report static
-/// (live/elided/fused/dropped check counts) and dynamic (check
-/// executions, virtual cycles, instructions) effects per combination.
+/// build is optimized under every pass combination — off, the
+/// semantics-preserving elision pass, and the profile-guided pipeline
+/// fed by the profS.1 armed-sweep detection counts — then executed once
+/// cleanly with full telemetry. Rows report static (live/elided/dropped
+/// check counts) and dynamic (check executions, virtual cycles,
+/// instructions) effects per combination.
 /// Units fan across the study scheduler and merge in unit order:
 /// bit-identical at any worker count.
 pub fn run_opt_study(
@@ -1408,7 +1394,7 @@ pub fn run_opt_study(
     cc: &CampaignConfig,
 ) -> OptStudyResults {
     use std::rc::Rc;
-    const COMBOS: usize = 5;
+    const COMBOS: usize = 3;
     let prepared: Vec<PreparedApp> =
         crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
     // Lower without passes: each combination applies its own pipeline.
@@ -1439,9 +1425,6 @@ pub fn run_opt_study(
             let row = OptComboRow {
                 live_checks,
                 elided: opt.elided.len() as u64,
-                fused_load_checks: opt.fused_load_checks.len() as u64,
-                fused_store_pairs: opt.fused_store_pairs.len() as u64,
-                fused_groups: opt.fused_groups.len() as u64,
                 dropped: opt.dropped.len() as u64,
                 check_execs: run.telemetry.site_stats.iter().map(|s| s.executions).sum(),
                 cycles: run.out.cycles,
@@ -1606,11 +1589,11 @@ mod tests {
             &BTreeMap::new(),
             &CampaignConfig::tiny(),
         );
-        assert_eq!(res.experiments, 5);
+        assert_eq!(res.experiments, 3);
         let row = |combo: &str| &res.rows[&("bzip2".to_string(), combo.to_string())];
-        let (off, ef) = (row("off"), row("elide+fuse"));
+        let (off, ef) = (row("off"), row("elide"));
         assert!(off.output_ok && ef.output_ok);
-        // The semantics-preserving passes change neither the virtual
+        // The semantics-preserving pass changes neither the virtual
         // clock nor the dynamic check/instruction counts.
         assert_eq!(
             (off.check_execs, off.cycles, off.instrs),
@@ -1618,7 +1601,7 @@ mod tests {
         );
         // With no usefulness weights the profile-guided leg
         // conservatively keeps every site.
-        assert_eq!(row("elide+pgo+fuse").dropped, 0);
+        assert_eq!(row("elide+pgo").dropped, 0);
         assert!(res.dropped_reports.is_empty());
     }
 

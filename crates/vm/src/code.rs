@@ -56,10 +56,7 @@ pub use crate::value::{LoadKind, StoreKind};
 /// inserts or removes slots — so every pc keeps its meaning in optimized
 /// code too. The rewritten forms are [`Op::CheckElided`] (a check whose
 /// comparison was proved redundant or dropped by profile-guided
-/// selection) and the fused superinstructions [`Op::FusedLoadCheck`] /
-/// [`Op::FusedStoreStore`], which occupy the *first* pc of their pair
-/// while the second pc keeps its original op (a jump into the middle of
-/// a fused pair still executes the plain op).
+/// selection) and [`Op::LoadElided`] (a dropped site's replica load).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Stack allocation; `size` = `sizeof(ty)` precomputed.
@@ -178,7 +175,7 @@ pub enum Op {
     Unreachable,
     /// Landing pad for a branch whose target block does not exist in the
     /// IR: preserves the tree-walker's runtime "jump to nonexistent
-    /// block" trap (uncounted and uncharged, like the old bounds check).
+    /// block" trap (counted like any executed op, uncharged).
     BadBlock { block: u32 },
     /// An instruction whose types were invalid at lowering (e.g.
     /// `fieldaddr` through a non-pointer). Evaluates `args` in operand
@@ -200,22 +197,6 @@ pub enum Op {
     /// tradeoff applied per site. `dst` and `site` are kept for
     /// diagnostics and the dropped-site report.
     LoadElided { dst: u32, site: u32 },
-    /// Superinstruction: a scalar load immediately followed by the
-    /// `dpmr.check` consuming it (or by the [`Op::CheckElided`] residue
-    /// of one), executed in one dispatch iteration (produced only by
-    /// [`crate::opt`]).
-    FusedLoadCheck(Box<FusedLoadCheck>),
-    /// Superinstruction: an application store immediately followed by
-    /// its companion replica store, executed in one dispatch iteration
-    /// (produced only by [`crate::opt`]).
-    FusedStoreStore(Box<FusedStoreStore>),
-    /// Superinstruction: a straight-line run of three or more simple
-    /// ops around a DPMR access group — the application load, the
-    /// replica address computations and loads, and the `dpmr.check`
-    /// consuming them (or a store and its companion replica stores) —
-    /// executed in one dispatch iteration (produced only by
-    /// [`crate::opt`]).
-    FusedGroup(Box<FusedGroup>),
 }
 
 /// Dense discriminant of an [`Op`], used by the interpreter's threaded
@@ -255,13 +236,10 @@ pub enum OpCode {
     Invalid,
     CheckElided,
     LoadElided,
-    FusedLoadCheck,
-    FusedStoreStore,
-    FusedGroup,
 }
 
 /// Number of [`OpCode`] variants (the handler table's length).
-pub const OPCODE_COUNT: usize = OpCode::FusedGroup as usize + 1;
+pub const OPCODE_COUNT: usize = OpCode::LoadElided as usize + 1;
 
 impl Op {
     /// The dense discriminant of this op.
@@ -295,65 +273,8 @@ impl Op {
             Op::Invalid { .. } => OpCode::Invalid,
             Op::CheckElided { .. } => OpCode::CheckElided,
             Op::LoadElided { .. } => OpCode::LoadElided,
-            Op::FusedLoadCheck(_) => OpCode::FusedLoadCheck,
-            Op::FusedStoreStore(_) => OpCode::FusedStoreStore,
-            Op::FusedGroup(_) => OpCode::FusedGroup,
         }
     }
-}
-
-/// Payload of [`Op::FusedLoadCheck`]: the load's pre-resolved fields
-/// plus the complete original check op and its pc. Keeping the second
-/// op verbatim lets the interpreter replicate the unfused execution —
-/// including the inter-op boundary accounting at `pc2` — exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedLoadCheck {
-    /// Destination register of the load half.
-    pub dst: u32,
-    /// Pointer operand of the load half.
-    pub ptr: Opnd,
-    /// Pre-resolved decode of the load half.
-    pub kind: LoadKind,
-    /// Absolute pc of the check half (always the fused op's pc + 1).
-    pub pc2: u32,
-    /// The original op at `pc2`, unchanged: an [`Op::DpmrCheck`], or an
-    /// [`Op::CheckElided`] when an earlier pass already removed the
-    /// comparison (fusing it folds the elided site's bookkeeping — or
-    /// nothing at all — into the load's dispatch iteration).
-    pub check: Op,
-}
-
-/// Payload of [`Op::FusedStoreStore`]: the first store's pre-resolved
-/// fields plus the complete companion store op and its pc.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedStoreStore {
-    /// Pointer operand of the first store.
-    pub ptr: Opnd,
-    /// Value operand of the first store.
-    pub value: Opnd,
-    /// Pre-resolved encode of the first store.
-    pub kind: StoreKind,
-    /// Absolute pc of the companion store (always the fused op's pc + 1).
-    pub pc2: u32,
-    /// The original [`Op::Store`] at `pc2`, unchanged.
-    pub second: Op,
-}
-
-/// Payload of [`Op::FusedGroup`]: the complete original ops of the
-/// run, in pc order (`members[i]` is the op at `base + i`). The
-/// interpreter executes each member in sequence, replicating the
-/// unfused inter-op boundary accounting between them, so the group is
-/// observationally identical to dispatching its members one at a time
-/// — it only collapses `members.len()` dispatch-loop iterations into
-/// one. Every member past the first keeps its original op in its slot
-/// (pcs stay stable; a jump into the middle of the group executes the
-/// plain ops from there).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedGroup {
-    /// Absolute pc of the first member (the fused op's own pc).
-    pub base: u32,
-    /// The original ops of the run, in pc order, first included.
-    pub members: Box<[Op]>,
 }
 
 /// A whole module compiled to linear bytecode.
@@ -368,9 +289,9 @@ pub struct LoweredCode {
     /// assigned in function-major, pc order — stable for a given module).
     pub check_sites: u32,
     /// `opcodes[pc] == ops[pc].opcode()`: the dense discriminants in a
-    /// flat side array, one byte per op, so the threaded dispatcher's
-    /// fast loop fetches the handler index without touching the (large,
-    /// payload-carrying) `Op` value. Maintained by [`crate::lower`] and
+    /// flat side array, one byte per op, so the dispatch loop fetches
+    /// the handler index without touching the (large, payload-carrying)
+    /// `Op` value. Maintained by [`crate::lower`] and
     /// [`crate::opt::optimize`]; code built by hand must call
     /// [`LoweredCode::rebuild_opcodes`] (the interpreter re-derives it
     /// defensively when lengths disagree).
@@ -403,29 +324,12 @@ impl LoweredCode {
     /// ids are assigned in pc order at lowering, so the result is
     /// ascending). Telemetry reporters use this to locate site counters
     /// in the op stream. On optimized code this also resolves elided
-    /// checks and checks folded into [`Op::FusedLoadCheck`] (the check
-    /// half lives at the *fused op's pc + 1*, which is where the site
-    /// id was assigned at lowering).
+    /// checks, which keep their site id and pc.
     pub fn check_site_pcs(&self) -> Vec<u32> {
         let mut pcs = vec![0u32; self.check_sites as usize];
         for (pc, op) in self.ops.iter().enumerate() {
-            match op {
-                Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } => {
-                    pcs[*site as usize] = pc as u32;
-                }
-                Op::FusedLoadCheck(f) => {
-                    if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = &f.check {
-                        pcs[*site as usize] = f.pc2;
-                    }
-                }
-                Op::FusedGroup(g) => {
-                    for (i, m) in g.members.iter().enumerate() {
-                        if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = m {
-                            pcs[*site as usize] = g.base + i as u32;
-                        }
-                    }
-                }
-                _ => {}
+            if let Op::DpmrCheck { site, .. } | Op::CheckElided { site, .. } = op {
+                pcs[*site as usize] = pc as u32;
             }
         }
         pcs

@@ -116,10 +116,10 @@ impl FaultModel {
 /// Sentinel pc meaning "no fault armed". The interpreter keeps the
 /// armed site pc in a plain `u32` compared against the current pc each
 /// iteration; lowered code is bounded far below `u32::MAX`, so the
-/// sentinel can never match a real pc. The threaded dispatcher also
-/// keys its hazard-window computation on this: an unarmed engine
-/// (`armed_pc == UNARMED_PC`) compiles the per-op pc compare out of
-/// the fast loop entirely.
+/// sentinel can never match a real pc. The dispatch loop also keys its
+/// instantiation on this: an unarmed, unprofiled run
+/// (`armed_pc == UNARMED_PC`) compiles the per-op pc compare out of the
+/// loop entirely.
 pub const UNARMED_PC: u32 = u32::MAX;
 
 /// A fault armed for one run: the `(site, seed, cycle)` triple that makes

@@ -342,15 +342,16 @@ pub struct RunConfig {
     /// Runtime fault armed for this run (the Mem/Interp-boundary
     /// injection hook; see [`crate::fault`]). `None` runs clean.
     pub fault: Option<ArmedFault>,
-    /// Telemetry collection (off by default; one branch per op when off,
+    /// Telemetry collection (off by default; nothing per op when off,
     /// the same discipline as the fault hook — see [`crate::telemetry`]).
     pub telemetry: TelemetryConfig,
-    /// Force the checked per-op dispatch loop, never opening hazard
-    /// windows (see `Interp::dispatch`). The two engines are
-    /// bit-identical in every observable — outcomes, virtual cycles,
-    /// instruction counts, snapshots, telemetry — so this exists only
-    /// for differential testing and for measuring the threaded
-    /// dispatcher's win. Also settable process-wide with the
+    /// Run every op in its own one-op hazard window, so the dispatch
+    /// top (checkpoint cadence, pause budget) runs between every two ops
+    /// (see `Interp::dispatch`). Window length is invisible in every
+    /// observable — outcomes, virtual cycles, instruction counts,
+    /// snapshots, telemetry — so this exists only for differential
+    /// testing of the window bookkeeping and for measuring what long
+    /// windows win. Also settable process-wide with the
     /// `DPMR_PLAIN_DISPATCH` environment variable (any value but `0`).
     pub plain_dispatch: bool,
 }
@@ -378,8 +379,8 @@ impl Default for RunConfig {
 }
 
 /// Process-wide `DPMR_PLAIN_DISPATCH` override (read once): forces every
-/// interpreter onto the checked per-op loop, the differential-testing
-/// knob CI uses to prove the threaded engine changes nothing observable.
+/// interpreter onto one-op windows, the differential-testing knob CI
+/// uses to prove long windows change nothing observable.
 fn plain_dispatch_env() -> bool {
     static PLAIN: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *PLAIN.get_or_init(|| {
@@ -454,12 +455,6 @@ mod cost {
 enum Flow {
     /// Advance to the next op (pc + 1).
     Next,
-    /// Advance past a fused superinstruction pair (pc + 2): the op
-    /// executed both halves in one dispatch iteration.
-    Skip2,
-    /// Advance past a fused superinstruction group (pc + n): the op
-    /// executed all n members in one dispatch iteration.
-    SkipN(u32),
     /// Transfer to an absolute pc within the current frame.
     Jump(u32),
     /// Push a new frame for an IR-to-IR call (direct or resolved
@@ -482,28 +477,20 @@ enum DispatchEnd {
     Paused,
 }
 
-/// How one hazard-window fast run ([`Interp::run_window`]) ended. Traps
-/// propagate as `Err` exactly as the slow loop's do; these are the
-/// non-trap exits.
+/// How one hazard window ([`Interp::run_window`]) ended. Traps —
+/// including the instruction budget's timeout — propagate as `Err`;
+/// these are the non-trap exits.
 enum Window {
     /// The base activation returned with this value.
     Returned(Option<Value>),
     /// The window closed on a boundary the dispatch-loop *top* settles
-    /// (checkpoint cadence due, pause budget reached): loop back to the
-    /// top so the checkpoint or pause lands at exactly the instruction
-    /// boundary the slow loop would give it, then reopen a window.
-    Hazard,
-    /// The window closed on a condition only a checked per-op iteration
-    /// can settle (instruction budget exhausted, a `BadBlock` pad, a pc
-    /// outside the op stream): execute exactly one slow iteration, then
-    /// return to the top. Distinct from [`Window::Hazard`] because the
-    /// top would clear nothing here — looping back without progress
-    /// would spin.
-    Fall,
+    /// (checkpoint cadence due, pause budget reached, or the end of a
+    /// one-op window): loop back to the top so the checkpoint or pause
+    /// lands at exactly its instruction boundary, then reopen a window.
+    Closed,
 }
 
-/// Uniform signature of a threaded-dispatch op handler: the `match` arm
-/// of the former monolithic `step_op`, reachable through one indirect
+/// Uniform signature of an op handler, reachable through one indirect
 /// call via [`HANDLERS`].
 type OpHandler = for<'a, 'b, 'c, 'm> fn(
     &'a mut Interp<'m>,
@@ -570,7 +557,7 @@ pub struct Interp<'m> {
     /// one-compare fast path for the injection hook.
     armed_pc: u32,
     /// True while the op being stepped is the armed site (set by the
-    /// dispatch loop; consulted only by the load/store arms).
+    /// dispatch loop; consulted only by the load/store handlers).
     fault_pending: bool,
     /// Virtual cycle of the first fault application on this timeline.
     fault_fired: Option<u64>,
@@ -582,8 +569,7 @@ pub struct Interp<'m> {
     /// Collected telemetry data (all-empty when collection is off, so
     /// snapshot clones stay free).
     tele: Telemetry,
-    /// Never open hazard windows (config flag or `DPMR_PLAIN_DISPATCH`):
-    /// every op runs on the checked slow loop.
+    /// One-op hazard windows (config flag or `DPMR_PLAIN_DISPATCH`).
     plain_dispatch: bool,
 }
 
@@ -1250,27 +1236,22 @@ impl<'m> Interp<'m> {
     /// simulated execution state stays in `self.frames`; the host stack
     /// does not grow with simulated call depth.
     ///
-    /// # Fast/slow loop contract
-    ///
-    /// Per iteration the loop runs the top-of-boundary concerns
-    /// (checkpoint cadence, pause budget — top level only), then hands
-    /// execution to the **hazard-window fast loop**
-    /// ([`Interp::run_window`]) unless something per-op is live (pc
-    /// profiling, [`RunConfig::plain_dispatch`]). The fast loop executes
-    /// ops unchecked — pc, frame index, and registers cached in locals —
-    /// until the precomputed window closes, then either loops back here
-    /// ([`Window::Hazard`]) or requests exactly one checked iteration
-    /// ([`Window::Fall`]). The checked iteration below is the original
-    /// engine, byte-for-byte; both paths call the same [`HANDLERS`], so
+    /// Each iteration settles the boundary concerns at the loop *top*
+    /// (checkpoint cadence, pause budget — top level only) and then runs
+    /// one hazard window ([`Interp::run_window`]), which executes ops
+    /// until the nearest point where a top concern can fire. Windows are
+    /// one op long under [`RunConfig::plain_dispatch`]; otherwise they
+    /// span everything up to the next hazard. Window length is invisible:
     /// every observable — instruction counts, virtual cycles, traps,
-    /// telemetry, snapshots — is bit-identical between them.
+    /// telemetry, snapshots — is the same either way.
     fn dispatch(&mut self, base: usize) -> Result<DispatchEnd, Trap> {
         // The bytecode is behind an Rc so ops can be borrowed across the
         // `&mut self` op execution (the lowered code is immutable).
         let code = Rc::clone(&self.code);
-        // Per-op pc profiling is the one telemetry concern with work at
-        // every iteration; it pins execution to the checked loop.
-        let threaded = !self.plain_dispatch && !self.tele_cfg.per_op();
+        // The per-op hooks (armed-pc compare, pc profile bump) are
+        // compiled out of the window loop for runs that need neither —
+        // the overwhelmingly common case — via the const generic.
+        let hooks = self.armed_pc != UNARMED_PC || self.tele_cfg.profile;
         loop {
             if base == 0 {
                 self.maybe_auto_checkpoint();
@@ -1280,135 +1261,52 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            if threaded {
-                // The armed-pc compare is compiled out of clean runs
-                // (the overwhelmingly common case) via the const.
-                let w = if self.armed_pc == UNARMED_PC {
-                    self.run_window::<false>(&code, base)
-                } else {
-                    self.run_window::<true>(&code, base)
-                }?;
-                match w {
-                    Window::Returned(v) => return Ok(DispatchEnd::Returned(v)),
-                    Window::Hazard => continue,
-                    Window::Fall => {}
-                }
-            }
-            let fi = self.frames.len() - 1;
-            let pc = self.frames[fi].pc;
-            let op = &code.ops[pc as usize];
-            // A branch to a nonexistent block lands on a pad; the trap is
-            // uncounted and uncharged, like the old block-bounds check.
-            if let Op::BadBlock { block } = op {
-                self.unwind(base);
-                return Err(Trap::Invalid(format!("jump to nonexistent block b{block}")));
-            }
-            self.instrs += 1;
-            if self.instrs > self.max_instrs {
-                self.unwind(base);
-                return Err(Trap::Timeout);
-            }
-            // The injection hook's fast path: one compare per op against
-            // the armed site pc (`u32::MAX` when unarmed, so the flag
-            // stays false for clean runs at negligible cost).
-            self.fault_pending = pc == self.armed_pc;
-            // The pc profile's fast path mirrors it: one flag branch per
-            // op, a counter bump only when profiling is on. `get_mut`
-            // keeps a panic edge out of the hot loop (`pc_exec` is empty
-            // when profiling is off, sized to `ops` when on).
-            if self.tele_cfg.profile {
-                if let Some(n) = self.tele.pc_exec.get_mut(pc as usize) {
-                    *n += 1;
-                }
-            }
-            // Take the registers out of the frame for the duration of the
-            // step (a pointer swap): `step_op` gets disjoint mutable
-            // access to them and `self`, and nested calls pushed by
-            // external handlers never touch a suspended frame.
-            let mut regs = std::mem::take(&mut self.frames[fi].regs);
-            let flow = self.step_op(&mut regs, op);
-            self.frames[fi].regs = regs;
-            match flow {
-                Ok(Flow::Next) => self.frames[fi].pc = pc + 1,
-                Ok(Flow::Skip2) => self.frames[fi].pc = pc + 2,
-                Ok(Flow::SkipN(n)) => self.frames[fi].pc = pc + n,
-                Ok(Flow::Jump(target)) => self.frames[fi].pc = target,
-                Ok(Flow::Call { f, args, dst }) => {
-                    // Return lands on the op after the call.
-                    self.frames[fi].pc = pc + 1;
-                    if let Err(t) = self.push_frame(f, args, dst) {
-                        self.unwind(base);
-                        return Err(t);
-                    }
-                }
-                Ok(Flow::Ret(val)) => {
-                    let fr = self.frames.pop().expect("a frame is live");
-                    self.mem.stack_release(fr.stack_mark);
-                    if self.frames.len() == base {
-                        return Ok(DispatchEnd::Returned(val));
-                    }
-                    if let Some(d) = fr.ret_dst {
-                        match val {
-                            Some(v) => {
-                                let ci = self.frames.len() - 1;
-                                set_reg(&mut self.frames[ci].regs, d, v);
-                            }
-                            None => {
-                                self.unwind(base);
-                                return Err(void_call_value());
-                            }
-                        }
-                    }
-                }
-                Err(t) => {
-                    self.unwind(base);
-                    return Err(t);
-                }
+            let w = if hooks {
+                self.run_window::<true>(&code, base)
+            } else {
+                self.run_window::<false>(&code, base)
+            }?;
+            if let Window::Returned(v) = w {
+                return Ok(DispatchEnd::Returned(v));
             }
         }
     }
 
-    /// The hazard-window fast loop. On entry it computes the window
-    /// bounds — the nearest instruction count and virtual cycle at which
-    /// anything non-plain can fire:
+    /// One hazard window. On entry it computes the window bounds — the
+    /// nearest instruction count and virtual cycle at which a dispatch-top
+    /// concern can fire:
     ///
-    /// * `instr_hazard` — the pause budget (top level only) and the
-    ///   instruction budget, whichever is nearer;
+    /// * `instr_hazard` — the pause budget (top level only), the
+    ///   instruction budget, and under [`RunConfig::plain_dispatch`] the
+    ///   next op boundary, whichever is nearest;
     /// * `cycle_hazard` — the next checkpoint-cadence boundary (top
-    ///   level only; `u64::MAX` when cadence is off);
-    /// * the armed fault pc, compiled in per-op only when `ARMED` (the
-    ///   caller picks the instantiation, so clean runs carry no compare);
-    /// * per-op telemetry and `plain_dispatch` never reach here — the
-    ///   caller keeps those runs on the checked loop entirely.
+    ///   level only; `u64::MAX` when cadence is off).
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
-    /// and registers cached in locals: no checkpoint/pause/timeout
-    /// checks, no `BadBlock` discriminant test against the full op, no
-    /// per-frame pc store, no register-vector swap — one dense-opcode
-    /// fetch and one indirect call per op. Calls and returns re-cache
-    /// the locals; window closure parks pc/registers back into the frame
-    /// before returning, so the interpreter state a caller observes is
-    /// exactly a slow-loop instruction boundary (snapshots taken at the
-    /// dispatch top stay valid and portable).
+    /// and registers cached in locals: one dense-opcode fetch and one
+    /// indirect handler call per op, plus — only when `HOOKS` — the
+    /// armed-fault flag and the pc-profile bump. Calls and returns
+    /// re-cache the locals; closing the window parks pc and registers
+    /// back into the frame, so the state a caller observes is an exact
+    /// instruction boundary (snapshots taken at the dispatch top stay
+    /// valid and portable).
     #[inline(never)]
-    fn run_window<const ARMED: bool>(
+    fn run_window<const HOOKS: bool>(
         &mut self,
         code: &LoweredCode,
         base: usize,
     ) -> Result<Window, Trap> {
-        let instr_hazard = if base == 0 {
-            match self.pause_at {
-                Some(p) => p.min(self.max_instrs),
-                None => self.max_instrs,
+        let mut instr_hazard = self.max_instrs;
+        let mut cycle_hazard = u64::MAX;
+        if base == 0 {
+            if let Some(p) = self.pause_at {
+                instr_hazard = instr_hazard.min(p);
             }
-        } else {
-            self.max_instrs
-        };
-        let cycle_hazard = if base == 0 {
-            self.next_checkpoint
-        } else {
-            u64::MAX
-        };
+            cycle_hazard = self.next_checkpoint;
+        }
+        if self.plain_dispatch {
+            instr_hazard = instr_hazard.min(self.instrs + 1);
+        }
         let ops: &[Op] = &code.ops;
         let opcodes: &[OpCode] = &code.opcodes;
         let mut fi = self.frames.len() - 1;
@@ -1418,51 +1316,28 @@ impl<'m> Interp<'m> {
             if self.instrs >= instr_hazard || self.clock >= cycle_hazard {
                 self.frames[fi].pc = pc;
                 self.frames[fi].regs = regs;
-                return Ok(self.close_window(base));
+                return self.close_window(base);
             }
-            let (op, oc) = match (ops.get(pc as usize), opcodes.get(pc as usize)) {
-                (Some(op), Some(&oc)) => (op, oc),
-                // A pc outside the op stream: park and let the checked
-                // loop reproduce the plain engine's behaviour exactly.
-                _ => {
-                    self.frames[fi].pc = pc;
-                    self.frames[fi].regs = regs;
-                    return Ok(Window::Fall);
-                }
+            let (Some(op), Some(&oc)) = (ops.get(pc as usize), opcodes.get(pc as usize)) else {
+                self.unwind(base);
+                return Err(pc_out_of_range(pc));
             };
-            if oc == OpCode::BadBlock {
-                // The pad traps uncounted and uncharged; only the
-                // checked loop knows how.
-                self.frames[fi].pc = pc;
-                self.frames[fi].regs = regs;
-                return Ok(Window::Fall);
-            }
             self.instrs += 1;
-            if ARMED {
+            if HOOKS {
+                // The injection hook: one compare against the armed site
+                // pc (`u32::MAX` when unarmed). The pc profile's bump sits
+                // behind one flag branch; `get_mut` keeps a panic edge
+                // out of the loop (`pc_exec` is sized to `ops` when on).
                 self.fault_pending = pc == self.armed_pc;
+                if self.tele_cfg.profile {
+                    if let Some(n) = self.tele.pc_exec.get_mut(pc as usize) {
+                        *n += 1;
+                    }
+                }
             }
-            // Hot-op fast path: the opcodes that dominate every measured
-            // workload profile (simple ALU/address/branch/memory ops) are
-            // dispatched by direct — and therefore inlinable — calls;
-            // everything else takes the handler table's indirect call.
-            // Both routes run the *same* handler functions, so the split
-            // is invisible to semantics.
-            let step = match oc {
-                OpCode::Copy => h_copy(self, &mut regs, op),
-                OpCode::IndexAddr => h_index_addr(self, &mut regs, op),
-                OpCode::FieldAddr => h_field_addr(self, &mut regs, op),
-                OpCode::Bin => h_bin(self, &mut regs, op),
-                OpCode::Cmp => h_cmp(self, &mut regs, op),
-                OpCode::Jump => h_jump(self, &mut regs, op),
-                OpCode::CondJump => h_cond_jump(self, &mut regs, op),
-                OpCode::Load => h_load(self, &mut regs, op),
-                OpCode::Store => h_store(self, &mut regs, op),
-                _ => HANDLERS[oc as usize](self, &mut regs, op),
-            };
+            let step = HANDLERS[oc as usize](self, &mut regs, op);
             match step {
                 Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Skip2) => pc += 2,
-                Ok(Flow::SkipN(n)) => pc += n,
                 Ok(Flow::Jump(target)) => pc = target,
                 Ok(Flow::Call { f, args, dst }) => {
                     // Return lands on the op after the call.
@@ -1507,20 +1382,19 @@ impl<'m> Interp<'m> {
     /// closure is orders of magnitude rarer than op execution).
     #[cold]
     #[inline(never)]
-    fn close_window(&self, base: usize) -> Window {
-        // Close reasons the dispatch top settles: loop back to it. The
-        // top is guaranteed to make progress (take the due checkpoint,
-        // deliver the due pause) before a window reopens.
+    fn close_window(&mut self, base: usize) -> Result<Window, Trap> {
+        // A due checkpoint or pause is the dispatch top's to settle, and
+        // it outranks the instruction budget there.
         let pause_due = base == 0 && self.pause_at.is_some_and(|p| self.instrs >= p);
         let checkpoint_due = base == 0 && self.clock >= self.next_checkpoint;
-        if pause_due || checkpoint_due {
-            Window::Hazard
-        } else {
-            // Only the instruction budget remains: one checked
-            // iteration delivers the timeout with slow-loop ordering
-            // (a `BadBlock` pad still outranks it there).
-            Window::Fall
+        if pause_due || checkpoint_due || self.instrs < self.max_instrs {
+            return Ok(Window::Closed);
         }
+        // The instruction budget is spent: the next op times out, and is
+        // counted as executed.
+        self.instrs += 1;
+        self.unwind(base);
+        Err(Trap::Timeout)
     }
 
     /// Evaluates a pre-resolved operand: one slot read or an immediate.
@@ -1703,104 +1577,9 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// One inter-op boundary inside a fused superinstruction: replicates
-    /// exactly what the dispatch loop does between the two halves of the
-    /// original pair — instruction count, timeout, the armed-fault flag
-    /// for the second half's pc, and its pc-profile bump — so
-    /// `RunOutcome`s and telemetry profiles are bit-identical to the
-    /// unfused execution. (Pause budgets and auto-checkpoints are only
-    /// taken between dispatch iterations, so a fused pair is atomic with
-    /// respect to both.)
-    #[inline]
-    fn fused_boundary(&mut self, pc2: u32) -> Result<(), Trap> {
-        self.instrs += 1;
-        if self.instrs > self.max_instrs {
-            return Err(Trap::Timeout);
-        }
-        self.fault_pending = pc2 == self.armed_pc;
-        if self.tele_cfg.profile {
-            if let Some(n) = self.tele.pc_exec.get_mut(pc2 as usize) {
-                *n += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one scalar load: the single definition shared by
-    /// [`Op::Load`] and the fused load+check superinstruction.
-    #[inline]
-    fn exec_load(
-        &mut self,
-        regs: &mut [Option<Value>],
-        dst: u32,
-        ptr: &Opnd,
-        kind: LoadKind,
-    ) -> Result<(), Trap> {
-        let mut a = self.eval(regs, ptr)?.as_ptr();
-        // Injection hook: an armed fault may corrupt the memory
-        // about to be read, skew the address, or force the value.
-        let forced = if self.fault_pending {
-            self.fault_on_load(&mut a, kind)
-        } else {
-            None
-        };
-        self.clock += cost::MEM;
-        self.touch(a);
-        let v = self.load_kind(kind, a)?;
-        set_reg(regs, dst, forced.unwrap_or(v));
-        Ok(())
-    }
-
-    /// Executes one scalar store: the single definition shared by
-    /// [`Op::Store`] and the fused store-pair superinstruction.
-    #[inline]
-    fn exec_store(
-        &mut self,
-        regs: &[Option<Value>],
-        ptr: &Opnd,
-        value: &Opnd,
-        kind: StoreKind,
-    ) -> Result<(), Trap> {
-        let mut a = self.eval(regs, ptr)?.as_ptr();
-        let v = self.eval(regs, value)?;
-        // Injection hook: an armed fault may redirect the store;
-        // a region bit-flip corrupts the stored bytes afterwards.
-        let flip_after = if self.fault_pending {
-            self.fault_on_store(&mut a, store_width(kind))
-        } else {
-            false
-        };
-        self.clock += cost::MEM;
-        self.touch(a);
-        self.store_kind(a, kind, v)?;
-        if flip_after {
-            self.fault_flip_byte(a, store_width(kind));
-        }
-        Ok(())
-    }
-
-    /// Executes a check whose comparison the optimizer removed (the
-    /// plain [`Op::CheckElided`] arm and the elided second half of a
-    /// fused load+check). With `charge` (redundant-check elimination)
-    /// the virtual clock and site stats advance exactly as the original
-    /// check's passing path did — clean-run outcomes stay bit-identical
-    /// and the win is host time. Without it (profile-guided drop) the
-    /// site costs nothing.
-    fn exec_check_elided(&mut self, site: u32, reps: u32, charge: bool) {
-        if charge {
-            self.clock += cost::CHECK * u64::from(reps);
-            if self.tele_cfg.sites {
-                let s = &mut self.tele.site_stats[site as usize];
-                s.executions += 1;
-                s.cycles += cost::CHECK * u64::from(reps);
-            }
-        }
-    }
-
-    /// Executes one `dpmr.check` comparison: the single definition of
-    /// check semantics shared by the plain [`Op::DpmrCheck`] arm and the
-    /// fused load+check superinstruction (their virtual-cycle and
-    /// detection behaviour must never desynchronize).
+    /// Executes one `dpmr.check` comparison (the [`Op::DpmrCheck`]
+    /// handler's body): compare, count, and on a mismatch consult the
+    /// trap handler and repair or terminate.
     #[allow(clippy::too_many_lines)]
     fn exec_check(
         &mut self,
@@ -1996,15 +1775,6 @@ impl<'m> Interp<'m> {
         }
         Ok(())
     }
-
-    /// Executes one op against the current frame's registers: one
-    /// indirect call through the dense-opcode handler table. Shared by
-    /// the checked loop and fused-group member execution; the fast loop
-    /// indexes [`HANDLERS`] with the opcode side-table directly.
-    #[inline]
-    fn step_op(&mut self, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-        HANDLERS[op.opcode() as usize](self, regs, op)
-    }
 }
 
 /// The threaded dispatch table, indexed by [`OpCode`] (dense, no holes:
@@ -2041,9 +1811,6 @@ static HANDLERS: [OpHandler; OPCODE_COUNT] = [
     h_invalid,
     h_check_elided,
     h_load_elided,
-    h_fused_load_check,
-    h_fused_store_store,
-    h_fused_group,
 ];
 
 /// Writes a register slot. Out-of-range destinations (impossible in
@@ -2096,6 +1863,12 @@ fn rem_by_zero() -> Trap {
     Trap::Invalid("remainder by zero".into())
 }
 
+#[cold]
+#[inline(never)]
+fn pc_out_of_range(pc: u32) -> Trap {
+    Trap::Invalid(format!("pc {pc} outside the op stream"))
+}
+
 /// An op whose payload does not match its handler: unreachable through
 /// lowered code (the opcode table is derived from the ops), kept as a
 /// trap so hand-built code cannot cause UB-adjacent surprises.
@@ -2105,9 +1878,9 @@ fn malformed_op() -> Trap {
     Trap::Invalid("op/opcode mismatch in threaded dispatch".into())
 }
 
-// The op handlers: one per `OpCode`, each the former `step_op` match
-// arm. Free functions (not methods) so their `Interp` lifetime stays
-// late-bound and coerces to the HRTB `OpHandler` signature.
+// The op handlers: one per `OpCode`. Free functions (not methods) so
+// their `Interp` lifetime stays late-bound and coerces to the HRTB
+// `OpHandler` signature.
 
 fn h_alloca(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Alloca { dst, count, size } = op else {
@@ -2152,25 +1925,47 @@ fn h_free(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, 
     }
 }
 
-#[inline]
 fn h_load(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
-    it.exec_load(regs, *dst, ptr, *kind)?;
+    let mut a = it.eval(regs, ptr)?.as_ptr();
+    // Injection hook: an armed fault may corrupt the memory about to be
+    // read, skew the address, or force the value.
+    let forced = if it.fault_pending {
+        it.fault_on_load(&mut a, *kind)
+    } else {
+        None
+    };
+    it.clock += cost::MEM;
+    it.touch(a);
+    let v = it.load_kind(*kind, a)?;
+    set_reg(regs, *dst, forced.unwrap_or(v));
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
-    it.exec_store(regs, ptr, value, *kind)?;
+    let mut a = it.eval(regs, ptr)?.as_ptr();
+    let v = it.eval(regs, value)?;
+    // Injection hook: an armed fault may redirect the store; a region
+    // bit-flip corrupts the stored bytes afterwards.
+    let flip_after = if it.fault_pending {
+        it.fault_on_store(&mut a, store_width(*kind))
+    } else {
+        false
+    };
+    it.clock += cost::MEM;
+    it.touch(a);
+    it.store_kind(a, *kind, v)?;
+    if flip_after {
+        it.fault_flip_byte(a, store_width(*kind));
+    }
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_field_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::FieldAddr { dst, base, off } = op else {
         return Err(malformed_op());
@@ -2181,7 +1976,6 @@ fn h_field_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_index_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::IndexAddr {
         dst,
@@ -2250,7 +2044,6 @@ fn h_cast(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, 
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_bin(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Bin {
         dst,
@@ -2271,7 +2064,6 @@ fn h_bin(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, T
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_cmp(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Cmp {
         dst,
@@ -2289,7 +2081,6 @@ fn h_cmp(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, T
     Ok(Flow::Next)
 }
 
-#[inline]
 fn h_copy(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Copy { dst, src } = op else {
         return Err(malformed_op());
@@ -2423,7 +2214,6 @@ fn h_abort(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flo
     Err(Trap::AppAbort(*code))
 }
 
-#[inline]
 fn h_jump(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::Jump { target } = op else {
         return Err(malformed_op());
@@ -2432,7 +2222,6 @@ fn h_jump(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow,
     Ok(Flow::Jump(*target))
 }
 
-#[inline]
 fn h_cond_jump(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
     let Op::CondJump {
         cond,
@@ -2467,11 +2256,11 @@ fn h_unreachable(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resul
     Err(Trap::Invalid("executed unreachable".into()))
 }
 
-fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], _op: &Op) -> Result<Flow, Trap> {
-    // Both loops settle `BadBlock` pads *before* dispatching (the trap
-    // is uncounted and uncharged); reaching the handler means a
-    // hand-built fused op smuggled one in.
-    unreachable!("BadBlock is settled by the dispatch loops before any handler runs")
+fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+    let Op::BadBlock { block } = op else {
+        return Err(malformed_op());
+    };
+    Err(Trap::Invalid(format!("jump to nonexistent block b{block}")))
 }
 
 fn h_invalid(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
@@ -2490,7 +2279,19 @@ fn h_check_elided(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resu
     let Op::CheckElided { site, reps, charge } = op else {
         return Err(malformed_op());
     };
-    it.exec_check_elided(*site, *reps, *charge);
+    // With `charge` (redundant-check elimination) the virtual clock and
+    // site stats advance exactly as the original check's passing path
+    // did — clean-run outcomes stay bit-identical and the win is host
+    // time. Without it (profile-guided drop) the site costs nothing.
+    if *charge {
+        let cycles = cost::CHECK * u64::from(*reps);
+        it.clock += cycles;
+        if it.tele_cfg.sites {
+            let s = &mut it.tele.site_stats[*site as usize];
+            s.executions += 1;
+            s.cycles += cycles;
+        }
+    }
     Ok(Flow::Next)
 }
 
@@ -2502,92 +2303,6 @@ fn h_load_elided(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resu
         return Err(malformed_op());
     };
     Ok(Flow::Next)
-}
-
-fn h_fused_load_check(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedLoadCheck(f) = op else {
-        return Err(malformed_op());
-    };
-    it.exec_load(regs, f.dst, &f.ptr, f.kind)?;
-    it.fused_boundary(f.pc2)?;
-    match &f.check {
-        Op::DpmrCheck {
-            a,
-            reps,
-            ptrs,
-            site,
-            a_reg,
-        } => it.exec_check(regs, a, reps, ptrs, *site, a_reg)?,
-        Op::CheckElided { site, reps, charge } => {
-            it.exec_check_elided(*site, *reps, *charge);
-        }
-        _ => return Err(Trap::Invalid("malformed fused load+check".into())),
-    }
-    Ok(Flow::Skip2)
-}
-
-fn h_fused_store_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedStoreStore(f) = op else {
-        return Err(malformed_op());
-    };
-    it.exec_store(regs, &f.ptr, &f.value, f.kind)?;
-    it.fused_boundary(f.pc2)?;
-    let Op::Store { ptr, value, kind } = &f.second else {
-        return Err(Trap::Invalid("malformed fused store pair".into()));
-    };
-    it.exec_store(regs, ptr, value, *kind)?;
-    Ok(Flow::Skip2)
-}
-
-fn h_fused_group(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
-    let Op::FusedGroup(g) = op else {
-        return Err(malformed_op());
-    };
-    // Each member executes exactly as its unfused op would, with the
-    // inter-op boundary accounting replicated between members; only the
-    // dispatch-loop iterations collapse. The optimizer guarantees
-    // members are simple straight-line ops (every one steps
-    // `Flow::Next`).
-    let n = g.members.len() as u32;
-    // Fast path: when nothing per-boundary can fire inside this group —
-    // no pc profiling, no armed fault at an interior member, and the
-    // instruction budget cannot run out mid-group — batch the boundary
-    // accounting: clear the fault flag once and settle `instrs` in one
-    // add. The slow path below is bit-for-bit equivalent.
-    let armed_inside = it.armed_pc > g.base && it.armed_pc < g.base + n;
-    if !it.tele_cfg.profile && !armed_inside && it.instrs + u64::from(n - 1) <= it.max_instrs {
-        for (i, member) in g.members.iter().enumerate() {
-            if i == 1 {
-                it.fault_pending = false;
-            }
-            match it.step_op(regs, member) {
-                Ok(Flow::Next) => {}
-                Ok(_) => {
-                    it.instrs += i as u64;
-                    return Err(Trap::Invalid("malformed fused group".into()));
-                }
-                Err(t) => {
-                    // A member trapped: settle the boundary increments
-                    // its predecessors earned so the outcome's instr
-                    // count matches the unfused execution exactly.
-                    it.instrs += i as u64;
-                    return Err(t);
-                }
-            }
-        }
-        it.instrs += u64::from(n - 1);
-        return Ok(Flow::SkipN(n));
-    }
-    for (i, member) in g.members.iter().enumerate() {
-        if i > 0 {
-            it.fused_boundary(g.base + i as u32)?;
-        }
-        match it.step_op(regs, member)? {
-            Flow::Next => {}
-            _ => return Err(Trap::Invalid("malformed fused group".into())),
-        }
-    }
-    Ok(Flow::SkipN(n))
 }
 
 /// Bytes moved by a load of the given pre-resolved kind.
@@ -2747,7 +2462,7 @@ mod dispatch_table_tests {
     /// Every handler slot must match its `OpCode` index: build one op of
     /// each shape, dispatch it through the table, and check the handler
     /// accepted the payload (a misaligned table returns `malformed_op`
-    /// or panics the `BadBlock` sentinel instead).
+    /// instead).
     #[test]
     fn opcode_table_is_aligned() {
         use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
@@ -2861,45 +2576,6 @@ mod dispatch_table_tests {
                 charge: true,
             },
             Op::LoadElided { dst: 0, site: 0 },
-            Op::FusedLoadCheck(Box::new(crate::code::FusedLoadCheck {
-                dst: 0,
-                ptr: p(0),
-                kind: LoadKind::Ptr,
-                pc2: 1,
-                check: Op::CheckElided {
-                    site: 0,
-                    reps: 1,
-                    charge: false,
-                },
-            })),
-            Op::FusedStoreStore(Box::new(crate::code::FusedStoreStore {
-                ptr: p(0),
-                value: imm(0),
-                kind: StoreKind::Raw(8),
-                pc2: 1,
-                second: Op::Store {
-                    ptr: p(0),
-                    value: imm(0),
-                    kind: StoreKind::Raw(8),
-                },
-            })),
-            Op::FusedGroup(Box::new(crate::code::FusedGroup {
-                base: 0,
-                members: Box::new([
-                    Op::Copy {
-                        dst: 0,
-                        src: imm(1),
-                    },
-                    Op::Copy {
-                        dst: 1,
-                        src: imm(2),
-                    },
-                    Op::Copy {
-                        dst: 2,
-                        src: imm(3),
-                    },
-                ]),
-            })),
         ];
         // One op per shape, and the opcodes cover 0..OPCODE_COUNT densely.
         assert_eq!(samples.len(), OPCODE_COUNT);
@@ -2907,18 +2583,14 @@ mod dispatch_table_tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..OPCODE_COUNT).collect::<Vec<_>>());
         // Dispatch each through the table: no sample may be rejected as
-        // an op/opcode mismatch (BadBlock never reaches a handler and is
-        // asserted structurally above).
+        // an op/opcode mismatch.
         let module = Module::new();
         let cfg = RunConfig::default();
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
         let mismatch = malformed_op();
         for op in &samples {
-            if matches!(op, Op::BadBlock { .. }) {
-                continue;
-            }
             let mut regs: Vec<Option<Value>> = vec![None; 8];
-            let got = it.step_op(&mut regs, op);
+            let got = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op);
             if let Err(t) = got {
                 assert_ne!(t, mismatch, "handler table misaligned at {op:?}");
             }

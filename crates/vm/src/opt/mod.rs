@@ -11,14 +11,9 @@
 //! Passes rewrite ops **in place** and never insert or remove slots, so
 //! absolute pcs keep their meaning in optimized code: armed faults,
 //! check-site ids, and pc profiles all stay comparable across pass
-//! combinations. Fused superinstructions occupy the *first* pc of their
-//! run while every later slot keeps its original op, so a jump into the
-//! middle of a fused run executes the plain ops correctly. The one
-//! portability caveat: snapshots now restore only into interpreters
-//! sharing *(module, `PassConfig`)*, not just the module, and a fused
-//! run executes atomically with respect to pause budgets and
-//! auto-checkpoint boundaries (both are taken between dispatch
-//! iterations).
+//! combinations. The one portability caveat: snapshots restore only
+//! into interpreters sharing *(module, `PassConfig`)*, not just the
+//! module.
 //!
 //! # The passes, in pipeline order
 //!
@@ -40,22 +35,10 @@
 //!    changes semantics (it trades coverage for overhead, the paper's
 //!    partial-replication tradeoff) and reports every dropped site —
 //!    with its elided replica loads — machine-readably.
-//! 3. **Superinstruction fusion** ([`PassConfig::fuse_superinstructions`]):
-//!    rewrites the straight-line DPMR access groups surfaced by
-//!    profS.1's pc profile — the application load, the replica
-//!    addressing and loads, and the `dpmr.check` consuming them, or a
-//!    store and its companion replica stores — into ops dispatched in
-//!    one loop iteration: [`Op::FusedLoadCheck`] /
-//!    [`Op::FusedStoreStore`] for isolated pairs, [`Op::FusedGroup`]
-//!    for longer runs. The fused arms replicate the inter-op boundary
-//!    accounting (instruction count, timeout, armed-fault flag, pc
-//!    profile) exactly, so `RunOutcome`s and telemetry profiles stay
-//!    bit-identical. Fusion runs last so it folds in — rather than
-//!    re-fuses — whatever the earlier passes elided.
 //!
 //! [`RunOutcome`]: crate::interp::RunOutcome
 
-use crate::code::{FusedGroup, FusedLoadCheck, FusedStoreStore, LoweredCode, Op, Opnd};
+use crate::code::{LoweredCode, Op, Opnd};
 use crate::value::LoadKind;
 use std::collections::HashMap;
 
@@ -66,9 +49,6 @@ pub struct PassConfig {
     /// Pass 1: replace provably redundant `dpmr.check` comparisons with
     /// cost-preserving [`Op::CheckElided`] ops.
     pub elide_redundant_checks: bool,
-    /// Pass 3: fuse load+check and store+companion-store pairs into
-    /// single-dispatch superinstructions.
-    pub fuse_superinstructions: bool,
     /// Pass 2: profile-guided site selection, when a profile is supplied.
     pub profile_guided: Option<ProfileGuided>,
 }
@@ -79,12 +59,11 @@ impl PassConfig {
         PassConfig::default()
     }
 
-    /// Both semantics-preserving passes on (elision + fusion), no
+    /// The semantics-preserving pass on (redundant-check elision), no
     /// profile-guided selection.
     pub fn all() -> PassConfig {
         PassConfig {
             elide_redundant_checks: true,
-            fuse_superinstructions: true,
             profile_guided: None,
         }
     }
@@ -98,13 +77,11 @@ impl PassConfig {
 
     /// True when no pass is enabled ([`optimize`] is the identity).
     pub fn is_noop(&self) -> bool {
-        !self.elide_redundant_checks
-            && !self.fuse_superinstructions
-            && self.profile_guided.is_none()
+        !self.elide_redundant_checks && self.profile_guided.is_none()
     }
 
-    /// Short display tag, e.g. `off`, `elide`, `elide+fuse`,
-    /// `elide+pgo+fuse` (pipeline order).
+    /// Short display tag, e.g. `off`, `elide`, `elide+pgo` (pipeline
+    /// order).
     pub fn tag(&self) -> String {
         let mut parts = Vec::new();
         if self.elide_redundant_checks {
@@ -112,9 +89,6 @@ impl PassConfig {
         }
         if self.profile_guided.is_some() {
             parts.push("pgo");
-        }
-        if self.fuse_superinstructions {
-            parts.push("fuse");
         }
         if parts.is_empty() {
             "off".into()
@@ -185,13 +159,13 @@ pub struct OptOutcome {
     pub elided: Vec<ElidedCheck>,
     /// Sites dropped by pass 2 (cost-removing).
     pub dropped: Vec<DroppedSite>,
-    /// Pcs rewritten to [`Op::FusedLoadCheck`].
-    pub fused_load_checks: Vec<u32>,
-    /// Pcs rewritten to [`Op::FusedStoreStore`].
-    pub fused_store_pairs: Vec<u32>,
-    /// Base pcs rewritten to [`Op::FusedGroup`], with each group's
-    /// member count.
-    pub fused_groups: Vec<(u32, u32)>,
+    /// Always empty: the pipeline has no fusion pass. Kept, with the two
+    /// fields below, for reports that still print a fused-op count.
+    pub fused_load_checks: [u32; 0],
+    /// Always empty (see `fused_load_checks`).
+    pub fused_store_pairs: [u32; 0],
+    /// Always empty (see `fused_load_checks`).
+    pub fused_groups: [u32; 0],
 }
 
 impl OptOutcome {
@@ -216,58 +190,31 @@ impl OptOutcome {
     }
 
     /// Number of live (non-elided, non-dropped) check comparisons in the
-    /// optimized code, counting checks folded into fused ops.
+    /// optimized code.
     pub fn live_checks(&self) -> u64 {
         live_check_count(&self.code)
     }
 }
 
-/// Counts live check comparisons in a code object: plain `DpmrCheck`
-/// ops plus live checks folded into [`Op::FusedLoadCheck`] (a fused
-/// elided check stays elided), excluding the original check slot
-/// *behind* a fused op (the fused op executes it; the slot is only
-/// reachable by an explicit jump into the pair).
+/// Counts live check comparisons (`DpmrCheck` ops) in a code object.
 pub fn live_check_count(code: &LoweredCode) -> u64 {
-    let mut n = 0u64;
-    let mut pc = 0usize;
-    while pc < code.ops.len() {
-        match &code.ops[pc] {
-            Op::FusedLoadCheck(f) => {
-                if matches!(f.check, Op::DpmrCheck { .. }) {
-                    n += 1;
-                }
-                pc += 2;
-            }
-            Op::FusedStoreStore(_) => pc += 2,
-            Op::FusedGroup(g) => {
-                n += g
-                    .members
-                    .iter()
-                    .filter(|m| matches!(m, Op::DpmrCheck { .. }))
-                    .count() as u64;
-                pc += g.members.len();
-            }
-            Op::DpmrCheck { .. } => {
-                n += 1;
-                pc += 1;
-            }
-            _ => pc += 1,
-        }
-    }
-    n
+    code.ops
+        .iter()
+        .filter(|op| matches!(op, Op::DpmrCheck { .. }))
+        .count() as u64
 }
 
 /// Runs the enabled passes over `code` in pipeline order (elision →
-/// profile-guided selection → fusion). With all passes off this is the
-/// identity (a clone of the input).
+/// profile-guided selection). With all passes off this is the identity
+/// (a clone of the input).
 pub fn optimize(code: &LoweredCode, cfg: &PassConfig) -> OptOutcome {
     let mut out = OptOutcome {
         code: code.clone(),
         elided: Vec::new(),
         dropped: Vec::new(),
-        fused_load_checks: Vec::new(),
-        fused_store_pairs: Vec::new(),
-        fused_groups: Vec::new(),
+        fused_load_checks: [],
+        fused_store_pairs: [],
+        fused_groups: [],
     };
     if cfg.is_noop() {
         return out;
@@ -279,14 +226,8 @@ pub fn optimize(code: &LoweredCode, cfg: &PassConfig) -> OptOutcome {
     if let Some(p) = &cfg.profile_guided {
         out.dropped = profile_guided_select(&mut out.code, p);
     }
-    if cfg.fuse_superinstructions {
-        let (lc, ss, groups) = fuse_superinstructions(&mut out.code);
-        out.fused_load_checks = lc;
-        out.fused_store_pairs = ss;
-        out.fused_groups = groups;
-    }
     // Passes rewrite ops in place; refresh the dense discriminants the
-    // threaded dispatcher indexes by.
+    // dispatch loop indexes by.
     out.code.rebuild_opcodes();
     out
 }
@@ -794,20 +735,6 @@ fn for_each_use(op: &Op, f: &mut impl FnMut(u32)) {
             }
         }
         Op::Invalid { args, .. } => args.iter().for_each(o),
-        Op::FusedLoadCheck(fu) => {
-            o(&fu.ptr);
-            for_each_use(&fu.check, f);
-        }
-        Op::FusedStoreStore(fu) => {
-            o(&fu.ptr);
-            o(&fu.value);
-            for_each_use(&fu.second, f);
-        }
-        Op::FusedGroup(g) => {
-            for m in g.members.iter() {
-                for_each_use(m, f);
-            }
-        }
         Op::FiMarker { .. }
         | Op::Abort { .. }
         | Op::Jump { .. }
@@ -816,111 +743,6 @@ fn for_each_use(op: &Op, f: &mut impl FnMut(u32)) {
         | Op::CheckElided { .. }
         | Op::LoadElided { .. } => {}
     }
-}
-
-/// Cap on [`Op::FusedGroup`] member count: bounds how far a single
-/// dispatch iteration can run ahead of the pause/auto-checkpoint
-/// granularity (which is only consulted between iterations).
-const MAX_GROUP: usize = 12;
-
-/// True for ops a fused group may contain: simple straight-line ops
-/// that always step to the next pc — no control transfer, no calls, no
-/// allocator traffic. Execution order, traps, accounting, and register
-/// effects are identical whether such a run is dispatched one op at a
-/// time or as one group.
-fn groupable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Load { .. }
-            | Op::Store { .. }
-            | Op::IndexAddr { .. }
-            | Op::FieldAddr { .. }
-            | Op::Copy { .. }
-            | Op::Cast { .. }
-            | Op::Bin { .. }
-            | Op::Cmp { .. }
-            | Op::DpmrCheck { .. }
-            | Op::CheckElided { .. }
-            | Op::LoadElided { .. }
-    )
-}
-
-/// Pass 3: superinstruction fusion. Greedy, non-overlapping, in pc
-/// order over maximal runs of [`groupable`] ops (runs never cross a
-/// function entry). A run qualifies when it contains a check — live or
-/// elided — or at least two stores: the DPMR access groups (application
-/// load, replica addressing and loads, `dpmr.check`; application store,
-/// companion replica stores) that profS.1's pc profile surfaces as the
-/// transformed hot path. A qualifying two-op run keeps the dedicated
-/// pair forms [`Op::FusedLoadCheck`] / [`Op::FusedStoreStore`]; longer
-/// runs (capped at [`MAX_GROUP`]) become [`Op::FusedGroup`]. Every slot
-/// after a fused op keeps its original op (pcs stay stable; jumps into
-/// the middle of a run execute the plain ops). Fusion runs last, so
-/// elided checks are folded in rather than re-fused.
-fn fuse_superinstructions(code: &mut LoweredCode) -> (Vec<u32>, Vec<u32>, Vec<(u32, u32)>) {
-    let mut fused_lc = Vec::new();
-    let mut fused_ss = Vec::new();
-    let mut fused_groups = Vec::new();
-    let entries: Vec<u32> = code.func_entry.clone();
-    let mut pc = 0usize;
-    while pc < code.ops.len() {
-        if !groupable(&code.ops[pc]) {
-            pc += 1;
-            continue;
-        }
-        let mut end = pc + 1;
-        while end < code.ops.len()
-            && end - pc < MAX_GROUP
-            && groupable(&code.ops[end])
-            && entries.binary_search(&(end as u32)).is_err()
-        {
-            end += 1;
-        }
-        let run = &code.ops[pc..end];
-        let has_check = run
-            .iter()
-            .any(|op| matches!(op, Op::DpmrCheck { .. } | Op::CheckElided { .. }));
-        let stores = run
-            .iter()
-            .filter(|op| matches!(op, Op::Store { .. }))
-            .count();
-        if run.len() < 2 || (!has_check && stores < 2) {
-            pc = end;
-            continue;
-        }
-        let fused = match run {
-            [Op::Load { dst, ptr, kind }, chk @ (Op::DpmrCheck { .. } | Op::CheckElided { .. })] => {
-                fused_lc.push(pc as u32);
-                Op::FusedLoadCheck(Box::new(FusedLoadCheck {
-                    dst: *dst,
-                    ptr: *ptr,
-                    kind: *kind,
-                    pc2: (pc + 1) as u32,
-                    check: chk.clone(),
-                }))
-            }
-            [Op::Store { ptr, value, kind }, second @ Op::Store { .. }] => {
-                fused_ss.push(pc as u32);
-                Op::FusedStoreStore(Box::new(FusedStoreStore {
-                    ptr: *ptr,
-                    value: *value,
-                    kind: *kind,
-                    pc2: (pc + 1) as u32,
-                    second: second.clone(),
-                }))
-            }
-            _ => {
-                fused_groups.push((pc as u32, run.len() as u32));
-                Op::FusedGroup(Box::new(FusedGroup {
-                    base: pc as u32,
-                    members: run.to_vec().into_boxed_slice(),
-                }))
-            }
-        };
-        code.ops[pc] = fused;
-        pc = end;
-    }
-    (fused_lc, fused_ss, fused_groups)
 }
 
 #[cfg(test)]

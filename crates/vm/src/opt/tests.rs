@@ -52,8 +52,6 @@ fn all_passes_off_is_identity() {
     assert_eq!(out.code, code);
     assert!(out.elided.is_empty());
     assert!(out.dropped.is_empty());
-    assert!(out.fused_load_checks.is_empty());
-    assert!(out.fused_store_pairs.is_empty());
 }
 
 #[test]
@@ -251,119 +249,6 @@ fn pgo_keeps_replica_loads_with_surviving_readers() {
 }
 
 #[test]
-fn fusion_rewrites_load_check_and_store_store_pairs() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg); // pcs 0,1,2: load, load+check
-    ops.push(Op::Store {
-        ptr: Opnd::Global(0),
-        value: Opnd::Imm(crate::value::Value::Int(1)),
-        kind: StoreKind::Raw(8),
-    });
-    ops.push(Op::Store {
-        ptr: Opnd::Global(1),
-        value: Opnd::Imm(crate::value::Value::Int(1)),
-        kind: StoreKind::Raw(8),
-    });
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.fuse_superinstructions = true;
-    let out = optimize(&code_of(ops, 1), &cfg);
-    // The whole access group — app load, replica load, check, and the
-    // adjacent store pair — is one maximal groupable run and fuses into
-    // a single group at pc 0.
-    assert!(out.fused_load_checks.is_empty());
-    assert!(out.fused_store_pairs.is_empty());
-    assert_eq!(out.fused_groups, vec![(0, 5)]);
-    let Op::FusedGroup(g) = &out.code.ops[0] else {
-        panic!("expected fused group at pc 0");
-    };
-    assert_eq!(g.base, 0);
-    assert!(matches!(g.members[2], Op::DpmrCheck { site: 0, .. }));
-    // Member slots keep their original ops (jump-in safety).
-    assert!(matches!(out.code.ops[2], Op::DpmrCheck { .. }));
-    assert!(matches!(out.code.ops[4], Op::Store { .. }));
-    // Site resolution still works on optimized code.
-    assert_eq!(out.code.check_site_pcs(), vec![2]);
-    assert_eq!(out.live_checks(), 1);
-}
-
-#[test]
-fn fusion_emits_pair_forms_for_isolated_pairs() {
-    // A jump between the load+check pair and the store pair splits the
-    // runs down to exactly two ops each, which keeps the dedicated pair
-    // forms.
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    ops.push(Op::Load {
-        dst: reg,
-        ptr: Opnd::Global(0),
-        kind: I64,
-    });
-    reg += 1;
-    ops.push(Op::DpmrCheck {
-        a: Opnd::Reg(0),
-        reps: Box::new([Opnd::Reg(0)]),
-        ptrs: None,
-        site: 0,
-        a_reg: None,
-    });
-    ops.push(Op::Jump { target: 3 });
-    ops.push(Op::Store {
-        ptr: Opnd::Global(0),
-        value: Opnd::Imm(crate::value::Value::Int(1)),
-        kind: StoreKind::Raw(8),
-    });
-    ops.push(Op::Store {
-        ptr: Opnd::Global(1),
-        value: Opnd::Imm(crate::value::Value::Int(1)),
-        kind: StoreKind::Raw(8),
-    });
-    ops.push(Op::Ret { value: None });
-    let _ = reg;
-    let mut cfg = PassConfig::none();
-    cfg.fuse_superinstructions = true;
-    let out = optimize(&code_of(ops, 1), &cfg);
-    assert_eq!(out.fused_load_checks, vec![0]);
-    assert_eq!(out.fused_store_pairs, vec![3]);
-    assert!(out.fused_groups.is_empty());
-    assert!(matches!(out.code.ops[0], Op::FusedLoadCheck(_)));
-    assert!(matches!(out.code.ops[3], Op::FusedStoreStore(_)));
-}
-
-#[test]
-fn fusion_runs_after_elision_and_fuses_elided_checks_too() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    checked_load(&mut ops, 1, 0, 1, &mut reg);
-    ops.push(Op::Ret { value: None });
-    let out = optimize(&code_of(ops, 2), &PassConfig::all());
-    assert_eq!(out.elided.len(), 1);
-    // Both access groups — the surviving check (site 0) and the elided
-    // one (site 1), whose charge bookkeeping rides along — fuse into a
-    // single group covering the whole straight-line run.
-    assert_eq!(out.fused_groups, vec![(0, 6)]);
-    let Op::FusedGroup(g) = &out.code.ops[0] else {
-        panic!("expected fused group at pc 0");
-    };
-    assert!(matches!(g.members[2], Op::DpmrCheck { site: 0, .. }));
-    assert!(matches!(
-        g.members[5],
-        Op::CheckElided {
-            site: 1,
-            charge: true,
-            ..
-        }
-    ));
-    // Member slots keep their original ops, and site-pc resolution
-    // still locates both sites.
-    assert!(matches!(out.code.ops[5], Op::CheckElided { site: 1, .. }));
-    assert_eq!(out.code.check_site_pcs(), vec![2, 5]);
-    assert_eq!(out.live_checks(), 1);
-}
-
-#[test]
 fn optimize_is_deterministic() {
     let mut ops = Vec::new();
     let mut reg = 0;
@@ -383,7 +268,7 @@ fn optimize_is_deterministic() {
 #[test]
 fn pass_config_tags() {
     assert_eq!(PassConfig::none().tag(), "off");
-    assert_eq!(PassConfig::all().tag(), "elide+fuse");
+    assert_eq!(PassConfig::all().tag(), "elide");
     let pgo = PassConfig::all().with_profile(ProfileGuided::default());
-    assert_eq!(pgo.tag(), "elide+pgo+fuse");
+    assert_eq!(pgo.tag(), "elide+pgo");
 }

@@ -26,10 +26,12 @@
 //! clock.
 //!
 //! Collection is off by default and gated per concern by
-//! [`TelemetryConfig`] on [`crate::interp::RunConfig`]. The dispatch-loop
-//! cost discipline matches the PR-4 fault hook: one flag branch per
-//! executed op when off (the counters and the event vector are empty, so
-//! snapshot clones stay free too).
+//! [`TelemetryConfig`] on [`crate::interp::RunConfig`]. The pc profile's
+//! per-op bump shares the fault hook's dispatch-loop instantiation, so a
+//! run that neither profiles nor arms a fault pays nothing per op; the
+//! other concerns cost one flag branch per relevant event when off (the
+//! counters and the event vector are empty, so snapshot clones stay free
+//! too).
 
 /// Which telemetry concerns an interpreter collects. All flags default
 /// to off; each costs one branch per relevant event when disabled.
@@ -45,7 +47,7 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// Everything off (the default; collection costs one branch per op).
+    /// Everything off (the default).
     pub fn off() -> TelemetryConfig {
         TelemetryConfig::default()
     }
@@ -62,17 +64,6 @@ impl TelemetryConfig {
     /// True when any concern is enabled.
     pub fn any(self) -> bool {
         self.sites || self.profile || self.trace
-    }
-
-    /// True when collection does work on *every* dispatched op (the pc
-    /// profile's counter bump). This is the one telemetry concern that
-    /// closes the threaded engine's hazard windows: profiled runs stay
-    /// on the checked slow loop so each op's bump lands exactly where
-    /// the plain engine's would. Site counters and the event trace hang
-    /// off specific op handlers (checks, traps, checkpoints), not the
-    /// dispatch loop, so they leave windows open.
-    pub fn per_op(self) -> bool {
-        self.profile
     }
 }
 

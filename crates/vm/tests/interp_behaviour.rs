@@ -254,6 +254,55 @@ fn infinite_loop_times_out() {
     let out = run_with_limits(&m, &rc);
     assert_eq!(out.status, ExitStatus::Timeout);
     assert!(!out.status.is_natural_detection());
+    // The op that would exceed the budget counts as executed, whatever
+    // the hazard-window length.
+    assert_eq!(out.instrs, 10_001);
+    let plain = run_with_limits(
+        &m,
+        &RunConfig {
+            plain_dispatch: true,
+            ..rc
+        },
+    );
+    assert_eq!((plain.status, plain.instrs), (ExitStatus::Timeout, 10_001));
+}
+
+#[test]
+fn malformed_control_flow_traps_instead_of_panicking() {
+    // A branch to a block the function does not have lands on a pad
+    // that traps as invalid execution, like any other op.
+    let m = module_with_main(|b| b.br(BlockId(7)));
+    let out = run(&m);
+    assert_eq!(
+        out.status,
+        ExitStatus::Crash(CrashKind::InvalidExec(
+            "jump to nonexistent block b7".into()
+        ))
+    );
+    assert_eq!(out.instrs, 2);
+    // Hand-built code that runs off the end of the op stream traps too.
+    let m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
+    let code = LoweredCode {
+        ops: vec![Op::Copy {
+            dst: 0,
+            src: Opnd::Imm(Value::Int(1)),
+        }],
+        func_entry: vec![0],
+        check_sites: 0,
+        opcodes: Vec::new(),
+    };
+    let rc = RunConfig::default();
+    let out = Interp::with_code(
+        &m,
+        std::rc::Rc::new(code),
+        &rc,
+        std::rc::Rc::new(Registry::new()),
+    )
+    .run(vec![]);
+    assert_eq!(
+        out.status,
+        ExitStatus::Crash(CrashKind::InvalidExec("pc 1 outside the op stream".into()))
+    );
 }
 
 #[test]

@@ -215,9 +215,9 @@ pub fn resize_victim(n: i64, m: i64) -> Module {
 /// into an `alloca` accumulator that is output at the end. The hot loop
 /// is almost nothing but checked memory traffic once transformed — per
 /// element one table load and one read-modify-write of the accumulator
-/// — which makes it the stress workload for the optimizer's fused
-/// dispatch and for profile-guided site selection (the table's checks
-/// detect heap faults; the accumulator's rarely do). Golden-clean and
+/// — which makes it the stress workload for the dispatch loop and for
+/// profile-guided site selection (the table's checks detect heap
+/// faults; the accumulator's rarely do). Golden-clean and
 /// fully deterministic.
 pub fn table_scrub(n: i64, rounds: i64) -> Module {
     let mut m = Module::new();

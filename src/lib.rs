@@ -42,96 +42,3 @@ pub mod prelude {
     pub use dpmr_ir::prelude::*;
     pub use dpmr_vm::prelude::*;
 }
-
-/// Builds the engine-parity differential trace: absolute
-/// status/instruction/cycle/output accounting for a spread of workloads
-/// (plain, SDS-transformed, and the recovery repair/retry/cadence paths).
-///
-/// This is the **single definition** behind both consumers — the
-/// `parity_probe` example prints it (diff two checkouts by hand) and
-/// `crates/vm/tests/engine_parity.rs` compares it against the recorded
-/// golden trace — so the two can never drift apart. An engine refactor
-/// is accounting-compatible exactly when the trace is byte-identical.
-pub fn engine_parity_trace() -> String {
-    use crate::prelude::*;
-    use std::fmt::Write as _;
-    use std::rc::Rc;
-
-    let mut out = String::new();
-
-    // Recovery paths over an injected heap-array resize.
-    {
-        use crate::fi::FaultType;
-        use crate::recovery::{RecoveryDriver, RecoveryPolicy};
-        let m = crate::workloads::micro::resize_victim(16, 12);
-        let fault = FaultType::HeapArrayResize { keep_percent: 50 };
-        let site = crate::fi::manifesting_sites(&m, fault)[0];
-        let faulty = crate::fi::inject(&m, &site, fault);
-        let t = transform(&faulty, &DpmrConfig::sds()).unwrap();
-        for (label, cfg) in [
-            (
-                "repair",
-                RecoveryConfig::policy(RecoveryPolicy::RepairFromReplica { max_repairs: 64 }),
-            ),
-            (
-                "retry",
-                RecoveryConfig::policy(RecoveryPolicy::RetryFromCheckpoint { max_retries: 4 }),
-            ),
-            (
-                "retry-mid",
-                RecoveryConfig {
-                    checkpoint_cadence: Some(500),
-                    ..RecoveryConfig::policy(RecoveryPolicy::RetryFromCheckpoint { max_retries: 4 })
-                },
-            ),
-        ] {
-            let d = RecoveryDriver::new(
-                &t,
-                Rc::new(registry_with_wrappers()),
-                RunConfig::default(),
-                cfg,
-            );
-            let o = d.run();
-            let _ = writeln!(
-                out,
-                "rec {label}: {:?} attempts={} det={} rep={} t2r={:?} cycles={} instrs={}",
-                o.last.status,
-                o.attempts,
-                o.detections,
-                o.repairs,
-                o.time_to_recovery,
-                o.last.cycles,
-                o.last.instrs
-            );
-        }
-    }
-
-    // Plain and SDS accounting across the workload spread.
-    let progs: Vec<(&str, crate::ir::module::Module)> = vec![
-        ("ll", crate::workloads::micro::linked_list(50)),
-        ("qsort", crate::workloads::micro::qsort_prog(24)),
-        ("rv", crate::workloads::micro::resize_victim(16, 12)),
-        ("mcf", crate::workloads::mcf::build(6, 3)),
-        ("equake", crate::workloads::equake::build(6, 3)),
-    ];
-    for (name, m) in progs {
-        let o = run_with_limits(&m, &RunConfig::default());
-        let _ = writeln!(
-            out,
-            "{name} plain: {:?} instrs={} cycles={} out={:?}",
-            o.status, o.instrs, o.cycles, o.output
-        );
-        let t = transform(
-            &m,
-            &DpmrConfig::sds().with_diversity(Diversity::RearrangeHeap),
-        )
-        .unwrap();
-        let o = run_with_registry(&t, &RunConfig::default(), Rc::new(registry_with_wrappers()));
-        let _ = writeln!(
-            out,
-            "{name} sds:   {:?} instrs={} cycles={} out={:?}",
-            o.status, o.instrs, o.cycles, o.output
-        );
-    }
-    out
-}
