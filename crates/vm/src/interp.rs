@@ -215,9 +215,63 @@ pub struct Frame {
     pub func: FuncId,
     /// Absolute pc of the next op within the module's lowered code.
     pub pc: u32,
-    regs: Vec<Option<Value>>,
+    regs: Vec<Reg>,
     stack_mark: usize,
     ret_dst: Option<u32>,
+}
+
+/// One virtual-register slot: the two words of a [`Value`] — `kind` is
+/// its discriminant (0 while the register is unset), `bits` its payload.
+///
+/// Slots are written and read one word at a time, and a value never
+/// passes through memory as one 16-byte unit: a 16-byte load of a value
+/// just written by two 8-byte stores cannot be store-forwarded, and that
+/// stall on nearly every op was the largest single cost of dispatch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
+struct Reg {
+    kind: u64,
+    bits: u64,
+}
+
+impl Reg {
+    /// A register not yet assigned.
+    const UNSET: Reg = Reg { kind: 0, bits: 0 };
+
+    /// The slot holding `v`. `Value`'s discriminants are the slot kinds,
+    /// so this match compiles to two word moves.
+    #[inline]
+    fn of(v: Value) -> Reg {
+        match v {
+            Value::Int(i) => Reg {
+                kind: 1,
+                bits: i as u64,
+            },
+            Value::Float(f) => Reg {
+                kind: 2,
+                bits: f.to_bits(),
+            },
+            Value::Ptr(p) => Reg { kind: 3, bits: p },
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, v: Value) {
+        let Reg { kind, bits } = Reg::of(v);
+        self.kind = kind;
+        self.bits = bits;
+    }
+
+    /// The held value, `None` while unset.
+    #[inline]
+    fn value(self) -> Option<Value> {
+        match self.kind {
+            1 => Some(Value::Int(self.bits as i64)),
+            2 => Some(Value::Float(f64::from_bits(self.bits))),
+            3 => Some(Value::Ptr(self.bits)),
+            _ => None,
+        }
+    }
 }
 
 /// Per-function metadata pre-resolved when the interpreter loads a
@@ -451,12 +505,14 @@ mod cost {
     pub const OUTPUT: u64 = 12;
 }
 
-/// What one executed op asks the dispatch loop to do next.
-enum Flow {
-    /// Advance to the next op (pc + 1).
-    Next,
-    /// Transfer to an absolute pc within the current frame.
-    Jump(u32),
+/// The pc a handler returns when it parked a frame change in
+/// `Interp::frame_op`. It lies outside every op stream, so a jump that
+/// targets it (malformed code) still traps at the next fetch.
+const FRAME_OP: u32 = u32::MAX;
+
+/// A frame change parked by a call or return handler, settled by the
+/// dispatch loop when the handler returns [`FRAME_OP`].
+enum FrameOp {
     /// Push a new frame for an IR-to-IR call (direct or resolved
     /// indirect); the dispatch loop continues in the callee.
     Call {
@@ -491,12 +547,10 @@ enum Window {
 }
 
 /// Uniform signature of an op handler, reachable through one indirect
-/// call via [`HANDLERS`].
-type OpHandler = for<'a, 'b, 'c, 'm> fn(
-    &'a mut Interp<'m>,
-    &'b mut [Option<Value>],
-    &'c Op,
-) -> Result<Flow, Trap>;
+/// call via [`HANDLERS`]. A handler gets its own pc and returns the next
+/// one, or [`FRAME_OP`] after parking a call or return.
+type OpHandler =
+    for<'a, 'b, 'c, 'm> fn(&'a mut Interp<'m>, &'b mut [Reg], &'c Op, u32) -> Result<u32, Trap>;
 
 /// The interpreter.
 pub struct Interp<'m> {
@@ -559,6 +613,9 @@ pub struct Interp<'m> {
     /// True while the op being stepped is the armed site (set by the
     /// dispatch loop; consulted only by the load/store handlers).
     fault_pending: bool,
+    /// The call or return the last handler parked (see [`FRAME_OP`]);
+    /// always `None` between ops.
+    frame_op: Option<FrameOp>,
     /// Virtual cycle of the first fault application on this timeline.
     fault_fired: Option<u64>,
     /// Fault applications on this timeline.
@@ -663,6 +720,7 @@ impl<'m> Interp<'m> {
             armed: cfg.fault,
             armed_pc: cfg.fault.map_or(u32::MAX, |f| f.site),
             fault_pending: false,
+            frame_op: None,
             fault_fired: None,
             fault_hits: 0,
             tele_cfg: cfg.telemetry,
@@ -1176,9 +1234,9 @@ impl<'m> Interp<'m> {
                 meta.params.len()
             )));
         }
-        let mut regs: Vec<Option<Value>> = vec![None; meta.nregs];
+        let mut regs = vec![Reg::UNSET; meta.nregs];
         for (&p, a) in meta.params.iter().zip(args) {
-            regs[p as usize] = Some(a);
+            regs[p as usize].set(a);
         }
         self.frames.push(Frame {
             func: f,
@@ -1284,9 +1342,11 @@ impl<'m> Interp<'m> {
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
     /// and registers cached in locals: one dense-opcode fetch and one
-    /// indirect handler call per op, plus — only when `HOOKS` — the
-    /// armed-fault flag and the pc-profile bump. Calls and returns
-    /// re-cache the locals; closing the window parks pc and registers
+    /// indirect handler call per op, whose result is the next pc, plus —
+    /// only when `HOOKS` — the armed-fault flag and the pc-profile bump.
+    /// Calls and returns come back as [`FRAME_OP`] with the request in
+    /// `frame_op`; settling one re-caches the locals. Closing the window
+    /// parks pc and registers
     /// back into the frame, so the state a caller observes is an exact
     /// instruction boundary (snapshots taken at the dispatch top stay
     /// valid and portable).
@@ -1335,11 +1395,19 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            let step = HANDLERS[oc as usize](self, &mut regs, op);
-            match step {
-                Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Jump(target)) => pc = target,
-                Ok(Flow::Call { f, args, dst }) => {
+            let next = match HANDLERS[oc as usize](self, &mut regs, op, pc) {
+                Ok(next) => next,
+                Err(t) => {
+                    self.unwind(base);
+                    return Err(t);
+                }
+            };
+            if next != FRAME_OP {
+                pc = next;
+                continue;
+            }
+            match self.frame_op.take() {
+                Some(FrameOp::Call { f, args, dst }) => {
                     // Return lands on the op after the call.
                     self.frames[fi].pc = pc + 1;
                     self.frames[fi].regs = regs;
@@ -1351,7 +1419,7 @@ impl<'m> Interp<'m> {
                     pc = self.frames[fi].pc;
                     regs = std::mem::take(&mut self.frames[fi].regs);
                 }
-                Ok(Flow::Ret(val)) => {
+                Some(FrameOp::Ret(val)) => {
                     let fr = self.frames.pop().expect("a frame is live");
                     self.mem.stack_release(fr.stack_mark);
                     if self.frames.len() == base {
@@ -1370,10 +1438,9 @@ impl<'m> Interp<'m> {
                         }
                     }
                 }
-                Err(t) => {
-                    self.unwind(base);
-                    return Err(t);
-                }
+                // Nothing parked: a jump targeted the sentinel itself, and
+                // the next fetch traps it like any pc outside the stream.
+                None => pc = next,
             }
         }
     }
@@ -1401,30 +1468,31 @@ impl<'m> Interp<'m> {
     /// Out-of-range slots and globals (impossible in lowered code, which
     /// sizes both at compile time) trap as invalid execution — `get`
     /// keeps panic edges out of the dispatch hot path (the PR-6 lesson).
+    ///
+    /// Every arm yields the two slot words, so the operand stays in two
+    /// host registers. Joining whole `Value`s across the arms spills one
+    /// to a stack temporary that the next slot write reloads as a single
+    /// 16-byte move (see [`Reg`]).
     #[inline]
-    fn eval(&self, regs: &[Option<Value>], o: &Opnd) -> Result<Value, Trap> {
-        match *o {
-            Opnd::Reg(i) => match regs.get(i as usize) {
-                Some(&Some(v)) => Ok(v),
-                _ => Err(unset_register(i)),
-            },
-            Opnd::Imm(v) => Ok(v),
+    fn eval(&self, regs: &[Reg], o: &Opnd) -> Result<Value, Trap> {
+        // `slot` names the register for the unset-trap message; only a
+        // register operand can be unset.
+        let (r, slot) = match *o {
+            Opnd::Reg(i) => (regs.get(i as usize).copied().unwrap_or(Reg::UNSET), i),
+            Opnd::Imm(v) => (Reg::of(v), 0),
             Opnd::Global(g) => match self.global_addrs.get(g as usize) {
-                Some(&a) => Ok(Value::Ptr(a)),
-                None => Err(unknown_global(g)),
+                Some(&a) => (Reg::of(Value::Ptr(a)), 0),
+                None => return Err(unknown_global(g)),
             },
-        }
+        };
+        r.value().ok_or_else(|| unset_register(slot))
     }
 
     /// Evaluates call arguments in operand order, then charges the call
     /// cost — the one definition of call accounting shared by direct,
     /// indirect, and external calls (their virtual-cycle behaviour must
     /// never desynchronize).
-    fn eval_call_args(
-        &mut self,
-        regs: &[Option<Value>],
-        args: &[Opnd],
-    ) -> Result<Vec<Value>, Trap> {
+    fn eval_call_args(&mut self, regs: &[Reg], args: &[Opnd]) -> Result<Vec<Value>, Trap> {
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
             vals.push(self.eval(regs, a)?);
@@ -1583,7 +1651,7 @@ impl<'m> Interp<'m> {
     #[allow(clippy::too_many_lines)]
     fn exec_check(
         &mut self,
-        regs: &mut [Option<Value>],
+        regs: &mut [Reg],
         a: &Opnd,
         reps: &[Opnd],
         ptrs: &Option<(Opnd, Box<[Opnd]>)>,
@@ -1817,9 +1885,9 @@ static HANDLERS: [OpHandler; OPCODE_COUNT] = [
 /// lowered code, which sizes the register file per function) drop the
 /// write instead of panicking — no panic edges in the dispatch hot path.
 #[inline]
-fn set_reg(regs: &mut [Option<Value>], dst: u32, v: Value) {
+fn set_reg(regs: &mut [Reg], dst: u32, v: Value) {
     if let Some(slot) = regs.get_mut(dst as usize) {
-        *slot = Some(v);
+        slot.set(v);
     }
 }
 
@@ -1882,7 +1950,7 @@ fn malformed_op() -> Trap {
 // their `Interp` lifetime stays late-bound and coerces to the HRTB
 // `OpHandler` signature.
 
-fn h_alloca(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_alloca(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Alloca { dst, count, size } = op else {
         return Err(malformed_op());
     };
@@ -1896,10 +1964,10 @@ fn h_alloca(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow
     it.clock += cost::ALU + (size * n) / 64;
     let addr = it.mem.stack_alloc(size * n)?;
     set_reg(regs, *dst, Value::Ptr(addr));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_malloc(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_malloc(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Malloc { dst, count, esize } = op else {
         return Err(malformed_op());
     };
@@ -1910,22 +1978,22 @@ fn h_malloc(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow
     let p = it.alloc.malloc(&mut it.mem, size)?;
     it.alloc.stats.peak_brk = it.alloc.stats.peak_brk.max(it.mem.brk() as u64);
     set_reg(regs, *dst, Value::Ptr(p));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_free(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Free { ptr } = op else {
         return Err(malformed_op());
     };
     let p = it.eval(regs, ptr)?.as_ptr();
     it.clock += cost::FREE;
     match it.alloc.free(&mut it.mem, p) {
-        FreeOutcome::Ok | FreeOutcome::SilentCorruption => Ok(Flow::Next),
+        FreeOutcome::Ok | FreeOutcome::SilentCorruption => Ok(pc + 1),
         FreeOutcome::Abort(m) => Err(Trap::Alloc(m)),
     }
 }
 
-fn h_load(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_load(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
@@ -1941,10 +2009,10 @@ fn h_load(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, 
     it.touch(a);
     let v = it.load_kind(*kind, a)?;
     set_reg(regs, *dst, forced.unwrap_or(v));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_store(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
@@ -1963,20 +2031,20 @@ fn h_store(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow,
     if flip_after {
         it.fault_flip_byte(a, store_width(*kind));
     }
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_field_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_field_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::FieldAddr { dst, base, off } = op else {
         return Err(malformed_op());
     };
     let b = it.eval(regs, base)?.as_ptr();
     it.clock += cost::ADDR;
     set_reg(regs, *dst, Value::Ptr(b.wrapping_add(*off)));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_index_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::IndexAddr {
         dst,
         base,
@@ -1994,10 +2062,10 @@ fn h_index_addr(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<
         *dst,
         Value::Ptr(b.wrapping_add((*esize as i64).wrapping_mul(i) as u64)),
     );
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_cast(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Cast {
         dst,
         op: cast,
@@ -2041,10 +2109,10 @@ fn h_cast(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, 
         }
     };
     set_reg(regs, *dst, out);
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_bin(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Bin {
         dst,
         op: bin,
@@ -2061,10 +2129,10 @@ fn h_bin(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, T
     it.clock += cost::ALU;
     let out = binop(*bin, a, b, *bits, *ptr_result)?;
     set_reg(regs, *dst, out);
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_cmp(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Cmp {
         dst,
         pred,
@@ -2078,46 +2146,48 @@ fn h_cmp(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, T
     let b = it.eval(regs, rhs)?;
     it.clock += cost::ALU;
     set_reg(regs, *dst, Value::Int(i64::from(cmp(*pred, a, b))));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_copy(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_copy(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Copy { dst, src } = op else {
         return Err(malformed_op());
     };
     let v = it.eval(regs, src)?;
     it.clock += cost::ALU;
     set_reg(regs, *dst, v);
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_call_direct(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_call_direct(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::CallDirect { dst, f, args } = op else {
         return Err(malformed_op());
     };
     let vals = it.eval_call_args(regs, args)?;
-    Ok(Flow::Call {
+    it.frame_op = Some(FrameOp::Call {
         f: *f,
         args: vals,
         dst: *dst,
-    })
+    });
+    Ok(FRAME_OP)
 }
 
-fn h_call_indirect(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_call_indirect(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::CallIndirect { dst, target, args } = op else {
         return Err(malformed_op());
     };
     let vals = it.eval_call_args(regs, args)?;
     let p = it.eval(regs, target)?.as_ptr();
     let fid = it.resolve_fn_ptr(p).ok_or_else(|| bad_indirect_call(p))?;
-    Ok(Flow::Call {
+    it.frame_op = Some(FrameOp::Call {
         f: fid,
         args: vals,
         dst: *dst,
-    })
+    });
+    Ok(FRAME_OP)
 }
 
-fn h_call_external(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_call_external(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::CallExternal { dst, ext, args } = op else {
         return Err(malformed_op());
     };
@@ -2138,10 +2208,10 @@ fn h_call_external(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Resu
     if let Some(d) = dst {
         set_reg(regs, *d, ret.ok_or_else(void_call_value)?);
     }
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_dpmr_check(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::DpmrCheck {
         a,
         reps,
@@ -2153,10 +2223,10 @@ fn h_dpmr_check(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<
         return Err(malformed_op());
     };
     it.exec_check(regs, a, reps, ptrs, *site, a_reg)?;
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_rand_int(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_rand_int(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::RandInt {
         dst,
         lo,
@@ -2171,10 +2241,10 @@ fn h_rand_int(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Fl
     it.clock += cost::RAND;
     let v = it.rand_range_stream(*stream, lo, hi);
     set_reg(regs, *dst, Value::Int(v));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_heap_buf_size(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_heap_buf_size(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::HeapBufSize { dst, ptr } = op else {
         return Err(malformed_op());
     };
@@ -2183,20 +2253,20 @@ fn h_heap_buf_size(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Resu
     it.touch(p);
     let sz = it.alloc.buf_size(&it.mem, p)?;
     set_reg(regs, *dst, Value::Int(sz as i64));
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_output(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_output(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::Output { value } = op else {
         return Err(malformed_op());
     };
     let v = it.eval(regs, value)?;
     it.clock += cost::OUTPUT;
     it.output.push(v.to_bits());
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_fi_marker(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_fi_marker(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::FiMarker { site } = op else {
         return Err(malformed_op());
     };
@@ -2204,25 +2274,25 @@ fn h_fi_marker(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<
         it.first_fi_cycle = Some(it.clock);
     }
     it.fi_sites_hit.insert(*site);
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
-fn h_abort(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_abort(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::Abort { code } = op else {
         return Err(malformed_op());
     };
     Err(Trap::AppAbort(*code))
 }
 
-fn h_jump(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_jump(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::Jump { target } = op else {
         return Err(malformed_op());
     };
     it.clock += cost::BRANCH;
-    Ok(Flow::Jump(*target))
+    Ok(*target)
 }
 
-fn h_cond_jump(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_cond_jump(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::CondJump {
         cond,
         then_pc,
@@ -2233,10 +2303,10 @@ fn h_cond_jump(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<F
     };
     it.clock += cost::BRANCH;
     let c = it.eval(regs, cond)?;
-    Ok(Flow::Jump(if c.is_zero() { *else_pc } else { *then_pc }))
+    Ok(if c.is_zero() { *else_pc } else { *then_pc })
 }
 
-fn h_ret(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_ret(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::Ret { value } = op else {
         return Err(malformed_op());
     };
@@ -2245,10 +2315,11 @@ fn h_ret(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, T
         Some(o) => Some(it.eval(regs, o)?),
         None => None,
     };
-    Ok(Flow::Ret(val))
+    it.frame_op = Some(FrameOp::Ret(val));
+    Ok(FRAME_OP)
 }
 
-fn h_unreachable(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_unreachable(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::Unreachable = op else {
         return Err(malformed_op());
     };
@@ -2256,14 +2327,14 @@ fn h_unreachable(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resul
     Err(Trap::Invalid("executed unreachable".into()))
 }
 
-fn h_bad_block(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_bad_block(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::BadBlock { block } = op else {
         return Err(malformed_op());
     };
     Err(Trap::Invalid(format!("jump to nonexistent block b{block}")))
 }
 
-fn h_invalid(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_invalid(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
     let Op::Invalid { args, msg } = op else {
         return Err(malformed_op());
     };
@@ -2275,7 +2346,7 @@ fn h_invalid(it: &mut Interp, regs: &mut [Option<Value>], op: &Op) -> Result<Flo
     Err(Trap::Invalid(msg.to_string()))
 }
 
-fn h_check_elided(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_check_elided(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::CheckElided { site, reps, charge } = op else {
         return Err(malformed_op());
     };
@@ -2292,17 +2363,17 @@ fn h_check_elided(it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Resu
             s.cycles += cycles;
         }
     }
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
 // A dropped site's replica load: no memory read, no register write, no
 // virtual cost — the dispatch iteration (and its instruction count) is
 // all that remains.
-fn h_load_elided(_it: &mut Interp, _regs: &mut [Option<Value>], op: &Op) -> Result<Flow, Trap> {
+fn h_load_elided(_it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
     let Op::LoadElided { .. } = op else {
         return Err(malformed_op());
     };
-    Ok(Flow::Next)
+    Ok(pc + 1)
 }
 
 /// Bytes moved by a load of the given pre-resolved kind.
@@ -2462,7 +2533,7 @@ mod dispatch_table_tests {
     /// Every handler slot must match its `OpCode` index: build one op of
     /// each shape, dispatch it through the table, and check the handler
     /// accepted the payload (a misaligned table returns `malformed_op`
-    /// instead).
+    /// instead) and returned the right next pc.
     #[test]
     fn opcode_table_is_aligned() {
         use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
@@ -2589,11 +2660,115 @@ mod dispatch_table_tests {
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
         let mismatch = malformed_op();
         for op in &samples {
-            let mut regs: Vec<Option<Value>> = vec![None; 8];
-            let got = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op);
-            if let Err(t) = got {
-                assert_ne!(t, mismatch, "handler table misaligned at {op:?}");
+            let mut regs = vec![Reg::UNSET; 8];
+            let got = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op, 0);
+            let parked = it.frame_op.take().is_some();
+            match got {
+                Ok(next) => {
+                    let want = match op {
+                        Op::Jump { target } => *target,
+                        Op::CondJump { then_pc, .. } => *then_pc,
+                        Op::CallDirect { .. } | Op::CallIndirect { .. } | Op::Ret { .. } => {
+                            FRAME_OP
+                        }
+                        _ => 1,
+                    };
+                    assert_eq!(next, want, "next pc of {op:?}");
+                    assert_eq!(parked, next == FRAME_OP, "frame op parked by {op:?}");
+                }
+                Err(t) => assert_ne!(t, mismatch, "handler table misaligned at {op:?}"),
             }
+        }
+    }
+
+    /// A register slot holds every value bit-exactly, kind included:
+    /// NaN payloads, signed zeros and the integer and pointer extremes.
+    #[test]
+    fn reg_round_trips_values_bit_exactly() {
+        assert_eq!(std::mem::size_of::<Reg>(), std::mem::size_of::<Value>());
+        let values = [
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::from_bits(0x7ff8_0000_dead_beef)),
+            Value::Float(f64::from_bits(0xfff0_0000_0000_0001)),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Ptr(0),
+            Value::Ptr(u64::MAX),
+        ];
+        for v in values {
+            let mut r = Reg::UNSET;
+            r.set(v);
+            assert_eq!(r, Reg::of(v));
+            let back = r.value().expect("a set register holds a value");
+            assert_eq!(std::mem::discriminant(&back), std::mem::discriminant(&v));
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:?}");
+        }
+        assert_eq!(Reg::UNSET.value(), None);
+    }
+
+    #[test]
+    fn unset_register_read_traps() {
+        let module = Module::new();
+        let it = Interp::new(&module, &RunConfig::default(), Rc::new(Registry::new()));
+        let mut regs = vec![Reg::UNSET; 4];
+        regs[1].set(Value::Int(5));
+        assert_eq!(it.eval(&regs, &Opnd::Reg(1)), Ok(Value::Int(5)));
+        let want = Err(Trap::Invalid("use of unset register r3".into()));
+        assert_eq!(it.eval(&regs, &Opnd::Reg(3)), want);
+        // A slot past the register file reads as unset too.
+        let want = Err(Trap::Invalid("use of unset register r9".into()));
+        assert_eq!(it.eval(&regs, &Opnd::Reg(9)), want);
+    }
+
+    /// A jump whose target is the frame-op sentinel is a pc outside the
+    /// op stream, not a call or return, in any window length.
+    #[test]
+    fn jump_to_frame_op_sentinel_traps() {
+        use dpmr_ir::builder::FunctionBuilder;
+        let mut module = Module::new();
+        let i64t = module.types.int(64);
+        for name in ["main", "callee"] {
+            let mut b = FunctionBuilder::new(&mut module, name, i64t, &[]);
+            b.ret(None);
+            b.finish();
+        }
+        module.entry = Some(FuncId(0));
+        // main calls callee, which jumps to the sentinel; a return taken
+        // from it would resume main and exit normally.
+        let code = LoweredCode {
+            ops: vec![
+                Op::CallDirect {
+                    dst: None,
+                    f: FuncId(1),
+                    args: Box::new([]),
+                },
+                Op::Ret {
+                    value: Some(Opnd::Imm(Value::Int(0))),
+                },
+                Op::Jump { target: FRAME_OP },
+            ],
+            func_entry: vec![0, 2],
+            check_sites: 0,
+            opcodes: Vec::new(),
+        };
+        let code = Rc::new(code);
+        for plain_dispatch in [false, true] {
+            let cfg = RunConfig {
+                plain_dispatch,
+                ..RunConfig::default()
+            };
+            let mut it =
+                Interp::with_code(&module, Rc::clone(&code), &cfg, Rc::new(Registry::new()));
+            let out = it.run(vec![]);
+            let msg = format!("pc {FRAME_OP} outside the op stream");
+            assert_eq!(out.status, ExitStatus::Crash(CrashKind::InvalidExec(msg)));
+            assert_eq!(out.instrs, 2);
+            assert_eq!(it.frame_depth(), 0);
         }
     }
 }

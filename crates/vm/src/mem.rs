@@ -157,10 +157,10 @@ pub struct Mem {
 
 /// The region buffers of one address space, recycled through a
 /// thread-local pool: zeroing them on release costs time proportional to
-/// the bytes actually dirtied, while allocating fresh ones from the host
-/// allocator costs a memset of the full configured capacities (hundreds
-/// of microseconds — which dominated short trial runs, since campaigns
-/// build one interpreter per trial).
+/// the bytes actually dirtied, while fresh ones cost a new mapping and a
+/// page fault per page first touched (once a full memset of the
+/// configured capacities, hundreds of microseconds — which dominated
+/// short trial runs, since campaigns build one interpreter per trial).
 struct RegionBufs {
     globals: Vec<u8>,
     heap: Vec<u8>,
@@ -229,9 +229,9 @@ impl Mem {
             .ok()
             .flatten();
         let bufs = reused.unwrap_or_else(|| RegionBufs {
-            globals: vec![0; cfg.global_capacity],
-            heap: vec![0; cfg.heap_capacity],
-            stack: vec![0; cfg.stack_capacity],
+            globals: zeroed_region(cfg.global_capacity),
+            heap: zeroed_region(cfg.heap_capacity),
+            stack: zeroed_region(cfg.stack_capacity),
         });
         Mem {
             globals: bufs.globals,
@@ -246,21 +246,20 @@ impl Mem {
     }
 
     fn locate(&self, addr: u64, len: usize) -> Result<(Region, usize), MemFault> {
-        let len = len as u64;
         if addr < 0x1000 {
             return Err(MemFault {
                 addr,
                 kind: MemFaultKind::NullPage,
             });
         }
-        if addr >= GLOBAL_BASE && addr + len <= GLOBAL_BASE + self.globals_len as u64 {
-            return Ok((Region::Global, (addr - GLOBAL_BASE) as usize));
+        if let Some(off) = region_offset(addr, len, GLOBAL_BASE, self.globals_len) {
+            return Ok((Region::Global, off));
         }
-        if addr >= HEAP_BASE && addr + len <= HEAP_BASE + self.brk as u64 {
-            return Ok((Region::Heap, (addr - HEAP_BASE) as usize));
+        if let Some(off) = region_offset(addr, len, HEAP_BASE, self.brk) {
+            return Ok((Region::Heap, off));
         }
-        if addr >= STACK_BASE && addr + len <= STACK_BASE + self.stack.len() as u64 {
-            return Ok((Region::Stack, (addr - STACK_BASE) as usize));
+        if let Some(off) = region_offset(addr, len, STACK_BASE, self.stack.len()) {
+            return Ok((Region::Stack, off));
         }
         Err(MemFault {
             addr,
@@ -272,16 +271,11 @@ impl Mem {
     /// Fault models use this to constrain region-classed corruption; it
     /// mirrors [`Mem::read`]'s mapping rules for a 1-byte access.
     pub fn region_of(&self, addr: u64) -> Option<MemRegion> {
-        if addr < 0x1000 {
-            None
-        } else if addr >= GLOBAL_BASE && addr < GLOBAL_BASE + self.globals_len as u64 {
-            Some(MemRegion::Globals)
-        } else if addr >= HEAP_BASE && addr < HEAP_BASE + self.brk as u64 {
-            Some(MemRegion::Heap)
-        } else if addr >= STACK_BASE && addr < STACK_BASE + self.stack.len() as u64 {
-            Some(MemRegion::Stack)
-        } else {
-            None
+        match self.locate(addr, 1) {
+            Ok((Region::Global, _)) => Some(MemRegion::Globals),
+            Ok((Region::Heap, _)) => Some(MemRegion::Heap),
+            Ok((Region::Stack, _)) => Some(MemRegion::Stack),
+            Err(_) => None,
         }
     }
 
@@ -540,6 +534,38 @@ impl Mem {
     }
 }
 
+/// Smallest allocation behind a fresh region buffer: above the largest
+/// size glibc's malloc ever serves from its arenas (its mmap threshold
+/// adapts upward to the size of freed mappings, up to 32 MiB on 64-bit
+/// hosts, and a thread arena's heap is at most 64 MiB).
+const FRESH_MAP_BYTES: usize = 64 << 20;
+
+/// A zeroed region buffer of `len` bytes whose pages become resident only
+/// when written.
+///
+/// A zeroed allocation the host allocator serves by mapping fresh pages
+/// costs nothing until touched, but one it recycles from an arena is
+/// memset in full. Which of the two a 1 MiB globals or 4 MiB stack buffer
+/// got depended on what the process had freed before, so peak resident
+/// memory moved by megabytes from one run of the same work to the next.
+/// Allocating at least [`FRESH_MAP_BYTES`] and keeping only `len` makes
+/// it always a fresh mapping; the untouched tail is never paged in.
+fn zeroed_region(len: usize) -> Vec<u8> {
+    let mut buf = vec![0; len.max(FRESH_MAP_BYTES)];
+    buf.truncate(len);
+    buf
+}
+
+/// Offset of `[addr, addr + len)` in the region mapped at `base` with
+/// `size` bytes, when the whole range lies inside it. The bound is
+/// checked on `addr - base`, never on `addr + len`, which a faulted
+/// address near `u64::MAX` would wrap past it.
+#[inline]
+fn region_offset(addr: u64, len: usize, base: u64, size: usize) -> Option<usize> {
+    let off = usize::try_from(addr.checked_sub(base)?).ok()?;
+    (off <= size && len <= size - off).then_some(off)
+}
+
 /// One xorshift64 state advance (the linear half of the garbage stream;
 /// the multiplying output step lives in [`xs_out`]).
 #[inline]
@@ -679,6 +705,30 @@ mod tests {
             stack_capacity: 4096,
             fill_seed: 7,
         })
+    }
+
+    /// Region buffers are zeroed, exactly as long as asked (the mapping
+    /// bounds come from their lengths, not their larger allocations), and
+    /// backed by an allocation large enough to be a fresh mapping.
+    #[test]
+    fn region_buffers_are_fresh_mappings_of_exact_length() {
+        for len in [0, 4096, 4 << 20] {
+            let buf = zeroed_region(len);
+            assert_eq!(buf.len(), len);
+            assert!(buf.capacity() >= FRESH_MAP_BYTES);
+            assert!(buf.iter().all(|&b| b == 0));
+        }
+        assert_eq!(
+            zeroed_region(FRESH_MAP_BYTES + 1).len(),
+            FRESH_MAP_BYTES + 1
+        );
+        let mut m = mem();
+        let top = STACK_BASE + m.stack_size() as u64;
+        assert!(m.write(top - 8, &[1; 8]).is_ok());
+        assert!(
+            m.write(top, &[1]).is_err(),
+            "beyond the stack capacity faults"
+        );
     }
 
     #[test]

@@ -5,14 +5,20 @@ use dpmr_ir::types::{TypeId, TypeKind, TypeTable};
 
 /// A runtime scalar: the only kinds of values a virtual register may hold
 /// (paper Ch. 2 assumptions: integers, floats, pointers).
+///
+/// The `u64` tag and its nonzero discriminants give a value the same two
+/// words as the interpreter's register slots (kind, then bits; kind 0
+/// marks an unset slot), so moving a value into or out of a slot is two
+/// word moves with no remapping.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(u64)]
 pub enum Value {
     /// Integer (stored sign-extended to 64 bits).
-    Int(i64),
+    Int(i64) = 1,
     /// Floating-point (stored as f64; 32-bit floats round at loads/stores).
-    Float(f64),
+    Float(f64) = 2,
     /// Pointer (a simulated address).
-    Ptr(u64),
+    Ptr(u64) = 3,
 }
 
 impl Value {

@@ -181,6 +181,61 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Simulated memory: faulted addresses trap, never panic
+// ---------------------------------------------------------------------
+
+/// Globals, heap break and stack end of the address space built by
+/// `mem_accesses_never_panic`, plus the region bases: the edges where a
+/// range check can go wrong.
+const MEM_EDGES: [u64; 6] = [
+    dpmr::vm::mem::GLOBAL_BASE,
+    dpmr::vm::mem::GLOBAL_BASE + 100,
+    dpmr::vm::mem::HEAP_BASE,
+    dpmr::vm::mem::HEAP_BASE + 256,
+    dpmr::vm::mem::STACK_BASE,
+    dpmr::vm::mem::STACK_BASE + 4096,
+];
+
+/// Any 64-bit address, biased toward region edges and the top of the
+/// address space (where `addr + len` wraps).
+fn probe_addr() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (0u64..64).prop_map(|d| u64::MAX - d),
+        (0usize..MEM_EDGES.len(), -40i64..40)
+            .prop_map(|(e, d)| MEM_EDGES[e].wrapping_add_signed(d)),
+    ]
+}
+
+proptest! {
+    /// Every access width at every address either succeeds inside one
+    /// mapped region or traps; none panics, and read, write and garbage
+    /// fill agree on which ranges are mapped.
+    #[test]
+    fn mem_accesses_never_panic(addr in probe_addr(), width in 0usize..=16) {
+        let mut mem = Mem::new(&MemConfig {
+            global_capacity: 4096,
+            heap_capacity: 65536,
+            stack_capacity: 4096,
+            fill_seed: 7,
+        });
+        mem.alloc_global(100);
+        mem.grow_heap(256).expect("heap capacity");
+        let read = mem.read(addr, width).map(<[u8]>::len);
+        let region = mem.region_of(addr);
+        prop_assert_eq!(mem.write(addr, &[0xA5; 16][..width]).is_ok(), read.is_ok());
+        prop_assert_eq!(mem.garbage_fill(addr, width).is_ok(), read.is_ok());
+        if let Ok(n) = read {
+            prop_assert_eq!(n, width);
+            if width > 0 {
+                prop_assert!(region.is_some());
+                prop_assert_eq!(mem.region_of(addr + width as u64 - 1), region);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Scalar encoding properties
 // ---------------------------------------------------------------------
 
