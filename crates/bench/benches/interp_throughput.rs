@@ -7,8 +7,7 @@
 //! line (simulated instructions retired per wall-clock second, in
 //! millions) **and appends a machine-readable point to
 //! `BENCH_INTERP.json`** at the workspace root (one JSON object per line:
-//! workload, mips, the number of round-robin samples the recorded median
-//! was taken over, git rev, an explicit `dirty` flag for points measured
+//! workload, mips, git rev, an explicit `dirty` flag for points measured
 //! on an uncommitted tree, mode), so the trajectory accumulates across
 //! engine generations. Override the file location with
 //! `BENCH_INTERP_JSON=<path>` (empty disables persistence).
@@ -58,35 +57,29 @@ fn seed_baseline_mips(workload: &str) -> Option<f64> {
         ("resize_victim", false) => Some(55.0),
         ("dpmr_check_k1", false) => Some(48.0),
         ("dpmr_check_k2", false) => Some(40.0),
-        ("dpmr_check_k1_opt", false) => Some(50.0),
-        ("dpmr_check_k2_opt", false) => Some(41.0),
         ("dpmr_check_k1_pgo", false) => Some(51.0),
         ("dpmr_check_k2_pgo", false) => Some(43.0),
         ("dpmr_scrub_k2", false) => Some(65.0),
-        ("dpmr_scrub_k2_opt", false) => Some(66.0),
         ("dpmr_scrub_k2_pgo", false) => Some(78.0),
         ("linked_list", true) => Some(30.0),
         ("qsort", true) => Some(19.0),
         ("resize_victim", true) => Some(24.0),
         ("dpmr_check_k1", true) => Some(25.0),
         ("dpmr_check_k2", true) => Some(23.0),
-        ("dpmr_check_k1_opt", true) => Some(29.0),
-        ("dpmr_check_k2_opt", true) => Some(26.0),
         ("dpmr_check_k1_pgo", true) => Some(29.0),
         ("dpmr_check_k2_pgo", true) => Some(26.0),
         ("dpmr_scrub_k2", true) => Some(35.0),
-        ("dpmr_scrub_k2_opt", true) => Some(36.0),
         ("dpmr_scrub_k2_pgo", true) => Some(42.0),
         _ => None,
     }
 }
 
 /// One benchmark point. The historical points carry only a module and
-/// lower inside every measured run; the `_opt`/`_pgo` points carry
-/// pre-lowered, pass-optimized bytecode (lowering and optimization are
-/// pure, one-time load work — the deployment shape the harness uses for
-/// campaigns) and are directly comparable to each other, with the
-/// passes-off `dpmr_check_k1`/`k2` points as the unoptimized reference.
+/// lower inside every measured run; the `_pgo` points carry pre-lowered,
+/// optimized bytecode (lowering and optimization are pure, one-time load
+/// work — the deployment shape the harness uses for campaigns), with the
+/// unoptimized `dpmr_check_k1`/`k2` and `dpmr_scrub_k2` points as their
+/// reference.
 struct Workload {
     name: &'static str,
     module: Module,
@@ -147,10 +140,9 @@ fn armed_usefulness(module: &Module, code: &Rc<LoweredCode>, reg: &Rc<Registry>)
 /// interpreter's hot path under DPMR, and the K = 1 vs K = 2 pair tracks
 /// what the variable-arity check op costs as the degree grows.
 ///
-/// The `_opt` points run the same transformed modules through the
-/// semantics-preserving pass (redundant-check elision); `_pgo`
-/// additionally drops check sites a deterministic armed sweep found
-/// useless ([`armed_usefulness`]).
+/// The `_pgo` points run the same transformed modules with the check
+/// sites a deterministic armed sweep found useless dropped
+/// ([`armed_usefulness`]).
 fn workloads() -> Vec<Workload> {
     let scale = if smoke() { 1 } else { 4 };
     let victim = micro::resize_victim(16 * scale, 12 * scale);
@@ -159,16 +151,14 @@ fn workloads() -> Vec<Workload> {
     let dpmr_k2 = transform(&victim, &DpmrConfig::sds().with_replicas(2)).expect("transform");
     let scrub_k2 = transform(&scrub, &DpmrConfig::sds().with_replicas(2)).expect("transform");
     let reg = Rc::new(registry_with_wrappers());
-    let pgo_cfg = |m: &Module| {
+    let pgo = |m: &Module| {
         let code = Rc::new(lower(m));
-        PassConfig::all().with_profile(ProfileGuided {
+        let cfg = PassConfig::none().with_profile(ProfileGuided {
             usefulness: armed_usefulness(m, &code, &reg),
             threshold: 0.0,
-        })
+        });
+        Some(Rc::new(optimize(&code, &cfg).code))
     };
-    let (pgo_k1, pgo_k2) = (pgo_cfg(&dpmr_k1), pgo_cfg(&dpmr_k2));
-    let pgo_scrub = pgo_cfg(&scrub_k2);
-    let opt = |m: &Module, cfg: &PassConfig| Some(Rc::new(optimize(&lower(m), cfg).code));
     let plain = |name, module| Workload {
         name,
         module,
@@ -192,30 +182,18 @@ fn workloads() -> Vec<Workload> {
             wrappers: true,
         },
         Workload {
-            name: "dpmr_check_k1_opt",
-            code: opt(&dpmr_k1, &PassConfig::all()),
-            module: dpmr_k1.clone(),
-            wrappers: true,
-        },
-        Workload {
-            name: "dpmr_check_k2_opt",
-            code: opt(&dpmr_k2, &PassConfig::all()),
-            module: dpmr_k2.clone(),
-            wrappers: true,
-        },
-        Workload {
             name: "dpmr_check_k1_pgo",
-            code: opt(&dpmr_k1, &pgo_k1),
+            code: pgo(&dpmr_k1),
             module: dpmr_k1,
             wrappers: true,
         },
         Workload {
             name: "dpmr_check_k2_pgo",
-            code: opt(&dpmr_k2, &pgo_k2),
+            code: pgo(&dpmr_k2),
             module: dpmr_k2,
             wrappers: true,
         },
-        // The scrub trio is the optimizer's acceptance point: a
+        // The scrub pair is the optimizer's acceptance point: a
         // checked-memory-traffic-dense kernel where profile-guided site
         // selection has the most surface.
         Workload {
@@ -225,14 +203,8 @@ fn workloads() -> Vec<Workload> {
             wrappers: true,
         },
         Workload {
-            name: "dpmr_scrub_k2_opt",
-            code: opt(&scrub_k2, &PassConfig::all()),
-            module: scrub_k2.clone(),
-            wrappers: true,
-        },
-        Workload {
             name: "dpmr_scrub_k2_pgo",
-            code: opt(&scrub_k2, &pgo_scrub),
+            code: pgo(&scrub_k2),
             module: scrub_k2,
             wrappers: true,
         },
@@ -302,20 +274,11 @@ fn git_rev() -> (String, bool) {
     (rev.trim().to_string(), dirty)
 }
 
-/// Appends one trajectory point as a JSON line. `samples` is the number
-/// of round-robin rounds the recorded median was taken over (older
-/// trajectory lines without the field were single mean measurements).
-fn persist_point(
-    path: &std::path::Path,
-    workload: &str,
-    mips: f64,
-    samples: usize,
-    rev: &str,
-    dirty: bool,
-) {
+/// Appends one trajectory point as a JSON line.
+fn persist_point(path: &std::path::Path, workload: &str, mips: f64, rev: &str, dirty: bool) {
     let mode = if smoke() { "smoke" } else { "full" };
     let line = format!(
-        "{{\"workload\":\"{workload}\",\"mips\":{mips:.2},\"samples\":{samples},\"git_rev\":\"{rev}\",\"dirty\":{dirty},\"mode\":\"{mode}\"}}\n"
+        "{{\"workload\":\"{workload}\",\"mips\":{mips:.2},\"git_rev\":\"{rev}\",\"dirty\":{dirty},\"mode\":\"{mode}\"}}\n"
     );
     let res = std::fs::OpenOptions::new()
         .create(true)
@@ -401,7 +364,7 @@ fn trajectory(_c: &mut Criterion) {
             name.to_uppercase().replace('-', "_")
         );
         if let Some(path) = &json {
-            persist_point(path, name, mips, samples, &rev, dirty);
+            persist_point(path, name, mips, &rev, dirty);
         }
         if let Some(r) = min_ratio {
             let mode = if smoke() { "smoke" } else { "full" };

@@ -306,10 +306,6 @@ pub struct DpmrConfig {
     /// Runtime reaction to detections (defaults to the paper's
     /// terminate-on-detection).
     pub recovery: RecoveryConfig,
-    /// Optimizing passes run over the lowered code before execution
-    /// (defaults to all-off: the engine runs the code exactly as
-    /// lowered).
-    pub passes: dpmr_vm::opt::PassConfig,
 }
 
 impl DpmrConfig {
@@ -324,7 +320,6 @@ impl DpmrConfig {
             replicas: 1,
             plan: ReplicationPlan::default(),
             recovery: RecoveryConfig::default(),
-            passes: dpmr_vm::opt::PassConfig::default(),
         }
     }
 
@@ -380,13 +375,6 @@ impl DpmrConfig {
     /// Replaces the replication degree (clamped to at least 1).
     pub fn with_replicas(mut self, k: usize) -> DpmrConfig {
         self.replicas = k.max(1);
-        self
-    }
-
-    /// Replaces the optimizing-pass configuration applied to the
-    /// lowered code before execution.
-    pub fn with_passes(mut self, passes: dpmr_vm::opt::PassConfig) -> DpmrConfig {
-        self.passes = passes;
         self
     }
 }

@@ -68,5 +68,4 @@ pub mod prelude {
     pub use crate::shadow::TypeAlgebra;
     pub use crate::stats::{ModuleStats, TransformStats};
     pub use crate::transform::{transform, wrapper_name, TransformError, MAIN_AUG_SUFFIX};
-    pub use dpmr_vm::opt::{PassConfig, ProfileGuided};
 }

@@ -2,18 +2,14 @@
 //!
 //! The `interp_throughput` bench appends one JSON line per measured
 //! workload to `BENCH_INTERP.json` at the workspace root (workload,
-//! MIPS, sample count, git rev, dirty flag, mode). This module turns
+//! MIPS, git rev, dirty flag, mode). This module turns
 //! that append-only log into a per-workload trajectory table: one
 //! column per revision in measurement order, dirty revisions flagged
 //! (`*`), and a final delta of the newest measurement against the
 //! previous *clean* revision — the number a reviewer actually wants
 //! when judging an engine change.
 //!
-//! The parser is deliberately tolerant of the file's history: early
-//! lines carry no `dirty` or `samples` field (and one generation
-//! recorded dirtiness as a `-dirty` rev suffix); those decode with
-//! `dirty` inferred and `samples` absent rather than failing the whole
-//! report.
+//! Every line has the same five fields; a line missing one is skipped.
 
 use std::fmt::Write as _;
 
@@ -24,8 +20,6 @@ pub struct BenchPoint {
     pub workload: String,
     /// Recorded MIPS (median over rounds on current generations).
     pub mips: f64,
-    /// Round count behind the median; `None` on legacy single-mean lines.
-    pub samples: Option<u64>,
     /// Short git revision of the measured tree.
     pub git_rev: String,
     /// Whether the tree had uncommitted changes.
@@ -55,32 +49,12 @@ fn json_field(line: &str, key: &str) -> Option<String> {
 /// Decodes one trajectory line; `None` for blank or undecodable lines
 /// (the report skips them rather than failing).
 pub fn parse_line(line: &str) -> Option<BenchPoint> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    let workload = json_field(line, "workload")?;
-    let mips: f64 = json_field(line, "mips")?.parse().ok()?;
-    let samples = json_field(line, "samples").and_then(|s| s.parse().ok());
-    let mut git_rev = json_field(line, "git_rev")?;
-    // One early generation encoded dirtiness as a rev suffix; current
-    // lines carry an explicit boolean (absent = clean-era line).
-    let mut dirty = false;
-    if let Some(r) = git_rev.strip_suffix("-dirty") {
-        git_rev = r.to_string();
-        dirty = true;
-    }
-    if let Some(d) = json_field(line, "dirty") {
-        dirty = d == "true";
-    }
-    let mode = json_field(line, "mode").unwrap_or_else(|| "full".to_string());
     Some(BenchPoint {
-        workload,
-        mips,
-        samples,
-        git_rev,
-        dirty,
-        mode,
+        workload: json_field(line, "workload")?,
+        mips: json_field(line, "mips")?.parse().ok()?,
+        git_rev: json_field(line, "git_rev")?,
+        dirty: json_field(line, "dirty")?.parse().ok()?,
+        mode: json_field(line, "mode")?,
     })
 }
 
@@ -179,28 +153,35 @@ mod tests {
 
     #[test]
     fn parses_every_line_generation() {
-        // Seed-era line: no dirty, no samples.
-        let p =
-            parse_line(r#"{"workload":"qsort","mips":10.76,"git_rev":"ee19ef2","mode":"full"}"#)
-                .unwrap();
+        let p = parse_line(
+            r#"{"workload":"qsort","mips":50.52,"git_rev":"c3b6f70","dirty":true,"mode":"full"}"#,
+        )
+        .unwrap();
         assert_eq!(
-            (p.workload.as_str(), p.dirty, p.samples),
-            ("qsort", false, None)
+            p,
+            BenchPoint {
+                workload: "qsort".into(),
+                mips: 50.52,
+                git_rev: "c3b6f70".into(),
+                dirty: true,
+                mode: "full".into(),
+            }
         );
-        // Suffix-era line: dirtiness in the rev.
-        let p = parse_line(
-            r#"{"workload":"qsort","mips":48.31,"git_rev":"a0be433-dirty","mode":"full"}"#,
+        // The retired formats (no `dirty` field, dirtiness as a `-dirty`
+        // rev suffix) no longer decode: every line carries every field.
+        assert!(parse_line(
+            r#"{"workload":"qsort","mips":10.76,"git_rev":"ee19ef2","mode":"full"}"#
         )
-        .unwrap();
-        assert_eq!((p.git_rev.as_str(), p.dirty), ("a0be433", true));
-        // Current line: explicit dirty and samples.
-        let p = parse_line(
-            r#"{"workload":"qsort","mips":50.52,"samples":8,"git_rev":"c3b6f70","dirty":false,"mode":"full"}"#,
+        .is_none());
+        assert!(parse_line(
+            r#"{"workload":"qsort","mips":50.52,"git_rev":"c3b6f70","dirty":yes,"mode":"full"}"#
         )
-        .unwrap();
-        assert_eq!((p.dirty, p.samples), (false, Some(8)));
+        .is_none());
         assert!(parse_line("").is_none());
         assert!(parse_line("not json").is_none());
+        // The checked-in trajectory is all in the one format.
+        let log = include_str!("../../../BENCH_INTERP.json");
+        assert!(log.lines().all(|l| parse_line(l).is_some()));
     }
 
     #[test]
@@ -208,7 +189,7 @@ mod tests {
         let log = concat!(
             "{\"workload\":\"a\",\"mips\":10.0,\"git_rev\":\"r1\",\"dirty\":false,\"mode\":\"full\"}\n",
             "{\"workload\":\"a\",\"mips\":12.0,\"git_rev\":\"r2\",\"dirty\":true,\"mode\":\"full\"}\n",
-            "{\"workload\":\"a\",\"mips\":15.0,\"samples\":8,\"git_rev\":\"r3\",\"dirty\":false,\"mode\":\"full\"}\n",
+            "{\"workload\":\"a\",\"mips\":15.0,\"git_rev\":\"r3\",\"dirty\":false,\"mode\":\"full\"}\n",
             "{\"workload\":\"a\",\"mips\":99.0,\"git_rev\":\"r9\",\"dirty\":false,\"mode\":\"smoke\"}\n",
         );
         let r = render_report(log, "full");

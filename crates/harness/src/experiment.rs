@@ -129,16 +129,11 @@ pub struct PreparedApp {
     pub params: WorkloadParams,
 }
 
-/// Lowers a transformed module and runs the configured optimizing
-/// passes over the bytecode. With `cfg.passes` all-off (the default)
-/// this is exactly [`dpmr_vm::lower::lower`], byte for byte.
-pub fn lower_with_passes(module: &Module, cfg: &DpmrConfig) -> LoweredCode {
-    let code = dpmr_vm::lower::lower(module);
-    if cfg.passes.is_noop() {
-        code
-    } else {
-        dpmr_vm::opt::optimize(&code, &cfg.passes).code
-    }
+/// Exactly [`dpmr_vm::lower::lower`]: a configuration carries no
+/// optimizer settings. Kept for campaign_bench; remove in its next
+/// change.
+pub fn lower_with_passes(module: &Module, _cfg: &DpmrConfig) -> LoweredCode {
+    dpmr_vm::lower::lower(module)
 }
 
 /// Builds and measures the golden variant of an application.
@@ -292,7 +287,7 @@ impl PreparedApp {
         run: u32,
     ) -> RecoveryMeasurement {
         let transformed = self.prepare_recovery(site, fault, cfg);
-        let code = Rc::new(lower_with_passes(&transformed, cfg));
+        let code = Rc::new(dpmr_vm::lower::lower(&transformed));
         let registry = Rc::new(registry_with_wrappers());
         self.run_recovery_lowered(&transformed, code, registry, rec, run)
     }

@@ -468,7 +468,7 @@ pub fn site_profile_table(title: &str, res: &SiteProfileResults) -> String {
 }
 
 /// Renders the optimizer study table (optP.1): per app and pass
-/// combination, the static check counts (live / elided / dropped) next
+/// combination, the static check counts (live / dropped) next
 /// to the clean run's dynamic check executions, virtual cycles, and
 /// virtual MIPS, with cycle deltas relative to the all-off row. The
 /// profile-guided combination's dropped-site report follows each app as
@@ -481,8 +481,8 @@ pub fn opt_table(title: &str, res: &OptStudyResults) -> String {
         let _ = writeln!(out, "  [{app}]");
         let _ = writeln!(
             out,
-            "  {:<16} {:>6} {:>6} {:>7} {:>10} {:>12} {:>8} {:>7} {:>3}",
-            "passes", "checks", "elided", "dropped", "chk-execs", "cycles", "vMIPS", "delta", "ok"
+            "  {:<16} {:>6} {:>7} {:>10} {:>12} {:>8} {:>7} {:>3}",
+            "passes", "checks", "dropped", "chk-execs", "cycles", "vMIPS", "delta", "ok"
         );
         for combo in &res.combos {
             let Some(r) = res.rows.get(&(app.clone(), combo.clone())) else {
@@ -503,10 +503,9 @@ pub fn opt_table(title: &str, res: &OptStudyResults) -> String {
             };
             let _ = writeln!(
                 out,
-                "  {:<16} {:>6} {:>6} {:>7} {:>10} {:>12} {:>8.2} {:>6.3}x {:>3}",
+                "  {:<16} {:>6} {:>7} {:>10} {:>12} {:>8.2} {:>6.3}x {:>3}",
                 combo,
                 r.live_checks,
-                r.elided,
                 r.dropped,
                 r.check_execs,
                 r.cycles,

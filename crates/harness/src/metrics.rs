@@ -266,7 +266,7 @@ fn run_site_unit(
         .iter()
         .map(|(_, cfg)| {
             let transformed = transform(&faulty, cfg).expect("transform");
-            let code = Rc::new(crate::experiment::lower_with_passes(&transformed, cfg));
+            let code = Rc::new(dpmr_vm::lower::lower(&transformed));
             (0..cc.runs)
                 .map(|run| p.run_built(&transformed, Rc::clone(&code), Rc::clone(&wrap_reg), run))
                 .collect()
@@ -470,7 +470,7 @@ fn run_recovery_site_unit(
     // registry depend only on (site, fault, base): build them once, not
     // once per (config, run).
     let transformed = p.prepare_recovery(&u.site, u.fault, base);
-    let code = std::rc::Rc::new(crate::experiment::lower_with_passes(&transformed, base));
+    let code = std::rc::Rc::new(dpmr_vm::lower::lower(&transformed));
     let registry = std::rc::Rc::new(registry_with_wrappers());
     let mut out = Vec::new();
     for rec in configs {
@@ -702,14 +702,14 @@ pub fn run_fault_campaign(
     // replica-region differential.
     let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
         let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
+        let code = dpmr_vm::lower::lower(&t);
         (t, code)
     });
     let base_k2 = base.clone().with_replicas(2);
     let built_k2: Vec<(Module, LoweredCode)> =
         crate::sched::run_indexed(&prepared, cc.workers, |p| {
             let t = transform(&p.module, &base_k2).expect("transform");
-            let code = crate::experiment::lower_with_passes(&t, &base_k2);
+            let code = dpmr_vm::lower::lower(&t);
             (t, code)
         });
     let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
@@ -946,7 +946,7 @@ pub fn run_replication_degree_study(
     let built: Vec<(Module, LoweredCode)> =
         crate::sched::run_indexed(&build_units, cc.workers, |&(ai, vi)| {
             let t = transform(&prepared[ai].module, &variants[vi].1).expect("transform");
-            let code = crate::experiment::lower_with_passes(&t, &variants[vi].1);
+            let code = dpmr_vm::lower::lower(&t);
             (t, code)
         });
     let built_of = |ai: usize, vi: usize| &built[ai * variants.len() + vi];
@@ -1106,7 +1106,7 @@ pub fn run_site_profile_study(
         crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
     let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
         let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
+        let code = dpmr_vm::lower::lower(&t);
         (t, code)
     });
     let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
@@ -1269,7 +1269,7 @@ pub fn run_trace_study(
         crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
     let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
         let t = transform(&p.module, base).expect("transform");
-        let code = crate::experiment::lower_with_passes(&t, base);
+        let code = dpmr_vm::lower::lower(&t);
         (t, code)
     });
     let mut units: Vec<(usize, Option<FaultModel>)> = Vec::new();
@@ -1321,18 +1321,16 @@ pub fn run_trace_study(
 /// One (app, pass-combination) row of the optimizer study (`optP.1`).
 #[derive(Debug, Clone, Default)]
 pub struct OptComboRow {
-    /// Check sites still comparing after the passes.
+    /// Check sites still comparing after the pass.
     pub live_checks: u64,
-    /// Sites replaced by cost-preserving `CheckElided` ops (pass 1).
-    pub elided: u64,
-    /// Sites dropped by profile-guided selection (pass 2).
+    /// Sites dropped by profile-guided selection.
     pub dropped: u64,
     /// Dynamic check executions of the clean instrumented run.
     pub check_execs: u64,
     /// Virtual cycles of the clean run.
     pub cycles: u64,
     /// Instructions retired by the clean run (invariant across the
-    /// semantics-preserving combinations by construction).
+    /// combinations: dropped slots still dispatch).
     pub instrs: u64,
     /// The run completed cleanly with the golden output.
     pub output_ok: bool,
@@ -1358,8 +1356,8 @@ pub struct OptStudyResults {
     pub experiments: u64,
 }
 
-/// The pass combination run at `combo_idx` for `app`, resolving the
-/// profile-guided leg against that app's usefulness weights (sites that
+/// The pass combination run at `combo_idx` for `app`: off, or the
+/// profile-guided pass against that app's usefulness weights (sites that
 /// never detected during the armed sweep drop at threshold 0; an app
 /// with no profile keeps every site).
 fn opt_combo(
@@ -1370,8 +1368,7 @@ fn opt_combo(
     use dpmr_vm::opt::{PassConfig, ProfileGuided};
     match combo_idx {
         0 => PassConfig::none(),
-        1 => PassConfig::all(),
-        _ => PassConfig::all().with_profile(ProfileGuided {
+        _ => PassConfig::none().with_profile(ProfileGuided {
             usefulness: usefulness.get(app).cloned().unwrap_or_default(),
             threshold: 0.0,
         }),
@@ -1379,12 +1376,11 @@ fn opt_combo(
 }
 
 /// Runs the optimizer study (`optP.1`): each app's DPMR-transformed
-/// build is optimized under every pass combination — off, the
-/// semantics-preserving elision pass, and the profile-guided pipeline
-/// fed by the profS.1 armed-sweep detection counts — then executed once
-/// cleanly with full telemetry. Rows report static (live/elided/dropped
-/// check counts) and dynamic (check executions, virtual cycles,
-/// instructions) effects per combination.
+/// build runs with the optimizer off and with the profile-guided pass
+/// fed by the profS.1 armed-sweep detection counts, each executed once
+/// cleanly with full telemetry. Rows report static (live/dropped check
+/// counts) and dynamic (check executions, virtual cycles, instructions)
+/// effects per combination.
 /// Units fan across the study scheduler and merge in unit order:
 /// bit-identical at any worker count.
 pub fn run_opt_study(
@@ -1394,10 +1390,10 @@ pub fn run_opt_study(
     cc: &CampaignConfig,
 ) -> OptStudyResults {
     use std::rc::Rc;
-    const COMBOS: usize = 3;
+    const COMBOS: usize = 2;
     let prepared: Vec<PreparedApp> =
         crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // Lower without passes: each combination applies its own pipeline.
+    // Lower once: each combination applies its own configuration.
     let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
         let t = transform(&p.module, base).expect("transform");
         let code = dpmr_vm::lower::lower(&t);
@@ -1413,7 +1409,7 @@ pub fn run_opt_study(
             let cfg = opt_combo(ci, apps[ai].name, usefulness);
             let mut opt = dpmr_vm::opt::optimize(code, &cfg);
             let report = (!opt.dropped.is_empty()).then(|| opt.dropped_report_jsonl());
-            let live_checks = opt.live_checks() as u64;
+            let live_checks = opt.live_checks();
             let optimized = std::mem::take(&mut opt.code);
             let run = p.run_instrumented(
                 transformed,
@@ -1424,7 +1420,6 @@ pub fn run_opt_study(
             );
             let row = OptComboRow {
                 live_checks,
-                elided: opt.elided.len() as u64,
                 dropped: opt.dropped.len() as u64,
                 check_execs: run.telemetry.site_stats.iter().map(|s| s.executions).sum(),
                 cycles: run.out.cycles,
@@ -1589,20 +1584,19 @@ mod tests {
             &BTreeMap::new(),
             &CampaignConfig::tiny(),
         );
-        assert_eq!(res.experiments, 3);
+        assert_eq!(res.experiments, 2);
         let row = |combo: &str| &res.rows[&("bzip2".to_string(), combo.to_string())];
-        let (off, ef) = (row("off"), row("elide"));
-        assert!(off.output_ok && ef.output_ok);
-        // The semantics-preserving pass changes neither the virtual
-        // clock nor the dynamic check/instruction counts.
+        let (off, pgo) = (row("off"), row("pgo"));
+        assert!(off.output_ok && pgo.output_ok);
+        // With no usefulness weights the profile-guided leg
+        // conservatively keeps every site, so it changes neither the
+        // virtual clock nor the dynamic check/instruction counts.
+        assert_eq!(pgo.dropped, 0);
+        assert!(res.dropped_reports.is_empty());
         assert_eq!(
             (off.check_execs, off.cycles, off.instrs),
-            (ef.check_execs, ef.cycles, ef.instrs)
+            (pgo.check_execs, pgo.cycles, pgo.instrs)
         );
-        // With no usefulness weights the profile-guided leg
-        // conservatively keeps every site.
-        assert_eq!(row("elide+pgo").dropped, 0);
-        assert!(res.dropped_reports.is_empty());
     }
 
     #[test]

@@ -52,11 +52,11 @@ pub use crate::value::{LoadKind, StoreKind};
 /// lowers to exactly one `Op`, so instruction counts and virtual-cycle
 /// accounting are bit-identical to the tree-walking engine this replaced.
 ///
-/// The [`crate::opt`] pass pipeline rewrites ops *in place* — it never
-/// inserts or removes slots — so every pc keeps its meaning in optimized
-/// code too. The rewritten forms are [`Op::CheckElided`] (a check whose
-/// comparison was proved redundant or dropped by profile-guided
-/// selection) and [`Op::LoadElided`] (a dropped site's replica load).
+/// The [`crate::opt`] pass rewrites ops *in place* — it never inserts
+/// or removes slots — so every pc keeps its meaning in optimized code
+/// too. The rewritten forms are [`Op::CheckElided`] (a check dropped by
+/// profile-guided selection) and [`Op::LoadElided`] (a dropped site's
+/// replica load).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Stack allocation; `size` = `sizeof(ty)` precomputed.
@@ -182,13 +182,13 @@ pub enum Op {
     /// order — so use-of-unset-register traps still win — then raises
     /// `Invalid(msg)`, exactly as the tree-walker did at execution.
     Invalid { args: Box<[Opnd]>, msg: Box<str> },
-    /// A `dpmr.check` whose comparison the optimizer removed (produced
-    /// only by [`crate::opt`], never by lowering). With `charge` set the
-    /// op still consumes `CHECK × reps` virtual cycles — redundant-check
-    /// elimination preserves the clock bit-for-bit and wins host time
-    /// only. Profile-guided drops clear `charge`: the site's virtual
-    /// cost disappears too (the paper's overhead-budget tradeoff).
-    CheckElided { site: u32, reps: u32, charge: bool },
+    /// A `dpmr.check` dropped by profile-guided selection (produced only
+    /// by [`crate::opt`], never by lowering). The op executes as a no-op
+    /// with no virtual cost: the site's comparison and its `CHECK ×
+    /// reps` cycles both disappear (the paper's overhead-budget
+    /// tradeoff). `site` and `reps` are kept for diagnostics and
+    /// [`LoweredCode::check_site_pcs`].
+    CheckElided { site: u32, reps: u32 },
     /// A replica load whose only consumer was a profile-guided-dropped
     /// check (produced only by [`crate::opt`], never by lowering). The
     /// op executes as a no-op — no memory read, no register write, no
@@ -323,7 +323,7 @@ impl LoweredCode {
     /// The pc of every `dpmr.check` op, indexed by check-site id (site
     /// ids are assigned in pc order at lowering, so the result is
     /// ascending). Telemetry reporters use this to locate site counters
-    /// in the op stream. On optimized code this also resolves elided
+    /// in the op stream. On optimized code this also resolves dropped
     /// checks, which keep their site id and pc.
     pub fn check_site_pcs(&self) -> Vec<u32> {
         let mut pcs = vec![0u32; self.check_sites as usize];

@@ -1877,8 +1877,8 @@ static HANDLERS: [OpHandler; OPCODE_COUNT] = [
     h_unreachable,
     h_bad_block,
     h_invalid,
-    h_check_elided,
-    h_load_elided,
+    h_elided,
+    h_elided,
 ];
 
 /// Writes a register slot. Out-of-range destinations (impossible in
@@ -2346,33 +2346,13 @@ fn h_invalid(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32
     Err(Trap::Invalid(msg.to_string()))
 }
 
-fn h_check_elided(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
-    let Op::CheckElided { site, reps, charge } = op else {
+// An op the optimizer dropped (a check or one of its replica loads): no
+// comparison, memory read or register write, and no virtual cost — the
+// dispatch iteration (and its instruction count) is all that remains.
+fn h_elided(_it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+    if !matches!(op, Op::CheckElided { .. } | Op::LoadElided { .. }) {
         return Err(malformed_op());
-    };
-    // With `charge` (redundant-check elimination) the virtual clock and
-    // site stats advance exactly as the original check's passing path
-    // did — clean-run outcomes stay bit-identical and the win is host
-    // time. Without it (profile-guided drop) the site costs nothing.
-    if *charge {
-        let cycles = cost::CHECK * u64::from(*reps);
-        it.clock += cycles;
-        if it.tele_cfg.sites {
-            let s = &mut it.tele.site_stats[*site as usize];
-            s.executions += 1;
-            s.cycles += cycles;
-        }
     }
-    Ok(pc + 1)
-}
-
-// A dropped site's replica load: no memory read, no register write, no
-// virtual cost — the dispatch iteration (and its instruction count) is
-// all that remains.
-fn h_load_elided(_it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
-    let Op::LoadElided { .. } = op else {
-        return Err(malformed_op());
-    };
     Ok(pc + 1)
 }
 
@@ -2641,11 +2621,7 @@ mod dispatch_table_tests {
                 args: Box::new([]),
                 msg: "x".into(),
             },
-            Op::CheckElided {
-                site: 0,
-                reps: 1,
-                charge: true,
-            },
+            Op::CheckElided { site: 0, reps: 1 },
             Op::LoadElided { dst: 0, site: 0 },
         ];
         // One op per shape, and the opcodes cover 0..OPCODE_COUNT densely.

@@ -64,7 +64,7 @@ pub mod prelude {
         Mem, MemConfig, MemFault, MemFaultKind, MemRegion, MemSnapshot, MemUsage, GLOBAL_BASE,
         HEAP_BASE, STACK_BASE,
     };
-    pub use crate::opt::{optimize, optimize_module, OptOutcome, PassConfig, ProfileGuided};
+    pub use crate::opt::{optimize, OptOutcome, PassConfig, ProfileGuided};
     pub use crate::telemetry::{SiteStats, Telemetry, TelemetryConfig, TraceEvent};
     pub use crate::value::{load_scalar, normalize_int, scalar_bytes, store_scalar, Value};
 }

@@ -1,8 +1,8 @@
-//! Unit tests for the pass pipeline, over hand-built `LoweredCode`
+//! Unit tests for the optimizer, over hand-built `LoweredCode`
 //! fragments with precisely controlled op patterns.
 
 use super::*;
-use crate::value::StoreKind;
+use crate::value::{LoadKind, StoreKind};
 
 const I64: LoadKind = LoadKind::Int { bytes: 8, bits: 64 };
 
@@ -48,130 +48,14 @@ fn all_passes_off_is_identity() {
     checked_load(&mut ops, 0, 0, 1, &mut reg);
     ops.push(Op::Ret { value: None });
     let code = code_of(ops, 1);
-    let out = optimize(&code, &PassConfig::none());
-    assert_eq!(out.code, code);
-    assert!(out.elided.is_empty());
-    assert!(out.dropped.is_empty());
-}
-
-#[test]
-fn elides_anchored_recheck_of_same_locations() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    checked_load(&mut ops, 1, 0, 1, &mut reg); // same locations, fresh regs
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.elide_redundant_checks = true;
-    let out = optimize(&code_of(ops, 2), &cfg);
-    assert_eq!(out.elided.len(), 1);
-    let e = &out.elided[0];
-    assert_eq!((e.site, e.kept_site), (1, 0));
-    assert_eq!(e.backing_load_pcs, vec![3, 4]);
-    assert!(matches!(
-        out.code.ops[e.pc as usize],
-        Op::CheckElided {
-            site: 1,
-            reps: 1,
-            charge: true
-        }
-    ));
-    // The proving check survives.
-    assert!(matches!(
-        out.code.ops[e.kept_pc as usize],
-        Op::DpmrCheck { site: 0, .. }
-    ));
-}
-
-#[test]
-fn different_locations_are_not_elided() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    checked_load(&mut ops, 1, 2, 3, &mut reg); // different globals
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.elide_redundant_checks = true;
-    let out = optimize(&code_of(ops, 2), &cfg);
-    assert!(out.elided.is_empty());
-}
-
-#[test]
-fn store_between_checks_blocks_elision() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    ops.push(Op::Store {
-        ptr: Opnd::Global(5),
-        value: Opnd::Imm(crate::value::Value::Int(7)),
-        kind: StoreKind::Raw(8),
-    });
-    checked_load(&mut ops, 1, 0, 1, &mut reg);
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.elide_redundant_checks = true;
-    let out = optimize(&code_of(ops, 2), &cfg);
-    assert!(out.elided.is_empty(), "a store invalidates all load facts");
-}
-
-#[test]
-fn region_boundary_blocks_elision() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    let target = ops.len() as u32 + 1;
-    ops.push(Op::Jump { target }); // the next op becomes a leader
-    checked_load(&mut ops, 1, 0, 1, &mut reg);
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.elide_redundant_checks = true;
-    let out = optimize(&code_of(ops, 2), &cfg);
-    assert!(out.elided.is_empty(), "leaders clear the evidence set");
-}
-
-#[test]
-fn identical_operand_recheck_is_elided() {
-    // Two checks reading the same registers with no reload in between.
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    let check = ops.last().unwrap().clone();
-    let Op::DpmrCheck {
-        a,
-        reps,
-        ptrs,
-        a_reg,
-        ..
-    } = check
-    else {
-        unreachable!()
-    };
-    ops.push(Op::DpmrCheck {
-        a,
-        reps,
-        ptrs,
-        site: 1,
-        a_reg,
-    });
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::none();
-    cfg.elide_redundant_checks = true;
-    let out = optimize(&code_of(ops, 2), &cfg);
-    assert_eq!(out.elided.len(), 1);
-    assert!(out.elided[0].backing_load_pcs.is_empty());
-}
-
-#[test]
-fn single_check_of_a_location_is_never_elided() {
-    let mut ops = Vec::new();
-    let mut reg = 0;
-    checked_load(&mut ops, 0, 0, 1, &mut reg);
-    ops.push(Op::Ret { value: None });
-    let mut cfg = PassConfig::all();
-    cfg.profile_guided = None;
-    let out = optimize(&code_of(ops, 1), &cfg);
-    assert!(out.elided.is_empty());
-    assert_eq!(out.live_checks(), 1);
+    // `all()` equals `none()`: `long_run`'s `+all` build is its `+off`
+    // build.
+    for cfg in [PassConfig::none(), PassConfig::all()] {
+        let out = optimize(&code, &cfg);
+        assert_eq!(out.code, code);
+        assert!(out.dropped.is_empty());
+        assert_eq!(out.live_checks(), 1);
+    }
 }
 
 #[test]
@@ -191,7 +75,7 @@ fn profile_guided_drops_only_sites_at_or_below_threshold() {
     assert_eq!(out.dropped[0].site, 0);
     assert!(matches!(
         out.code.ops[out.dropped[0].pc as usize],
-        Op::CheckElided { charge: false, .. }
+        Op::CheckElided { site: 0, reps: 1 }
     ));
     // The dropped comparison was the replica load's only consumer, so
     // the load at pc 1 goes too; the app load (pc 0) has its register
@@ -256,7 +140,7 @@ fn optimize_is_deterministic() {
     checked_load(&mut ops, 1, 0, 1, &mut reg);
     ops.push(Op::Ret { value: None });
     let code = code_of(ops, 2);
-    let cfg = PassConfig::all().with_profile(ProfileGuided {
+    let cfg = PassConfig::none().with_profile(ProfileGuided {
         usefulness: vec![1.0, 1.0],
         threshold: 0.5,
     });
@@ -268,7 +152,7 @@ fn optimize_is_deterministic() {
 #[test]
 fn pass_config_tags() {
     assert_eq!(PassConfig::none().tag(), "off");
-    assert_eq!(PassConfig::all().tag(), "elide");
-    let pgo = PassConfig::all().with_profile(ProfileGuided::default());
-    assert_eq!(pgo.tag(), "elide+pgo");
+    assert_eq!(PassConfig::all().tag(), "off");
+    let pgo = PassConfig::none().with_profile(ProfileGuided::default());
+    assert_eq!(pgo.tag(), "pgo");
 }

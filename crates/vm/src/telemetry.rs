@@ -6,7 +6,7 @@
 //! * **Profiles** — per-pc execution counts and per-`dpmr.check`-site
 //!   counters ([`SiteStats`]): executions, detections, repair outcomes,
 //!   and the virtual cycles the check compares charged. These are the
-//!   data the ROADMAP's redundant-check elimination and cost-aware
+//!   data profile-guided site selection ([`crate::opt`]) and cost-aware
 //!   partial replication consume: a site that executes millions of times
 //!   and never detects is a candidate for removal; a hot function whose
 //!   checks carry all the detections is where a `Partial(n)` set should
