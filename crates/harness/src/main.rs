@@ -93,7 +93,7 @@ fn main() {
                     }
                     Err(e) => {
                         eprintln!("bench-report: cannot read {}: {e}", path.display());
-                        eprintln!("run `cargo bench -p dpmr-bench --bench interp_throughput` to record points");
+                        eprintln!("run `cargo bench --bench interp_throughput` to record points");
                         std::process::exit(1);
                     }
                 }

@@ -1340,8 +1340,8 @@ pub struct OptComboRow {
 /// virtual-cycle, and virtual-MIPS deltas of every pass combination,
 /// plus the machine-readable dropped-site report of the profile-guided
 /// combination. Virtual (not wall-clock) figures keep the artifact
-/// bit-identical at any worker count; host-time deltas live in the
-/// bench suite's `BENCH_INTERP.json`.
+/// bit-identical at any worker count; host-time deltas are measured end
+/// to end by `campaign_bench`'s `long_run` workload (`+pgo` builds).
 #[derive(Debug, Default)]
 pub struct OptStudyResults {
     /// App names, in presentation order.
