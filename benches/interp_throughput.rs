@@ -30,11 +30,17 @@
 //! bench fails when the median of all pooled ratios falls below
 //! [`MIN_WINDOW_SPEEDUP`], which is what losing the hazard-window loop
 //! does on any host; a failed gate appends no point.
+//!
+//! Beside the pooled median it prints a 95% bootstrap interval (fixed
+//! seed, [`BOOTSTRAP_RESAMPLES`] resamples of the pooled ratios), and
+//! "no resolvable difference" when that interval spans 1.0.
 
 use dpmr_core::prelude::*;
 use dpmr_ir::module::Module;
 use dpmr_vm::prelude::*;
 use dpmr_workloads::micro;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -52,6 +58,9 @@ const ROUNDS: u32 = 8;
 /// prototype saw one noisy invocation read 1.97 on a single point —
 /// hence a pooled median rather than a per-point gate.
 const MIN_WINDOW_SPEEDUP: f64 = 1.2;
+
+/// Resamples behind the pooled median's bootstrap interval.
+const BOOTSTRAP_RESAMPLES: usize = 2000;
 
 fn smoke() -> bool {
     std::env::var_os("BENCH_SMOKE").is_some()
@@ -173,6 +182,24 @@ fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// The 95% percentile-bootstrap interval of the median of `xs`, drawn
+/// from a fixed seed so the same ratios always print the same interval.
+fn bootstrap_median_ci(xs: &[f64]) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(0x5eed_b007);
+    let mut resample = vec![0.0; xs.len()];
+    let mut medians: Vec<f64> = (0..BOOTSTRAP_RESAMPLES)
+        .map(|_| {
+            for r in &mut resample {
+                *r = xs[rng.gen_range(0..xs.len())];
+            }
+            median(&resample)
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    let at = |q: f64| medians[((medians.len() - 1) as f64 * q).round() as usize];
+    (at(0.025), at(0.975))
+}
+
 /// The trajectory file at the workspace root unless overridden by
 /// `BENCH_INTERP_JSON`.
 fn trajectory_path() -> Option<PathBuf> {
@@ -269,10 +296,15 @@ fn main() {
         .flat_map(|p| p.speedup.iter().copied())
         .collect();
     let pooled_median = median(&pooled);
+    let (ci_lo, ci_hi) = bootstrap_median_ci(&pooled);
     println!(
-        "pooled window speedup {pooled_median:.2} over {} pairs (gate >= {MIN_WINDOW_SPEEDUP})",
+        "pooled window speedup {pooled_median:.2} [95% CI {ci_lo:.2}, {ci_hi:.2}] over {} pairs \
+         (gate >= {MIN_WINDOW_SPEEDUP})",
         pooled.len()
     );
+    if ci_lo <= 1.0 && 1.0 <= ci_hi {
+        println!("pooled window speedup: no resolvable difference (the interval spans 1.0)");
+    }
     if pooled_median < MIN_WINDOW_SPEEDUP {
         eprintln!(
             "[bench] FAILED: pooled threaded/plain speedup {pooled_median:.2} is below \

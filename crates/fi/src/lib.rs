@@ -130,8 +130,9 @@ fn site_pc(m: &Module, code: &LoweredCode, site: &InjectionSite) -> u32 {
 /// example of the 24-byte minimum masking a 16-byte request).
 ///
 /// Consults the lowered op at the site — `lower.rs` already resolved the
-/// element size and pre-normalized a constant count into an immediate, so
-/// the filter no longer re-derives type layout from the IR. `code` must
+/// element size and pre-normalized a constant count into an immediate
+/// (read back through [`LoweredCode::operand`]), so the filter no longer
+/// re-derives type layout from the IR. `code` must
 /// be lowered from `m` (campaigns lower once and filter every site
 /// against it).
 ///
@@ -146,13 +147,14 @@ pub fn may_manifest(
     let FaultType::HeapArrayResize { keep_percent } = fault else {
         return true;
     };
-    let Op::Malloc { count, esize, .. } = &code.ops[site_pc(m, code, site) as usize] else {
+    let pc = site_pc(m, code, site);
+    let Op::Malloc { count, esize, .. } = &code.ops[pc as usize] else {
         return true;
     };
-    let Opnd::Imm(Value::Int(value)) = count else {
+    let Opnd::Imm(Value::Int(value)) = code.operand(pc, *count) else {
         return true; // dynamic request size: cannot filter
     };
-    let orig = esize * u64::try_from((*value).max(0)).unwrap_or(0);
+    let orig = esize * u64::try_from(value.max(0)).unwrap_or(0);
     let reduced = orig * u64::from(keep_percent) / 100;
     let round = |sz: u64| {
         sz.max(dpmr_vm::alloc::MIN_PAYLOAD)
@@ -231,7 +233,7 @@ pub fn enumerate_op_sites(code: &LoweredCode, model: FaultModel) -> Vec<OpSite> 
                 region: MemRegion::Globals,
             } = model
             {
-                eligible &= matches!(ptr, Opnd::Global(_));
+                eligible &= matches!(code.operand(pc as u32, *ptr), Opnd::Global(_));
             }
             eligible.then_some(OpSite {
                 pc: pc as u32,
@@ -261,15 +263,15 @@ pub fn enumerate_replica_sites(code: &LoweredCode) -> Vec<OpSite> {
             code.ops.len()
         };
         let mut rep_regs: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for op in &code.ops[start..end] {
+        for (pc, op) in code.ops.iter().enumerate().take(end).skip(start) {
             if let Op::DpmrCheck {
                 ptrs: Some((_, rps)),
                 ..
             } = op
             {
-                for rp in rps.iter() {
-                    if let Opnd::Reg(r) = rp {
-                        rep_regs.insert(*r);
+                for &rp in rps.iter() {
+                    if let Opnd::Reg(r) = code.operand(pc as u32, rp) {
+                        rep_regs.insert(r);
                     }
                 }
             }
@@ -277,16 +279,16 @@ pub fn enumerate_replica_sites(code: &LoweredCode) -> Vec<OpSite> {
         if rep_regs.is_empty() {
             continue;
         }
-        for (off, op) in code.ops[start..end].iter().enumerate() {
+        for (pc, op) in code.ops.iter().enumerate().take(end).skip(start) {
             let (access, ptr) = match op {
                 Op::Load { ptr, .. } => (AccessKind::Load, ptr),
                 Op::Store { ptr, .. } => (AccessKind::Store, ptr),
                 _ => continue,
             };
-            if let Opnd::Reg(r) = ptr {
-                if rep_regs.contains(r) {
+            if let Opnd::Reg(r) = code.operand(pc as u32, *ptr) {
+                if rep_regs.contains(&r) {
                     out.push(OpSite {
-                        pc: (start + off) as u32,
+                        pc: pc as u32,
                         access,
                     });
                 }

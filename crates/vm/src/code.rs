@@ -5,8 +5,10 @@
 //! `pc` per frame. The design goal is that **nothing that can be resolved
 //! once at load is re-resolved per executed instruction**:
 //!
-//! * constants are pre-normalized into [`Value`]s ([`Opnd::Imm`]),
-//! * registers are dense slot indices,
+//! * every operand is one frame-slot index: a function's IR registers
+//!   keep their numbers, and its constants (pre-normalized immediates,
+//!   nulls, function addresses and globals) follow them as read-only
+//!   slots ([`FrameLayout`]), so reading any operand is one slot load,
 //! * type sizes, struct field offsets, array element sizes, and scalar
 //!   load/store kinds are baked into the op,
 //! * block boundaries are gone — jump targets are absolute pcs into one
@@ -30,18 +32,34 @@ use crate::value::Value;
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
 use dpmr_ir::module::FuncId;
 
-/// A pre-resolved operand: evaluation is one register-slot read or an
-/// immediate, never a constant normalization or table lookup.
+/// An operand as the IR wrote it: the read-only view
+/// [`LoweredCode::operand`] gives of a slot index. Ops carry only the
+/// slot; analyses over lowered code (fault-site enumeration, the
+/// optimizer) use this view to tell registers from constants.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Opnd {
-    /// Value of virtual-register slot `n`.
+    /// Virtual register `n` (slot `n`).
     Reg(u32),
     /// Immediate: integer constants pre-sign-normalized, floats widened,
     /// nulls and function addresses materialized as pointers.
     Imm(Value),
-    /// Address of global `n` (resolved through the interpreter's global
-    /// address table — the only operand kind with per-run state).
+    /// Address of global `n` (filled into the slot when an interpreter
+    /// allocates its globals).
     Global(u32),
+}
+
+/// The slot layout of one function's register frame: the IR registers
+/// (slots `0..regs`, unset at entry) and then the function's constants
+/// (slot `regs + i` holds `consts[i]`). Lowering deduplicates constants
+/// by kind and bit pattern, so `0.0`, `-0.0` and NaNs with different
+/// payloads keep separate slots.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FrameLayout {
+    /// Number of IR registers.
+    pub regs: u32,
+    /// The constant slots in order; each is an [`Opnd::Imm`] or an
+    /// [`Opnd::Global`].
+    pub consts: Vec<Opnd>,
 }
 
 // The scalar memory encodings live in `crate::value` (one source of
@@ -51,6 +69,8 @@ pub use crate::value::{LoadKind, StoreKind};
 /// One bytecode operation. Each IR instruction and each block terminator
 /// lowers to exactly one `Op`, so instruction counts and virtual-cycle
 /// accounting are bit-identical to the tree-walking engine this replaced.
+/// Every operand field is a slot index into the executing function's
+/// frame (see [`FrameLayout`]); `dst` fields are register slots.
 ///
 /// The [`crate::opt`] pass rewrites ops *in place* — it never inserts
 /// or removes slots — so every pc keeps its meaning in optimized code
@@ -62,43 +82,43 @@ pub enum Op {
     /// Stack allocation; `size` = `sizeof(ty)` precomputed.
     Alloca {
         dst: u32,
-        count: Option<Opnd>,
+        count: Option<u32>,
         size: u64,
     },
     /// Heap allocation; `esize` = `sizeof(elem)` precomputed.
-    Malloc { dst: u32, count: Opnd, esize: u64 },
+    Malloc { dst: u32, count: u32, esize: u64 },
     /// Heap deallocation.
-    Free { ptr: Opnd },
+    Free { ptr: u32 },
     /// Scalar load; decode pre-resolved from the destination's type.
-    Load { dst: u32, ptr: Opnd, kind: LoadKind },
+    Load { dst: u32, ptr: u32, kind: LoadKind },
     /// Scalar store; encode pre-resolved from the value operand's type.
     Store {
-        ptr: Opnd,
-        value: Opnd,
+        ptr: u32,
+        value: u32,
         kind: StoreKind,
     },
     /// Struct/union field address; `off` precomputed from the layout.
-    FieldAddr { dst: u32, base: Opnd, off: u64 },
+    FieldAddr { dst: u32, base: u32, off: u64 },
     /// Array element address; `esize` precomputed.
     IndexAddr {
         dst: u32,
-        base: Opnd,
-        index: Opnd,
+        base: u32,
+        index: u32,
         esize: u64,
     },
     /// Scalar conversion; `dbits` = destination width precomputed.
     Cast {
         dst: u32,
         op: CastOp,
-        src: Opnd,
+        src: u32,
         dbits: u16,
     },
     /// Binary op; destination width and pointer-ness precomputed.
     Bin {
         dst: u32,
         op: BinOp,
-        lhs: Opnd,
-        rhs: Opnd,
+        lhs: u32,
+        rhs: u32,
         bits: u16,
         ptr_result: bool,
     },
@@ -106,29 +126,29 @@ pub enum Op {
     Cmp {
         dst: u32,
         pred: CmpPred,
-        lhs: Opnd,
-        rhs: Opnd,
+        lhs: u32,
+        rhs: u32,
     },
     /// Register copy / immediate materialization.
-    Copy { dst: u32, src: Opnd },
+    Copy { dst: u32, src: u32 },
     /// Direct IR-to-IR call (callee entry pc is `func_entry[f]`).
     CallDirect {
         dst: Option<u32>,
         f: FuncId,
-        args: Box<[Opnd]>,
+        args: Box<[u32]>,
     },
     /// Indirect call through a function-pointer value.
     CallIndirect {
         dst: Option<u32>,
-        target: Opnd,
-        args: Box<[Opnd]>,
+        target: u32,
+        args: Box<[u32]>,
     },
     /// External call; `ext` indexes the interpreter's pre-resolved
     /// handler table (built from the module's external declarations).
     CallExternal {
         dst: Option<u32>,
         ext: u32,
-        args: Box<[Opnd]>,
+        args: Box<[u32]>,
     },
     /// `dpmr.check` with a stable check-site id: compares the application
     /// operand `a` against `reps.len()` replica operands (variable arity —
@@ -138,9 +158,9 @@ pub enum Op {
     /// store encoding when the application operand is a register (the
     /// repair-from-replica and vote-repair paths).
     DpmrCheck {
-        a: Opnd,
-        reps: Box<[Opnd]>,
-        ptrs: Option<(Opnd, Box<[Opnd]>)>,
+        a: u32,
+        reps: Box<[u32]>,
+        ptrs: Option<(u32, Box<[u32]>)>,
         site: u32,
         a_reg: Option<(u32, StoreKind)>,
     },
@@ -149,14 +169,14 @@ pub enum Op {
     /// diversity stream derived from `(run seed, k)`).
     RandInt {
         dst: u32,
-        lo: Opnd,
-        hi: Opnd,
+        lo: u32,
+        hi: u32,
         stream: u32,
     },
     /// Usable size of a live heap buffer.
-    HeapBufSize { dst: u32, ptr: Opnd },
+    HeapBufSize { dst: u32, ptr: u32 },
     /// Append a scalar to the output channel.
-    Output { value: Opnd },
+    Output { value: u32 },
     /// Fault-injection site marker.
     FiMarker { site: u32 },
     /// Program-issued abort.
@@ -165,12 +185,12 @@ pub enum Op {
     Jump { target: u32 },
     /// Conditional jump; nonzero `cond` takes `then_pc`.
     CondJump {
-        cond: Opnd,
+        cond: u32,
         then_pc: u32,
         else_pc: u32,
     },
     /// Function return with an optional value.
-    Ret { value: Option<Opnd> },
+    Ret { value: Option<u32> },
     /// Unreachable control flow (traps if executed).
     Unreachable,
     /// Landing pad for a branch whose target block does not exist in the
@@ -181,7 +201,7 @@ pub enum Op {
     /// `fieldaddr` through a non-pointer). Evaluates `args` in operand
     /// order — so use-of-unset-register traps still win — then raises
     /// `Invalid(msg)`, exactly as the tree-walker did at execution.
-    Invalid { args: Box<[Opnd]>, msg: Box<str> },
+    Invalid { args: Box<[u32]>, msg: Box<str> },
     /// A `dpmr.check` dropped by profile-guided selection (produced only
     /// by [`crate::opt`], never by lowering). The op executes as a no-op
     /// with no virtual cost: the site's comparison and its `CHECK ×
@@ -296,6 +316,9 @@ pub struct LoweredCode {
     /// [`LoweredCode::rebuild_opcodes`] (the interpreter re-derives it
     /// defensively when lengths disagree).
     pub opcodes: Vec<OpCode>,
+    /// Each function's frame-slot layout, indexed by `FuncId`: where its
+    /// registers end and which constant each later slot holds.
+    pub frames: Vec<FrameLayout>,
 }
 
 impl LoweredCode {
@@ -318,6 +341,19 @@ impl LoweredCode {
     pub fn func_of_pc(&self, pc: u32) -> FuncId {
         let i = self.func_entry.partition_point(|&e| e <= pc);
         FuncId(i.saturating_sub(1) as u32)
+    }
+
+    /// The operand that slot `slot` of the op at `pc` names, as the IR
+    /// wrote it. Slots past the function's constants (hand-built code
+    /// only) read as registers, which is how the interpreter treats them:
+    /// unset.
+    pub fn operand(&self, pc: u32, slot: u32) -> Opnd {
+        let f = self.func_of_pc(pc).0 as usize;
+        self.frames
+            .get(f)
+            .and_then(|l| l.consts.get(slot.checked_sub(l.regs)? as usize))
+            .copied()
+            .unwrap_or(Opnd::Reg(slot))
     }
 
     /// The pc of every `dpmr.check` op, indexed by check-site id (site

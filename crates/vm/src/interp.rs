@@ -281,8 +281,10 @@ impl Reg {
 struct FuncMeta {
     /// Register slots receiving the arguments, in order.
     params: Vec<u32>,
-    /// Number of virtual registers.
-    nregs: usize,
+    /// A fresh frame's slots: the IR registers unset, then the function's
+    /// constants (globals resolved to this interpreter's addresses). A
+    /// call clones it.
+    template: Box<[Reg]>,
 }
 
 /// A point-in-time copy of all interpreter state that lives *between*
@@ -305,7 +307,7 @@ pub struct InterpSnapshot {
     output: Vec<u64>,
     first_fi_cycle: Option<u64>,
     fi_sites_hit: BTreeSet<u32>,
-    cache_tags: Vec<u64>,
+    cache_tags: Box<[u64; CACHE_SETS]>,
     detections: u64,
     repairs: u64,
     first_detection_cycle: Option<u64>,
@@ -465,6 +467,17 @@ impl From<MemFault> for Trap {
     }
 }
 
+/// The handlers' error conversion: out of line and cold, so a memory
+/// fault costs the fast path one compare-and-branch and no live value
+/// has to survive a call that rejoins it.
+impl From<MemFault> for Box<Trap> {
+    #[cold]
+    #[inline(never)]
+    fn from(f: MemFault) -> Self {
+        Box::new(Trap::Mem(f))
+    }
+}
+
 /// Stable status-class tag for [`TraceEvent::RunEnd`] records.
 fn status_class(s: &ExitStatus) -> &'static str {
     match s {
@@ -505,13 +518,13 @@ mod cost {
     pub const OUTPUT: u64 = 12;
 }
 
-/// The pc a handler returns when it parked a frame change in
+/// The pc a handler returns when it parked a frame change or a trap in
 /// `Interp::frame_op`. It lies outside every op stream, so a jump that
 /// targets it (malformed code) still traps at the next fetch.
 const FRAME_OP: u32 = u32::MAX;
 
-/// A frame change parked by a call or return handler, settled by the
-/// dispatch loop when the handler returns [`FRAME_OP`].
+/// A frame change or trap parked by a handler, settled by the dispatch
+/// loop when the handler returns [`FRAME_OP`].
 enum FrameOp {
     /// Push a new frame for an IR-to-IR call (direct or resolved
     /// indirect); the dispatch loop continues in the callee.
@@ -522,7 +535,12 @@ enum FrameOp {
     },
     /// Pop the current frame, delivering an optional return value.
     Ret(Option<Value>),
+    /// Unwind: the op trapped.
+    Trap(Box<Trap>),
 }
+
+/// Sets of the direct-mapped cache model (see `Interp::cache_tags`).
+const CACHE_SETS: usize = 4096;
 
 /// How a dispatch loop ended.
 enum DispatchEnd {
@@ -548,9 +566,14 @@ enum Window {
 
 /// Uniform signature of an op handler, reachable through one indirect
 /// call via [`HANDLERS`]. A handler gets its own pc and returns the next
-/// one, or [`FRAME_OP`] after parking a call or return.
-type OpHandler =
-    for<'a, 'b, 'c, 'm> fn(&'a mut Interp<'m>, &'b mut [Reg], &'c Op, u32) -> Result<u32, Trap>;
+/// one, or [`FRAME_OP`] after parking a call, a return or a trap: the
+/// next pc comes back in a register, and the loop's one sentinel compare
+/// covers every exit that is not straight-line.
+type OpHandler = for<'a, 'b, 'c, 'm> fn(&'a mut Interp<'m>, &'b mut [Reg], &'c Op, u32) -> u32;
+
+/// An op body's result: the next pc, or a boxed trap (one word, so the
+/// error path never widens the fast path's return).
+type Step = Result<u32, Box<Trap>>;
 
 /// The interpreter.
 pub struct Interp<'m> {
@@ -589,7 +612,7 @@ pub struct Interp<'m> {
     /// matching the testbed's L2 (Table 3.1). Loads and stores that miss
     /// pay an extra latency, so memory-layout diversity (pad-malloc,
     /// rearrange-heap) has the locality cost the paper observes.
-    cache_tags: Vec<u64>,
+    cache_tags: Box<[u64; CACHE_SETS]>,
     trap_handler: Option<Rc<RefCell<dyn TrapHandler>>>,
     detections: u64,
     repairs: u64,
@@ -613,8 +636,8 @@ pub struct Interp<'m> {
     /// True while the op being stepped is the armed site (set by the
     /// dispatch loop; consulted only by the load/store handlers).
     fault_pending: bool,
-    /// The call or return the last handler parked (see [`FRAME_OP`]);
-    /// always `None` between ops.
+    /// The call, return or trap the last handler parked (see
+    /// [`FRAME_OP`]); always `None` between ops.
     frame_op: Option<FrameOp>,
     /// Virtual cycle of the first fault application on this timeline.
     fault_fired: Option<u64>,
@@ -674,12 +697,32 @@ impl<'m> Interp<'m> {
                 .unwrap_or_else(|e| panic!("global {}: {e}", g.name));
             global_addrs.push(mem.alloc_global(size));
         }
+        // Frame templates: lowered code lays each function's slots out in
+        // `code.frames`; hand-built code without a layout gets the IR
+        // registers alone.
         let meta = module
             .funcs
             .iter()
-            .map(|f| FuncMeta {
-                params: f.params.iter().map(|p| p.0).collect(),
-                nregs: f.regs.len(),
+            .enumerate()
+            .map(|(i, f)| {
+                let layout = code.frames.get(i);
+                let nregs = layout.map_or(f.regs.len(), |l| l.regs as usize);
+                let consts = layout.map_or(&[][..], |l| &l.consts[..]);
+                let template = std::iter::repeat_n(Reg::UNSET, nregs)
+                    .chain(consts.iter().map(|c| {
+                        match *c {
+                            Opnd::Imm(v) => Reg::of(v),
+                            Opnd::Global(g) => global_addrs
+                                .get(g as usize)
+                                .map_or(Reg::UNSET, |&a| Reg::of(Value::Ptr(a))),
+                            Opnd::Reg(_) => Reg::UNSET,
+                        }
+                    }))
+                    .collect();
+                FuncMeta {
+                    params: f.params.iter().map(|p| p.0).collect(),
+                    template,
+                }
             })
             .collect();
         let ext_handlers = module
@@ -706,7 +749,7 @@ impl<'m> Interp<'m> {
             fi_sites_hit: BTreeSet::new(),
             frames: Vec::new(),
             max_frames: cfg.max_depth,
-            cache_tags: vec![u64::MAX; 4096],
+            cache_tags: Box::new([u64::MAX; CACHE_SETS]),
             trap_handler: None,
             detections: 0,
             repairs: 0,
@@ -972,7 +1015,7 @@ impl<'m> Interp<'m> {
 
     /// Simulates one cache access; misses cost extra cycles.
     pub fn touch(&mut self, addr: u64) {
-        let set = ((addr >> 6) & 0xfff) as usize;
+        let set = ((addr >> 6) as usize) % CACHE_SETS;
         let tag = addr >> 18;
         if self.cache_tags[set] != tag {
             self.cache_tags[set] = tag;
@@ -1234,9 +1277,9 @@ impl<'m> Interp<'m> {
                 meta.params.len()
             )));
         }
-        let mut regs = vec![Reg::UNSET; meta.nregs];
+        let mut regs = meta.template.to_vec();
         for (&p, a) in meta.params.iter().zip(args) {
-            regs[p as usize].set(a);
+            set_reg(&mut regs, p, a);
         }
         self.frames.push(Frame {
             func: f,
@@ -1344,12 +1387,11 @@ impl<'m> Interp<'m> {
     /// and registers cached in locals: one dense-opcode fetch and one
     /// indirect handler call per op, whose result is the next pc, plus —
     /// only when `HOOKS` — the armed-fault flag and the pc-profile bump.
-    /// Calls and returns come back as [`FRAME_OP`] with the request in
-    /// `frame_op`; settling one re-caches the locals. Closing the window
-    /// parks pc and registers
-    /// back into the frame, so the state a caller observes is an exact
-    /// instruction boundary (snapshots taken at the dispatch top stay
-    /// valid and portable).
+    /// Calls, returns and traps come back as [`FRAME_OP`] with the request
+    /// in `frame_op`; settling a call or return re-caches the locals.
+    /// Closing the window parks pc and registers back into the frame, so
+    /// the state a caller observes is an exact instruction boundary
+    /// (snapshots taken at the dispatch top stay valid and portable).
     #[inline(never)]
     fn run_window<const HOOKS: bool>(
         &mut self,
@@ -1395,13 +1437,7 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            let next = match HANDLERS[oc as usize](self, &mut regs, op, pc) {
-                Ok(next) => next,
-                Err(t) => {
-                    self.unwind(base);
-                    return Err(t);
-                }
-            };
+            let next = HANDLERS[oc as usize](self, &mut regs, op, pc);
             if next != FRAME_OP {
                 pc = next;
                 continue;
@@ -1433,10 +1469,14 @@ impl<'m> Interp<'m> {
                             Some(v) => set_reg(&mut regs, d, v),
                             None => {
                                 self.unwind(base);
-                                return Err(void_call_value());
+                                return Err(*void_call_value());
                             }
                         }
                     }
+                }
+                Some(FrameOp::Trap(t)) => {
+                    self.unwind(base);
+                    return Err(*t);
                 }
                 // Nothing parked: a jump targeted the sentinel itself, and
                 // the next fetch traps it like any pc outside the stream.
@@ -1464,38 +1504,14 @@ impl<'m> Interp<'m> {
         Err(Trap::Timeout)
     }
 
-    /// Evaluates a pre-resolved operand: one slot read or an immediate.
-    /// Out-of-range slots and globals (impossible in lowered code, which
-    /// sizes both at compile time) trap as invalid execution — `get`
-    /// keeps panic edges out of the dispatch hot path (the PR-6 lesson).
-    ///
-    /// Every arm yields the two slot words, so the operand stays in two
-    /// host registers. Joining whole `Value`s across the arms spills one
-    /// to a stack temporary that the next slot write reloads as a single
-    /// 16-byte move (see [`Reg`]).
-    #[inline]
-    fn eval(&self, regs: &[Reg], o: &Opnd) -> Result<Value, Trap> {
-        // `slot` names the register for the unset-trap message; only a
-        // register operand can be unset.
-        let (r, slot) = match *o {
-            Opnd::Reg(i) => (regs.get(i as usize).copied().unwrap_or(Reg::UNSET), i),
-            Opnd::Imm(v) => (Reg::of(v), 0),
-            Opnd::Global(g) => match self.global_addrs.get(g as usize) {
-                Some(&a) => (Reg::of(Value::Ptr(a)), 0),
-                None => return Err(unknown_global(g)),
-            },
-        };
-        r.value().ok_or_else(|| unset_register(slot))
-    }
-
     /// Evaluates call arguments in operand order, then charges the call
     /// cost — the one definition of call accounting shared by direct,
     /// indirect, and external calls (their virtual-cycle behaviour must
     /// never desynchronize).
-    fn eval_call_args(&mut self, regs: &[Reg], args: &[Opnd]) -> Result<Vec<Value>, Trap> {
+    fn eval_call_args(&mut self, regs: &[Reg], args: &[u32]) -> Result<Vec<Value>, Box<Trap>> {
         let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(self.eval(regs, a)?);
+        for &a in args {
+            vals.push(eval(regs, a)?);
         }
         self.clock += cost::CALL + args.len() as u64;
         Ok(vals)
@@ -1503,13 +1519,13 @@ impl<'m> Interp<'m> {
 
     /// Decodes a scalar from memory per its pre-resolved kind.
     #[inline]
-    fn load_kind(&self, kind: LoadKind, a: u64) -> Result<Value, Trap> {
+    fn load_kind(&self, kind: LoadKind, a: u64) -> Result<Value, Box<Trap>> {
         Ok(crate::value::load_kind(&self.mem, kind, a)?)
     }
 
     /// Encodes a scalar to memory per its pre-resolved kind.
     #[inline]
-    fn store_kind(&mut self, a: u64, kind: StoreKind, v: Value) -> Result<(), Trap> {
+    fn store_kind(&mut self, a: u64, kind: StoreKind, v: Value) -> Result<(), Box<Trap>> {
         Ok(crate::value::store_kind(&mut self.mem, kind, a, v)?)
     }
 
@@ -1553,6 +1569,8 @@ impl<'m> Interp<'m> {
 
     /// Flips one seed-chosen bit of the `width`-byte scalar at `addr` in
     /// simulated memory; fires only when the byte is mapped.
+    #[cold]
+    #[inline(never)]
     fn fault_flip_byte(&mut self, addr: u64, width: u64) {
         let Some(armed) = self.fault_active() else {
             return;
@@ -1570,6 +1588,8 @@ impl<'m> Interp<'m> {
     /// `addr` (bit-flip), rewrite `addr` (off-by-N, dangling reuse), or
     /// return a forced value (uninitialized read). The real load still
     /// executes afterwards, so mapping traps keep their precedence.
+    #[cold]
+    #[inline(never)]
     fn fault_on_load(&mut self, addr: &mut u64, kind: LoadKind) -> Option<Value> {
         let armed = self.fault_active()?;
         let width = load_width(kind);
@@ -1604,6 +1624,8 @@ impl<'m> Interp<'m> {
     /// (off-by-N, wild write, dangling reuse). Returns true when a
     /// region bit-flip must corrupt the stored bytes *after* the store
     /// lands (flipping beforehand would be overwritten).
+    #[cold]
+    #[inline(never)]
     fn fault_on_store(&mut self, addr: &mut u64, width: u64) -> bool {
         let Some(armed) = self.fault_active() else {
             return false;
@@ -1652,13 +1674,13 @@ impl<'m> Interp<'m> {
     fn exec_check(
         &mut self,
         regs: &mut [Reg],
-        a: &Opnd,
-        reps: &[Opnd],
-        ptrs: &Option<(Opnd, Box<[Opnd]>)>,
+        a: u32,
+        reps: &[u32],
+        ptrs: &Option<(u32, Box<[u32]>)>,
         site: u32,
         a_reg: &Option<(u32, StoreKind)>,
-    ) -> Result<(), Trap> {
-        let va = self.eval(regs, a)?;
+    ) -> Result<(), Box<Trap>> {
+        let va = eval(regs, a)?;
         self.clock += cost::CHECK * reps.len() as u64;
         if self.tele_cfg.sites {
             let s = &mut self.tele.site_stats[site as usize];
@@ -1668,8 +1690,8 @@ impl<'m> Interp<'m> {
         // Hot path: compare every replica against the application
         // value (K = 1 is one compare, exactly the old cost).
         let mut mismatch = false;
-        for r in reps.iter() {
-            mismatch |= self.eval(regs, r)?.to_bits() != va.to_bits();
+        for &r in reps {
+            mismatch |= eval(regs, r)?.to_bits() != va.to_bits();
         }
         if mismatch {
             self.detections += 1;
@@ -1682,8 +1704,8 @@ impl<'m> Interp<'m> {
             // Cold path: re-evaluate the replica values into a
             // vector (operand evaluation is a pure slot read).
             let mut vreps: Vec<Value> = Vec::with_capacity(reps.len());
-            for r in reps.iter() {
-                vreps.push(self.eval(regs, r)?);
+            for &r in reps {
+                vreps.push(eval(regs, r)?);
             }
             let first_bad = vreps
                 .iter()
@@ -1692,10 +1714,10 @@ impl<'m> Interp<'m> {
                 .unwrap_or(vreps[0]);
             let (app_addr, rep_addrs) = match ptrs {
                 Some((ap, rps)) => {
-                    let ap = self.eval(regs, ap)?.as_ptr();
+                    let ap = eval(regs, *ap)?.as_ptr();
                     let mut addrs = Vec::with_capacity(rps.len());
-                    for rp in rps.iter() {
-                        addrs.push(self.eval(regs, rp)?.as_ptr());
+                    for &rp in rps.iter() {
+                        addrs.push(eval(regs, rp)?.as_ptr());
                     }
                     (Some(ap), addrs)
                 }
@@ -1729,10 +1751,10 @@ impl<'m> Interp<'m> {
             if app_addr.is_none() && a_reg.is_none() {
                 action = TrapAction::Terminate;
             }
-            let terminal = Trap::Dpmr {
+            let terminal = Box::new(Trap::Dpmr {
                 got: va.to_bits(),
                 replica: first_bad.to_bits(),
-            };
+            });
             match action {
                 TrapAction::Terminate => {
                     if self.tele_cfg.sites {
@@ -1845,41 +1867,83 @@ impl<'m> Interp<'m> {
     }
 }
 
-/// The threaded dispatch table, indexed by [`OpCode`] (dense, no holes:
+/// Defines the table entry for each op body and the threaded dispatch
+/// table itself, indexed by [`OpCode`] (dense, no holes:
 /// `HANDLERS[op.opcode() as usize]` never bounds-checks in optimized
 /// builds because the enum's range is known). Order must mirror the
 /// `OpCode` declaration exactly; `opcode_table_is_aligned` (tests below)
 /// locks the correspondence.
-static HANDLERS: [OpHandler; OPCODE_COUNT] = [
-    h_alloca,
-    h_malloc,
-    h_free,
-    h_load,
-    h_store,
-    h_field_addr,
-    h_index_addr,
-    h_cast,
-    h_bin,
-    h_cmp,
-    h_copy,
-    h_call_direct,
-    h_call_indirect,
-    h_call_external,
-    h_dpmr_check,
-    h_rand_int,
-    h_heap_buf_size,
-    h_output,
-    h_fi_marker,
-    h_abort,
-    h_jump,
-    h_cond_jump,
-    h_ret,
-    h_unreachable,
-    h_bad_block,
-    h_invalid,
-    h_elided,
-    h_elided,
-];
+///
+/// An entry inlines its body (`#[inline(always)]`, returning [`Step`])
+/// and hands back the next pc in a register; a trapping body's boxed
+/// trap is parked by the cold [`park_trap`], so no trap value rejoins
+/// the fast path.
+macro_rules! op_handlers {
+    ($($entry:ident => $body:ident,)*) => {
+        $(
+            fn $entry(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> u32 {
+                match $body(it, regs, op, pc) {
+                    Ok(next) => next,
+                    Err(t) => park_trap(it, t),
+                }
+            }
+        )*
+        static HANDLERS: [OpHandler; OPCODE_COUNT] = [$($entry),*];
+    };
+}
+
+op_handlers! {
+    h_alloca => op_alloca,
+    h_malloc => op_malloc,
+    h_free => op_free,
+    h_load => op_load,
+    h_store => op_store,
+    h_field_addr => op_field_addr,
+    h_index_addr => op_index_addr,
+    h_cast => op_cast,
+    h_bin => op_bin,
+    h_cmp => op_cmp,
+    h_copy => op_copy,
+    h_call_direct => op_call_direct,
+    h_call_indirect => op_call_indirect,
+    h_call_external => op_call_external,
+    h_dpmr_check => op_dpmr_check,
+    h_rand_int => op_rand_int,
+    h_heap_buf_size => op_heap_buf_size,
+    h_output => op_output,
+    h_fi_marker => op_fi_marker,
+    h_abort => op_abort,
+    h_jump => op_jump,
+    h_cond_jump => op_cond_jump,
+    h_ret => op_ret,
+    h_unreachable => op_unreachable,
+    h_bad_block => op_bad_block,
+    h_invalid => op_invalid,
+    h_check_elided => op_elided,
+    h_load_elided => op_elided,
+}
+
+/// Parks a trapping op's trap for the dispatch loop (see [`FRAME_OP`]).
+#[cold]
+#[inline(never)]
+fn park_trap(it: &mut Interp, t: Box<Trap>) -> u32 {
+    it.frame_op = Some(FrameOp::Trap(t));
+    FRAME_OP
+}
+
+/// Reads an operand: one slot load plus the unset check. Constants sit
+/// in their own slots (set when the frame is built), so only a register
+/// not yet assigned — or a slot past the frame, which hand-built code
+/// alone can name — reads as unset. `get` keeps panic edges out of the
+/// dispatch hot path (the PR-6 lesson).
+#[inline(always)]
+fn eval(regs: &[Reg], slot: u32) -> Result<Value, Box<Trap>> {
+    let r = regs.get(slot as usize).copied().unwrap_or(Reg::UNSET);
+    match r.value() {
+        Some(v) => Ok(v),
+        None => Err(unset_register(slot)),
+    }
+}
 
 /// Writes a register slot. Out-of-range destinations (impossible in
 /// lowered code, which sizes the register file per function) drop the
@@ -1893,42 +1957,39 @@ fn set_reg(regs: &mut [Reg], dst: u32, v: Value) {
 
 // Trap constructors, out of line and cold: the hot path keeps only a
 // compare-and-branch per failure mode, with formatting and allocation
-// behind a never-inlined call (the PR-6 `get_mut` lesson generalized).
+// behind a never-inlined call that returns one boxed word (the PR-6
+// `get_mut` lesson generalized).
 
 #[cold]
 #[inline(never)]
-fn unset_register(i: u32) -> Trap {
-    Trap::Invalid(format!("use of unset register r{i}"))
+fn unset_register(i: u32) -> Box<Trap> {
+    Box::new(Trap::Invalid(format!("use of unset register r{i}")))
 }
 
 #[cold]
 #[inline(never)]
-fn unknown_global(g: u32) -> Trap {
-    Trap::Invalid(format!("use of unknown global g{g}"))
+fn void_call_value() -> Box<Trap> {
+    Box::new(Trap::Invalid("void call used as value".into()))
 }
 
 #[cold]
 #[inline(never)]
-fn void_call_value() -> Trap {
-    Trap::Invalid("void call used as value".into())
+fn bad_indirect_call(p: u64) -> Box<Trap> {
+    Box::new(Trap::Invalid(format!(
+        "indirect call of non-function address {p:#x}"
+    )))
 }
 
 #[cold]
 #[inline(never)]
-fn bad_indirect_call(p: u64) -> Trap {
-    Trap::Invalid(format!("indirect call of non-function address {p:#x}"))
+fn div_by_zero() -> Box<Trap> {
+    Box::new(Trap::Invalid("division by zero".into()))
 }
 
 #[cold]
 #[inline(never)]
-fn div_by_zero() -> Trap {
-    Trap::Invalid("division by zero".into())
-}
-
-#[cold]
-#[inline(never)]
-fn rem_by_zero() -> Trap {
-    Trap::Invalid("remainder by zero".into())
+fn rem_by_zero() -> Box<Trap> {
+    Box::new(Trap::Invalid("remainder by zero".into()))
 }
 
 #[cold]
@@ -1942,36 +2003,50 @@ fn pc_out_of_range(pc: u32) -> Trap {
 /// trap so hand-built code cannot cause UB-adjacent surprises.
 #[cold]
 #[inline(never)]
-fn malformed_op() -> Trap {
-    Trap::Invalid("op/opcode mismatch in threaded dispatch".into())
+fn malformed_op() -> Box<Trap> {
+    Box::new(Trap::Invalid(
+        "op/opcode mismatch in threaded dispatch".into(),
+    ))
 }
 
-// The op handlers: one per `OpCode`. Free functions (not methods) so
-// their `Interp` lifetime stays late-bound and coerces to the HRTB
-// `OpHandler` signature.
+/// A trap raised by an op body that is not on any hot path.
+#[cold]
+#[inline(never)]
+fn trap(t: Trap) -> Box<Trap> {
+    Box::new(t)
+}
 
-fn h_alloca(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+// The op bodies: one per `OpCode`, each inlined into its table entry.
+// Free functions (not methods) so their `Interp` lifetime stays
+// late-bound and the entries coerce to the HRTB `OpHandler` signature.
+
+#[inline(always)]
+fn op_alloca(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Alloca { dst, count, size } = op else {
         return Err(malformed_op());
     };
     let n = match count {
         Some(o) => {
-            let v = it.eval(regs, o)?.as_int();
+            let v = eval(regs, *o)?.as_int();
             u64::try_from(v.max(0)).unwrap_or(0)
         }
         None => 1,
     };
-    it.clock += cost::ALU + (size * n) / 64;
-    let addr = it.mem.stack_alloc(size * n)?;
+    // A count too large for the address space saturates: the charge
+    // stays finite and the stack allocation traps as an overflow.
+    let bytes = size.saturating_mul(n);
+    it.clock = it.clock.saturating_add(cost::ALU + bytes / 64);
+    let addr = it.mem.stack_alloc(bytes)?;
     set_reg(regs, *dst, Value::Ptr(addr));
     Ok(pc + 1)
 }
 
-fn h_malloc(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_malloc(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Malloc { dst, count, esize } = op else {
         return Err(malformed_op());
     };
-    let n = it.eval(regs, count)?.as_int();
+    let n = eval(regs, *count)?.as_int();
     let n = u64::try_from(n.max(0)).unwrap_or(0);
     let size = esize.saturating_mul(n);
     it.clock += cost::MALLOC_BASE + size / 16;
@@ -1981,23 +2056,25 @@ fn h_malloc(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, 
     Ok(pc + 1)
 }
 
-fn h_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Free { ptr } = op else {
         return Err(malformed_op());
     };
-    let p = it.eval(regs, ptr)?.as_ptr();
+    let p = eval(regs, *ptr)?.as_ptr();
     it.clock += cost::FREE;
     match it.alloc.free(&mut it.mem, p) {
         FreeOutcome::Ok | FreeOutcome::SilentCorruption => Ok(pc + 1),
-        FreeOutcome::Abort(m) => Err(Trap::Alloc(m)),
+        FreeOutcome::Abort(m) => Err(trap(Trap::Alloc(m))),
     }
 }
 
-fn h_load(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_load(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
-    let mut a = it.eval(regs, ptr)?.as_ptr();
+    let mut a = eval(regs, *ptr)?.as_ptr();
     // Injection hook: an armed fault may corrupt the memory about to be
     // read, skew the address, or force the value.
     let forced = if it.fault_pending {
@@ -2012,12 +2089,13 @@ fn h_load(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Tr
     Ok(pc + 1)
 }
 
-fn h_store(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_store(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
-    let mut a = it.eval(regs, ptr)?.as_ptr();
-    let v = it.eval(regs, value)?;
+    let mut a = eval(regs, *ptr)?.as_ptr();
+    let v = eval(regs, *value)?;
     // Injection hook: an armed fault may redirect the store; a region
     // bit-flip corrupts the stored bytes afterwards.
     let flip_after = if it.fault_pending {
@@ -2034,17 +2112,19 @@ fn h_store(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, T
     Ok(pc + 1)
 }
 
-fn h_field_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_field_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::FieldAddr { dst, base, off } = op else {
         return Err(malformed_op());
     };
-    let b = it.eval(regs, base)?.as_ptr();
+    let b = eval(regs, *base)?.as_ptr();
     it.clock += cost::ADDR;
     set_reg(regs, *dst, Value::Ptr(b.wrapping_add(*off)));
     Ok(pc + 1)
 }
 
-fn h_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::IndexAddr {
         dst,
         base,
@@ -2054,8 +2134,8 @@ fn h_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u
     else {
         return Err(malformed_op());
     };
-    let b = it.eval(regs, base)?.as_ptr();
-    let i = it.eval(regs, index)?.as_int();
+    let b = eval(regs, *base)?.as_ptr();
+    let i = eval(regs, *index)?.as_int();
     it.clock += cost::ADDR;
     set_reg(
         regs,
@@ -2065,7 +2145,8 @@ fn h_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u
     Ok(pc + 1)
 }
 
-fn h_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Cast {
         dst,
         op: cast,
@@ -2075,7 +2156,7 @@ fn h_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Tr
     else {
         return Err(malformed_op());
     };
-    let v = it.eval(regs, src)?;
+    let v = eval(regs, *src)?;
     let dbits = *dbits;
     it.clock += cost::ALU;
     let out = match cast {
@@ -2112,7 +2193,8 @@ fn h_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Tr
     Ok(pc + 1)
 }
 
-fn h_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Bin {
         dst,
         op: bin,
@@ -2124,15 +2206,16 @@ fn h_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Tra
     else {
         return Err(malformed_op());
     };
-    let a = it.eval(regs, lhs)?;
-    let b = it.eval(regs, rhs)?;
+    let a = eval(regs, *lhs)?;
+    let b = eval(regs, *rhs)?;
     it.clock += cost::ALU;
     let out = binop(*bin, a, b, *bits, *ptr_result)?;
     set_reg(regs, *dst, out);
     Ok(pc + 1)
 }
 
-fn h_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Cmp {
         dst,
         pred,
@@ -2142,24 +2225,26 @@ fn h_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Tra
     else {
         return Err(malformed_op());
     };
-    let a = it.eval(regs, lhs)?;
-    let b = it.eval(regs, rhs)?;
+    let a = eval(regs, *lhs)?;
+    let b = eval(regs, *rhs)?;
     it.clock += cost::ALU;
     set_reg(regs, *dst, Value::Int(i64::from(cmp(*pred, a, b))));
     Ok(pc + 1)
 }
 
-fn h_copy(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_copy(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Copy { dst, src } = op else {
         return Err(malformed_op());
     };
-    let v = it.eval(regs, src)?;
+    let v = eval(regs, *src)?;
     it.clock += cost::ALU;
     set_reg(regs, *dst, v);
     Ok(pc + 1)
 }
 
-fn h_call_direct(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_call_direct(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::CallDirect { dst, f, args } = op else {
         return Err(malformed_op());
     };
@@ -2172,12 +2257,13 @@ fn h_call_direct(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result
     Ok(FRAME_OP)
 }
 
-fn h_call_indirect(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_call_indirect(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::CallIndirect { dst, target, args } = op else {
         return Err(malformed_op());
     };
     let vals = it.eval_call_args(regs, args)?;
-    let p = it.eval(regs, target)?.as_ptr();
+    let p = eval(regs, *target)?.as_ptr();
     let fid = it.resolve_fn_ptr(p).ok_or_else(|| bad_indirect_call(p))?;
     it.frame_op = Some(FrameOp::Call {
         f: fid,
@@ -2187,7 +2273,8 @@ fn h_call_indirect(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Resu
     Ok(FRAME_OP)
 }
 
-fn h_call_external(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_call_external(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::CallExternal { dst, ext, args } = op else {
         return Err(malformed_op());
     };
@@ -2198,20 +2285,21 @@ fn h_call_external(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Resul
         // lookup's miss, preserved verbatim.
         Some(None) => {
             let name = &it.module.external(ExternalId(*ext)).name;
-            return Err(Trap::Invalid(format!("unknown external {name}")));
+            return Err(trap(Trap::Invalid(format!("unknown external {name}"))));
         }
         // An index outside the module's declarations (impossible in
         // lowered code): trap rather than panic.
-        None => return Err(Trap::Invalid(format!("unknown external #{ext}"))),
+        None => return Err(trap(Trap::Invalid(format!("unknown external #{ext}")))),
     };
-    let ret = handler(it, &vals)?;
+    let ret = handler(it, &vals).map_err(trap)?;
     if let Some(d) = dst {
         set_reg(regs, *d, ret.ok_or_else(void_call_value)?);
     }
     Ok(pc + 1)
 }
 
-fn h_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::DpmrCheck {
         a,
         reps,
@@ -2222,11 +2310,12 @@ fn h_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u
     else {
         return Err(malformed_op());
     };
-    it.exec_check(regs, a, reps, ptrs, *site, a_reg)?;
+    it.exec_check(regs, *a, reps, ptrs, *site, a_reg)?;
     Ok(pc + 1)
 }
 
-fn h_rand_int(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_rand_int(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::RandInt {
         dst,
         lo,
@@ -2236,19 +2325,20 @@ fn h_rand_int(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32
     else {
         return Err(malformed_op());
     };
-    let lo = it.eval(regs, lo)?.as_int();
-    let hi = it.eval(regs, hi)?.as_int();
+    let lo = eval(regs, *lo)?.as_int();
+    let hi = eval(regs, *hi)?.as_int();
     it.clock += cost::RAND;
     let v = it.rand_range_stream(*stream, lo, hi);
     set_reg(regs, *dst, Value::Int(v));
     Ok(pc + 1)
 }
 
-fn h_heap_buf_size(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_heap_buf_size(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::HeapBufSize { dst, ptr } = op else {
         return Err(malformed_op());
     };
-    let p = it.eval(regs, ptr)?.as_ptr();
+    let p = eval(regs, *ptr)?.as_ptr();
     it.clock += cost::MEM;
     it.touch(p);
     let sz = it.alloc.buf_size(&it.mem, p)?;
@@ -2256,17 +2346,19 @@ fn h_heap_buf_size(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Resul
     Ok(pc + 1)
 }
 
-fn h_output(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_output(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Output { value } = op else {
         return Err(malformed_op());
     };
-    let v = it.eval(regs, value)?;
+    let v = eval(regs, *value)?;
     it.clock += cost::OUTPUT;
     it.output.push(v.to_bits());
     Ok(pc + 1)
 }
 
-fn h_fi_marker(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_fi_marker(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::FiMarker { site } = op else {
         return Err(malformed_op());
     };
@@ -2277,14 +2369,16 @@ fn h_fi_marker(it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u
     Ok(pc + 1)
 }
 
-fn h_abort(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_abort(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::Abort { code } = op else {
         return Err(malformed_op());
     };
-    Err(Trap::AppAbort(*code))
+    Err(trap(Trap::AppAbort(*code)))
 }
 
-fn h_jump(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_jump(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::Jump { target } = op else {
         return Err(malformed_op());
     };
@@ -2292,7 +2386,8 @@ fn h_jump(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, 
     Ok(*target)
 }
 
-fn h_cond_jump(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_cond_jump(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::CondJump {
         cond,
         then_pc,
@@ -2302,54 +2397,61 @@ fn h_cond_jump(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u
         return Err(malformed_op());
     };
     it.clock += cost::BRANCH;
-    let c = it.eval(regs, cond)?;
+    let c = eval(regs, *cond)?;
     Ok(if c.is_zero() { *else_pc } else { *then_pc })
 }
 
-fn h_ret(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_ret(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::Ret { value } = op else {
         return Err(malformed_op());
     };
     it.clock += cost::BRANCH + cost::RET;
     let val = match value {
-        Some(o) => Some(it.eval(regs, o)?),
+        Some(o) => Some(eval(regs, *o)?),
         None => None,
     };
     it.frame_op = Some(FrameOp::Ret(val));
     Ok(FRAME_OP)
 }
 
-fn h_unreachable(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_unreachable(it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::Unreachable = op else {
         return Err(malformed_op());
     };
     it.clock += cost::BRANCH;
-    Err(Trap::Invalid("executed unreachable".into()))
+    Err(trap(Trap::Invalid("executed unreachable".into())))
 }
 
-fn h_bad_block(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_bad_block(_it: &mut Interp, _regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::BadBlock { block } = op else {
         return Err(malformed_op());
     };
-    Err(Trap::Invalid(format!("jump to nonexistent block b{block}")))
+    Err(trap(Trap::Invalid(format!(
+        "jump to nonexistent block b{block}"
+    ))))
 }
 
-fn h_invalid(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_invalid(_it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Step {
     let Op::Invalid { args, msg } = op else {
         return Err(malformed_op());
     };
     // Evaluate operands in order first: use-of-unset-register
     // traps take precedence, exactly as under the tree walker.
-    for a in args.iter() {
-        it.eval(regs, a)?;
+    for &a in args.iter() {
+        eval(regs, a)?;
     }
-    Err(Trap::Invalid(msg.to_string()))
+    Err(trap(Trap::Invalid(msg.to_string())))
 }
 
 // An op the optimizer dropped (a check or one of its replica loads): no
 // comparison, memory read or register write, and no virtual cost — the
 // dispatch iteration (and its instruction count) is all that remains.
-fn h_elided(_it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Result<u32, Trap> {
+#[inline(always)]
+fn op_elided(_it: &mut Interp, _regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     if !matches!(op, Op::CheckElided { .. } | Op::LoadElided { .. }) {
         return Err(malformed_op());
     }
@@ -2387,7 +2489,7 @@ fn garbage_value(kind: LoadKind, bits: u64) -> Value {
 
 /// Executes a binary op with the destination's pre-resolved width and
 /// pointer-ness.
-fn binop(op: BinOp, a: Value, b: Value, bits: u16, ptr_result: bool) -> Result<Value, Trap> {
+fn binop(op: BinOp, a: Value, b: Value, bits: u16, ptr_result: bool) -> Result<Value, Box<Trap>> {
     Ok(match op {
         BinOp::FAdd => Value::Float(a.as_float() + b.as_float()),
         BinOp::FSub => Value::Float(a.as_float() - b.as_float()),
@@ -2512,13 +2614,14 @@ mod dispatch_table_tests {
 
     /// Every handler slot must match its `OpCode` index: build one op of
     /// each shape, dispatch it through the table, and check the handler
-    /// accepted the payload (a misaligned table returns `malformed_op`
+    /// accepted the payload (a misaligned table parks `malformed_op`
     /// instead) and returned the right next pc.
     #[test]
     fn opcode_table_is_aligned() {
         use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
-        let imm = |v: i64| Opnd::Imm(Value::Int(v));
-        let p = |a: u64| Opnd::Imm(Value::Ptr(a));
+        // Operand slots: 1..=3 hold the integers 0..=2, 4 the null pointer.
+        let imm = |v: u32| v + 1;
+        let p = |_: u64| 4;
         let samples: Vec<Op> = vec![
             Op::Alloca {
                 dst: 0,
@@ -2634,13 +2737,22 @@ mod dispatch_table_tests {
         let module = Module::new();
         let cfg = RunConfig::default();
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
-        let mismatch = malformed_op();
+        let mismatch = *malformed_op();
         for op in &samples {
             let mut regs = vec![Reg::UNSET; 8];
-            let got = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op, 0);
-            let parked = it.frame_op.take().is_some();
-            match got {
-                Ok(next) => {
+            for (slot, v) in [Value::Int(0), Value::Int(1), Value::Int(2), Value::Ptr(0)]
+                .into_iter()
+                .enumerate()
+            {
+                regs[slot + 1].set(v);
+            }
+            let next = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op, 0);
+            match it.frame_op.take() {
+                Some(FrameOp::Trap(t)) => {
+                    assert_eq!(next, FRAME_OP, "trap parked by {op:?}");
+                    assert_ne!(*t, mismatch, "handler table misaligned at {op:?}");
+                }
+                parked => {
                     let want = match op {
                         Op::Jump { target } => *target,
                         Op::CondJump { then_pc, .. } => *then_pc,
@@ -2650,9 +2762,12 @@ mod dispatch_table_tests {
                         _ => 1,
                     };
                     assert_eq!(next, want, "next pc of {op:?}");
-                    assert_eq!(parked, next == FRAME_OP, "frame op parked by {op:?}");
+                    assert_eq!(
+                        parked.is_some(),
+                        next == FRAME_OP,
+                        "frame op parked by {op:?}"
+                    );
                 }
-                Err(t) => assert_ne!(t, mismatch, "handler table misaligned at {op:?}"),
             }
         }
     }
@@ -2689,22 +2804,21 @@ mod dispatch_table_tests {
 
     #[test]
     fn unset_register_read_traps() {
-        let module = Module::new();
-        let it = Interp::new(&module, &RunConfig::default(), Rc::new(Registry::new()));
         let mut regs = vec![Reg::UNSET; 4];
         regs[1].set(Value::Int(5));
-        assert_eq!(it.eval(&regs, &Opnd::Reg(1)), Ok(Value::Int(5)));
-        let want = Err(Trap::Invalid("use of unset register r3".into()));
-        assert_eq!(it.eval(&regs, &Opnd::Reg(3)), want);
-        // A slot past the register file reads as unset too.
-        let want = Err(Trap::Invalid("use of unset register r9".into()));
-        assert_eq!(it.eval(&regs, &Opnd::Reg(9)), want);
+        assert_eq!(eval(&regs, 1), Ok(Value::Int(5)));
+        let want = Err(Box::new(Trap::Invalid("use of unset register r3".into())));
+        assert_eq!(eval(&regs, 3), want);
+        // A slot past the frame reads as unset too.
+        let want = Err(Box::new(Trap::Invalid("use of unset register r9".into())));
+        assert_eq!(eval(&regs, 9), want);
     }
 
     /// A jump whose target is the frame-op sentinel is a pc outside the
     /// op stream, not a call or return, in any window length.
     #[test]
     fn jump_to_frame_op_sentinel_traps() {
+        use crate::code::FrameLayout;
         use dpmr_ir::builder::FunctionBuilder;
         let mut module = Module::new();
         let i64t = module.types.int(64);
@@ -2723,14 +2837,16 @@ mod dispatch_table_tests {
                     f: FuncId(1),
                     args: Box::new([]),
                 },
-                Op::Ret {
-                    value: Some(Opnd::Imm(Value::Int(0))),
-                },
+                Op::Ret { value: Some(0) },
                 Op::Jump { target: FRAME_OP },
             ],
             func_entry: vec![0, 2],
             check_sites: 0,
             opcodes: Vec::new(),
+            frames: vec![FrameLayout {
+                regs: 0,
+                consts: vec![Opnd::Imm(Value::Int(0))],
+            }],
         };
         let code = Rc::new(code);
         for plain_dispatch in [false, true] {

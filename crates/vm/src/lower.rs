@@ -8,6 +8,13 @@
 //! encodings, block-to-pc resolution, callee resolution, and per-site
 //! `dpmr.check` id assignment.
 //!
+//! Every operand becomes a frame-slot index. IR register `rN` is slot
+//! `N`; each distinct constant of a function (immediate, null, function
+//! address or global) gets one slot after the registers, recorded in the
+//! function's [`FrameLayout`]. Constants are deduplicated by kind and bit
+//! pattern, never by `f64 ==`, so `0.0`/`-0.0` and NaN payloads stay
+//! distinct.
+//!
 //! # Invariants
 //!
 //! * **Pure**: the bytecode depends only on the [`Module`]; lowering the
@@ -23,21 +30,27 @@
 //!   invalid (e.g. `fieldaddr` through a non-pointer) lower to
 //!   [`Op::Invalid`], which reproduces the tree-walker's runtime trap —
 //!   including evaluating operands first so use-of-unset-register traps
-//!   still take precedence. Only *non-scalar register types* on loads,
+//!   still take precedence. An operand naming a global the module does
+//!   not declare does the same: the op becomes [`Op::Invalid`] carrying
+//!   the operands its handler evaluates before that one, and traps "use
+//!   of unknown global gN". Only *non-scalar register types* on loads,
 //!   stores, and checks panic at lowering (the same module would panic
 //!   mid-run under the tree-walker; surfacing it at load is the
 //!   construction-error contract `Interp::new` already has for globals).
 //!
-//! What stays runtime-resolved: global addresses (allocated per run),
-//! external handler bindings (per registry), and all value-dependent
-//! behaviour (indirect-call targets, memory faults, division by zero).
+//! What stays runtime-resolved: global addresses (allocated per run and
+//! written into each function's constant slots when an interpreter
+//! builds its frame templates), external handler bindings (per
+//! registry), and all value-dependent behaviour (indirect-call targets,
+//! memory faults, division by zero).
 
-use crate::code::{LoadKind, LoweredCode, Op, Opnd, StoreKind};
+use crate::code::{FrameLayout, LoadKind, LoweredCode, Op, Opnd, StoreKind};
 use crate::interp::FUNC_BASE;
 use crate::value::{normalize_int, Value};
 use dpmr_ir::instr::{Callee, Const, Instr, Operand, Term};
 use dpmr_ir::module::{Function, Module};
 use dpmr_ir::types::{TypeId, TypeKind, TypeTable};
+use std::collections::HashMap;
 
 /// Lowers a whole module. See the module docs for the invariants.
 ///
@@ -50,17 +63,21 @@ pub fn lower(module: &Module) -> LoweredCode {
         func_entry: Vec::with_capacity(module.funcs.len()),
         check_sites: 0,
         opcodes: Vec::new(),
+        frames: Vec::with_capacity(module.funcs.len()),
     };
     for f in &module.funcs {
         let entry = lc.ops.len() as u32;
         lc.func_entry.push(entry);
-        lower_function(module, f, entry, &mut lc);
+        let frame = lower_function(module, f, entry, &mut lc);
+        lc.frames.push(frame);
     }
     lc.rebuild_opcodes();
     lc
 }
 
-fn lower_operand(op: &Operand) -> Opnd {
+/// An IR operand as [`LoweredCode::operand`] reports it: constants
+/// pre-normalized into immediates, globals kept symbolic.
+fn view(op: &Operand) -> Opnd {
     match op {
         Operand::Reg(r) => Opnd::Reg(r.0),
         Operand::Const(Const::Int { value, bits }) => {
@@ -70,6 +87,82 @@ fn lower_operand(op: &Operand) -> Opnd {
         Operand::Const(Const::Null { .. }) => Opnd::Imm(Value::Ptr(0)),
         Operand::Global(g) => Opnd::Global(g.0),
         Operand::Func(fid) => Opnd::Imm(Value::Ptr(FUNC_BASE + u64::from(fid.0))),
+    }
+}
+
+/// One function's frame slots while it is lowered: registers keep their
+/// numbers, and each distinct constant is appended after them.
+struct Slots {
+    layout: FrameLayout,
+    /// Constant slot by (kind, bit pattern): exact bits, so the interning
+    /// never merges `0.0` with `-0.0` or one NaN payload with another.
+    index: HashMap<(u8, u64), u32>,
+    /// Number of globals the module declares.
+    globals: u32,
+    /// The first undeclared global an operand of the current op named.
+    unknown_global: Option<u32>,
+}
+
+impl Slots {
+    fn new(f: &Function, globals: usize) -> Slots {
+        Slots {
+            layout: FrameLayout {
+                regs: f.regs.len() as u32,
+                consts: Vec::new(),
+            },
+            index: HashMap::new(),
+            globals: globals as u32,
+            unknown_global: None,
+        }
+    }
+
+    /// The slot holding `op`. An undeclared global gets no slot: it is
+    /// recorded, and [`Slots::checked`] replaces the op naming it.
+    fn of(&mut self, op: &Operand) -> u32 {
+        let c = view(op);
+        let key = match c {
+            Opnd::Reg(r) => return r,
+            Opnd::Imm(Value::Int(i)) => (1, i as u64),
+            Opnd::Imm(Value::Float(x)) => (2, x.to_bits()),
+            Opnd::Imm(Value::Ptr(p)) => (3, p),
+            Opnd::Global(g) if g >= self.globals => {
+                self.unknown_global.get_or_insert(g);
+                return u32::MAX;
+            }
+            Opnd::Global(g) => (4, u64::from(g)),
+        };
+        let Slots { layout, index, .. } = self;
+        *index.entry(key).or_insert_with(|| {
+            layout.consts.push(c);
+            layout.regs + layout.consts.len() as u32 - 1
+        })
+    }
+
+    fn all(&mut self, ops: &[Operand]) -> Box<[u32]> {
+        ops.iter().map(|o| self.of(o)).collect()
+    }
+
+    /// `op`, or — when one of its operands named an undeclared global —
+    /// an [`Op::Invalid`] that evaluates the operands before that global
+    /// (in the handler's evaluation order, which `operands` yields), then
+    /// traps "use of unknown global gN" as evaluating the global did.
+    fn checked(&mut self, op: Op, operands: impl FnOnce() -> Vec<Operand>) -> Op {
+        let Some(g) = self.unknown_global.take() else {
+            return op;
+        };
+        let operands = operands();
+        let (first, g) = operands
+            .iter()
+            .enumerate()
+            .find_map(|(i, o)| match o {
+                Operand::Global(x) if x.0 >= self.globals => Some((i, x.0)),
+                _ => None,
+            })
+            .unwrap_or((operands.len(), g));
+        Op::Invalid {
+            args: self.all(&operands[..first]),
+            msg: format!("use of unknown global g{g}").into(),
+        }
     }
 }
 
@@ -103,23 +196,39 @@ fn store_value_kind(tt: &TypeTable, f: &Function, value: &Operand) -> StoreKind 
 }
 
 /// Pointee type of a pointer-valued operand (`None` when the operand
-/// cannot carry one — the ill-typed case that traps at runtime).
+/// cannot carry one — the ill-typed case that traps at runtime — or
+/// names an undeclared global, which [`Slots::checked`] traps instead).
 fn operand_pointee_ty(module: &Module, f: &Function, op: &Operand) -> Option<TypeId> {
     match op {
         Operand::Reg(r) => module.types.pointee(f.reg_ty(*r)),
         Operand::Const(Const::Null { pointee }) => Some(*pointee),
-        Operand::Global(g) => Some(module.global(*g).ty),
+        Operand::Global(g) => module.globals.get(g.0 as usize).map(|g| g.ty),
         Operand::Func(fid) => Some(module.func(*fid).ty),
         Operand::Const(_) => None,
     }
 }
 
 /// An op that evaluates `args` in order, then traps `Invalid(msg)`.
-fn invalid(args: &[&Operand], msg: impl Into<Box<str>>) -> Op {
+fn invalid(slots: &mut Slots, args: &[&Operand], msg: impl Into<Box<str>>) -> Op {
     Op::Invalid {
-        args: args.iter().map(|a| lower_operand(a)).collect(),
+        args: args.iter().map(|a| slots.of(a)).collect(),
         msg: msg.into(),
     }
+}
+
+/// The operands of `ins` in the order its handler evaluates them: the
+/// IR's operand order, except that an indirect call evaluates its
+/// arguments before the target.
+fn eval_order(ins: &Instr) -> Vec<Operand> {
+    let mut v = ins.operands();
+    if let Instr::Call {
+        callee: Callee::Indirect(_),
+        ..
+    } = ins
+    {
+        v.rotate_left(1);
+    }
+    v
 }
 
 /// Destination width for casts and binary ops (the scalar bit width of
@@ -132,12 +241,13 @@ fn dst_bits(tt: &TypeTable, ty: TypeId) -> u16 {
 }
 
 #[allow(clippy::too_many_lines)]
-fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCode) {
+fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCode) -> FrameLayout {
     let tt = &module.types;
+    let mut slots = Slots::new(f, module.globals.len());
     if f.blocks.is_empty() {
         // The tree-walker trapped "jump to nonexistent block b0" on entry.
         lc.ops.push(Op::BadBlock { block: 0 });
-        return;
+        return slots.layout;
     }
     let starts = f.linear_block_starts();
     // Branch targets out of block range jump to a landing pad appended
@@ -158,14 +268,16 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
     };
     for block in &f.blocks {
         for ins in &block.instrs {
+            let s = &mut slots;
             let op = match ins {
                 Instr::Alloca { dst, ty, count } => match tt.size_of(*ty) {
                     Ok(size) => Op::Alloca {
                         dst: dst.0,
-                        count: count.as_ref().map(lower_operand),
+                        count: count.as_ref().map(|c| s.of(c)),
                         size,
                     },
                     Err(e) => invalid(
+                        s,
                         &count.as_ref().map(|c| vec![c]).unwrap_or_default(),
                         e.to_string(),
                     ),
@@ -173,68 +285,68 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                 Instr::Malloc { dst, elem, count } => match tt.size_of(*elem) {
                     Ok(esize) => Op::Malloc {
                         dst: dst.0,
-                        count: lower_operand(count),
+                        count: s.of(count),
                         esize,
                     },
-                    Err(e) => invalid(&[count], e.to_string()),
+                    Err(e) => invalid(s, &[count], e.to_string()),
                 },
-                Instr::Free { ptr } => Op::Free {
-                    ptr: lower_operand(ptr),
-                },
+                Instr::Free { ptr } => Op::Free { ptr: s.of(ptr) },
                 Instr::Load { dst, ptr } => Op::Load {
                     dst: dst.0,
-                    ptr: lower_operand(ptr),
+                    ptr: s.of(ptr),
                     kind: load_kind(tt, f.reg_ty(*dst)),
                 },
                 Instr::Store { ptr, value } => Op::Store {
-                    ptr: lower_operand(ptr),
-                    value: lower_operand(value),
+                    ptr: s.of(ptr),
+                    value: s.of(value),
                     kind: store_value_kind(tt, f, value),
                 },
                 Instr::FieldAddr { dst, base, field } => {
                     match operand_pointee_ty(module, f, base) {
-                        None => invalid(&[base], "field_addr through non-pointer"),
+                        None => invalid(s, &[base], "field_addr through non-pointer"),
                         Some(pointee) => match tt.kind(pointee) {
                             TypeKind::Struct { .. } => {
                                 match tt.field_offset(pointee, *field as usize) {
                                     Ok(off) => Op::FieldAddr {
                                         dst: dst.0,
-                                        base: lower_operand(base),
+                                        base: s.of(base),
                                         off,
                                     },
-                                    Err(e) => invalid(&[base], e.to_string()),
+                                    Err(e) => invalid(s, &[base], e.to_string()),
                                 }
                             }
                             TypeKind::Union { .. } => Op::FieldAddr {
                                 dst: dst.0,
-                                base: lower_operand(base),
+                                base: s.of(base),
                                 off: 0,
                             },
-                            other => invalid(&[base], format!("field_addr into {other:?}")),
+                            other => invalid(s, &[base], format!("field_addr into {other:?}")),
                         },
                     }
                 }
                 Instr::IndexAddr { dst, base, index } => {
                     match operand_pointee_ty(module, f, base) {
-                        None => invalid(&[base, index], "index_addr through non-pointer"),
+                        None => invalid(s, &[base, index], "index_addr through non-pointer"),
                         Some(pointee) => match tt.kind(pointee) {
                             TypeKind::Array { elem, .. } => match tt.size_of(*elem) {
                                 Ok(esize) => Op::IndexAddr {
                                     dst: dst.0,
-                                    base: lower_operand(base),
-                                    index: lower_operand(index),
+                                    base: s.of(base),
+                                    index: s.of(index),
                                     esize,
                                 },
-                                Err(e) => invalid(&[base, index], e.to_string()),
+                                Err(e) => invalid(s, &[base, index], e.to_string()),
                             },
-                            other => invalid(&[base, index], format!("index_addr into {other:?}")),
+                            other => {
+                                invalid(s, &[base, index], format!("index_addr into {other:?}"))
+                            }
                         },
                     }
                 }
                 Instr::Cast { dst, op, src } => Op::Cast {
                     dst: dst.0,
                     op: *op,
-                    src: lower_operand(src),
+                    src: s.of(src),
                     dbits: dst_bits(tt, f.reg_ty(*dst)),
                 },
                 Instr::Bin { dst, op, lhs, rhs } => {
@@ -242,8 +354,8 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                     Op::Bin {
                         dst: dst.0,
                         op: *op,
-                        lhs: lower_operand(lhs),
-                        rhs: lower_operand(rhs),
+                        lhs: s.of(lhs),
+                        rhs: s.of(rhs),
                         bits: match tt.kind(dty) {
                             TypeKind::Int { bits } => *bits,
                             _ => 64,
@@ -259,15 +371,15 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                 } => Op::Cmp {
                     dst: dst.0,
                     pred: *pred,
-                    lhs: lower_operand(lhs),
-                    rhs: lower_operand(rhs),
+                    lhs: s.of(lhs),
+                    rhs: s.of(rhs),
                 },
                 Instr::Copy { dst, src } => Op::Copy {
                     dst: dst.0,
-                    src: lower_operand(src),
+                    src: s.of(src),
                 },
                 Instr::Call { dst, callee, args } => {
-                    let largs: Box<[Opnd]> = args.iter().map(lower_operand).collect();
+                    let largs = s.all(args);
                     let dst = dst.map(|r| r.0);
                     match callee {
                         Callee::Direct(fid) => Op::CallDirect {
@@ -277,7 +389,7 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                         },
                         Callee::Indirect(op) => Op::CallIndirect {
                             dst,
-                            target: lower_operand(op),
+                            target: s.of(op),
                             args: largs,
                         },
                         Callee::External(eid) => Op::CallExternal {
@@ -291,11 +403,9 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                     let site = lc.check_sites;
                     lc.check_sites += 1;
                     Op::DpmrCheck {
-                        a: lower_operand(a),
-                        reps: reps.iter().map(lower_operand).collect(),
-                        ptrs: ptrs.as_ref().map(|(ap, rps)| {
-                            (lower_operand(ap), rps.iter().map(lower_operand).collect())
-                        }),
+                        a: s.of(a),
+                        reps: s.all(reps),
+                        ptrs: ptrs.as_ref().map(|(ap, rps)| (s.of(ap), s.all(rps))),
                         site,
                         a_reg: match a {
                             Operand::Reg(r) => Some((r.0, store_kind(tt, f.reg_ty(*r)))),
@@ -310,22 +420,21 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                     stream,
                 } => Op::RandInt {
                     dst: dst.0,
-                    lo: lower_operand(lo),
-                    hi: lower_operand(hi),
+                    lo: s.of(lo),
+                    hi: s.of(hi),
                     stream: *stream,
                 },
                 Instr::HeapBufSize { dst, ptr } => Op::HeapBufSize {
                     dst: dst.0,
-                    ptr: lower_operand(ptr),
+                    ptr: s.of(ptr),
                 },
-                Instr::Output { value } => Op::Output {
-                    value: lower_operand(value),
-                },
+                Instr::Output { value } => Op::Output { value: s.of(value) },
                 Instr::FiMarker { site } => Op::FiMarker { site: *site },
                 Instr::Abort { code } => Op::Abort { code: *code },
             };
-            lc.ops.push(op);
+            lc.ops.push(slots.checked(op, || eval_order(ins)));
         }
+        let s = &mut slots;
         let term = match &block.term {
             Term::Br(t) => Op::Jump {
                 target: pc_of(t.0, &mut pads),
@@ -335,20 +444,27 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                 then_bb,
                 else_bb,
             } => Op::CondJump {
-                cond: lower_operand(cond),
+                cond: s.of(cond),
                 then_pc: pc_of(then_bb.0, &mut pads),
                 else_pc: pc_of(else_bb.0, &mut pads),
             },
             Term::Ret(v) => Op::Ret {
-                value: v.as_ref().map(lower_operand),
+                value: v.as_ref().map(|v| s.of(v)),
             },
             Term::Unreachable => Op::Unreachable,
         };
-        lc.ops.push(term);
+        let read = match &block.term {
+            Term::CondBr { cond, .. } => Some(*cond),
+            Term::Ret(v) => *v,
+            Term::Br(_) | Term::Unreachable => None,
+        };
+        lc.ops
+            .push(slots.checked(term, || read.into_iter().collect()));
     }
     for b in pads {
         lc.ops.push(Op::BadBlock { block: b });
     }
+    slots.layout
 }
 
 #[cfg(test)]
@@ -384,15 +500,49 @@ mod tests {
 
     #[test]
     fn constants_are_prenormalized() {
-        let op = lower_operand(&Operand::Const(Const::Int {
+        let op = view(&Operand::Const(Const::Int {
             value: 0xFF,
             bits: 8,
         }));
         assert_eq!(op, Opnd::Imm(Value::Int(-1)));
         assert_eq!(
-            lower_operand(&Operand::Const(Const::Null { pointee: TypeId(0) })),
+            view(&Operand::Const(Const::Null { pointee: TypeId(0) })),
             Opnd::Imm(Value::Ptr(0))
         );
+    }
+
+    /// Constants get one slot each after the registers, shared by every
+    /// use of the same bits, and `operand` reads them back as written.
+    #[test]
+    fn constants_get_deduplicated_slots_after_the_registers() {
+        let mut m = Module::new();
+        let i64t = m.types.int(64);
+        let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+        let x = b.bin(BinOp::Add, i64t, Const::i64(7).into(), Const::i64(7).into());
+        b.output(Const::i64(7).into());
+        b.output(Const::f64(0.0).into());
+        b.output(Const::f64(-0.0).into());
+        b.ret(Some(x.into()));
+        let f = b.finish();
+        m.entry = Some(f);
+        let lc = lower(&m);
+        let regs = m.func(f).regs.len() as u32;
+        assert_eq!(lc.frames[0].regs, regs);
+        assert_eq!(
+            lc.frames[0].consts,
+            vec![
+                Opnd::Imm(Value::Int(7)),
+                Opnd::Imm(Value::Float(0.0)),
+                Opnd::Imm(Value::Float(-0.0)),
+            ]
+        );
+        let Op::Bin { lhs, rhs, .. } = lc.ops[0] else {
+            panic!("expected a bin op, got {:?}", lc.ops[0]);
+        };
+        assert_eq!((lhs, rhs), (regs, regs));
+        assert_eq!(lc.operand(0, lhs), Opnd::Imm(Value::Int(7)));
+        assert_eq!(lc.operand(0, x.0), Opnd::Reg(x.0));
+        assert!(matches!(lc.ops[3], Op::Output { value } if value == regs + 2));
     }
 
     #[test]

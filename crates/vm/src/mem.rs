@@ -214,7 +214,18 @@ impl Mem {
     /// set of region buffers when one of matching capacities is pooled
     /// (recycled buffers are re-zeroed on release, so a pooled space is
     /// indistinguishable from a fresh one).
+    ///
+    /// # Panics
+    /// Panics when a capacity would let one region reach into the next:
+    /// globals, heap and stack must stay ordered and disjoint, which is
+    /// what lets every access pick an address's one candidate region
+    /// by its base alone.
     pub fn new(cfg: &MemConfig) -> Mem {
+        assert!(
+            cfg.global_capacity as u64 <= HEAP_BASE - GLOBAL_BASE
+                && cfg.heap_capacity as u64 <= STACK_BASE - HEAP_BASE,
+            "region capacities overlap the next region's base: {cfg:?}"
+        );
         let reused = BUF_POOL
             .try_with(|p| {
                 let mut p = p.borrow_mut();
@@ -252,19 +263,23 @@ impl Mem {
                 kind: MemFaultKind::NullPage,
             });
         }
-        if let Some(off) = region_offset(addr, len, GLOBAL_BASE, self.globals_len) {
-            return Ok((Region::Global, off));
+        // The regions are ordered and disjoint (asserted in `Mem::new`),
+        // so an address can only lie in the last region based at or
+        // below it.
+        let (region, base, size) = if addr >= STACK_BASE {
+            (Region::Stack, STACK_BASE, self.stack.len())
+        } else if addr >= HEAP_BASE {
+            (Region::Heap, HEAP_BASE, self.brk)
+        } else {
+            (Region::Global, GLOBAL_BASE, self.globals_len)
+        };
+        match region_offset(addr, len, base, size) {
+            Some(off) => Ok((region, off)),
+            None => Err(MemFault {
+                addr,
+                kind: MemFaultKind::Unmapped,
+            }),
         }
-        if let Some(off) = region_offset(addr, len, HEAP_BASE, self.brk) {
-            return Ok((Region::Heap, off));
-        }
-        if let Some(off) = region_offset(addr, len, STACK_BASE, self.stack.len()) {
-            return Ok((Region::Stack, off));
-        }
-        Err(MemFault {
-            addr,
-            kind: MemFaultKind::Unmapped,
-        })
     }
 
     /// The mapped region a byte address falls in (`None` when unmapped).
@@ -396,16 +411,19 @@ impl Mem {
     ///
     /// # Errors
     /// Traps with [`MemFaultKind::StackOverflow`] when the stack region is
-    /// exhausted.
+    /// exhausted, however large `size` is.
     pub fn stack_alloc(&mut self, size: u64) -> Result<u64, MemFault> {
         let off = self.sp.next_multiple_of(16);
-        let end = off + size as usize;
-        if end > self.stack.len() {
+        let end = usize::try_from(size)
+            .ok()
+            .and_then(|n| off.checked_add(n))
+            .filter(|&end| end <= self.stack.len());
+        let Some(end) = end else {
             return Err(MemFault {
                 addr: STACK_BASE + off as u64,
                 kind: MemFaultKind::StackOverflow,
             });
-        }
+        };
         self.sp = end;
         let addr = STACK_BASE + off as u64;
         self.garbage_fill(addr, size as usize)

@@ -196,12 +196,9 @@ fn profile_guided_select(code: &mut LoweredCode, p: &ProfileGuided) -> Vec<Dropp
         }
         let func = code.func_of_pc(pc as u32).0;
         let n_reps = reps.len() as u32;
-        for o in reps.iter() {
-            if let Opnd::Reg(r) = o {
-                candidates
-                    .entry(func)
-                    .or_default()
-                    .push((dropped.len(), *r));
+        for &o in reps.iter() {
+            if let Opnd::Reg(r) = code.operand(pc as u32, o) {
+                candidates.entry(func).or_default().push((dropped.len(), r));
             }
         }
         dropped.push(DroppedSite {
@@ -228,8 +225,8 @@ fn profile_guided_select(code: &mut LoweredCode, p: &ProfileGuided) -> Vec<Dropp
             .get(func as usize + 1)
             .map_or(code.ops.len(), |&e| e as usize);
         let mut used: HashMap<u32, u32> = HashMap::new();
-        for op in &code.ops[start..end] {
-            for_each_use(op, &mut |r| *used.entry(r).or_insert(0) += 1);
+        for pc in start..end {
+            for_each_use(code, pc as u32, &mut |r| *used.entry(r).or_insert(0) += 1);
         }
         for &(di, r) in &candidates[&func] {
             if used.get(&r).copied().unwrap_or(0) > 0 {
@@ -255,15 +252,15 @@ fn profile_guided_select(code: &mut LoweredCode, p: &ProfileGuided) -> Vec<Dropp
     dropped
 }
 
-/// Calls `f` with every register an op *reads* (operand uses only —
-/// destinations and repair write-back slots are defs, not uses).
-fn for_each_use(op: &Op, f: &mut impl FnMut(u32)) {
-    let mut o = |o: &Opnd| {
-        if let Opnd::Reg(r) = o {
-            f(*r);
+/// Calls `f` with every register the op at `pc` *reads* (operand uses
+/// only — destinations and repair write-back slots are defs, not uses).
+fn for_each_use(code: &LoweredCode, pc: u32, f: &mut impl FnMut(u32)) {
+    let mut o = |&slot: &u32| {
+        if let Opnd::Reg(r) = code.operand(pc, slot) {
+            f(r);
         }
     };
-    match op {
+    match &code.ops[pc as usize] {
         Op::Alloca { count, .. } => {
             if let Some(c) = count {
                 o(c);

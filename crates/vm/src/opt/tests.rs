@@ -2,9 +2,19 @@
 //! fragments with precisely controlled op patterns.
 
 use super::*;
+use crate::code::FrameLayout;
 use crate::value::{LoadKind, StoreKind};
 
 const I64: LoadKind = LoadKind::Int { bytes: 8, bits: 64 };
+
+/// Registers of the hand-built function; globals 0..8 are the constant
+/// slots after them.
+const REGS: u32 = 64;
+
+/// The slot holding the address of global `g`.
+fn global(g: u32) -> u32 {
+    REGS + g
+}
 
 /// A checked-load pattern: app load, replica load, check — the shape the
 /// DPMR transform lowers to. Registers are fresh per call (SSA-like).
@@ -13,18 +23,18 @@ fn checked_load(ops: &mut Vec<Op>, site: u32, app: u32, rep: u32, next_reg: &mut
     *next_reg += 2;
     ops.push(Op::Load {
         dst: ra,
-        ptr: Opnd::Global(app),
+        ptr: global(app),
         kind: I64,
     });
     ops.push(Op::Load {
         dst: rr,
-        ptr: Opnd::Global(rep),
+        ptr: global(rep),
         kind: I64,
     });
     ops.push(Op::DpmrCheck {
-        a: Opnd::Reg(ra),
-        reps: Box::new([Opnd::Reg(rr)]),
-        ptrs: Some((Opnd::Global(app), Box::new([Opnd::Global(rep)]))),
+        a: ra,
+        reps: Box::new([rr]),
+        ptrs: Some((global(app), Box::new([global(rep)]))),
         site,
         a_reg: Some((ra, StoreKind::Raw(8))),
     });
@@ -36,6 +46,10 @@ fn code_of(ops: Vec<Op>, check_sites: u32) -> LoweredCode {
         func_entry: vec![0],
         check_sites,
         opcodes: Vec::new(),
+        frames: vec![FrameLayout {
+            regs: REGS,
+            consts: (0..8).map(Opnd::Global).collect(),
+        }],
     };
     lc.rebuild_opcodes();
     lc
@@ -104,19 +118,19 @@ fn pgo_keeps_replica_loads_with_surviving_readers() {
     let mut ops = Vec::new();
     ops.push(Op::Load {
         dst: 0,
-        ptr: Opnd::Global(0),
+        ptr: global(0),
         kind: I64,
     });
     ops.push(Op::Load {
         dst: 1,
-        ptr: Opnd::Global(1),
+        ptr: global(1),
         kind: I64,
     });
     for site in 0..2u32 {
         ops.push(Op::DpmrCheck {
-            a: Opnd::Reg(0),
-            reps: Box::new([Opnd::Reg(1)]),
-            ptrs: Some((Opnd::Global(0), Box::new([Opnd::Global(1)]))),
+            a: 0,
+            reps: Box::new([1]),
+            ptrs: Some((global(0), Box::new([global(1)]))),
             site,
             a_reg: None,
         });

@@ -413,6 +413,7 @@ mod tests {
             func_entry: vec![0],
             check_sites: 0,
             opcodes: Vec::new(),
+            frames: Vec::new(),
         };
         code.rebuild_opcodes();
         // A profile of the wrong length (taken from different code) is a

@@ -283,13 +283,14 @@ fn malformed_control_flow_traps_instead_of_panicking() {
     // Hand-built code that runs off the end of the op stream traps too.
     let m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
     let code = LoweredCode {
-        ops: vec![Op::Copy {
-            dst: 0,
-            src: Opnd::Imm(Value::Int(1)),
-        }],
+        ops: vec![Op::Copy { dst: 0, src: 1 }],
         func_entry: vec![0],
         check_sites: 0,
         opcodes: Vec::new(),
+        frames: vec![FrameLayout {
+            regs: 1,
+            consts: vec![Opnd::Imm(Value::Int(1))],
+        }],
     };
     let rc = RunConfig::default();
     let out = Interp::with_code(
@@ -829,4 +830,110 @@ fn checkpoint_cadence_collects_bounded_ring() {
     let replay = other.resume();
     assert_eq!(replay.output, reference.output);
     assert_eq!(replay.cycles, reference.cycles);
+}
+
+/// An `alloca` whose byte size overflows the address space traps as a
+/// stack overflow: it neither panics on the multiplication nor wraps to
+/// a tiny allocation that runs on.
+#[test]
+fn huge_alloca_counts_overflow_the_stack() {
+    for count in [1i64 << 40, 1 << 61, 1 << 62, i64::MAX] {
+        let m = module_with_main(|b| {
+            let i64t = b.module.types.int(64);
+            let p = b.alloca_n(i64t, Const::i64(count).into(), "p");
+            b.store(p.into(), Const::i64(1).into());
+            b.ret(Some(Const::i64(0).into()));
+        });
+        let out = run(&m);
+        assert!(
+            matches!(
+                out.status,
+                ExitStatus::Crash(CrashKind::MemFault(MemFault {
+                    kind: MemFaultKind::StackOverflow,
+                    ..
+                }))
+            ),
+            "count {count}: {:?}",
+            out.status
+        );
+    }
+}
+
+/// Constants live in frame slots deduplicated by kind and bit pattern:
+/// signed zeros and NaN payloads each keep their own slot, so every
+/// output is its constant's exact bit image.
+#[test]
+fn constant_slots_keep_exact_bits() {
+    let nan_a = f64::from_bits(0x7ff8_0000_0000_0001);
+    let nan_b = f64::from_bits(0x7ff8_0000_dead_beef);
+    let m = module_with_main(|b| {
+        let i64t = b.module.types.int(64);
+        for v in [0.0, -0.0, nan_a, nan_b] {
+            b.output(Const::f64(v).into());
+        }
+        b.output(Const::i64(0).into());
+        b.output(Const::Null { pointee: i64t }.into());
+        b.ret(Some(Const::i64(0).into()));
+    });
+    let out = run(&m);
+    assert_eq!(out.status, ExitStatus::Normal(0));
+    let want = [
+        0.0f64.to_bits(),
+        (-0.0f64).to_bits(),
+        nan_a.to_bits(),
+        nan_b.to_bits(),
+        0,
+        0,
+    ];
+    assert_eq!(out.output, want);
+    // One slot per distinct (kind, bits): the return's `i64 0` shares
+    // the output's slot, nothing else merges.
+    assert_eq!(lower(&m).frames[0].consts.len(), 6);
+}
+
+/// An operand naming a global the module does not declare traps "use of
+/// unknown global", after the operands evaluated before it — and never
+/// panics lowering, whatever type analysis the op needs.
+#[test]
+fn undeclared_global_operands_trap_in_evaluation_order() {
+    let g99 = Operand::Global(GlobalId(99));
+    // The module's first register, r0, is never assigned.
+    let unset = Operand::Reg(RegId(0));
+    let trap = |build: &dyn Fn(&mut FunctionBuilder<'_>)| {
+        let m = module_with_main(|b| {
+            let i64t = b.module.types.int(64);
+            b.reg(i64t, "unset");
+            build(b);
+            b.ret(Some(Const::i64(0).into()));
+        });
+        match run(&m).status {
+            ExitStatus::Crash(CrashKind::InvalidExec(msg)) => msg,
+            other => panic!("expected an invalid-execution crash, got {other:?}"),
+        }
+    };
+    let bin = |lhs: Operand, rhs: Operand| {
+        move |b: &mut FunctionBuilder<'_>| {
+            let i64t = b.module.types.int(64);
+            let dst = b.reg(i64t, "sum");
+            b.emit(Instr::Bin {
+                dst,
+                op: BinOp::Add,
+                lhs,
+                rhs,
+            });
+        }
+    };
+    assert_eq!(trap(&bin(unset, g99)), "use of unset register r0");
+    assert_eq!(trap(&bin(g99, unset)), "use of unknown global g99");
+    let field_addr = |b: &mut FunctionBuilder<'_>| {
+        let i64t = b.module.types.int(64);
+        let p = b.module.types.pointer(i64t);
+        let dst = b.reg(p, "f");
+        b.emit(Instr::FieldAddr {
+            dst,
+            base: g99,
+            field: 0,
+        });
+    };
+    assert_eq!(trap(&field_addr), "use of unknown global g99");
 }
