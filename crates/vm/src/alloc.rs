@@ -82,18 +82,25 @@ impl Allocator {
         }
     }
 
-    fn round_payload(size: u64) -> u64 {
-        size.max(MIN_PAYLOAD).next_multiple_of(GRANULE)
+    /// The payload size a request of `size` bytes gets, or `None` when
+    /// that block (header included) would not fit the address space.
+    fn round_payload(size: u64) -> Option<u64> {
+        size.max(MIN_PAYLOAD)
+            .checked_next_multiple_of(GRANULE)
+            .filter(|want| want.checked_add(HEADER_BYTES).is_some())
     }
 
     /// Allocates `size` bytes; returns the payload address, or 0 (null)
-    /// when the heap is exhausted. Fresh payloads are garbage-filled.
+    /// when the heap is exhausted or cannot hold `size` bytes at all.
+    /// Fresh payloads are garbage-filled.
     ///
     /// # Errors
     /// Propagates a [`MemFault`] only when allocator metadata itself has
     /// been corrupted into pointing outside the heap (a realistic crash).
     pub fn malloc(&mut self, mem: &mut Mem, size: u64) -> Result<u64, MemFault> {
-        let want = Self::round_payload(size);
+        let Some(want) = Self::round_payload(size) else {
+            return Ok(0);
+        };
         // First-fit scan of the free list.
         let mut prev: Option<u64> = None;
         let mut cur = self.free_head;
@@ -127,7 +134,7 @@ impl Allocator {
                     Some(p) => mem.write_u64(p, next)?,
                 }
                 // Split when the remainder can hold a block of its own.
-                if bsize >= want + HEADER_BYTES + MIN_PAYLOAD {
+                if bsize - want >= HEADER_BYTES + MIN_PAYLOAD {
                     let rem_payload = payload + want + HEADER_BYTES;
                     let rem_size = bsize - want - HEADER_BYTES;
                     mem.write_u64(rem_payload - HEADER_BYTES, rem_size)?;

@@ -219,84 +219,6 @@ pub enum Op {
     LoadElided { dst: u32, site: u32 },
 }
 
-/// Dense discriminant of an [`Op`], used by the interpreter's threaded
-/// dispatcher: `HANDLERS[opcodes[pc] as usize]` is one indirect call,
-/// replacing the multi-arm `match` on the full `Op` payload. Variants
-/// mirror [`Op`] in declaration order and the values are contiguous
-/// (`0..OPCODE_COUNT`), so a handler table indexed by `as usize` has no
-/// holes and no bounds-check surprises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum OpCode {
-    Alloca = 0,
-    Malloc,
-    Free,
-    Load,
-    Store,
-    FieldAddr,
-    IndexAddr,
-    Cast,
-    Bin,
-    Cmp,
-    Copy,
-    CallDirect,
-    CallIndirect,
-    CallExternal,
-    DpmrCheck,
-    RandInt,
-    HeapBufSize,
-    Output,
-    FiMarker,
-    Abort,
-    Jump,
-    CondJump,
-    Ret,
-    Unreachable,
-    BadBlock,
-    Invalid,
-    CheckElided,
-    LoadElided,
-}
-
-/// Number of [`OpCode`] variants (the handler table's length).
-pub const OPCODE_COUNT: usize = OpCode::LoadElided as usize + 1;
-
-impl Op {
-    /// The dense discriminant of this op.
-    pub fn opcode(&self) -> OpCode {
-        match self {
-            Op::Alloca { .. } => OpCode::Alloca,
-            Op::Malloc { .. } => OpCode::Malloc,
-            Op::Free { .. } => OpCode::Free,
-            Op::Load { .. } => OpCode::Load,
-            Op::Store { .. } => OpCode::Store,
-            Op::FieldAddr { .. } => OpCode::FieldAddr,
-            Op::IndexAddr { .. } => OpCode::IndexAddr,
-            Op::Cast { .. } => OpCode::Cast,
-            Op::Bin { .. } => OpCode::Bin,
-            Op::Cmp { .. } => OpCode::Cmp,
-            Op::Copy { .. } => OpCode::Copy,
-            Op::CallDirect { .. } => OpCode::CallDirect,
-            Op::CallIndirect { .. } => OpCode::CallIndirect,
-            Op::CallExternal { .. } => OpCode::CallExternal,
-            Op::DpmrCheck { .. } => OpCode::DpmrCheck,
-            Op::RandInt { .. } => OpCode::RandInt,
-            Op::HeapBufSize { .. } => OpCode::HeapBufSize,
-            Op::Output { .. } => OpCode::Output,
-            Op::FiMarker { .. } => OpCode::FiMarker,
-            Op::Abort { .. } => OpCode::Abort,
-            Op::Jump { .. } => OpCode::Jump,
-            Op::CondJump { .. } => OpCode::CondJump,
-            Op::Ret { .. } => OpCode::Ret,
-            Op::Unreachable => OpCode::Unreachable,
-            Op::BadBlock { .. } => OpCode::BadBlock,
-            Op::Invalid { .. } => OpCode::Invalid,
-            Op::CheckElided { .. } => OpCode::CheckElided,
-            Op::LoadElided { .. } => OpCode::LoadElided,
-        }
-    }
-}
-
 /// A whole module compiled to linear bytecode.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoweredCode {
@@ -308,14 +230,16 @@ pub struct LoweredCode {
     /// Number of `dpmr.check` sites (site ids are `0..check_sites`,
     /// assigned in function-major, pc order — stable for a given module).
     pub check_sites: u32,
-    /// `opcodes[pc] == ops[pc].opcode()`: the dense discriminants in a
-    /// flat side array, one byte per op, so the dispatch loop fetches
-    /// the handler index without touching the (large, payload-carrying)
-    /// `Op` value. Maintained by [`crate::lower`] and
+    /// `handler_ids[pc]` is the interpreter's handler id for `ops[pc]`:
+    /// one byte per op in a flat side array, so the dispatch loop picks
+    /// the handler without touching the (large, payload-carrying) `Op`.
+    /// The id already fixes what the op's payload would otherwise
+    /// decide on every execution (a load's width, a binary operator, a
+    /// check's arity). Maintained by [`crate::lower`] and
     /// [`crate::opt::optimize`]; code built by hand must call
-    /// [`LoweredCode::rebuild_opcodes`] (the interpreter re-derives it
-    /// defensively when lengths disagree).
-    pub opcodes: Vec<OpCode>,
+    /// [`LoweredCode::rebuild_handler_ids`] (the interpreter re-derives
+    /// it defensively when lengths disagree).
+    pub handler_ids: Vec<u8>,
     /// Each function's frame-slot layout, indexed by `FuncId`: where its
     /// registers end and which constant each later slot holds.
     pub frames: Vec<FrameLayout>,
@@ -327,11 +251,12 @@ impl LoweredCode {
         self.func_entry[f.0 as usize]
     }
 
-    /// Re-derive [`LoweredCode::opcodes`] from [`LoweredCode::ops`].
+    /// Re-derive [`LoweredCode::handler_ids`] from [`LoweredCode::ops`].
     /// Call after constructing or rewriting `ops` by hand.
-    pub fn rebuild_opcodes(&mut self) {
-        self.opcodes.clear();
-        self.opcodes.extend(self.ops.iter().map(Op::opcode));
+    pub fn rebuild_handler_ids(&mut self) {
+        self.handler_ids.clear();
+        self.handler_ids
+            .extend(self.ops.iter().map(crate::interp::handler_id));
     }
 
     /// The function whose lowered range contains `pc`. Lowering

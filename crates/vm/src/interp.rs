@@ -38,7 +38,7 @@
 //! by handler nesting, e.g. `qsort` calling an IR comparator).
 
 use crate::alloc::{AllocStats, Allocator, FreeOutcome};
-use crate::code::{LoadKind, LoweredCode, Op, OpCode, Opnd, StoreKind, OPCODE_COUNT};
+use crate::code::{LoadKind, LoweredCode, Op, Opnd, StoreKind};
 use crate::external::{Handler, Registry};
 use crate::fault::{fault_mix, ArmedFault, FaultModel, UNARMED_PC};
 use crate::mem::{Mem, MemConfig, MemFault, MemSnapshot, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
@@ -93,7 +93,8 @@ pub enum ExitStatus {
     },
     /// The simulated process crashed (natural detection).
     Crash(CrashKind),
-    /// Instruction budget exhausted.
+    /// Instruction budget exhausted, or the virtual clock spent
+    /// (`CLOCK_LIMIT`).
     Timeout,
 }
 
@@ -234,6 +235,11 @@ struct Reg {
     bits: u64,
 }
 
+/// The slot kinds of a set register: `Value`'s discriminants.
+const KIND_INT: u64 = 1;
+const KIND_FLOAT: u64 = 2;
+const KIND_PTR: u64 = 3;
+
 impl Reg {
     /// A register not yet assigned.
     const UNSET: Reg = Reg { kind: 0, bits: 0 };
@@ -244,14 +250,17 @@ impl Reg {
     fn of(v: Value) -> Reg {
         match v {
             Value::Int(i) => Reg {
-                kind: 1,
+                kind: KIND_INT,
                 bits: i as u64,
             },
             Value::Float(f) => Reg {
-                kind: 2,
+                kind: KIND_FLOAT,
                 bits: f.to_bits(),
             },
-            Value::Ptr(p) => Reg { kind: 3, bits: p },
+            Value::Ptr(p) => Reg {
+                kind: KIND_PTR,
+                bits: p,
+            },
         }
     }
 
@@ -266,9 +275,9 @@ impl Reg {
     #[inline]
     fn value(self) -> Option<Value> {
         match self.kind {
-            1 => Some(Value::Int(self.bits as i64)),
-            2 => Some(Value::Float(f64::from_bits(self.bits))),
-            3 => Some(Value::Ptr(self.bits)),
+            KIND_INT => Some(Value::Int(self.bits as i64)),
+            KIND_FLOAT => Some(Value::Float(f64::from_bits(self.bits))),
+            KIND_PTR => Some(Value::Ptr(self.bits)),
             _ => None,
         }
     }
@@ -539,6 +548,13 @@ enum FrameOp {
     Trap(Box<Trap>),
 }
 
+/// The virtual cycle at which a run's clock is spent: the window closes
+/// there and the run ends with [`ExitStatus::Timeout`]. Large charges
+/// (allocation sizes, external handlers) saturate, and the margin below
+/// `u64::MAX` absorbs every fixed per-op charge, so the clock never
+/// wraps. No real run comes near it.
+const CLOCK_LIMIT: u64 = u64::MAX - (1 << 32);
+
 /// Sets of the direct-mapped cache model (see `Interp::cache_tags`).
 const CACHE_SETS: usize = 4096;
 
@@ -678,13 +694,13 @@ impl<'m> Interp<'m> {
         externals: Rc<Registry>,
     ) -> Self {
         // Hand-built code (tests construct `LoweredCode` literals) may
-        // lack the dense opcode side-table; re-derive it so the threaded
-        // dispatcher can trust `opcodes[pc] == ops[pc].opcode()`.
-        let code = if code.opcodes.len() == code.ops.len() {
+        // lack the handler-id side-table; re-derive it so the threaded
+        // dispatcher can trust `handler_ids[pc] == handler_id(&ops[pc])`.
+        let code = if code.handler_ids.len() == code.ops.len() {
             code
         } else {
             let mut c = (*code).clone();
-            c.rebuild_opcodes();
+            c.rebuild_handler_ids();
             Rc::new(c)
         };
         let mut mem = Mem::new(&cfg.mem);
@@ -868,7 +884,7 @@ impl<'m> Interp<'m> {
     pub fn set_checkpoint_cadence(&mut self, cadence: Option<u64>) {
         self.checkpoint_cadence = cadence.filter(|c| *c > 0);
         self.next_checkpoint = match self.checkpoint_cadence {
-            Some(c) => self.clock + c,
+            Some(c) => self.clock.saturating_add(c),
             None => u64::MAX,
         };
     }
@@ -954,7 +970,7 @@ impl<'m> Interp<'m> {
         // Cadence restarts from the restored clock; checkpoints collected
         // on the abandoned timeline are the caller's to keep or drop.
         if let Some(c) = self.checkpoint_cadence {
-            self.next_checkpoint = self.clock + c;
+            self.next_checkpoint = self.clock.saturating_add(c);
         }
     }
 
@@ -1008,9 +1024,11 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Charges virtual cycles (used by external handlers).
+    /// Charges virtual cycles (used by external handlers). The charge
+    /// saturates, and a run whose clock passes `CLOCK_LIMIT` ends with
+    /// [`ExitStatus::Timeout`] at the next instruction boundary.
     pub fn charge(&mut self, cycles: u64) {
-        self.clock += cycles;
+        self.clock = self.clock.saturating_add(cycles);
     }
 
     /// Simulates one cache access; misses cost extra cycles.
@@ -1053,6 +1071,8 @@ impl<'m> Interp<'m> {
     /// # Errors
     /// Traps on allocator-metadata faults.
     pub fn malloc_bytes(&mut self, size: u64) -> Result<u64, Trap> {
+        // Saturating (see `charge`): a size no heap can hold still gets
+        // a finite charge, and the allocation returns null.
         self.charge(cost::MALLOC_BASE + size / 16);
         Ok(self.alloc.malloc(&mut self.mem, size)?)
     }
@@ -1326,7 +1346,7 @@ impl<'m> Interp<'m> {
                     });
                 }
                 self.auto_checkpoints.push_back(self.snapshot());
-                self.next_checkpoint = self.clock + c;
+                self.next_checkpoint = self.clock.saturating_add(c);
             }
         }
     }
@@ -1381,10 +1401,10 @@ impl<'m> Interp<'m> {
     ///   instruction budget, and under [`RunConfig::plain_dispatch`] the
     ///   next op boundary, whichever is nearest;
     /// * `cycle_hazard` — the next checkpoint-cadence boundary (top
-    ///   level only; `u64::MAX` when cadence is off).
+    ///   level only) or [`CLOCK_LIMIT`], whichever is nearer.
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
-    /// and registers cached in locals: one dense-opcode fetch and one
+    /// and registers cached in locals: one handler-id fetch and one
     /// indirect handler call per op, whose result is the next pc, plus —
     /// only when `HOOKS` — the armed-fault flag and the pc-profile bump.
     /// Calls, returns and traps come back as [`FRAME_OP`] with the request
@@ -1399,18 +1419,18 @@ impl<'m> Interp<'m> {
         base: usize,
     ) -> Result<Window, Trap> {
         let mut instr_hazard = self.max_instrs;
-        let mut cycle_hazard = u64::MAX;
+        let mut cycle_hazard = CLOCK_LIMIT;
         if base == 0 {
             if let Some(p) = self.pause_at {
                 instr_hazard = instr_hazard.min(p);
             }
-            cycle_hazard = self.next_checkpoint;
+            cycle_hazard = cycle_hazard.min(self.next_checkpoint);
         }
         if self.plain_dispatch {
             instr_hazard = instr_hazard.min(self.instrs + 1);
         }
         let ops: &[Op] = &code.ops;
-        let opcodes: &[OpCode] = &code.opcodes;
+        let ids: &[u8] = &code.handler_ids;
         let mut fi = self.frames.len() - 1;
         let mut pc = self.frames[fi].pc;
         let mut regs = std::mem::take(&mut self.frames[fi].regs);
@@ -1420,7 +1440,7 @@ impl<'m> Interp<'m> {
                 self.frames[fi].regs = regs;
                 return self.close_window(base);
             }
-            let (Some(op), Some(&oc)) = (ops.get(pc as usize), opcodes.get(pc as usize)) else {
+            let (Some(op), Some(&id)) = (ops.get(pc as usize), ids.get(pc as usize)) else {
                 self.unwind(base);
                 return Err(pc_out_of_range(pc));
             };
@@ -1437,7 +1457,7 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            let next = HANDLERS[oc as usize](self, &mut regs, op, pc);
+            let next = HANDLERS[usize::from(id)](self, &mut regs, op, pc);
             if next != FRAME_OP {
                 pc = next;
                 continue;
@@ -1490,6 +1510,13 @@ impl<'m> Interp<'m> {
     #[cold]
     #[inline(never)]
     fn close_window(&mut self, base: usize) -> Result<Window, Trap> {
+        // The virtual clock is spent: the run ends here, before any
+        // checkpoint (whose boundary it may be past for good) or
+        // further op.
+        if self.clock >= CLOCK_LIMIT {
+            self.unwind(base);
+            return Err(Trap::Timeout);
+        }
         // A due checkpoint or pause is the dispatch top's to settle, and
         // it outranks the instruction budget there.
         let pause_due = base == 0 && self.pause_at.is_some_and(|p| self.instrs >= p);
@@ -1714,10 +1741,10 @@ impl<'m> Interp<'m> {
                 .unwrap_or(vreps[0]);
             let (app_addr, rep_addrs) = match ptrs {
                 Some((ap, rps)) => {
-                    let ap = eval(regs, *ap)?.as_ptr();
+                    let ap = eval_ptr(regs, *ap)?;
                     let mut addrs = Vec::with_capacity(rps.len());
                     for &rp in rps.iter() {
-                        addrs.push(eval(regs, rp)?.as_ptr());
+                        addrs.push(eval_ptr(regs, rp)?);
                     }
                     (Some(ap), addrs)
                 }
@@ -1867,28 +1894,213 @@ impl<'m> Interp<'m> {
     }
 }
 
-/// Defines the table entry for each op body and the threaded dispatch
-/// table itself, indexed by [`OpCode`] (dense, no holes:
-/// `HANDLERS[op.opcode() as usize]` never bounds-checks in optimized
-/// builds because the enum's range is known). Order must mirror the
-/// `OpCode` declaration exactly; `opcode_table_is_aligned` (tests below)
-/// locks the correspondence.
-///
-/// An entry inlines its body (`#[inline(always)]`, returning [`Step`])
-/// and hands back the next pc in a register; a trapping body's boxed
-/// trap is parked by the cold [`park_trap`], so no trap value rejoins
-/// the fast path.
+/// Marks a family's fallback instantiation: a const index past every
+/// kind table, so the op's own payload decides the kind.
+const ANY: u8 = u8::MAX;
+
+/// The load kinds that get their own handler instantiation (by index):
+/// the ones that dominate executed loads. Every other kind takes the
+/// fallback entry.
+const LOAD_KINDS: [LoadKind; 3] = [
+    LoadKind::Int { bytes: 8, bits: 64 },
+    LoadKind::Ptr,
+    LoadKind::F64,
+];
+
+/// The store kinds with their own instantiation: 8-byte stores (i64,
+/// f64 and pointers).
+const STORE_KINDS: [StoreKind; 1] = [StoreKind::Raw(8)];
+
+/// Every operator, predicate and cast, by index: each gets its own
+/// instantiation, so a specialized entry never matches on the op.
+const BIN_OPS: [BinOp; 17] = {
+    use BinOp::*;
+    [
+        Add, Sub, Mul, SDiv, UDiv, SRem, URem, And, Or, Xor, Shl, LShr, AShr, FAdd, FSub, FMul,
+        FDiv,
+    ]
+};
+const CMP_PREDS: [CmpPred; 16] = {
+    use CmpPred::*;
+    [
+        Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge, FOlt, FOle, FOgt, FOge, FOeq, FOne,
+    ]
+};
+const CAST_OPS: [CastOp; 9] = {
+    use CastOp::*;
+    [
+        Bitcast, PtrToInt, IntToPtr, Trunc, Zext, Sext, FpToSi, SiToFp, FpCast,
+    ]
+};
+
+// `handler_id` indexes these tables by the enum discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < BIN_OPS.len() {
+        assert!(BIN_OPS[i] as usize == i);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < CMP_PREDS.len() {
+        assert!(CMP_PREDS[i] as usize == i);
+        i += 1;
+    }
+    let mut i = 0;
+    while i < CAST_OPS.len() {
+        assert!(CAST_OPS[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// `dpmr.check` arities (K) with their own instantiation, `1..=` this.
+const CHECK_ARITIES: usize = 2;
+
+/// Handler ids: indices into [`HANDLERS`]. Ids below `LOAD_FIRST` are
+/// each op shape's fallback entry, which reads every kind from the op;
+/// the ranges after it are the specialized instantiations of the same
+/// bodies.
+mod hid {
+    pub const ALLOCA: u8 = 0;
+    pub const MALLOC: u8 = 1;
+    pub const FREE: u8 = 2;
+    pub const LOAD: u8 = 3;
+    pub const STORE: u8 = 4;
+    pub const FIELD_ADDR: u8 = 5;
+    pub const INDEX_ADDR: u8 = 6;
+    pub const CAST: u8 = 7;
+    pub const BIN: u8 = 8;
+    pub const CMP: u8 = 9;
+    pub const COPY: u8 = 10;
+    pub const CALL_DIRECT: u8 = 11;
+    pub const CALL_INDIRECT: u8 = 12;
+    pub const CALL_EXTERNAL: u8 = 13;
+    pub const CHECK: u8 = 14;
+    pub const RAND_INT: u8 = 15;
+    pub const HEAP_BUF_SIZE: u8 = 16;
+    pub const OUTPUT: u8 = 17;
+    pub const FI_MARKER: u8 = 18;
+    pub const ABORT: u8 = 19;
+    pub const JUMP: u8 = 20;
+    pub const COND_JUMP: u8 = 21;
+    pub const RET: u8 = 22;
+    pub const UNREACHABLE: u8 = 23;
+    pub const BAD_BLOCK: u8 = 24;
+    pub const INVALID: u8 = 25;
+    /// `CheckElided` and `LoadElided` share one no-op entry.
+    pub const ELIDED: u8 = 26;
+    /// `LOAD_FIRST + i` serves `LOAD_KINDS[i]`.
+    pub const LOAD_FIRST: u8 = 27;
+    /// `STORE_FIRST + i` serves `STORE_KINDS[i]`.
+    pub const STORE_FIRST: u8 = LOAD_FIRST + super::LOAD_KINDS.len() as u8;
+    /// `CHECK_FIRST + k - 1` serves checks of arity `k`.
+    pub const CHECK_FIRST: u8 = STORE_FIRST + super::STORE_KINDS.len() as u8;
+    /// `BIN_FIRST + op` serves operator `op` with a result that is not a
+    /// 64-bit integer (narrower, or a pointer, or a float).
+    pub const BIN_FIRST: u8 = CHECK_FIRST + super::CHECK_ARITIES as u8;
+    /// `BIN64_FIRST + op` serves operator `op` with a 64-bit integer
+    /// result, which needs no renormalization.
+    pub const BIN64_FIRST: u8 = BIN_FIRST + super::BIN_OPS.len() as u8;
+    /// `CMP_FIRST + pred` serves predicate `pred`.
+    pub const CMP_FIRST: u8 = BIN64_FIRST + super::BIN_OPS.len() as u8;
+    /// `CAST_FIRST + op` serves cast `op`.
+    pub const CAST_FIRST: u8 = CMP_FIRST + super::CMP_PREDS.len() as u8;
+    /// Table length.
+    pub const COUNT: usize = CAST_FIRST as usize + super::CAST_OPS.len();
+}
+
+// Every id indexes `HANDLERS`.
+const _: () = assert!(hid::COUNT <= 1 << u8::BITS);
+
+/// Picks the handler for `op` — the one decision the dispatch loop would
+/// otherwise repeat on every execution: a specialized entry when the
+/// op's kind has one, its shape's fallback entry otherwise. Lowering and
+/// the optimizer record it per op ([`LoweredCode::rebuild_handler_ids`]).
+pub(crate) fn handler_id(op: &Op) -> u8 {
+    let position = |found: Option<usize>, first: u8| found.map(|i| first + i as u8);
+    let specialized = match op {
+        Op::Load { kind, .. } => {
+            position(LOAD_KINDS.iter().position(|k| k == kind), hid::LOAD_FIRST)
+        }
+        Op::Store { kind, .. } => {
+            position(STORE_KINDS.iter().position(|k| k == kind), hid::STORE_FIRST)
+        }
+        Op::DpmrCheck { reps, .. } => position(
+            (1..=CHECK_ARITIES).position(|k| k == reps.len()),
+            hid::CHECK_FIRST,
+        ),
+        Op::Bin {
+            op,
+            bits,
+            ptr_result,
+            ..
+        } => {
+            let first = if *bits == 64 && !*ptr_result {
+                hid::BIN64_FIRST
+            } else {
+                hid::BIN_FIRST
+            };
+            Some(first + *op as u8)
+        }
+        Op::Cmp { pred, .. } => Some(hid::CMP_FIRST + *pred as u8),
+        Op::Cast { op, .. } => Some(hid::CAST_FIRST + *op as u8),
+        _ => None,
+    };
+    specialized.unwrap_or_else(|| fallback_id(op))
+}
+
+/// The entry that serves every op of `op`'s shape, whatever its kind.
+fn fallback_id(op: &Op) -> u8 {
+    match op {
+        Op::Alloca { .. } => hid::ALLOCA,
+        Op::Malloc { .. } => hid::MALLOC,
+        Op::Free { .. } => hid::FREE,
+        Op::Load { .. } => hid::LOAD,
+        Op::Store { .. } => hid::STORE,
+        Op::FieldAddr { .. } => hid::FIELD_ADDR,
+        Op::IndexAddr { .. } => hid::INDEX_ADDR,
+        Op::Cast { .. } => hid::CAST,
+        Op::Bin { .. } => hid::BIN,
+        Op::Cmp { .. } => hid::CMP,
+        Op::Copy { .. } => hid::COPY,
+        Op::CallDirect { .. } => hid::CALL_DIRECT,
+        Op::CallIndirect { .. } => hid::CALL_INDIRECT,
+        Op::CallExternal { .. } => hid::CALL_EXTERNAL,
+        Op::DpmrCheck { .. } => hid::CHECK,
+        Op::RandInt { .. } => hid::RAND_INT,
+        Op::HeapBufSize { .. } => hid::HEAP_BUF_SIZE,
+        Op::Output { .. } => hid::OUTPUT,
+        Op::FiMarker { .. } => hid::FI_MARKER,
+        Op::Abort { .. } => hid::ABORT,
+        Op::Jump { .. } => hid::JUMP,
+        Op::CondJump { .. } => hid::COND_JUMP,
+        Op::Ret { .. } => hid::RET,
+        Op::Unreachable => hid::UNREACHABLE,
+        Op::BadBlock { .. } => hid::BAD_BLOCK,
+        Op::Invalid { .. } => hid::INVALID,
+        Op::CheckElided { .. } | Op::LoadElided { .. } => hid::ELIDED,
+    }
+}
+
+/// Defines the table entry for each op body. An entry inlines its body
+/// (`#[inline(always)]`, returning [`Step`]) and hands back the next pc
+/// in a register; a trapping body's boxed trap is parked by the cold
+/// [`park_trap`], so no trap value rejoins the fast path. A generic
+/// body's entry is generic over the same const parameters.
 macro_rules! op_handlers {
-    ($($entry:ident => $body:ident,)*) => {
+    ($($entry:ident $(<$(const $p:ident: $t:ty),+>)? => $body:ident,)*) => {
         $(
-            fn $entry(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> u32 {
-                match $body(it, regs, op, pc) {
+            fn $entry $(<$(const $p: $t),+>)? (
+                it: &mut Interp,
+                regs: &mut [Reg],
+                op: &Op,
+                pc: u32,
+            ) -> u32 {
+                match $body $(::<$($p),+>)? (it, regs, op, pc) {
                     Ok(next) => next,
                     Err(t) => park_trap(it, t),
                 }
             }
         )*
-        static HANDLERS: [OpHandler; OPCODE_COUNT] = [$($entry),*];
     };
 }
 
@@ -1896,18 +2108,18 @@ op_handlers! {
     h_alloca => op_alloca,
     h_malloc => op_malloc,
     h_free => op_free,
-    h_load => op_load,
-    h_store => op_store,
+    h_load<const K: u8> => op_load,
+    h_store<const K: u8> => op_store,
     h_field_addr => op_field_addr,
     h_index_addr => op_index_addr,
-    h_cast => op_cast,
-    h_bin => op_bin,
-    h_cmp => op_cmp,
+    h_cast<const C: u8> => op_cast,
+    h_bin<const B: u8, const INT64: bool> => op_bin,
+    h_cmp<const P: u8> => op_cmp,
     h_copy => op_copy,
     h_call_direct => op_call_direct,
     h_call_indirect => op_call_indirect,
     h_call_external => op_call_external,
-    h_dpmr_check => op_dpmr_check,
+    h_dpmr_check<const K: usize> => op_dpmr_check,
     h_rand_int => op_rand_int,
     h_heap_buf_size => op_heap_buf_size,
     h_output => op_output,
@@ -1919,9 +2131,68 @@ op_handlers! {
     h_unreachable => op_unreachable,
     h_bad_block => op_bad_block,
     h_invalid => op_invalid,
-    h_check_elided => op_elided,
-    h_load_elided => op_elided,
+    h_elided => op_elided,
 }
+
+/// Fills `t[first + i]` with `entry::<i>` for each listed index.
+macro_rules! kind_entries {
+    ($t:ident, $first:expr, $entry:ident; $($i:literal)*) => {
+        $($t[$first as usize + $i] = $entry::<$i>;)*
+    };
+}
+
+/// The threaded dispatch table, indexed by handler id: one indirect
+/// call per op (`HANDLERS[handler_ids[pc]]`). It has a slot for every
+/// `u8`, so indexing by an id needs no bounds check. `dispatch_table_tests`
+/// checks that every id's entry accepts the ops [`handler_id`] maps to
+/// it and agrees with the fallback entry on them.
+static HANDLERS: [OpHandler; 1 << u8::BITS] = {
+    // Every id below `hid::COUNT` is assigned below; the fill value,
+    // left in the slots past it, rejects any op but `Op::Invalid` as
+    // malformed.
+    let mut t: [OpHandler; 1 << u8::BITS] = [h_invalid; 1 << u8::BITS];
+    t[hid::ALLOCA as usize] = h_alloca;
+    t[hid::MALLOC as usize] = h_malloc;
+    t[hid::FREE as usize] = h_free;
+    t[hid::LOAD as usize] = h_load::<ANY>;
+    t[hid::STORE as usize] = h_store::<ANY>;
+    t[hid::FIELD_ADDR as usize] = h_field_addr;
+    t[hid::INDEX_ADDR as usize] = h_index_addr;
+    t[hid::CAST as usize] = h_cast::<ANY>;
+    t[hid::BIN as usize] = h_bin::<ANY, false>;
+    t[hid::CMP as usize] = h_cmp::<ANY>;
+    t[hid::COPY as usize] = h_copy;
+    t[hid::CALL_DIRECT as usize] = h_call_direct;
+    t[hid::CALL_INDIRECT as usize] = h_call_indirect;
+    t[hid::CALL_EXTERNAL as usize] = h_call_external;
+    t[hid::CHECK as usize] = h_dpmr_check::<0>;
+    t[hid::RAND_INT as usize] = h_rand_int;
+    t[hid::HEAP_BUF_SIZE as usize] = h_heap_buf_size;
+    t[hid::OUTPUT as usize] = h_output;
+    t[hid::FI_MARKER as usize] = h_fi_marker;
+    t[hid::ABORT as usize] = h_abort;
+    t[hid::JUMP as usize] = h_jump;
+    t[hid::COND_JUMP as usize] = h_cond_jump;
+    t[hid::RET as usize] = h_ret;
+    t[hid::UNREACHABLE as usize] = h_unreachable;
+    t[hid::BAD_BLOCK as usize] = h_bad_block;
+    t[hid::INVALID as usize] = h_invalid;
+    t[hid::ELIDED as usize] = h_elided;
+    kind_entries!(t, hid::LOAD_FIRST, h_load; 0 1 2);
+    kind_entries!(t, hid::STORE_FIRST, h_store; 0);
+    t[hid::CHECK_FIRST as usize] = h_dpmr_check::<1>;
+    t[hid::CHECK_FIRST as usize + 1] = h_dpmr_check::<2>;
+    kind_entries!(t, hid::CMP_FIRST, h_cmp; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
+    kind_entries!(t, hid::CAST_FIRST, h_cast; 0 1 2 3 4 5 6 7 8);
+    macro_rules! bin_entries {
+        ($($i:literal)*) => {$(
+            t[hid::BIN_FIRST as usize + $i] = h_bin::<$i, false>;
+            t[hid::BIN64_FIRST as usize + $i] = h_bin::<$i, true>;
+        )*};
+    }
+    bin_entries!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    t
+};
 
 /// Parks a trapping op's trap for the dispatch loop (see [`FRAME_OP`]).
 #[cold]
@@ -1931,17 +2202,66 @@ fn park_trap(it: &mut Interp, t: Box<Trap>) -> u32 {
     FRAME_OP
 }
 
-/// Reads an operand: one slot load plus the unset check. Constants sit
-/// in their own slots (set when the frame is built), so only a register
-/// not yet assigned — or a slot past the frame, which hand-built code
-/// alone can name — reads as unset. `get` keeps panic edges out of the
-/// dispatch hot path (the PR-6 lesson).
+/// The slot read behind every operand: constants sit in their own slots
+/// (set when the frame is built), so only a register not yet assigned —
+/// or a slot past the frame, which hand-built code alone can name —
+/// reads as unset. `get` keeps panic edges out of the dispatch hot path
+/// (the PR-6 lesson).
 #[inline(always)]
-fn eval(regs: &[Reg], slot: u32) -> Result<Value, Box<Trap>> {
-    let r = regs.get(slot as usize).copied().unwrap_or(Reg::UNSET);
-    match r.value() {
+fn slot(regs: &[Reg], slot: u32) -> Reg {
+    regs.get(slot as usize).copied().unwrap_or(Reg::UNSET)
+}
+
+/// Reads an operand: one slot load plus the unset check.
+#[inline(always)]
+fn eval(regs: &[Reg], i: u32) -> Result<Value, Box<Trap>> {
+    match slot(regs, i).value() {
         Some(v) => Ok(v),
-        None => Err(unset_register(slot)),
+        None => Err(unset_register(i)),
+    }
+}
+
+/// Reads an operand that must hold a value of kind `KIND` (a `Value`
+/// discriminant) and returns its bits: one compare on the slot's kind
+/// word. An unset register or a value of another kind (a module that
+/// types a register one way and assigns it another) traps.
+#[inline(always)]
+fn eval_bits<const KIND: u64>(regs: &[Reg], i: u32) -> Result<u64, Box<Trap>> {
+    let r = slot(regs, i);
+    if r.kind == KIND {
+        Ok(r.bits)
+    } else {
+        Err(wrong_kind(i, r, KIND))
+    }
+}
+
+/// A pointer operand's address.
+#[inline(always)]
+fn eval_ptr(regs: &[Reg], i: u32) -> Result<u64, Box<Trap>> {
+    eval_bits::<KIND_PTR>(regs, i)
+}
+
+/// An integer operand's value.
+#[inline(always)]
+fn eval_int(regs: &[Reg], i: u32) -> Result<i64, Box<Trap>> {
+    Ok(eval_bits::<KIND_INT>(regs, i)? as i64)
+}
+
+/// `v` as an integer, or the kind-mismatch trap.
+#[inline(always)]
+fn int_of(v: Value) -> Result<i64, Box<Trap>> {
+    match v {
+        Value::Int(i) => Ok(i),
+        other => Err(kind_mismatch(KIND_INT, other)),
+    }
+}
+
+/// `v` as a float, or the kind-mismatch trap.
+#[inline(always)]
+fn float_of(v: Value) -> Result<f64, Box<Trap>> {
+    match v {
+        Value::Float(f) => Ok(f),
+        other => Err(kind_mismatch(KIND_FLOAT, other)),
     }
 }
 
@@ -1964,6 +2284,27 @@ fn set_reg(regs: &mut [Reg], dst: u32, v: Value) {
 #[inline(never)]
 fn unset_register(i: u32) -> Box<Trap> {
     Box::new(Trap::Invalid(format!("use of unset register r{i}")))
+}
+
+/// Operand `i` held `r` where a value of kind `want` was needed.
+#[cold]
+#[inline(never)]
+fn wrong_kind(i: u32, r: Reg, want: u64) -> Box<Trap> {
+    match r.value() {
+        Some(v) => kind_mismatch(want, v),
+        None => unset_register(i),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn kind_mismatch(want: u64, got: Value) -> Box<Trap> {
+    let want = match want {
+        KIND_INT => "int",
+        KIND_FLOAT => "float",
+        _ => "pointer",
+    };
+    Box::new(Trap::Invalid(format!("expected {want}, got {got:?}")))
 }
 
 #[cold]
@@ -1999,13 +2340,13 @@ fn pc_out_of_range(pc: u32) -> Trap {
 }
 
 /// An op whose payload does not match its handler: unreachable through
-/// lowered code (the opcode table is derived from the ops), kept as a
+/// lowered code (the handler ids are derived from the ops), kept as a
 /// trap so hand-built code cannot cause UB-adjacent surprises.
 #[cold]
 #[inline(never)]
 fn malformed_op() -> Box<Trap> {
     Box::new(Trap::Invalid(
-        "op/opcode mismatch in threaded dispatch".into(),
+        "op/handler mismatch in threaded dispatch".into(),
     ))
 }
 
@@ -2016,9 +2357,12 @@ fn trap(t: Trap) -> Box<Trap> {
     Box::new(t)
 }
 
-// The op bodies: one per `OpCode`, each inlined into its table entry.
+// The op bodies: one per op shape, each inlined into its table entry.
 // Free functions (not methods) so their `Interp` lifetime stays
 // late-bound and the entries coerce to the HRTB `OpHandler` signature.
+// A generic body takes the kind its payload would decide as a const
+// index into that kind's table (`ANY` for the fallback), so each
+// instantiation is the same code with the kind folded in.
 
 #[inline(always)]
 fn op_alloca(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
@@ -2026,10 +2370,7 @@ fn op_alloca(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
         return Err(malformed_op());
     };
     let n = match count {
-        Some(o) => {
-            let v = eval(regs, *o)?.as_int();
-            u64::try_from(v.max(0)).unwrap_or(0)
-        }
+        Some(o) => u64::try_from(eval_int(regs, *o)?.max(0)).unwrap_or(0),
         None => 1,
     };
     // A count too large for the address space saturates: the charge
@@ -2046,10 +2387,11 @@ fn op_malloc(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Malloc { dst, count, esize } = op else {
         return Err(malformed_op());
     };
-    let n = eval(regs, *count)?.as_int();
-    let n = u64::try_from(n.max(0)).unwrap_or(0);
+    let n = u64::try_from(eval_int(regs, *count)?.max(0)).unwrap_or(0);
     let size = esize.saturating_mul(n);
-    it.clock += cost::MALLOC_BASE + size / 16;
+    // Saturating, like `op_alloca`: a size no heap can hold still gets
+    // a finite charge, and the allocation returns null.
+    it.clock = it.clock.saturating_add(cost::MALLOC_BASE + size / 16);
     let p = it.alloc.malloc(&mut it.mem, size)?;
     it.alloc.stats.peak_brk = it.alloc.stats.peak_brk.max(it.mem.brk() as u64);
     set_reg(regs, *dst, Value::Ptr(p));
@@ -2061,7 +2403,7 @@ fn op_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Free { ptr } = op else {
         return Err(malformed_op());
     };
-    let p = eval(regs, *ptr)?.as_ptr();
+    let p = eval_ptr(regs, *ptr)?;
     it.clock += cost::FREE;
     match it.alloc.free(&mut it.mem, p) {
         FreeOutcome::Ok | FreeOutcome::SilentCorruption => Ok(pc + 1),
@@ -2070,44 +2412,46 @@ fn op_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
 }
 
 #[inline(always)]
-fn op_load(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_load<const K: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
-    let mut a = eval(regs, *ptr)?.as_ptr();
+    let kind = LOAD_KINDS.get(usize::from(K)).copied().unwrap_or(*kind);
+    let mut a = eval_ptr(regs, *ptr)?;
     // Injection hook: an armed fault may corrupt the memory about to be
     // read, skew the address, or force the value.
     let forced = if it.fault_pending {
-        it.fault_on_load(&mut a, *kind)
+        it.fault_on_load(&mut a, kind)
     } else {
         None
     };
     it.clock += cost::MEM;
     it.touch(a);
-    let v = it.load_kind(*kind, a)?;
+    let v = it.load_kind(kind, a)?;
     set_reg(regs, *dst, forced.unwrap_or(v));
     Ok(pc + 1)
 }
 
 #[inline(always)]
-fn op_store(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_store<const K: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
-    let mut a = eval(regs, *ptr)?.as_ptr();
+    let kind = STORE_KINDS.get(usize::from(K)).copied().unwrap_or(*kind);
+    let mut a = eval_ptr(regs, *ptr)?;
     let v = eval(regs, *value)?;
     // Injection hook: an armed fault may redirect the store; a region
     // bit-flip corrupts the stored bytes afterwards.
     let flip_after = if it.fault_pending {
-        it.fault_on_store(&mut a, store_width(*kind))
+        it.fault_on_store(&mut a, store_width(kind))
     } else {
         false
     };
     it.clock += cost::MEM;
     it.touch(a);
-    it.store_kind(a, *kind, v)?;
+    it.store_kind(a, kind, v)?;
     if flip_after {
-        it.fault_flip_byte(a, store_width(*kind));
+        it.fault_flip_byte(a, store_width(kind));
     }
     Ok(pc + 1)
 }
@@ -2117,7 +2461,7 @@ fn op_field_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::FieldAddr { dst, base, off } = op else {
         return Err(malformed_op());
     };
-    let b = eval(regs, *base)?.as_ptr();
+    let b = eval_ptr(regs, *base)?;
     it.clock += cost::ADDR;
     set_reg(regs, *dst, Value::Ptr(b.wrapping_add(*off)));
     Ok(pc + 1)
@@ -2134,8 +2478,8 @@ fn op_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
-    let b = eval(regs, *base)?.as_ptr();
-    let i = eval(regs, *index)?.as_int();
+    let b = eval_ptr(regs, *base)?;
+    let i = eval_int(regs, *index)?;
     it.clock += cost::ADDR;
     set_reg(
         regs,
@@ -2146,7 +2490,7 @@ fn op_index_addr(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
 }
 
 #[inline(always)]
-fn op_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_cast<const C: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Cast {
         dst,
         op: cast,
@@ -2156,6 +2500,7 @@ fn op_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
+    let cast = CAST_OPS.get(usize::from(C)).copied().unwrap_or(*cast);
     let v = eval(regs, *src)?;
     let dbits = *dbits;
     it.clock += cost::ALU;
@@ -2163,30 +2508,23 @@ fn op_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
         CastOp::Bitcast => v,
         CastOp::PtrToInt => Value::Int(normalize_int(v.to_bits() as i64, dbits)),
         CastOp::IntToPtr => Value::Ptr(v.to_bits()),
-        CastOp::Trunc | CastOp::Zext | CastOp::Sext => {
-            let raw = v.as_int();
-            match cast {
-                CastOp::Trunc | CastOp::Sext => Value::Int(normalize_int(raw, dbits)),
-                _ => {
-                    // Zext: mask without sign extension, then
-                    // renormalize at destination width.
-                    let masked = if dbits == 64 {
-                        raw
-                    } else {
-                        raw & ((1i64 << dbits) - 1)
-                    };
-                    Value::Int(normalize_int(masked, dbits))
-                }
-            }
-        }
-        CastOp::FpToSi => Value::Int(normalize_int(v.as_float() as i64, dbits)),
-        CastOp::SiToFp => Value::Float(v.as_int() as f64),
-        CastOp::FpCast => {
-            if dbits == 32 {
-                Value::Float(f64::from(v.as_float() as f32))
+        CastOp::Trunc | CastOp::Sext => Value::Int(normalize_int(int_of(v)?, dbits)),
+        CastOp::Zext => {
+            // Mask without sign extension, then renormalize at
+            // destination width.
+            let raw = int_of(v)?;
+            let masked = if dbits == 64 {
+                raw
             } else {
-                Value::Float(v.as_float())
-            }
+                raw & ((1i64 << dbits) - 1)
+            };
+            Value::Int(normalize_int(masked, dbits))
+        }
+        CastOp::FpToSi => Value::Int(normalize_int(float_of(v)? as i64, dbits)),
+        CastOp::SiToFp => Value::Float(int_of(v)? as f64),
+        CastOp::FpCast => {
+            let f = float_of(v)?;
+            Value::Float(if dbits == 32 { f64::from(f as f32) } else { f })
         }
     };
     set_reg(regs, *dst, out);
@@ -2194,7 +2532,12 @@ fn op_cast(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
 }
 
 #[inline(always)]
-fn op_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_bin<const B: u8, const INT64: bool>(
+    it: &mut Interp,
+    regs: &mut [Reg],
+    op: &Op,
+    pc: u32,
+) -> Step {
     let Op::Bin {
         dst,
         op: bin,
@@ -2206,16 +2549,23 @@ fn op_bin(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
+    let bin = BIN_OPS.get(usize::from(B)).copied().unwrap_or(*bin);
+    // `INT64` entries serve only 64-bit integer results.
+    let (bits, ptr_result) = if INT64 {
+        (64, false)
+    } else {
+        (*bits, *ptr_result)
+    };
     let a = eval(regs, *lhs)?;
     let b = eval(regs, *rhs)?;
     it.clock += cost::ALU;
-    let out = binop(*bin, a, b, *bits, *ptr_result)?;
+    let out = binop(bin, a, b, bits, ptr_result)?;
     set_reg(regs, *dst, out);
     Ok(pc + 1)
 }
 
 #[inline(always)]
-fn op_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_cmp<const P: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::Cmp {
         dst,
         pred,
@@ -2225,10 +2575,11 @@ fn op_cmp(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
+    let pred = CMP_PREDS.get(usize::from(P)).copied().unwrap_or(*pred);
     let a = eval(regs, *lhs)?;
     let b = eval(regs, *rhs)?;
     it.clock += cost::ALU;
-    set_reg(regs, *dst, Value::Int(i64::from(cmp(*pred, a, b))));
+    set_reg(regs, *dst, Value::Int(i64::from(cmp(pred, a, b)?)));
     Ok(pc + 1)
 }
 
@@ -2263,7 +2614,7 @@ fn op_call_indirect(it: &mut Interp, regs: &mut [Reg], op: &Op, _pc: u32) -> Ste
         return Err(malformed_op());
     };
     let vals = it.eval_call_args(regs, args)?;
-    let p = eval(regs, *target)?.as_ptr();
+    let p = eval_ptr(regs, *target)?;
     let fid = it.resolve_fn_ptr(p).ok_or_else(|| bad_indirect_call(p))?;
     it.frame_op = Some(FrameOp::Call {
         f: fid,
@@ -2298,8 +2649,13 @@ fn op_call_external(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step
     Ok(pc + 1)
 }
 
+/// A `dpmr.check`. The `K` entries (K replicas, site telemetry off)
+/// compare in a straight line and leave everything else — a mismatch,
+/// an unset operand, site counters — to `exec_check`, which starts over
+/// from the same state (nothing has been written yet); `K = 0` is the
+/// fallback and always goes there.
 #[inline(always)]
-fn op_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_dpmr_check<const K: usize>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     let Op::DpmrCheck {
         a,
         reps,
@@ -2310,6 +2666,20 @@ fn op_dpmr_check(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
+    if K > 0 && !it.tele_cfg.sites {
+        if let Ok(reps) = <&[u32; K]>::try_from(&reps[..]) {
+            let va = slot(regs, *a);
+            let mut pass = va.kind != 0;
+            for &r in reps {
+                let vr = slot(regs, r);
+                pass &= vr.kind != 0 && vr.bits == va.bits;
+            }
+            if pass {
+                it.clock += cost::CHECK * K as u64;
+                return Ok(pc + 1);
+            }
+        }
+    }
     it.exec_check(regs, *a, reps, ptrs, *site, a_reg)?;
     Ok(pc + 1)
 }
@@ -2325,8 +2695,8 @@ fn op_rand_int(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
     else {
         return Err(malformed_op());
     };
-    let lo = eval(regs, *lo)?.as_int();
-    let hi = eval(regs, *hi)?.as_int();
+    let lo = eval_int(regs, *lo)?;
+    let hi = eval_int(regs, *hi)?;
     it.clock += cost::RAND;
     let v = it.rand_range_stream(*stream, lo, hi);
     set_reg(regs, *dst, Value::Int(v));
@@ -2338,7 +2708,7 @@ fn op_heap_buf_size(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step
     let Op::HeapBufSize { dst, ptr } = op else {
         return Err(malformed_op());
     };
-    let p = eval(regs, *ptr)?.as_ptr();
+    let p = eval_ptr(regs, *ptr)?;
     it.clock += cost::MEM;
     it.touch(p);
     let sz = it.alloc.buf_size(&it.mem, p)?;
@@ -2489,104 +2859,92 @@ fn garbage_value(kind: LoadKind, bits: u64) -> Value {
 
 /// Executes a binary op with the destination's pre-resolved width and
 /// pointer-ness.
+#[inline(always)]
 fn binop(op: BinOp, a: Value, b: Value, bits: u16, ptr_result: bool) -> Result<Value, Box<Trap>> {
-    Ok(match op {
-        BinOp::FAdd => Value::Float(a.as_float() + b.as_float()),
-        BinOp::FSub => Value::Float(a.as_float() - b.as_float()),
-        BinOp::FMul => Value::Float(a.as_float() * b.as_float()),
-        BinOp::FDiv => Value::Float(a.as_float() / b.as_float()),
-        _ => {
-            // Pointer arithmetic: operands may mix pointers and ints;
-            // the destination register's type decides the result kind.
-            let (ai, bi) = match (a, b) {
-                (Value::Ptr(p), v) => (p as i64, v.to_bits() as i64),
-                (v, Value::Ptr(p)) => (v.to_bits() as i64, p as i64),
-                (x, y) => (x.as_int(), y.as_int()),
-            };
-            let r = match op {
-                BinOp::Add => ai.wrapping_add(bi),
-                BinOp::Sub => ai.wrapping_sub(bi),
-                BinOp::Mul => ai.wrapping_mul(bi),
-                BinOp::SDiv => {
-                    if bi == 0 {
-                        return Err(div_by_zero());
-                    }
-                    ai.wrapping_div(bi)
-                }
-                BinOp::UDiv => {
-                    if bi == 0 {
-                        return Err(div_by_zero());
-                    }
-                    ((ai as u64) / (bi as u64)) as i64
-                }
-                BinOp::SRem => {
-                    if bi == 0 {
-                        return Err(rem_by_zero());
-                    }
-                    ai.wrapping_rem(bi)
-                }
-                BinOp::URem => {
-                    if bi == 0 {
-                        return Err(rem_by_zero());
-                    }
-                    ((ai as u64) % (bi as u64)) as i64
-                }
-                BinOp::And => ai & bi,
-                BinOp::Or => ai | bi,
-                BinOp::Xor => ai ^ bi,
-                BinOp::Shl => ai.wrapping_shl(bi as u32 & 63),
-                BinOp::LShr => ((ai as u64).wrapping_shr(bi as u32 & 63)) as i64,
-                BinOp::AShr => ai.wrapping_shr(bi as u32 & 63),
-                _ => unreachable!(),
-            };
-            if ptr_result {
-                // Pointer arithmetic (or an int result retyped as a
-                // pointer by the program): keep the address value.
-                Value::Ptr(r as u64)
-            } else {
-                Value::Int(normalize_int(r, bits))
+    let float = |f: fn(f64, f64) -> f64| Ok(Value::Float(f(float_of(a)?, float_of(b)?)));
+    match op {
+        BinOp::FAdd => return float(|x, y| x + y),
+        BinOp::FSub => return float(|x, y| x - y),
+        BinOp::FMul => return float(|x, y| x * y),
+        BinOp::FDiv => return float(|x, y| x / y),
+        _ => {}
+    }
+    // Pointer arithmetic: operands may mix pointers and ints; the
+    // destination register's type decides the result kind.
+    let (ai, bi) = match (a, b) {
+        (Value::Ptr(p), v) => (p as i64, v.to_bits() as i64),
+        (v, Value::Ptr(p)) => (v.to_bits() as i64, p as i64),
+        (x, y) => (int_of(x)?, int_of(y)?),
+    };
+    let r = match op {
+        BinOp::Add => ai.wrapping_add(bi),
+        BinOp::Sub => ai.wrapping_sub(bi),
+        BinOp::Mul => ai.wrapping_mul(bi),
+        BinOp::SDiv => {
+            if bi == 0 {
+                return Err(div_by_zero());
             }
+            ai.wrapping_div(bi)
         }
+        BinOp::UDiv => {
+            if bi == 0 {
+                return Err(div_by_zero());
+            }
+            ((ai as u64) / (bi as u64)) as i64
+        }
+        BinOp::SRem => {
+            if bi == 0 {
+                return Err(rem_by_zero());
+            }
+            ai.wrapping_rem(bi)
+        }
+        BinOp::URem => {
+            if bi == 0 {
+                return Err(rem_by_zero());
+            }
+            ((ai as u64) % (bi as u64)) as i64
+        }
+        BinOp::And => ai & bi,
+        BinOp::Or => ai | bi,
+        BinOp::Xor => ai ^ bi,
+        BinOp::Shl => ai.wrapping_shl(bi as u32 & 63),
+        BinOp::LShr => ((ai as u64).wrapping_shr(bi as u32 & 63)) as i64,
+        BinOp::AShr => ai.wrapping_shr(bi as u32 & 63),
+        // The float operators returned above.
+        BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => 0,
+    };
+    Ok(if ptr_result {
+        // Pointer arithmetic (or an int result retyped as a pointer by
+        // the program): keep the address value.
+        Value::Ptr(r as u64)
+    } else {
+        Value::Int(normalize_int(r, bits))
     })
 }
 
-fn cmp(pred: CmpPred, a: Value, b: Value) -> bool {
+#[inline(always)]
+fn cmp(pred: CmpPred, a: Value, b: Value) -> Result<bool, Box<Trap>> {
     use CmpPred::*;
+    let float = |f: fn(&f64, &f64) -> bool| Ok(f(&float_of(a)?, &float_of(b)?));
+    let signed = |f: fn(&i64, &i64) -> bool| Ok(f(&(a.to_bits() as i64), &(b.to_bits() as i64)));
+    let unsigned = |f: fn(&u64, &u64) -> bool| Ok(f(&a.to_bits(), &b.to_bits()));
     match pred {
-        FOlt | FOle | FOgt | FOge | FOeq | FOne => {
-            let (x, y) = (a.as_float(), b.as_float());
-            match pred {
-                FOlt => x < y,
-                FOle => x <= y,
-                FOgt => x > y,
-                FOge => x >= y,
-                FOeq => x == y,
-                FOne => x != y,
-                _ => unreachable!(),
-            }
-        }
-        Eq => a.to_bits() == b.to_bits(),
-        Ne => a.to_bits() != b.to_bits(),
-        Slt | Sle | Sgt | Sge => {
-            let (x, y) = (a.to_bits() as i64, b.to_bits() as i64);
-            match pred {
-                Slt => x < y,
-                Sle => x <= y,
-                Sgt => x > y,
-                Sge => x >= y,
-                _ => unreachable!(),
-            }
-        }
-        Ult | Ule | Ugt | Uge => {
-            let (x, y) = (a.to_bits(), b.to_bits());
-            match pred {
-                Ult => x < y,
-                Ule => x <= y,
-                Ugt => x > y,
-                Uge => x >= y,
-                _ => unreachable!(),
-            }
-        }
+        Eq => unsigned(u64::eq),
+        Ne => unsigned(u64::ne),
+        Slt => signed(i64::lt),
+        Sle => signed(i64::le),
+        Sgt => signed(i64::gt),
+        Sge => signed(i64::ge),
+        Ult => unsigned(u64::lt),
+        Ule => unsigned(u64::le),
+        Ugt => unsigned(u64::gt),
+        Uge => unsigned(u64::ge),
+        FOlt => float(f64::lt),
+        FOle => float(f64::le),
+        FOgt => float(f64::gt),
+        FOge => float(f64::ge),
+        FOeq => float(f64::eq),
+        FOne => float(f64::ne),
     }
 }
 
@@ -2612,17 +2970,13 @@ const _: fn(&dpmr_ir::types::TypeTable, TypeId) -> usize = scalar_bytes;
 mod dispatch_table_tests {
     use super::*;
 
-    /// Every handler slot must match its `OpCode` index: build one op of
-    /// each shape, dispatch it through the table, and check the handler
-    /// accepted the payload (a misaligned table parks `malformed_op`
-    /// instead) and returned the right next pc.
-    #[test]
-    fn opcode_table_is_aligned() {
-        use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
-        // Operand slots: 1..=3 hold the integers 0..=2, 4 the null pointer.
+    /// One op of every shape, plus one of every kind a specialized entry
+    /// serves. Operand slots 1..=3 hold the integers 0..=2, slot 4 the
+    /// null pointer (see `preset_regs`).
+    fn samples() -> Vec<Op> {
         let imm = |v: u32| v + 1;
-        let p = |_: u64| 4;
-        let samples: Vec<Op> = vec![
+        let p = 4;
+        let mut ops = vec![
             Op::Alloca {
                 dst: 0,
                 count: None,
@@ -2633,47 +2987,27 @@ mod dispatch_table_tests {
                 count: imm(1),
                 esize: 8,
             },
-            Op::Free { ptr: p(0) },
+            Op::Free { ptr: p },
             Op::Load {
                 dst: 0,
-                ptr: p(0),
-                kind: LoadKind::Ptr,
+                ptr: p,
+                kind: LoadKind::F32,
             },
             Op::Store {
-                ptr: p(0),
+                ptr: p,
                 value: imm(0),
-                kind: StoreKind::Raw(8),
+                kind: StoreKind::F32,
             },
             Op::FieldAddr {
                 dst: 0,
-                base: p(0),
+                base: p,
                 off: 0,
             },
             Op::IndexAddr {
                 dst: 0,
-                base: p(0),
+                base: p,
                 index: imm(0),
                 esize: 8,
-            },
-            Op::Cast {
-                dst: 0,
-                op: CastOp::Bitcast,
-                src: imm(0),
-                dbits: 64,
-            },
-            Op::Bin {
-                dst: 0,
-                op: BinOp::Add,
-                lhs: imm(1),
-                rhs: imm(2),
-                bits: 64,
-                ptr_result: false,
-            },
-            Op::Cmp {
-                dst: 0,
-                pred: CmpPred::Eq,
-                lhs: imm(1),
-                rhs: imm(1),
             },
             Op::Copy {
                 dst: 0,
@@ -2686,7 +3020,7 @@ mod dispatch_table_tests {
             },
             Op::CallIndirect {
                 dst: None,
-                target: p(0),
+                target: p,
                 args: Box::new([]),
             },
             Op::CallExternal {
@@ -2694,20 +3028,13 @@ mod dispatch_table_tests {
                 ext: 0,
                 args: Box::new([]),
             },
-            Op::DpmrCheck {
-                a: imm(1),
-                reps: Box::new([imm(1)]),
-                ptrs: None,
-                site: 0,
-                a_reg: None,
-            },
             Op::RandInt {
                 dst: 0,
                 lo: imm(0),
                 hi: imm(1),
                 stream: 0,
             },
-            Op::HeapBufSize { dst: 0, ptr: p(0) },
+            Op::HeapBufSize { dst: 0, ptr: p },
             Op::Output { value: imm(1) },
             Op::FiMarker { site: 0 },
             Op::Abort { code: 1 },
@@ -2727,49 +3054,411 @@ mod dispatch_table_tests {
             Op::CheckElided { site: 0, reps: 1 },
             Op::LoadElided { dst: 0, site: 0 },
         ];
-        // One op per shape, and the opcodes cover 0..OPCODE_COUNT densely.
-        assert_eq!(samples.len(), OPCODE_COUNT);
-        let mut seen: Vec<usize> = samples.iter().map(|o| o.opcode() as usize).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..OPCODE_COUNT).collect::<Vec<_>>());
-        // Dispatch each through the table: no sample may be rejected as
-        // an op/opcode mismatch.
+        for kind in LOAD_KINDS {
+            ops.push(Op::Load {
+                dst: 0,
+                ptr: p,
+                kind,
+            });
+        }
+        for kind in STORE_KINDS {
+            ops.push(Op::Store {
+                ptr: p,
+                value: imm(0),
+                kind,
+            });
+        }
+        for k in 1..=CHECK_ARITIES + 1 {
+            ops.push(Op::DpmrCheck {
+                a: imm(1),
+                reps: vec![imm(1); k].into(),
+                ptrs: None,
+                site: 0,
+                a_reg: None,
+            });
+        }
+        for op in BIN_OPS {
+            for (bits, ptr_result) in [(64, false), (32, false), (64, true)] {
+                ops.push(Op::Bin {
+                    dst: 0,
+                    op,
+                    lhs: imm(1),
+                    rhs: imm(2),
+                    bits,
+                    ptr_result,
+                });
+            }
+        }
+        for pred in CMP_PREDS {
+            ops.push(Op::Cmp {
+                dst: 0,
+                pred,
+                lhs: imm(1),
+                rhs: imm(1),
+            });
+        }
+        for op in CAST_OPS {
+            ops.push(Op::Cast {
+                dst: 0,
+                op,
+                src: imm(0),
+                dbits: 64,
+            });
+        }
+        ops
+    }
+
+    fn preset_regs() -> Vec<Reg> {
+        let mut regs = vec![Reg::UNSET; 8];
+        for (slot, v) in [Value::Int(0), Value::Int(1), Value::Int(2), Value::Ptr(0)]
+            .into_iter()
+            .enumerate()
+        {
+            regs[slot + 1].set(v);
+        }
+        regs
+    }
+
+    /// Every id's entry accepts the ops `handler_id` maps to it: each
+    /// sample runs through its chosen entry and its shape's fallback
+    /// entry, neither may reject it as malformed (an entry of another
+    /// shape parks `malformed_op`), and both return the right next pc.
+    /// The samples reach every id, and only ids below `hid::COUNT`.
+    /// `specialized_entries_match_the_fallback` checks that an entry of
+    /// the right shape also serves the right kind.
+    #[test]
+    fn handler_table_is_aligned() {
+        let samples = samples();
+        let mut reached = vec![false; hid::COUNT];
+        for op in &samples {
+            for id in [handler_id(op), fallback_id(op)] {
+                reached[usize::from(id)] = true;
+            }
+        }
+        assert_eq!(reached, vec![true; hid::COUNT], "an id no op maps to");
         let module = Module::new();
         let cfg = RunConfig::default();
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
         let mismatch = *malformed_op();
         for op in &samples {
-            let mut regs = vec![Reg::UNSET; 8];
-            for (slot, v) in [Value::Int(0), Value::Int(1), Value::Int(2), Value::Ptr(0)]
-                .into_iter()
-                .enumerate()
-            {
-                regs[slot + 1].set(v);
-            }
-            let next = HANDLERS[op.opcode() as usize](&mut it, &mut regs, op, 0);
-            match it.frame_op.take() {
-                Some(FrameOp::Trap(t)) => {
-                    assert_eq!(next, FRAME_OP, "trap parked by {op:?}");
-                    assert_ne!(*t, mismatch, "handler table misaligned at {op:?}");
-                }
-                parked => {
-                    let want = match op {
-                        Op::Jump { target } => *target,
-                        Op::CondJump { then_pc, .. } => *then_pc,
-                        Op::CallDirect { .. } | Op::CallIndirect { .. } | Op::Ret { .. } => {
-                            FRAME_OP
-                        }
-                        _ => 1,
-                    };
-                    assert_eq!(next, want, "next pc of {op:?}");
-                    assert_eq!(
-                        parked.is_some(),
-                        next == FRAME_OP,
-                        "frame op parked by {op:?}"
-                    );
+            for id in [handler_id(op), fallback_id(op)] {
+                let mut regs = preset_regs();
+                let next = HANDLERS[usize::from(id)](&mut it, &mut regs, op, 0);
+                match it.frame_op.take() {
+                    Some(FrameOp::Trap(t)) => {
+                        assert_eq!(next, FRAME_OP, "trap parked by {op:?}");
+                        assert_ne!(*t, mismatch, "entry {id} rejects {op:?}");
+                    }
+                    parked => {
+                        let want = match op {
+                            Op::Jump { target } => *target,
+                            Op::CondJump { then_pc, .. } => *then_pc,
+                            Op::CallDirect { .. } | Op::CallIndirect { .. } | Op::Ret { .. } => {
+                                FRAME_OP
+                            }
+                            _ => 1,
+                        };
+                        assert_eq!(next, want, "next pc of {op:?} through entry {id}");
+                        assert_eq!(
+                            parked.is_some(),
+                            next == FRAME_OP,
+                            "frame op parked by {op:?}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// Everything one op execution can change.
+    #[derive(Debug, PartialEq)]
+    struct Effect {
+        next: u32,
+        regs: Vec<Reg>,
+        clock: u64,
+        heap: Vec<u8>,
+        trap: Option<Trap>,
+        detections: u64,
+        repairs: u64,
+        replica_repairs: u64,
+        tele: Telemetry,
+    }
+
+    /// Payload bytes of the one heap block every differential run
+    /// starts with.
+    const BLOCK: u64 = 64;
+
+    struct Fixed(TrapAction);
+
+    impl TrapHandler for Fixed {
+        fn on_detection(&mut self, _: &DetectionTrap) -> TrapAction {
+            self.0
+        }
+    }
+
+    /// Runs `op` through entry `id` on a fresh interpreter: one heap
+    /// block of patterned bytes at `block`, the registers
+    /// `regs(block)`, site telemetry per `sites`, and a trap handler
+    /// answering `action` when given.
+    fn run_entry(
+        id: u8,
+        op: &Op,
+        regs: &dyn Fn(u64) -> Vec<Reg>,
+        sites: bool,
+        action: Option<TrapAction>,
+    ) -> Effect {
+        let module = Module::new();
+        let cfg = RunConfig {
+            telemetry: TelemetryConfig {
+                sites,
+                ..TelemetryConfig::off()
+            },
+            ..RunConfig::default()
+        };
+        let code = LoweredCode {
+            check_sites: 1,
+            ..LoweredCode::default()
+        };
+        let mut it = Interp::with_code(&module, Rc::new(code), &cfg, Rc::new(Registry::new()));
+        if let Some(a) = action {
+            it.set_trap_handler(Rc::new(RefCell::new(Fixed(a))));
+        }
+        let block = it.malloc_bytes(BLOCK).expect("heap block");
+        let pattern: Vec<u8> = (0..BLOCK).map(|i| (i * 37 + 0x8b) as u8).collect();
+        it.mem.write(block, &pattern).expect("block mapped");
+        let mut regs = regs(block);
+        let next = HANDLERS[usize::from(id)](&mut it, &mut regs, op, 0);
+        let trap = match it.frame_op.take() {
+            Some(FrameOp::Trap(t)) => Some(*t),
+            _ => None,
+        };
+        Effect {
+            next,
+            regs,
+            clock: it.clock,
+            heap: it.mem.read(HEAP_BASE, it.mem.brk()).expect("heap").to_vec(),
+            trap,
+            detections: it.detections,
+            repairs: it.repairs,
+            replica_repairs: it.replica_repairs,
+            tele: it.telemetry().clone(),
+        }
+    }
+
+    /// Registers from operand values (`None` leaves a slot unset).
+    fn regs_of(values: &[Option<Value>]) -> Vec<Reg> {
+        values
+            .iter()
+            .map(|v| v.map_or(Reg::UNSET, Reg::of))
+            .collect()
+    }
+
+    /// Runs `op` through its chosen entry and its fallback entry from
+    /// identical state and requires identical effects; returns whether
+    /// the chosen entry is a specialized one.
+    fn same_as_fallback(
+        op: &Op,
+        regs: &dyn Fn(u64) -> Vec<Reg>,
+        sites: bool,
+        action: Option<TrapAction>,
+    ) -> bool {
+        let (id, fallback) = (handler_id(op), fallback_id(op));
+        let chosen = run_entry(id, op, regs, sites, action);
+        let reference = run_entry(fallback, op, regs, sites, action);
+        assert_eq!(chosen, reference, "{op:?} through entry {id} vs {fallback}");
+        id != fallback
+    }
+
+    /// The differential test for the specialized entries: every load and
+    /// store kind, every operator at every width with and without a
+    /// pointer result and with mixed operands, every predicate and cast,
+    /// and checks of arity 1 to 3 that match and mismatch, with and
+    /// without site telemetry and a recovery handler, each run through
+    /// its chosen entry and through the fallback from identical state:
+    /// registers, clock, memory, trap and counters must agree. Bad
+    /// operands (unset, the wrong kind, unmapped or null addresses) are
+    /// among the cases, so traps must agree too.
+    #[test]
+    fn specialized_entries_match_the_fallback() {
+        let mut specialized = 0;
+        let int_kinds = [(1, 1), (1, 8), (2, 16), (4, 32), (8, 64)];
+        let load_kinds = int_kinds
+            .map(|(bytes, bits)| LoadKind::Int { bytes, bits })
+            .into_iter()
+            .chain([LoadKind::F32, LoadKind::F64, LoadKind::Ptr]);
+        let addrs = |b: u64| {
+            [
+                Some(Value::Ptr(b)),
+                Some(Value::Ptr(b + 5)),
+                Some(Value::Ptr(b + BLOCK - 2)),
+                Some(Value::Ptr(0)),
+                Some(Value::Int(b as i64)),
+                None,
+            ]
+        };
+        for kind in load_kinds {
+            let op = Op::Load {
+                dst: 0,
+                ptr: 1,
+                kind,
+            };
+            for i in 0..addrs(0).len() {
+                let regs = |b: u64| regs_of(&[None, addrs(b)[i]]);
+                specialized += usize::from(same_as_fallback(&op, &regs, false, None));
+            }
+        }
+        let store_kinds = [1, 2, 4, 8]
+            .map(StoreKind::Raw)
+            .into_iter()
+            .chain([StoreKind::F32]);
+        let stored = |b: u64| {
+            [
+                Some(Value::Int(-2)),
+                Some(Value::Float(1.1)),
+                Some(Value::Float(f64::from_bits(0x7ff8_0000_dead_beef))),
+                Some(Value::Ptr(b)),
+                None,
+            ]
+        };
+        for kind in store_kinds {
+            let op = Op::Store {
+                ptr: 1,
+                value: 2,
+                kind,
+            };
+            for i in 0..addrs(0).len() {
+                for j in 0..stored(0).len() {
+                    let regs = |b: u64| regs_of(&[None, addrs(b)[i], stored(b)[j]]);
+                    specialized += usize::from(same_as_fallback(&op, &regs, false, None));
+                }
+            }
+        }
+        let pairs = |b: u64| {
+            [
+                (Some(Value::Int(-7)), Some(Value::Int(3))),
+                (Some(Value::Int(i64::MIN)), Some(Value::Int(-1))),
+                (Some(Value::Int(5)), Some(Value::Int(0))),
+                (Some(Value::Int(0x1234_5678_9abc)), Some(Value::Int(70))),
+                (Some(Value::Ptr(b)), Some(Value::Int(8))),
+                (Some(Value::Int(-8)), Some(Value::Ptr(b))),
+                (Some(Value::Ptr(b)), Some(Value::Float(2.0))),
+                (Some(Value::Float(2.5)), Some(Value::Float(-0.5))),
+                (Some(Value::Float(f64::NAN)), Some(Value::Float(0.0))),
+                (Some(Value::Float(1.0)), Some(Value::Int(1))),
+                (Some(Value::Int(1)), Some(Value::Float(1.0))),
+                (Some(Value::Int(1)), None),
+                (None, Some(Value::Int(1))),
+            ]
+        };
+        for bin in BIN_OPS {
+            for bits in [1, 8, 32, 64] {
+                for ptr_result in [false, true] {
+                    let op = Op::Bin {
+                        dst: 0,
+                        op: bin,
+                        lhs: 1,
+                        rhs: 2,
+                        bits,
+                        ptr_result,
+                    };
+                    for i in 0..pairs(0).len() {
+                        let regs = |b: u64| {
+                            let (x, y) = pairs(b)[i];
+                            regs_of(&[None, x, y])
+                        };
+                        specialized += usize::from(same_as_fallback(&op, &regs, false, None));
+                    }
+                }
+            }
+        }
+        let cmp_pairs = |b: u64| {
+            [
+                (Some(Value::Int(-1)), Some(Value::Int(1))),
+                (Some(Value::Int(3)), Some(Value::Int(3))),
+                (Some(Value::Ptr(b)), Some(Value::Ptr(b + 8))),
+                (Some(Value::Ptr(b)), Some(Value::Int(b as i64))),
+                (Some(Value::Float(f64::NAN)), Some(Value::Float(1.0))),
+                (Some(Value::Float(-0.0)), Some(Value::Float(0.0))),
+                (Some(Value::Float(2.0)), Some(Value::Float(1.0))),
+                (Some(Value::Int(1)), Some(Value::Float(1.0))),
+                (Some(Value::Float(1.0)), Some(Value::Int(1))),
+                (None, Some(Value::Int(1))),
+            ]
+        };
+        for pred in CMP_PREDS {
+            let op = Op::Cmp {
+                dst: 0,
+                pred,
+                lhs: 1,
+                rhs: 2,
+            };
+            for i in 0..cmp_pairs(0).len() {
+                let regs = |b: u64| {
+                    let (x, y) = cmp_pairs(b)[i];
+                    regs_of(&[None, x, y])
+                };
+                specialized += usize::from(same_as_fallback(&op, &regs, false, None));
+            }
+        }
+        let sources = |b: u64| {
+            [
+                Some(Value::Int(-300)),
+                Some(Value::Int(i64::MAX)),
+                Some(Value::Float(-2.75)),
+                Some(Value::Float(1e300)),
+                Some(Value::Float(f64::NAN)),
+                Some(Value::Ptr(b)),
+                None,
+            ]
+        };
+        for cast in CAST_OPS {
+            for dbits in [1, 8, 16, 32, 64] {
+                let op = Op::Cast {
+                    dst: 0,
+                    op: cast,
+                    src: 1,
+                    dbits,
+                };
+                for i in 0..sources(0).len() {
+                    let regs = |b: u64| regs_of(&[None, sources(b)[i]]);
+                    specialized += usize::from(same_as_fallback(&op, &regs, false, None));
+                }
+            }
+        }
+        // Checks: the application value in slot 1 and its location in
+        // slot 2; replica k's value in slot 3 + k and its location in
+        // slot 3 + K + k. `bad` names the copy that differs (0 for the
+        // application, k + 1 for replica k), `unset` one left unset.
+        for k in 1..=3u32 {
+            let op = Op::DpmrCheck {
+                a: 1,
+                reps: (0..k).map(|r| 3 + r).collect(),
+                ptrs: Some((2, (0..k).map(|r| 3 + k + r).collect())),
+                site: 0,
+                a_reg: Some((1, StoreKind::Raw(8))),
+            };
+            for bad in 0..=k + 1 {
+                for unset in [None, Some(3), Some(1)] {
+                    let regs = |b: u64| {
+                        let copy = |i: u32| Some(Value::Int(if i == bad { 7 } else { 9 }));
+                        let mut values = vec![None, copy(0), Some(Value::Ptr(b))];
+                        values.extend((0..k).map(|r| copy(r + 1)));
+                        values.extend((0..k).map(|r| Some(Value::Ptr(b + 8 * u64::from(r + 1)))));
+                        if let Some(u) = unset {
+                            values[u] = None;
+                        }
+                        regs_of(&values)
+                    };
+                    for sites in [false, true] {
+                        for action in [None, Some(TrapAction::Repair), Some(TrapAction::Vote)] {
+                            specialized += usize::from(same_as_fallback(&op, &regs, sites, action));
+                        }
+                    }
+                }
+            }
+        }
+        // Every specialized family was exercised.
+        assert!(specialized > 0);
     }
 
     /// A register slot holds every value bit-exactly, kind included:
@@ -2842,7 +3531,7 @@ mod dispatch_table_tests {
             ],
             func_entry: vec![0, 2],
             check_sites: 0,
-            opcodes: Vec::new(),
+            handler_ids: Vec::new(),
             frames: vec![FrameLayout {
                 regs: 0,
                 consts: vec![Opnd::Imm(Value::Int(0))],

@@ -51,7 +51,7 @@ pub mod value;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::alloc::{AllocStats, Allocator, FreeOutcome};
-    pub use crate::code::{FrameLayout, LoweredCode, Op, OpCode, Opnd, OPCODE_COUNT};
+    pub use crate::code::{FrameLayout, LoweredCode, Op, Opnd};
     pub use crate::external::Registry;
     pub use crate::fault::{ArmedFault, FaultModel};
     pub use crate::interp::{

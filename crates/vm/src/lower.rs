@@ -62,7 +62,7 @@ pub fn lower(module: &Module) -> LoweredCode {
         ops: Vec::with_capacity(module.static_instr_count()),
         func_entry: Vec::with_capacity(module.funcs.len()),
         check_sites: 0,
-        opcodes: Vec::new(),
+        handler_ids: Vec::new(),
         frames: Vec::with_capacity(module.funcs.len()),
     };
     for f in &module.funcs {
@@ -71,7 +71,7 @@ pub fn lower(module: &Module) -> LoweredCode {
         let frame = lower_function(module, f, entry, &mut lc);
         lc.frames.push(frame);
     }
-    lc.rebuild_opcodes();
+    lc.rebuild_handler_ids();
     lc
 }
 

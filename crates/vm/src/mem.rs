@@ -320,32 +320,58 @@ impl Mem {
     ///
     /// # Errors
     /// Traps if the range is not fully mapped.
+    #[inline]
     pub fn read(&self, addr: u64, len: usize) -> Result<&[u8], MemFault> {
-        let (r, off) = self.locate(addr, len)?;
-        let buf = match r {
-            Region::Global => &self.globals,
-            Region::Heap => &self.heap,
-            Region::Stack => &self.stack,
+        // The one candidate region, then one bounds check of the range
+        // against its mapped bytes (see `span`).
+        let got = if addr >= STACK_BASE {
+            self.stack.get(span(addr, STACK_BASE, len))
+        } else if addr >= HEAP_BASE {
+            mapped(&self.heap, self.brk).get(span(addr, HEAP_BASE, len))
+        } else {
+            mapped(&self.globals, self.globals_len).get(span(addr, GLOBAL_BASE, len))
         };
-        Ok(&buf[off..off + len])
+        got.ok_or_else(|| self.fault(addr, len))
     }
 
     /// Writes bytes at `addr`.
     ///
     /// # Errors
     /// Traps if the range is not fully mapped.
+    #[inline]
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        let (r, off) = self.locate(addr, bytes.len())?;
-        let buf = match r {
-            Region::Global => &mut self.globals,
-            Region::Heap => &mut self.heap,
-            Region::Stack => {
-                self.stack_hw = self.stack_hw.max(off + bytes.len());
-                &mut self.stack
+        let len = bytes.len();
+        let got = if addr >= STACK_BASE {
+            let range = span(addr, STACK_BASE, len);
+            let end = range.end;
+            let got = self.stack.get_mut(range);
+            if got.is_some() {
+                self.stack_hw = self.stack_hw.max(end);
             }
+            got
+        } else if addr >= HEAP_BASE {
+            mapped_mut(&mut self.heap, self.brk).get_mut(span(addr, HEAP_BASE, len))
+        } else {
+            mapped_mut(&mut self.globals, self.globals_len).get_mut(span(addr, GLOBAL_BASE, len))
         };
-        buf[off..off + bytes.len()].copy_from_slice(bytes);
-        Ok(())
+        match got {
+            Some(dst) => {
+                dst.copy_from_slice(bytes);
+                Ok(())
+            }
+            None => Err(self.fault(addr, len)),
+        }
+    }
+
+    /// Why an access that [`Mem::read`] or [`Mem::write`] rejected
+    /// faults: null page or unmapped, as [`Mem::locate`] classifies it.
+    #[cold]
+    #[inline(never)]
+    fn fault(&self, addr: u64, len: usize) -> MemFault {
+        self.locate(addr, len).err().unwrap_or(MemFault {
+            addr,
+            kind: MemFaultKind::Unmapped,
+        })
     }
 
     /// Reads a little-endian `u64`.
@@ -441,7 +467,11 @@ impl Mem {
     /// Returns the previous break address, or `None` when the heap
     /// capacity is exhausted (malloc will return null).
     pub fn grow_heap(&mut self, grow: usize) -> Option<u64> {
-        if self.brk + grow > self.heap.len() {
+        if self
+            .brk
+            .checked_add(grow)
+            .is_none_or(|end| end > self.heap.len())
+        {
             return None;
         }
         let addr = HEAP_BASE + self.brk as u64;
@@ -582,6 +612,28 @@ fn zeroed_region(len: usize) -> Vec<u8> {
 fn region_offset(addr: u64, len: usize, base: u64, size: usize) -> Option<usize> {
     let off = usize::try_from(addr.checked_sub(base)?).ok()?;
     (off <= size && len <= size - off).then_some(off)
+}
+
+/// The byte range `[addr, addr + len)` at its offset from `base`. The
+/// offset wraps below `base` and the end wraps past `usize::MAX`, and
+/// either makes a range no slice `get` accepts, so one `get` is the
+/// whole bounds check.
+#[inline(always)]
+fn span(addr: u64, base: u64, len: usize) -> std::ops::Range<usize> {
+    let off = usize::try_from(addr.wrapping_sub(base)).unwrap_or(usize::MAX);
+    off..off.wrapping_add(len)
+}
+
+/// The mapped prefix of a region buffer (`len` never exceeds it).
+#[inline(always)]
+fn mapped(buf: &[u8], len: usize) -> &[u8] {
+    buf.get(..len).unwrap_or_default()
+}
+
+/// [`mapped`], writable.
+#[inline(always)]
+fn mapped_mut(buf: &mut [u8], len: usize) -> &mut [u8] {
+    buf.get_mut(..len).unwrap_or_default()
 }
 
 /// One xorshift64 state advance (the linear half of the garbage stream;

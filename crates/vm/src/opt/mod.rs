@@ -162,9 +162,9 @@ pub fn optimize(code: &LoweredCode, cfg: &PassConfig) -> OptOutcome {
         return out;
     };
     out.dropped = profile_guided_select(&mut out.code, p);
-    // The pass rewrites ops in place; refresh the dense discriminants
-    // the dispatch loop indexes by.
-    out.code.rebuild_opcodes();
+    // The pass rewrites ops in place; refresh the handler ids the
+    // dispatch loop indexes by.
+    out.code.rebuild_handler_ids();
     out
 }
 

@@ -45,13 +45,13 @@ fn code_of(ops: Vec<Op>, check_sites: u32) -> LoweredCode {
         ops,
         func_entry: vec![0],
         check_sites,
-        opcodes: Vec::new(),
+        handler_ids: Vec::new(),
         frames: vec![FrameLayout {
             regs: REGS,
             consts: (0..8).map(Opnd::Global).collect(),
         }],
     };
-    lc.rebuild_opcodes();
+    lc.rebuild_handler_ids();
     lc
 }
 

@@ -412,10 +412,10 @@ mod tests {
             ops: vec![Op::Ret { value: None }, Op::Ret { value: None }],
             func_entry: vec![0],
             check_sites: 0,
-            opcodes: Vec::new(),
+            handler_ids: Vec::new(),
             frames: Vec::new(),
         };
-        code.rebuild_opcodes();
+        code.rebuild_handler_ids();
         // A profile of the wrong length (taken from different code) is a
         // checked error, not a panic or a silently wrong table.
         let mut t = Telemetry {

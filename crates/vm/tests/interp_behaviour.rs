@@ -286,7 +286,7 @@ fn malformed_control_flow_traps_instead_of_panicking() {
         ops: vec![Op::Copy { dst: 0, src: 1 }],
         func_entry: vec![0],
         check_sites: 0,
-        opcodes: Vec::new(),
+        handler_ids: Vec::new(),
         frames: vec![FrameLayout {
             regs: 1,
             consts: vec![Opnd::Imm(Value::Int(1))],
@@ -936,4 +936,89 @@ fn undeclared_global_operands_trap_in_evaluation_order() {
         });
     };
     assert_eq!(trap(&field_addr), "use of unknown global g99");
+}
+
+/// A register whose declared kind disagrees with the value assigned to
+/// it is a guest fault, not a VM panic: each module passes the
+/// verifier, and using the value traps as invalid execution.
+#[test]
+fn kind_mismatched_operands_trap() {
+    let crash = |m: &Module| {
+        let verified = dpmr_ir::verify::verify_module(m);
+        assert!(verified.is_ok(), "{verified:?}");
+        match run(m).status {
+            ExitStatus::Crash(CrashKind::InvalidExec(msg)) => msg,
+            other => panic!("expected an invalid-execution crash, got {other:?}"),
+        }
+    };
+    // An int assigned to a pointer register, then loaded through.
+    let load = module_with_main(|b| {
+        let i64t = b.module.types.int(64);
+        let pty = b.module.types.pointer(i64t);
+        let p = b.copy(pty, Const::Null { pointee: i64t }.into(), "p");
+        b.assign(p, Const::i64(4096).into());
+        let v = b.load(i64t, p.into(), "v");
+        b.output(v.into());
+        b.ret(Some(Const::i64(0).into()));
+    });
+    assert_eq!(crash(&load), "expected pointer, got Int(4096)");
+    // An int assigned to an f64 register, then added.
+    let fadd = module_with_main(|b| {
+        let f64t = b.module.types.float(64);
+        let x = b.copy(f64t, Const::f64(1.5).into(), "x");
+        b.assign(x, Const::i64(3).into());
+        let y = b.bin(BinOp::FAdd, f64t, x.into(), Const::f64(1.0).into());
+        b.output(y.into());
+        b.ret(Some(Const::i64(0).into()));
+    });
+    assert_eq!(crash(&fadd), "expected float, got Int(3)");
+}
+
+/// A `malloc` no heap can hold returns null, however its byte count
+/// overflows: the rounding would wrap (`malloc(i64, 1 << 62)` asks for
+/// 2^65 bytes), or the block header would not fit.
+#[test]
+fn huge_malloc_sizes_return_null() {
+    for (bits, count) in [(64, 1i64 << 62), (8, i64::MAX), (8, -1), (64, i64::MAX)] {
+        let m = module_with_main(|b| {
+            let elem = b.module.types.int(bits);
+            let p = b.malloc(elem, Const::i64(count).into(), "p");
+            let i64t = b.module.types.int(64);
+            let bits = b.cast(CastOp::PtrToInt, i64t, p.into(), "bits");
+            b.output(bits.into());
+            b.ret(Some(Const::i64(0).into()));
+        });
+        let out = run(&m);
+        assert_eq!(out.status, ExitStatus::Normal(0), "i{bits} x {count}");
+        // A negative count clamps to zero, which still gets a block.
+        let null = count >= 0;
+        assert_eq!(out.output[0] == 0, null, "i{bits} x {count}: {out:?}");
+    }
+}
+
+/// Charges for huge allocation sizes saturate the virtual clock instead
+/// of wrapping it; a run whose clock is spent ends as a timeout at the
+/// next instruction boundary.
+#[test]
+fn huge_malloc_charges_saturate_the_clock() {
+    let m = module_with_main(|b| {
+        let i8t = b.module.types.int(8);
+        for _ in 0..40 {
+            b.malloc(i8t, Const::i64(i64::MAX).into(), "p");
+        }
+        b.ret(Some(Const::i64(0).into()));
+    });
+    for plain_dispatch in [false, true] {
+        let cfg = RunConfig {
+            plain_dispatch,
+            ..RunConfig::default()
+        };
+        let out = run_with_limits(&m, &cfg);
+        assert_eq!(out.status, ExitStatus::Timeout);
+        // Each call charges about 2^59 cycles: the 32nd spends the clock
+        // and is the last op to run.
+        assert_eq!(out.instrs, 32);
+        assert!(out.cycles > u64::MAX / 2, "{}", out.cycles);
+        assert_eq!(out.alloc_stats.mallocs, 0);
+    }
 }
