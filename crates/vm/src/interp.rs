@@ -2208,8 +2208,8 @@ fn park_trap(it: &mut Interp, t: Box<Trap>) -> u32 {
 /// reads as unset. `get` keeps panic edges out of the dispatch hot path
 /// (the PR-6 lesson).
 #[inline(always)]
-fn slot(regs: &[Reg], slot: u32) -> Reg {
-    regs.get(slot as usize).copied().unwrap_or(Reg::UNSET)
+fn slot(regs: &[Reg], i: u32) -> Reg {
+    regs.get(i as usize).copied().unwrap_or(Reg::UNSET)
 }
 
 /// Reads an operand: one slot load plus the unset check.

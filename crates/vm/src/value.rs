@@ -32,39 +32,6 @@ impl Value {
         }
     }
 
-    /// Integer view.
-    ///
-    /// # Panics
-    /// Panics if the value is not an integer.
-    pub fn as_int(self) -> i64 {
-        match self {
-            Value::Int(v) => v,
-            other => panic!("expected int, got {other:?}"),
-        }
-    }
-
-    /// Pointer view.
-    ///
-    /// # Panics
-    /// Panics if the value is not a pointer.
-    pub fn as_ptr(self) -> u64 {
-        match self {
-            Value::Ptr(p) => p,
-            other => panic!("expected pointer, got {other:?}"),
-        }
-    }
-
-    /// Float view.
-    ///
-    /// # Panics
-    /// Panics if the value is not a float.
-    pub fn as_float(self) -> f64 {
-        match self {
-            Value::Float(f) => f,
-            other => panic!("expected float, got {other:?}"),
-        }
-    }
-
     /// True for `Int(0)`, `Ptr(0)`, and `Float(0.0)`.
     pub fn is_zero(self) -> bool {
         match self {
