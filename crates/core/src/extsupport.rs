@@ -341,9 +341,9 @@ fn register_wrappers(r: &mut Registry) {
         let c = vint(args, 3 + k)? as u8;
         let n = u64::try_from(vint(args, 4 + k)?.max(0)).unwrap_or(0);
         it.charge(n / 4 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         for &d_r in &dest_r {
-            it.mem.write(d_r, &vec![c; n as usize])?;
+            it.mem.fill(d_r, n as usize, c)?;
         }
         store_rv_sop(it, rv_sop, &dest_r, dest_s)?;
         Ok(Some(Value::Ptr(dest)))
@@ -356,9 +356,9 @@ fn register_wrappers(r: &mut Registry) {
         let c = vint(args, 2 + k)? as u8;
         let n = u64::try_from(vint(args, 3 + k)?.max(0)).unwrap_or(0);
         it.charge(n / 4 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         for &d_r in &dest_r {
-            it.mem.write(d_r, &vec![c; n as usize])?;
+            it.mem.fill(d_r, n as usize, c)?;
         }
         store_rv_rops(it, rv_rop_ptr, &dest_r)?;
         Ok(Some(Value::Ptr(dest)))
@@ -479,16 +479,19 @@ fn qsort_wrapper(
     if size == 0 || nmemb <= 1 {
         return Ok(None);
     }
+    // Element addresses wrap, as `indexaddr` does, so a wild one faults
+    // when it is accessed.
+    let elem = |base: u64, j: u64, size: u64| base.wrapping_add(j.wrapping_mul(size));
     let elem_args = |j: u64, k: u64| -> Vec<Value> {
         let mut v = Vec::with_capacity(2 * (base_r.len() + 2));
         for e in [j, k] {
-            v.push(Value::Ptr(base + e * size));
+            v.push(Value::Ptr(elem(base, e, size)));
             for &b_r in base_r {
-                v.push(Value::Ptr(b_r + e * size));
+                v.push(Value::Ptr(elem(b_r, e, size)));
             }
             if scheme == Scheme::Sds {
                 let s = match shadow {
-                    Some((sb, ss)) => sb + e * ss,
+                    Some((sb, ss)) => elem(sb, e, ss),
                     None => 0,
                 };
                 v.push(Value::Ptr(s));
@@ -509,16 +512,16 @@ fn qsort_wrapper(
             }
             // Swap in every space.
             for &b0 in &bases {
-                let a = b0 + (j - 1) * size;
-                let b = b0 + j * size;
+                let a = elem(b0, j - 1, size);
+                let b = elem(b0, j, size);
                 let ab = it.mem.read(a, size as usize)?.to_vec();
                 let bb = it.mem.read(b, size as usize)?.to_vec();
                 it.mem.write(a, &bb)?;
                 it.mem.write(b, &ab)?;
             }
             if let Some((sb, ss)) = shadow {
-                let a = sb + (j - 1) * ss;
-                let b = sb + j * ss;
+                let a = elem(sb, j - 1, ss);
+                let b = elem(sb, j, ss);
                 let ab = it.mem.read(a, ss as usize)?.to_vec();
                 let bb = it.mem.read(b, ss as usize)?.to_vec();
                 it.mem.write(a, &bb)?;

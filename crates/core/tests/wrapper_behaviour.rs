@@ -244,3 +244,44 @@ fn sqrt_wrapper_matches_base() {
     m.entry = Some(f);
     run_both_schemes(&m, &[12]);
 }
+
+/// The SDS and MDS `memset` wrappers trap on a length longer than any
+/// region, as the base `memset` does, without a host buffer that long.
+#[test]
+fn huge_memset_traps_under_wrappers() {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let i8t = m.types.int(8);
+    let vp = m.types.void_ptr();
+    let memset_ty = m.types.function(vp, vec![vp, i64t, i64t]);
+    let memset = m.declare_external("memset", memset_ty);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let buf = b.malloc(i8t, Const::i64(32).into(), "buf");
+    let bv = b.cast(CastOp::Bitcast, vp, buf.into(), "bv");
+    b.call(
+        Callee::External(memset),
+        vec![bv.into(), Const::i64(1).into(), Const::i64(1 << 38).into()],
+        Some(vp),
+        "",
+    );
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    for cfg in [DpmrConfig::sds(), DpmrConfig::mds()] {
+        let t = transform(&m, &cfg).expect("transform");
+        let reg = Rc::new(registry_with_wrappers());
+        let out = run_with_registry(&t, &RunConfig::default(), reg);
+        assert!(
+            matches!(
+                out.status,
+                ExitStatus::Crash(CrashKind::MemFault(MemFault {
+                    kind: MemFaultKind::Unmapped,
+                    ..
+                }))
+            ),
+            "{}: {:?}",
+            cfg.name(),
+            out.status
+        );
+    }
+}

@@ -152,7 +152,7 @@ pub fn register_base(r: &mut Registry) {
         let c = arg_int(args, 1)? as u8;
         let n = u64::try_from(arg_int(args, 2)?.max(0)).unwrap_or(0);
         it.charge(n / 8 + 2);
-        it.mem.write(dest, &vec![c; n as usize])?;
+        it.mem.fill(dest, n as usize, c)?;
         Ok(Some(Value::Ptr(dest)))
     });
 
@@ -182,7 +182,7 @@ pub fn register_base(r: &mut Registry) {
                 break;
             }
         }
-        Ok(Some(Value::Int(sign * val)))
+        Ok(Some(Value::Int(sign.wrapping_mul(val))))
     });
 
     r.register("sqrt", |it, args| {
@@ -220,12 +220,14 @@ pub fn qsort_native(
         return Ok(None);
     }
     // Insertion sort: O(n^2) but deterministic and simple; workload sizes
-    // are small.
+    // are small. Element addresses wrap, as `indexaddr` does, so a wild
+    // one faults when it is accessed.
+    let elem = |base: u64, j: u64, size: u64| base.wrapping_add(j.wrapping_mul(size));
     for i in 1..nmemb {
         let mut j = i;
         while j > 0 {
-            let a = base + (j - 1) * size;
-            let b = base + j * size;
+            let a = elem(base, j - 1, size);
+            let b = elem(base, j, size);
             let r = it.call_fn_ptr(cmp, vec![Value::Ptr(a), Value::Ptr(b)])?;
             let r = match r {
                 Some(Value::Int(v)) => v,
@@ -244,15 +246,15 @@ pub fn qsort_native(
             if let Some((rbase, sbase, ssize)) = elem_shadow {
                 // Mirror the swap in replica memory, and in shadow memory
                 // when present.
-                let ra = rbase + (j - 1) * size;
-                let rb = rbase + j * size;
+                let ra = elem(rbase, j - 1, size);
+                let rb = elem(rbase, j, size);
                 let rab = it.mem.read(ra, size as usize)?.to_vec();
                 let rbb = it.mem.read(rb, size as usize)?.to_vec();
                 it.mem.write(ra, &rbb)?;
                 it.mem.write(rb, &rab)?;
                 if ssize > 0 {
-                    let sa = sbase + (j - 1) * ssize;
-                    let sb = sbase + j * ssize;
+                    let sa = elem(sbase, j - 1, ssize);
+                    let sb = elem(sbase, j, ssize);
                     let sab = it.mem.read(sa, ssize as usize)?.to_vec();
                     let sbb = it.mem.read(sb, ssize as usize)?.to_vec();
                     it.mem.write(sa, &sbb)?;

@@ -1900,16 +1900,17 @@ const ANY: u8 = u8::MAX;
 
 /// The load kinds that get their own handler instantiation (by index):
 /// the ones that dominate executed loads. Every other kind takes the
-/// fallback entry.
-const LOAD_KINDS: [LoadKind; 3] = [
+/// fallback entry, whose variable-length copy calls `memcpy`.
+const LOAD_KINDS: [LoadKind; 4] = [
     LoadKind::Int { bytes: 8, bits: 64 },
     LoadKind::Ptr,
     LoadKind::F64,
+    LoadKind::Int { bytes: 1, bits: 8 },
 ];
 
 /// The store kinds with their own instantiation: 8-byte stores (i64,
-/// f64 and pointers).
-const STORE_KINDS: [StoreKind; 1] = [StoreKind::Raw(8)];
+/// f64 and pointers) and byte stores.
+const STORE_KINDS: [StoreKind; 2] = [StoreKind::Raw(8), StoreKind::Raw(1)];
 
 /// Every operator, predicate and cast, by index: each gets its own
 /// instantiation, so a specialized entry never matches on the op.
@@ -2178,8 +2179,8 @@ static HANDLERS: [OpHandler; 1 << u8::BITS] = {
     t[hid::BAD_BLOCK as usize] = h_bad_block;
     t[hid::INVALID as usize] = h_invalid;
     t[hid::ELIDED as usize] = h_elided;
-    kind_entries!(t, hid::LOAD_FIRST, h_load; 0 1 2);
-    kind_entries!(t, hid::STORE_FIRST, h_store; 0);
+    kind_entries!(t, hid::LOAD_FIRST, h_load; 0 1 2 3);
+    kind_entries!(t, hid::STORE_FIRST, h_store; 0 1);
     t[hid::CHECK_FIRST as usize] = h_dpmr_check::<1>;
     t[hid::CHECK_FIRST as usize + 1] = h_dpmr_check::<2>;
     kind_entries!(t, hid::CMP_FIRST, h_cmp; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);

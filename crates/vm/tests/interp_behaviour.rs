@@ -1022,3 +1022,116 @@ fn huge_malloc_charges_saturate_the_clock() {
         assert_eq!(out.alloc_stats.mallocs, 0);
     }
 }
+
+/// `main` calling `memset(malloc(32), 1, len)` and returning 0.
+fn memset_module(len: i64) -> Module {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let i8t = m.types.int(8);
+    let vp = m.types.void_ptr();
+    let memset_ty = m.types.function(vp, vec![vp, i64t, i64t]);
+    let memset = m.declare_external("memset", memset_ty);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let buf = b.malloc(i8t, Const::i64(32).into(), "buf");
+    let bv = b.cast(CastOp::Bitcast, vp, buf.into(), "bv");
+    b.call(
+        Callee::External(memset),
+        vec![bv.into(), Const::i64(1).into(), Const::i64(len).into()],
+        Some(vp),
+        "",
+    );
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    m
+}
+
+/// A `memset` longer than any region traps as an unmapped access; it
+/// never asks the host for a buffer of that length.
+#[test]
+fn huge_memset_traps_without_allocating() {
+    assert_eq!(run(&memset_module(32)).status, ExitStatus::Normal(0));
+    let out = run(&memset_module(1 << 38));
+    assert!(
+        matches!(
+            out.status,
+            ExitStatus::Crash(CrashKind::MemFault(MemFault {
+                kind: MemFaultKind::Unmapped,
+                ..
+            }))
+        ),
+        "{:?}",
+        out.status
+    );
+}
+
+/// `atoi` of the most negative 64-bit integer wraps instead of
+/// overflowing.
+#[test]
+fn atoi_of_the_most_negative_integer_wraps() {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let text = b"-9223372036854775808\0";
+    let i8t = m.types.int(8);
+    let arr = m.types.array(i8t, text.len() as u64);
+    let g = m.add_global(Global {
+        name: "s".into(),
+        ty: arr,
+        init: GlobalInit::Bytes(text.to_vec()),
+    });
+    let vp = m.types.void_ptr();
+    let atoi_ty = m.types.function(i64t, vec![vp]);
+    let atoi = m.declare_external("atoi", atoi_ty);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let s = b.cast(CastOp::Bitcast, vp, Operand::Global(g), "s");
+    let v = b
+        .call(Callee::External(atoi), vec![s.into()], Some(i64t), "v")
+        .expect("v");
+    b.output(v.into());
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    let out = run(&m);
+    assert_eq!(out.status, ExitStatus::Normal(0));
+    assert_eq!(out.output, vec![i64::MIN as u64]);
+}
+
+/// `qsort` with an element size whose addresses wrap: element addresses
+/// wrap like `indexaddr`'s, and a comparator that never asks for a swap
+/// leaves them unaccessed, so the call returns.
+#[test]
+fn qsort_with_wrapping_element_addresses_returns() {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let vp = m.types.void_ptr();
+    let void = m.types.void();
+    let cmp = {
+        let mut b = FunctionBuilder::new(&mut m, "cmp", i64t, &[("a", vp), ("b", vp)]);
+        b.ret(Some(Const::i64(0).into()));
+        b.finish()
+    };
+    let cmp_ty = m.types.function(i64t, vec![vp, vp]);
+    let cmp_ptr_ty = m.types.pointer(cmp_ty);
+    let qsort_ty = m.types.function(void, vec![vp, i64t, i64t, cmp_ptr_ty]);
+    let qsort = m.declare_external("qsort", qsort_ty);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let i8t = b.module.types.int(8);
+    let buf = b.malloc(i8t, Const::i64(32).into(), "buf");
+    let bv = b.cast(CastOp::Bitcast, vp, buf.into(), "bv");
+    let cp = b.copy(cmp_ptr_ty, Operand::Func(cmp), "cp");
+    b.call(
+        Callee::External(qsort),
+        vec![
+            bv.into(),
+            Const::i64(5).into(),
+            Const::i64(1 << 62).into(),
+            cp.into(),
+        ],
+        None,
+        "",
+    );
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    assert_eq!(run(&m).status, ExitStatus::Normal(0));
+}
