@@ -1,9 +1,10 @@
-//! Experiment execution: variant builds (Sec. 3.5), experiment
-//! descriptors `(W, C, D, I, RN)` (Sec. 3.6), and the per-run measurement
-//! components of Table 3.2.
+//! Experiment execution (Secs. 3.5–3.6): the golden preparation of an
+//! application, the transform-and-lower build of a DPMR variant, the two
+//! run entry points every experiment descriptor `(W, C, D, I, RN)` goes
+//! through, and the per-run measurement components of Table 3.2.
 
 use dpmr_core::prelude::*;
-use dpmr_fi::{enumerate_heap_alloc_sites, inject, may_manifest, FaultType, InjectionSite};
+use dpmr_fi::{enumerate_heap_alloc_sites, may_manifest, FaultType, InjectionSite, OpSite};
 use dpmr_ir::module::Module;
 use dpmr_recovery::{RecoveryDriver, RecoveryOutcome};
 use dpmr_vm::prelude::*;
@@ -13,44 +14,6 @@ use std::rc::Rc;
 /// Simulated CPU frequency used to convert virtual cycles to the paper's
 /// millisecond units (the testbed's 2 GHz Athlon, Table 3.1).
 pub const CYCLES_PER_MSEC: f64 = 2.0e6;
-
-/// The four variant classes of Sec. 3.5 / Fig. 3.5.
-#[derive(Debug, Clone)]
-pub enum Variant {
-    /// `golden`: the unmodified application.
-    Golden,
-    /// `fi-stdapp`: fault-injection build without DPMR.
-    FiStdapp,
-    /// `nofi-dpmr`: DPMR build without fault injection (overhead runs).
-    NofiDpmr(DpmrConfig),
-    /// `fi-dpmr`: fault-injection + DPMR build.
-    FiDpmr(DpmrConfig),
-}
-
-impl Variant {
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            Variant::Golden => "golden".into(),
-            Variant::FiStdapp => "stdapp".into(),
-            Variant::NofiDpmr(c) | Variant::FiDpmr(c) => c.name(),
-        }
-    }
-}
-
-/// One experiment's identity: workload, comparison policy + diversity
-/// (inside the DPMR config), injection, run number.
-#[derive(Debug, Clone)]
-pub struct Experiment {
-    /// Application under test.
-    pub app: &'static str,
-    /// Variant (carries C and D).
-    pub variant: Variant,
-    /// Injected fault, if any (I).
-    pub fault: Option<(InjectionSite, FaultType)>,
-    /// Run number (RN) — seeds the VM.
-    pub run: u32,
-}
 
 /// Raw per-run measurements (Table 3.2's random variables).
 #[derive(Debug, Clone)]
@@ -97,9 +60,9 @@ pub struct RecoveryMeasurement {
     pub t2r: Option<u64>,
 }
 
-/// One fully instrumented run: the raw outcome plus everything the
-/// telemetry layer collected (see [`PreparedApp::run_instrumented`]).
-pub struct InstrumentedRun {
+/// One interpreter run: the raw outcome plus everything the telemetry
+/// layer collected (nothing when telemetry is off).
+pub struct RunRecord {
     /// Raw run outcome.
     pub out: RunOutcome,
     /// Collected per-site/per-pc profiles and the event trace.
@@ -108,6 +71,67 @@ pub struct InstrumentedRun {
     pub mem: MemUsage,
     /// The VM seed the run used (trace-sink key component).
     pub seed: u64,
+}
+
+/// A DPMR-transformed module and its lowered bytecode, stored plain (not
+/// `Rc`-wrapped) so builds stay `Send` for the study scheduler.
+#[derive(Clone)]
+pub struct Build {
+    /// The transformed module.
+    pub module: Module,
+    /// Its lowered bytecode.
+    pub code: LoweredCode,
+}
+
+/// Transforms `module` under `cfg` and lowers the result: the build of
+/// every `nofi-dpmr` and `fi-dpmr` variant.
+///
+/// # Panics
+/// Panics if the transformation rejects the module (a workload bug).
+pub fn build(module: &Module, cfg: &DpmrConfig) -> Build {
+    let module = transform(module, cfg).expect("transform");
+    let code = dpmr_vm::lower::lower(&module);
+    Build { module, code }
+}
+
+impl Build {
+    /// This build, ready to run (its bytecode copied into an `Rc`).
+    pub fn exe(&self) -> Exe<'_> {
+        Exe::dpmr(&self.module, self.code.clone())
+    }
+}
+
+/// A module ready to run: its lowered bytecode and the registry of
+/// externals it links against. A unit makes one and shares it across its
+/// runs and legs.
+pub struct Exe<'m> {
+    /// The module (`code` was lowered from it).
+    pub module: &'m Module,
+    /// Its lowered bytecode.
+    pub code: Rc<LoweredCode>,
+    /// The externals the module calls.
+    pub registry: Rc<Registry>,
+}
+
+impl<'m> Exe<'m> {
+    /// A DPMR-transformed `module`, linked against the wrapper registry.
+    pub fn dpmr(module: &'m Module, code: LoweredCode) -> Exe<'m> {
+        Exe {
+            module,
+            code: Rc::new(code),
+            registry: Rc::new(registry_with_wrappers()),
+        }
+    }
+
+    /// An untransformed `module` (`golden`, `fi-stdapp`), linked against
+    /// the base registry.
+    pub fn plain(module: &'m Module, code: LoweredCode) -> Exe<'m> {
+        Exe {
+            module,
+            code: Rc::new(code),
+            registry: Rc::new(Registry::with_base()),
+        }
+    }
 }
 
 /// A prepared application: golden module, its lowered bytecode, golden
@@ -188,55 +212,79 @@ impl PreparedApp {
         self.golden.instrs.saturating_mul(20).max(1_000_000)
     }
 
-    fn run_config(&self, run: u32) -> RunConfig {
+    /// The runtime fault of trial `run` of `runs` armed at `site`: seeded
+    /// by `(pc, run)` and armed `run/runs` of the way into the golden
+    /// running time, so trial 0 is armed from the first cycle. The armed
+    /// triple makes the trial exactly replayable.
+    pub fn arm(&self, fault: FaultModel, site: OpSite, run: u32, runs: u32) -> ArmedFault {
+        ArmedFault {
+            site: site.pc,
+            fault,
+            seed: dpmr_fi::trial_seed(site.pc, run),
+            arm_cycle: self.golden.cycles * u64::from(run) / u64::from(runs.max(1)),
+        }
+    }
+
+    /// The configuration of run `run` (its seeds), with `fault` armed at
+    /// the Mem/Interp boundary.
+    fn run_config(&self, fault: Option<ArmedFault>, run: u32) -> RunConfig {
         let mut rc = RunConfig {
             max_instrs: self.budget(),
             seed: u64::from(run) + 1,
+            fault,
             ..RunConfig::default()
         };
         rc.mem.fill_seed = (u64::from(run) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         rc
     }
 
-    /// Executes one experiment and reduces it to a [`Measurement`].
-    pub fn run(&self, exp: &Experiment) -> Measurement {
-        let faulty;
-        let base: &Module = match &exp.fault {
-            Some((site, fault)) => {
-                faulty = inject(&self.module, site, *fault);
-                &faulty
-            }
-            None => &self.module,
-        };
-        let transformed;
-        let (module, registry): (&Module, Rc<Registry>) = match &exp.variant {
-            Variant::Golden | Variant::FiStdapp => (base, Rc::new(Registry::with_base())),
-            Variant::NofiDpmr(cfg) | Variant::FiDpmr(cfg) => {
-                transformed = transform(base, cfg).expect("transform");
-                (&transformed, Rc::new(registry_with_wrappers()))
-            }
-        };
-        let rc = self.run_config(exp.run);
-        let out = run_with_registry(module, &rc, registry);
-        self.measure(&out)
+    /// Runs `exe` once with run `run`'s seeds, `fault` armed (if any) and
+    /// `telemetry` collected.
+    pub fn run(
+        &self,
+        exe: &Exe,
+        fault: Option<ArmedFault>,
+        telemetry: TelemetryConfig,
+        run: u32,
+    ) -> RunRecord {
+        let mut rc = self.run_config(fault, run);
+        rc.telemetry = telemetry;
+        let mut interp = Interp::with_code(
+            exe.module,
+            Rc::clone(&exe.code),
+            &rc,
+            Rc::clone(&exe.registry),
+        );
+        let out = interp.run(rc.args.clone());
+        RunRecord {
+            out,
+            mem: interp.mem.usage(),
+            telemetry: interp.take_telemetry(),
+            seed: rc.seed,
+        }
     }
 
-    /// Runs an already injected/transformed module with shared
-    /// pre-lowered bytecode (`code` must have been lowered from `module`)
-    /// under `registry`, using run `run`'s seeds, and reduces it against
-    /// the golden reference. Campaigns use this to hoist injection,
-    /// transformation, and lowering out of their per-run loops.
-    pub fn run_built(
+    /// Runs `exe` once under recovery configuration `rec` through the
+    /// [`RecoveryDriver`], with run `run`'s seeds and `fault` armed (if
+    /// any): repairs and checkpoint replays face the same deterministic
+    /// corruption a detection run saw. Reduces against the golden
+    /// reference.
+    pub fn run_recovery(
         &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
+        exe: &Exe,
+        fault: Option<ArmedFault>,
+        rec: RecoveryConfig,
         run: u32,
-    ) -> Measurement {
-        let rc = self.run_config(run);
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        self.measure(&out)
+    ) -> RecoveryMeasurement {
+        let rc = self.run_config(fault, run);
+        let driver = RecoveryDriver::with_code(
+            exe.module,
+            Rc::clone(&exe.code),
+            Rc::clone(&exe.registry),
+            rc,
+            rec,
+        );
+        self.measure_recovery(driver.run())
     }
 
     /// Reduces a raw run outcome against the golden reference.
@@ -262,68 +310,6 @@ impl PreparedApp {
         }
     }
 
-    /// Injects `fault` at `site` and applies the DPMR transformation —
-    /// the expensive, policy-independent half of a recovery experiment.
-    /// Campaigns hoist this out of their per-(policy, run) loops.
-    pub fn prepare_recovery(
-        &self,
-        site: &InjectionSite,
-        fault: FaultType,
-        cfg: &DpmrConfig,
-    ) -> Module {
-        let faulty = inject(&self.module, site, fault);
-        transform(&faulty, cfg).expect("transform")
-    }
-
-    /// Executes one *recovery* experiment: injects `fault` at `site`,
-    /// transforms with `cfg`, and runs under `rec` through the
-    /// [`RecoveryDriver`], reducing against the golden reference.
-    pub fn run_recovery(
-        &self,
-        site: &InjectionSite,
-        fault: FaultType,
-        cfg: &DpmrConfig,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let transformed = self.prepare_recovery(site, fault, cfg);
-        let code = Rc::new(dpmr_vm::lower::lower(&transformed));
-        let registry = Rc::new(registry_with_wrappers());
-        self.run_recovery_lowered(&transformed, code, registry, rec, run)
-    }
-
-    /// Runs a recovery experiment on an already injected-and-transformed
-    /// module (see [`PreparedApp::prepare_recovery`]), lowering it to
-    /// bytecode for this run only. Campaigns that replay one transformed
-    /// module across policies and seeds should lower once and use
-    /// [`PreparedApp::run_recovery_lowered`].
-    pub fn run_recovery_prepared(
-        &self,
-        transformed: &Module,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let code = Rc::new(dpmr_vm::lower::lower(transformed));
-        let registry = Rc::new(registry_with_wrappers());
-        self.run_recovery_lowered(transformed, code, registry, rec, run)
-    }
-
-    /// Runs a recovery experiment on an already injected-and-transformed
-    /// module with shared pre-lowered bytecode (`code` must have been
-    /// lowered from `transformed`) and a shared wrapper registry.
-    pub fn run_recovery_lowered(
-        &self,
-        transformed: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let rc = self.run_config(run);
-        let driver = RecoveryDriver::with_code(transformed, code, registry, rc, rec);
-        self.measure_recovery(driver.run())
-    }
-
     /// Reduces a raw recovery outcome against the golden reference.
     pub fn measure_recovery(&self, out: RecoveryOutcome) -> RecoveryMeasurement {
         let correct = matches!(out.last.status, ExitStatus::Normal(0))
@@ -339,84 +325,11 @@ impl PreparedApp {
         }
     }
 
-    /// Executes one *runtime-fault* trial: runs `module` (shared lowered
-    /// `code`, shared `registry`) with `fault` armed in the run
-    /// configuration — the Mem/Interp-boundary injection hook — using run
-    /// `run`'s seeds, and reduces against the golden reference. The armed
-    /// triple makes the trial exactly replayable.
-    pub fn run_armed(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: ArmedFault,
-        run: u32,
-    ) -> Measurement {
-        let mut rc = self.run_config(run);
-        rc.fault = Some(fault);
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        self.measure(&out)
-    }
-
-    /// Like [`PreparedApp::run_armed`] but executing under a recovery
-    /// policy: the armed fault rides the run configuration into the
-    /// [`RecoveryDriver`], so repairs and checkpoint replays face the
-    /// same deterministic corruption the detection trial saw.
-    pub fn run_armed_recovery(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: ArmedFault,
-        rec: RecoveryConfig,
-        run: u32,
-    ) -> RecoveryMeasurement {
-        let mut rc = self.run_config(run);
-        rc.fault = Some(fault);
-        let driver = RecoveryDriver::with_code(module, code, registry, rc, rec);
-        self.measure_recovery(driver.run())
-    }
-
-    /// Executes one run with **full telemetry** enabled: the per-site and
-    /// per-pc profiles plus the event trace of [`dpmr_vm::telemetry`],
-    /// alongside the raw outcome and the region footprint. Clean profile
-    /// runs (`fault: None`) feed the hot/cold columns of `profS.1`; armed
-    /// runs feed its detection-usefulness columns and the trace sink.
-    pub fn run_instrumented(
-        &self,
-        module: &Module,
-        code: Rc<LoweredCode>,
-        registry: Rc<Registry>,
-        fault: Option<ArmedFault>,
-        run: u32,
-    ) -> InstrumentedRun {
-        let mut rc = self.run_config(run);
-        rc.fault = fault;
-        rc.telemetry = TelemetryConfig::full();
-        let mut interp = Interp::with_code(module, code, &rc, registry);
-        let out = interp.run(rc.args.clone());
-        let mem = interp.mem.usage();
-        let telemetry = interp.take_telemetry();
-        InstrumentedRun {
-            out,
-            telemetry,
-            mem,
-            seed: rc.seed,
-        }
-    }
-
-    /// Overhead of a DPMR configuration: mean execution time of the
-    /// transformed, non-faulty build divided by the golden time (Eq. 3.1).
-    pub fn overhead(&self, cfg: &DpmrConfig) -> f64 {
-        let exp = Experiment {
-            app: self.app.name,
-            variant: Variant::NofiDpmr(cfg.clone()),
-            fault: None,
-            run: 0,
-        };
-        let m = self.run(&exp);
-        m.cycles as f64 / self.golden.cycles as f64
+    /// Overhead of a DPMR build (`nofi-dpmr`): the cycles of its clean
+    /// run 0 divided by the golden cycles (Eq. 3.1).
+    pub fn overhead(&self, exe: &Exe) -> f64 {
+        let out = self.run(exe, None, TelemetryConfig::off(), 0).out;
+        out.cycles as f64 / self.golden.cycles as f64
     }
 }
 
@@ -437,7 +350,11 @@ mod tests {
     fn overhead_is_above_one_under_dpmr() {
         let app = app_by_name("art").expect("art");
         let p = prepare(app, &WorkloadParams::quick());
-        let o = p.overhead(&DpmrConfig::sds().with_diversity(Diversity::None));
+        let b = build(
+            &p.module,
+            &DpmrConfig::sds().with_diversity(Diversity::None),
+        );
+        let o = p.overhead(&b.exe());
         assert!(o > 1.2, "DPMR must cost something, got {o}");
         assert!(o < 20.0, "DPMR overhead out of range, got {o}");
     }
@@ -448,13 +365,10 @@ mod tests {
         let p = prepare(app, &WorkloadParams::quick());
         let sites = p.manifest_sites(FaultType::ImmediateFree);
         assert!(!sites.is_empty());
-        let exp = Experiment {
-            app: "mcf",
-            variant: Variant::FiStdapp,
-            fault: Some((sites[0], FaultType::ImmediateFree)),
-            run: 0,
-        };
-        let m = p.run(&exp);
+        // fi-stdapp: the injected, untransformed build.
+        let faulty = dpmr_fi::inject(&p.module, &sites[0], FaultType::ImmediateFree);
+        let exe = Exe::plain(&faulty, dpmr_vm::lower::lower(&faulty));
+        let m = p.measure(&p.run(&exe, None, TelemetryConfig::off(), 0).out);
         assert!(m.sf, "the first mcf allocation site always executes");
     }
 }

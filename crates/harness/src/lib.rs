@@ -34,150 +34,241 @@ use metrics::{
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+/// Renders one artifact from its title, running (or reusing) the studies
+/// it reads.
+type Render = fn(&str, &mut Studies, &CampaignConfig) -> String;
+
+/// Every reproducible artifact in paper order: (id, one-line description
+/// for `list`, title, renderer).
+const ARTIFACTS: &[(&str, &str, &str, Render)] = &[
+    (
+        "fig3.6",
+        "mean heap-array-resize coverage of diversity transformations (SDS)",
+        "Figure 3.6: Mean heap array resize coverage of diversity transformations (SDS)",
+        |t, s, cc| figures::coverage_figure(t, s.sds_div(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig3.7",
+        "mean immediate-free coverage of diversity transformations (SDS)",
+        "Figure 3.7: Mean immediate free coverage of diversity transformations (SDS)",
+        |t, s, cc| figures::coverage_figure(t, s.sds_div(cc), IMM_FREE),
+    ),
+    (
+        "fig3.8",
+        "heap-array-resize conditional coverage of diversity transformations (SDS)",
+        "Figure 3.8: Mean heap array resize conditional coverage of diversity transformations (SDS)",
+        |t, s, cc| figures::conditional_figure(t, s.sds_div(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig3.9",
+        "immediate-free conditional coverage of diversity transformations (SDS)",
+        "Figure 3.9: Mean immediate free conditional coverage of diversity transformations (SDS)",
+        |t, s, cc| figures::conditional_figure(t, s.sds_div(cc), IMM_FREE),
+    ),
+    (
+        "fig3.10",
+        "overhead of diversity transformations (SDS, all loads)",
+        "Figure 3.10: Overhead of diversity transformations (SDS, all loads)",
+        |t, s, cc| figures::overhead_figure(t, s.sds_div(cc)),
+    ),
+    (
+        "tab3.3",
+        "mean time to detection of diversity transformations (SDS)",
+        "Table 3.3: Mean time to detection of diversity transformations (SDS)",
+        |t, s, cc| figures::mttd_table(t, s.sds_div(cc)),
+    ),
+    (
+        "fig3.11",
+        "heap-array-resize coverage of comparison policies (SDS, rearrange-heap)",
+        "Figure 3.11: Mean heap array resize coverage of state comparison policies (SDS, rearrange-heap)",
+        |t, s, cc| figures::coverage_figure(t, s.sds_pol(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig3.12",
+        "immediate-free coverage of comparison policies (SDS, rearrange-heap)",
+        "Figure 3.12: Mean immediate free coverage of state comparison policies (SDS, rearrange-heap)",
+        |t, s, cc| figures::coverage_figure(t, s.sds_pol(cc), IMM_FREE),
+    ),
+    (
+        "fig3.13",
+        "heap-array-resize conditional coverage of comparison policies (SDS)",
+        "Figure 3.13: Mean heap array resize conditional coverage of state comparison policies (SDS)",
+        |t, s, cc| figures::conditional_figure(t, s.sds_pol(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig3.14",
+        "immediate-free conditional coverage of comparison policies (SDS)",
+        "Figure 3.14: Mean immediate free conditional coverage of state comparison policies (SDS)",
+        |t, s, cc| figures::conditional_figure(t, s.sds_pol(cc), IMM_FREE),
+    ),
+    (
+        "fig3.15",
+        "overhead of comparison policies (SDS, rearrange-heap)",
+        "Figure 3.15: Overhead of state comparison policies (SDS, rearrange-heap)",
+        |t, s, cc| figures::overhead_figure(t, s.sds_pol(cc)),
+    ),
+    (
+        "tab3.4",
+        "mean time to detection of comparison policies (SDS)",
+        "Table 3.4: Mean time to detection of state comparison policies (SDS)",
+        |t, s, cc| figures::mttd_table(t, s.sds_pol(cc)),
+    ),
+    (
+        "fig4.3",
+        "side-by-side diversity-transformation overheads of SDS and MDS",
+        "Figure 4.3: Side-by-side diversity transformation overheads of SDS and MDS",
+        |t, s, cc| {
+            let variants = ["no-diversity", "zero-before-free", "rearrange-heap", "pad-malloc 32"];
+            let sds = s.sds_div(cc).clone();
+            figures::side_by_side_overhead(t, &sds, s.mds_div(cc), &variants.map(String::from))
+        },
+    ),
+    (
+        "fig4.4",
+        "side-by-side comparison-policy overheads of SDS and MDS",
+        "Figure 4.4: Side-by-side comparison policy overheads of SDS and MDS",
+        |t, s, cc| {
+            let variants = ["static 10%", "static 50%", "static 90%", "all loads"];
+            let sds = s.sds_pol(cc).clone();
+            figures::side_by_side_overhead(t, &sds, s.mds_pol(cc), &variants.map(String::from))
+        },
+    ),
+    (
+        "fig4.5",
+        "MDS overhead of diversity transformations",
+        "Figure 4.5: MDS overhead of diversity transformations",
+        |t, s, cc| figures::overhead_figure(t, s.mds_div(cc)),
+    ),
+    (
+        "fig4.6",
+        "MDS overhead of comparison policies",
+        "Figure 4.6: MDS overhead of state comparison policies",
+        |t, s, cc| figures::overhead_figure(t, s.mds_pol(cc)),
+    ),
+    (
+        "fig4.7",
+        "MDS heap-array-resize coverage of diversity transformations",
+        "Figure 4.7: Mean MDS heap array resize coverage of diversity transformations",
+        |t, s, cc| figures::coverage_figure(t, s.mds_div(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig4.8",
+        "MDS immediate-free coverage of diversity transformations",
+        "Figure 4.8: Mean MDS immediate free coverage of diversity transformations",
+        |t, s, cc| figures::coverage_figure(t, s.mds_div(cc), IMM_FREE),
+    ),
+    (
+        "fig4.9",
+        "MDS heap-array-resize conditional coverage of diversity transformations",
+        "Figure 4.9: Mean MDS heap array resize conditional coverage of diversity transformations",
+        |t, s, cc| figures::conditional_figure(t, s.mds_div(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig4.10",
+        "MDS immediate-free conditional coverage of diversity transformations",
+        "Figure 4.10: Mean MDS immediate free conditional coverage of diversity transformations",
+        |t, s, cc| figures::conditional_figure(t, s.mds_div(cc), IMM_FREE),
+    ),
+    (
+        "fig4.11",
+        "MDS heap-array-resize coverage of comparison policies",
+        "Figure 4.11: Mean MDS heap array resize coverage of state comparison policies",
+        |t, s, cc| figures::coverage_figure(t, s.mds_pol(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig4.12",
+        "MDS immediate-free coverage of comparison policies",
+        "Figure 4.12: Mean MDS immediate free coverage of state comparison policies",
+        |t, s, cc| figures::coverage_figure(t, s.mds_pol(cc), IMM_FREE),
+    ),
+    (
+        "fig4.13",
+        "MDS heap-array-resize conditional coverage of comparison policies",
+        "Figure 4.13: Mean MDS heap array resize conditional coverage of state comparison policies",
+        |t, s, cc| figures::conditional_figure(t, s.mds_pol(cc), HEAP_RESIZE),
+    ),
+    (
+        "fig4.14",
+        "MDS immediate-free conditional coverage of comparison policies",
+        "Figure 4.14: Mean MDS immediate free conditional coverage of state comparison policies",
+        |t, s, cc| figures::conditional_figure(t, s.mds_pol(cc), IMM_FREE),
+    ),
+    (
+        "tab4.5",
+        "mean time to detection of diversity transformations under MDS",
+        "Table 4.5: Mean time to detection of diversity transformations under MDS",
+        |t, s, cc| figures::mttd_table(t, s.mds_div(cc)),
+    ),
+    (
+        "tab4.6",
+        "mean time to detection of comparison policies under MDS",
+        "Table 4.6: Mean time to detection of state comparison policies under MDS",
+        |t, s, cc| figures::mttd_table(t, s.mds_pol(cc)),
+    ),
+    (
+        "ch5",
+        "DSA scope-expansion demonstration (DS graph, markX, refined transform)",
+        "Chapter 5: scope expansion through Data Structure Analysis",
+        |t, _, _| chapter5_demo(t),
+    ),
+    (
+        "tabR.1",
+        "detection-to-recovery study (fail-stop / retry / repair / mid-run cadence)",
+        "Table R.1: Detection-to-recovery of injected faults (SDS, rearrange-heap, all loads)",
+        |t, s, cc| figures::recovery_table(t, s.recovery(cc)),
+    ),
+    (
+        "tabF.1",
+        "runtime fault campaign: per-class detection, escape, latency, recovery (SDS)",
+        "Table F.1: Runtime fault campaign across the expanded fault model (SDS, rearrange-heap, all loads)",
+        |t, s, cc| figures::fault_campaign_table(t, s.fault(cc)),
+    ),
+    (
+        "tabV.1",
+        "replication-degree sweep: K in {1,2,3} x diversity — overhead scaling, escape, vote-repair success",
+        "Table V.1: Replication-degree sweep (SDS, all loads): K in {1,2,3} x diversity",
+        |t, s, cc| figures::replication_table(t, s.replication(cc)),
+    ),
+    (
+        "profS.1",
+        "check-site profile: per-app hot/cold site execution counts x armed-sweep detection usefulness",
+        "Table S.1: Check-site profile (SDS, rearrange-heap): clean hot/cold x armed detection usefulness",
+        |t, s, cc| figures::site_profile_table(t, s.site_profile(cc)),
+    ),
+    (
+        "traceE.1",
+        "structured event-trace sink: keyed JSONL of clean + per-class armed runs (virtual-cycle timestamps)",
+        "traceE.1 event-trace sink (SDS, rearrange-heap)",
+        |t, s, cc| figures::trace_sink(t, s.trace(cc)),
+    ),
+    (
+        "optP.1",
+        "optimizer study: per-app check-count and virtual-MIPS deltas at each pass combination, with the profile-guided dropped-site report",
+        "Table P.1: Optimizer study (SDS, rearrange-heap): check-count and virtual-MIPS deltas per pass combination",
+        |t, s, cc| figures::opt_table(t, s.opt(cc)),
+    ),
+];
+
 /// All reproducible artifacts with one-line descriptions, in paper order
-/// (the `list` subcommand's table; ids come from [`all_ids`]).
+/// (the `list` subcommand's table).
 pub fn artifact_descriptions() -> Vec<(&'static str, &'static str)> {
-    vec![
-        (
-            "fig3.6",
-            "mean heap-array-resize coverage of diversity transformations (SDS)",
-        ),
-        (
-            "fig3.7",
-            "mean immediate-free coverage of diversity transformations (SDS)",
-        ),
-        (
-            "fig3.8",
-            "heap-array-resize conditional coverage of diversity transformations (SDS)",
-        ),
-        (
-            "fig3.9",
-            "immediate-free conditional coverage of diversity transformations (SDS)",
-        ),
-        (
-            "fig3.10",
-            "overhead of diversity transformations (SDS, all loads)",
-        ),
-        (
-            "tab3.3",
-            "mean time to detection of diversity transformations (SDS)",
-        ),
-        (
-            "fig3.11",
-            "heap-array-resize coverage of comparison policies (SDS, rearrange-heap)",
-        ),
-        (
-            "fig3.12",
-            "immediate-free coverage of comparison policies (SDS, rearrange-heap)",
-        ),
-        (
-            "fig3.13",
-            "heap-array-resize conditional coverage of comparison policies (SDS)",
-        ),
-        (
-            "fig3.14",
-            "immediate-free conditional coverage of comparison policies (SDS)",
-        ),
-        (
-            "fig3.15",
-            "overhead of comparison policies (SDS, rearrange-heap)",
-        ),
-        (
-            "tab3.4",
-            "mean time to detection of comparison policies (SDS)",
-        ),
-        (
-            "fig4.3",
-            "side-by-side diversity-transformation overheads of SDS and MDS",
-        ),
-        (
-            "fig4.4",
-            "side-by-side comparison-policy overheads of SDS and MDS",
-        ),
-        ("fig4.5", "MDS overhead of diversity transformations"),
-        ("fig4.6", "MDS overhead of comparison policies"),
-        (
-            "fig4.7",
-            "MDS heap-array-resize coverage of diversity transformations",
-        ),
-        (
-            "fig4.8",
-            "MDS immediate-free coverage of diversity transformations",
-        ),
-        (
-            "fig4.9",
-            "MDS heap-array-resize conditional coverage of diversity transformations",
-        ),
-        (
-            "fig4.10",
-            "MDS immediate-free conditional coverage of diversity transformations",
-        ),
-        (
-            "fig4.11",
-            "MDS heap-array-resize coverage of comparison policies",
-        ),
-        (
-            "fig4.12",
-            "MDS immediate-free coverage of comparison policies",
-        ),
-        (
-            "fig4.13",
-            "MDS heap-array-resize conditional coverage of comparison policies",
-        ),
-        (
-            "fig4.14",
-            "MDS immediate-free conditional coverage of comparison policies",
-        ),
-        (
-            "tab4.5",
-            "mean time to detection of diversity transformations under MDS",
-        ),
-        (
-            "tab4.6",
-            "mean time to detection of comparison policies under MDS",
-        ),
-        (
-            "ch5",
-            "DSA scope-expansion demonstration (DS graph, markX, refined transform)",
-        ),
-        (
-            "tabR.1",
-            "detection-to-recovery study (fail-stop / retry / repair / mid-run cadence)",
-        ),
-        (
-            "tabF.1",
-            "runtime fault campaign: per-class detection, escape, latency, recovery (SDS)",
-        ),
-        (
-            "tabV.1",
-            "replication-degree sweep: K in {1,2,3} x diversity — overhead scaling, escape, vote-repair success",
-        ),
-        (
-            "profS.1",
-            "check-site profile: per-app hot/cold site execution counts x armed-sweep detection usefulness",
-        ),
-        (
-            "traceE.1",
-            "structured event-trace sink: keyed JSONL of clean + per-class armed runs (virtual-cycle timestamps)",
-        ),
-        (
-            "optP.1",
-            "optimizer study: per-app check-count and virtual-MIPS deltas at each pass combination, with the profile-guided dropped-site report",
-        ),
-    ]
+    ARTIFACTS
+        .iter()
+        .map(|&(id, descr, ..)| (id, descr))
+        .collect()
 }
 
 /// All reproducible artifact ids, in paper order.
 pub fn all_ids() -> Vec<&'static str> {
-    artifact_descriptions()
-        .into_iter()
-        .map(|(id, _)| id)
-        .collect()
+    ARTIFACTS.iter().map(|&(id, ..)| id).collect()
 }
 
 const HEAP_RESIZE: &str = "heap array resize 50%";
 const IMM_FREE: &str = "immediate free";
 
+/// The studies behind the artifacts, each run on first use and shared by
+/// every artifact that reads it.
+#[derive(Default)]
 struct Studies {
     sds_div: Option<StudyResults>,
     sds_pol: Option<StudyResults>,
@@ -191,342 +282,110 @@ struct Studies {
     opt: Option<OptStudyResults>,
 }
 
-impl Studies {
-    fn new() -> Studies {
-        Studies {
-            sds_div: None,
-            sds_pol: None,
-            mds_div: None,
-            mds_pol: None,
-            recovery: None,
-            fault: None,
-            replication: None,
-            site_profile: None,
-            trace: None,
-            opt: None,
-        }
-    }
+/// `slot`'s study, running it with `run` (announced on stderr as `what`)
+/// on first use.
+fn cached<'a, T>(slot: &'a mut Option<T>, what: &str, run: impl FnOnce() -> T) -> &'a T {
+    slot.get_or_insert_with(|| {
+        eprintln!("[harness] running {what}...");
+        run()
+    })
+}
 
+impl Studies {
     fn sds_div(&mut self, cc: &CampaignConfig) -> &StudyResults {
-        if self.sds_div.is_none() {
-            eprintln!("[harness] running SDS diversity study...");
-            self.sds_div = Some(run_diversity_study(Scheme::Sds, cc));
-        }
-        self.sds_div.as_ref().expect("just set")
+        cached(&mut self.sds_div, "SDS diversity study", || {
+            run_diversity_study(Scheme::Sds, cc)
+        })
     }
     fn sds_pol(&mut self, cc: &CampaignConfig) -> &StudyResults {
-        if self.sds_pol.is_none() {
-            eprintln!("[harness] running SDS comparison-policy study...");
-            self.sds_pol = Some(run_policy_study(Scheme::Sds, cc));
-        }
-        self.sds_pol.as_ref().expect("just set")
+        cached(&mut self.sds_pol, "SDS comparison-policy study", || {
+            run_policy_study(Scheme::Sds, cc)
+        })
     }
     fn mds_div(&mut self, cc: &CampaignConfig) -> &StudyResults {
-        if self.mds_div.is_none() {
-            eprintln!("[harness] running MDS diversity study...");
-            self.mds_div = Some(run_diversity_study(Scheme::Mds, cc));
-        }
-        self.mds_div.as_ref().expect("just set")
+        cached(&mut self.mds_div, "MDS diversity study", || {
+            run_diversity_study(Scheme::Mds, cc)
+        })
     }
     fn mds_pol(&mut self, cc: &CampaignConfig) -> &StudyResults {
-        if self.mds_pol.is_none() {
-            eprintln!("[harness] running MDS comparison-policy study...");
-            self.mds_pol = Some(run_policy_study(Scheme::Mds, cc));
-        }
-        self.mds_pol.as_ref().expect("just set")
+        cached(&mut self.mds_pol, "MDS comparison-policy study", || {
+            run_policy_study(Scheme::Mds, cc)
+        })
     }
     fn recovery(&mut self, cc: &CampaignConfig) -> &RecoveryStudyResults {
-        if self.recovery.is_none() {
-            eprintln!("[harness] running detection-to-recovery study...");
-            self.recovery = Some(run_recovery_study(
-                &dpmr_workloads::recovery_apps(),
-                &DpmrConfig::sds(),
-                cc,
-            ));
-        }
-        self.recovery.as_ref().expect("just set")
+        cached(&mut self.recovery, "detection-to-recovery study", || {
+            run_recovery_study(&dpmr_workloads::recovery_apps(), &DpmrConfig::sds(), cc)
+        })
     }
     fn fault(&mut self, cc: &CampaignConfig) -> &FaultCampaignResults {
-        if self.fault.is_none() {
-            eprintln!("[harness] running runtime fault campaign...");
-            self.fault = Some(run_fault_campaign(
+        cached(&mut self.fault, "runtime fault campaign", || {
+            run_fault_campaign(
                 &dpmr_workloads::fault_campaign_apps(),
                 &DpmrConfig::sds(),
                 cc,
-            ));
-        }
-        self.fault.as_ref().expect("just set")
+            )
+        })
     }
     fn replication(&mut self, cc: &CampaignConfig) -> &ReplicationStudyResults {
-        if self.replication.is_none() {
-            eprintln!("[harness] running replication-degree study...");
-            self.replication = Some(run_replication_degree_study(
-                &dpmr_workloads::fault_campaign_apps(),
-                &DpmrConfig::sds(),
-                cc,
-            ));
-        }
-        self.replication.as_ref().expect("just set")
+        cached(&mut self.replication, "replication-degree study", || {
+            let apps = dpmr_workloads::fault_campaign_apps();
+            run_replication_degree_study(&apps, &DpmrConfig::sds(), cc)
+        })
     }
     fn site_profile(&mut self, cc: &CampaignConfig) -> &SiteProfileResults {
-        if self.site_profile.is_none() {
-            eprintln!("[harness] running check-site profile study...");
-            self.site_profile = Some(run_site_profile_study(
-                &dpmr_workloads::fault_campaign_apps(),
-                &DpmrConfig::sds(),
-                cc,
-            ));
-        }
-        self.site_profile.as_ref().expect("just set")
-    }
-    fn opt(&mut self, cc: &CampaignConfig) -> &OptStudyResults {
-        if self.opt.is_none() {
-            // The profile-guided leg consumes profS.1's armed-sweep
-            // detection counts as per-site usefulness weights.
-            let usefulness: std::collections::BTreeMap<String, Vec<f64>> = self
-                .site_profile(cc)
-                .profiles
-                .iter()
-                .map(|(app, p)| {
-                    (
-                        app.clone(),
-                        p.armed.iter().map(|s| s.detections as f64).collect(),
-                    )
-                })
-                .collect();
-            eprintln!("[harness] running optimizer study...");
-            self.opt = Some(run_opt_study(
-                &dpmr_workloads::fault_campaign_apps(),
-                &DpmrConfig::sds(),
-                &usefulness,
-                cc,
-            ));
-        }
-        self.opt.as_ref().expect("just set")
+        cached(&mut self.site_profile, "check-site profile study", || {
+            let apps = dpmr_workloads::fault_campaign_apps();
+            run_site_profile_study(&apps, &DpmrConfig::sds(), cc)
+        })
     }
     fn trace(&mut self, cc: &CampaignConfig) -> &TraceStudyResults {
-        if self.trace.is_none() {
-            eprintln!("[harness] running event-trace study...");
-            self.trace = Some(run_trace_study(
+        cached(&mut self.trace, "event-trace study", || {
+            run_trace_study(
                 &dpmr_workloads::fault_campaign_apps(),
                 &DpmrConfig::sds(),
                 cc,
-            ));
-        }
-        self.trace.as_ref().expect("just set")
+            )
+        })
+    }
+    fn opt(&mut self, cc: &CampaignConfig) -> &OptStudyResults {
+        // The profile-guided leg consumes profS.1's armed-sweep detection
+        // counts as per-site usefulness weights.
+        self.site_profile(cc);
+        let profiles = &self.site_profile.as_ref().expect("just run").profiles;
+        cached(&mut self.opt, "optimizer study", || {
+            let usefulness = profiles
+                .iter()
+                .map(|(app, p)| {
+                    let weights = p.armed.iter().map(|s| s.detections as f64).collect();
+                    (app.clone(), weights)
+                })
+                .collect();
+            let apps = dpmr_workloads::fault_campaign_apps();
+            run_opt_study(&apps, &DpmrConfig::sds(), &usefulness, cc)
+        })
     }
 }
 
 /// Reproduces the requested artifacts (see [`all_ids`]) and returns the
 /// rendered report.
-#[allow(clippy::too_many_lines)]
 pub fn reproduce(ids: &BTreeSet<String>, cc: &CampaignConfig) -> String {
-    let mut studies = Studies::new();
+    let mut studies = Studies::default();
     let mut out = String::new();
-    let want = |id: &str| ids.contains(id);
-
-    for id in all_ids() {
-        if !want(id) {
-            continue;
+    for (id, _, title, render) in ARTIFACTS {
+        if ids.contains(*id) {
+            let _ = writeln!(out, "{}", render(title, &mut studies, cc));
         }
-        let text = match id {
-            "fig3.6" => figures::coverage_figure(
-                "Figure 3.6: Mean heap array resize coverage of diversity transformations (SDS)",
-                studies.sds_div(cc),
-                HEAP_RESIZE,
-            ),
-            "fig3.7" => figures::coverage_figure(
-                "Figure 3.7: Mean immediate free coverage of diversity transformations (SDS)",
-                studies.sds_div(cc),
-                IMM_FREE,
-            ),
-            "fig3.8" => figures::conditional_figure(
-                "Figure 3.8: Mean heap array resize conditional coverage of diversity transformations (SDS)",
-                studies.sds_div(cc),
-                HEAP_RESIZE,
-            ),
-            "fig3.9" => figures::conditional_figure(
-                "Figure 3.9: Mean immediate free conditional coverage of diversity transformations (SDS)",
-                studies.sds_div(cc),
-                IMM_FREE,
-            ),
-            "fig3.10" => figures::overhead_figure(
-                "Figure 3.10: Overhead of diversity transformations (SDS, all loads)",
-                studies.sds_div(cc),
-            ),
-            "tab3.3" => figures::mttd_table(
-                "Table 3.3: Mean time to detection of diversity transformations (SDS)",
-                studies.sds_div(cc),
-            ),
-            "fig3.11" => figures::coverage_figure(
-                "Figure 3.11: Mean heap array resize coverage of state comparison policies (SDS, rearrange-heap)",
-                studies.sds_pol(cc),
-                HEAP_RESIZE,
-            ),
-            "fig3.12" => figures::coverage_figure(
-                "Figure 3.12: Mean immediate free coverage of state comparison policies (SDS, rearrange-heap)",
-                studies.sds_pol(cc),
-                IMM_FREE,
-            ),
-            "fig3.13" => figures::conditional_figure(
-                "Figure 3.13: Mean heap array resize conditional coverage of state comparison policies (SDS)",
-                studies.sds_pol(cc),
-                HEAP_RESIZE,
-            ),
-            "fig3.14" => figures::conditional_figure(
-                "Figure 3.14: Mean immediate free conditional coverage of state comparison policies (SDS)",
-                studies.sds_pol(cc),
-                IMM_FREE,
-            ),
-            "fig3.15" => figures::overhead_figure(
-                "Figure 3.15: Overhead of state comparison policies (SDS, rearrange-heap)",
-                studies.sds_pol(cc),
-            ),
-            "tab3.4" => figures::mttd_table(
-                "Table 3.4: Mean time to detection of state comparison policies (SDS)",
-                studies.sds_pol(cc),
-            ),
-            "fig4.3" => {
-                let variants: Vec<String> = vec![
-                    "no-diversity".into(),
-                    "zero-before-free".into(),
-                    "rearrange-heap".into(),
-                    "pad-malloc 32".into(),
-                ];
-                let sds_snapshot = clone_overheads(studies.sds_div(cc));
-                let mds = studies.mds_div(cc);
-                figures::side_by_side_overhead(
-                    "Figure 4.3: Side-by-side diversity transformation overheads of SDS and MDS",
-                    &sds_snapshot,
-                    mds,
-                    &variants,
-                )
-            }
-            "fig4.4" => {
-                let variants: Vec<String> = vec![
-                    "static 10%".into(),
-                    "static 50%".into(),
-                    "static 90%".into(),
-                    "all loads".into(),
-                ];
-                let sds_snapshot = clone_overheads(studies.sds_pol(cc));
-                let mds = studies.mds_pol(cc);
-                figures::side_by_side_overhead(
-                    "Figure 4.4: Side-by-side comparison policy overheads of SDS and MDS",
-                    &sds_snapshot,
-                    mds,
-                    &variants,
-                )
-            }
-            "fig4.5" => figures::overhead_figure(
-                "Figure 4.5: MDS overhead of diversity transformations",
-                studies.mds_div(cc),
-            ),
-            "fig4.6" => figures::overhead_figure(
-                "Figure 4.6: MDS overhead of state comparison policies",
-                studies.mds_pol(cc),
-            ),
-            "fig4.7" => figures::coverage_figure(
-                "Figure 4.7: Mean MDS heap array resize coverage of diversity transformations",
-                studies.mds_div(cc),
-                HEAP_RESIZE,
-            ),
-            "fig4.8" => figures::coverage_figure(
-                "Figure 4.8: Mean MDS immediate free coverage of diversity transformations",
-                studies.mds_div(cc),
-                IMM_FREE,
-            ),
-            "fig4.9" => figures::conditional_figure(
-                "Figure 4.9: Mean MDS heap array resize conditional coverage of diversity transformations",
-                studies.mds_div(cc),
-                HEAP_RESIZE,
-            ),
-            "fig4.10" => figures::conditional_figure(
-                "Figure 4.10: Mean MDS immediate free conditional coverage of diversity transformations",
-                studies.mds_div(cc),
-                IMM_FREE,
-            ),
-            "fig4.11" => figures::coverage_figure(
-                "Figure 4.11: Mean MDS heap array resize coverage of state comparison policies",
-                studies.mds_pol(cc),
-                HEAP_RESIZE,
-            ),
-            "fig4.12" => figures::coverage_figure(
-                "Figure 4.12: Mean MDS immediate free coverage of state comparison policies",
-                studies.mds_pol(cc),
-                IMM_FREE,
-            ),
-            "fig4.13" => figures::conditional_figure(
-                "Figure 4.13: Mean MDS heap array resize conditional coverage of state comparison policies",
-                studies.mds_pol(cc),
-                HEAP_RESIZE,
-            ),
-            "fig4.14" => figures::conditional_figure(
-                "Figure 4.14: Mean MDS immediate free conditional coverage of state comparison policies",
-                studies.mds_pol(cc),
-                IMM_FREE,
-            ),
-            "tab4.5" => figures::mttd_table(
-                "Table 4.5: Mean time to detection of diversity transformations under MDS",
-                studies.mds_div(cc),
-            ),
-            "tab4.6" => figures::mttd_table(
-                "Table 4.6: Mean time to detection of state comparison policies under MDS",
-                studies.mds_pol(cc),
-            ),
-            "tabR.1" => figures::recovery_table(
-                "Table R.1: Detection-to-recovery of injected faults (SDS, rearrange-heap, all loads)",
-                studies.recovery(cc),
-            ),
-            "tabF.1" => figures::fault_campaign_table(
-                "Table F.1: Runtime fault campaign across the expanded fault model (SDS, rearrange-heap, all loads)",
-                studies.fault(cc),
-            ),
-            "tabV.1" => figures::replication_table(
-                "Table V.1: Replication-degree sweep (SDS, all loads): K in {1,2,3} x diversity",
-                studies.replication(cc),
-            ),
-            "profS.1" => figures::site_profile_table(
-                "Table S.1: Check-site profile (SDS, rearrange-heap): clean hot/cold x armed detection usefulness",
-                studies.site_profile(cc),
-            ),
-            "traceE.1" => figures::trace_sink(
-                "traceE.1 event-trace sink (SDS, rearrange-heap)",
-                studies.trace(cc),
-            ),
-            "optP.1" => figures::opt_table(
-                "Table P.1: Optimizer study (SDS, rearrange-heap): check-count and virtual-MIPS deltas per pass combination",
-                studies.opt(cc),
-            ),
-            "ch5" => chapter5_demo(),
-            _ => continue,
-        };
-        let _ = writeln!(out, "{text}");
     }
     out
 }
 
-fn clone_overheads(src: &StudyResults) -> StudyResults {
-    StudyResults {
-        variants: src.variants.clone(),
-        apps: src.apps.clone(),
-        coverage: src.coverage.clone(),
-        conditional: src.conditional.clone(),
-        overhead: src.overhead.clone(),
-        experiments: src.experiments,
-    }
-}
-
 /// Chapter 5 demonstration: DS graphs and `markX` over a program with
 /// int-to-pointer behaviour, and the resulting replication-plan
-/// refinement.
-pub fn chapter5_demo() -> String {
+/// refinement, under `title`.
+pub fn chapter5_demo(title: &str) -> String {
     use dpmr_ir::prelude::*;
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Chapter 5: scope expansion through Data Structure Analysis"
-    );
+    let _ = writeln!(out, "{title}");
 
     // A program mixing clean memory with an int-to-pointer-reconstructed
     // pointer (Fig. 5.1(a) style).
@@ -618,7 +477,7 @@ mod tests {
 
     #[test]
     fn chapter5_demo_runs_refined_program() {
-        let txt = chapter5_demo();
+        let txt = chapter5_demo("Chapter 5");
         assert!(txt.contains("markX"));
         assert!(txt.contains("Normal(0)"));
         assert!(txt.contains("[11, 22]"));

@@ -1,12 +1,19 @@
 //! Metric aggregation (Sec. 3.6): coverage, conditional coverage,
 //! overhead, and detection latency, computed from fault-injection
 //! campaigns across variant builds.
+//!
+//! Every study shares one plumbing: apps are prepared and built once per
+//! configuration ([`BuildGrid`]), decomposed into units — allocation-site
+//! units ([`SiteUnit`]) for the injection studies, armed units
+//! ([`ArmedUnit`]) for the runtime fault studies — fanned across the
+//! study scheduler, and merged in unit order.
 
-use crate::experiment::{prepare, Measurement, PreparedApp, RecoveryMeasurement, CYCLES_PER_MSEC};
+use crate::experiment::{
+    build, prepare, Build, Exe, Measurement, PreparedApp, RecoveryMeasurement, CYCLES_PER_MSEC,
+};
 use dpmr_core::prelude::*;
-use dpmr_fi::{ArmedFault, FaultModel, FaultType, OpSite};
-use dpmr_ir::module::Module;
-use dpmr_vm::code::LoweredCode;
+use dpmr_fi::{ArmedFault, FaultModel, FaultType, InjectionSite, OpSite};
+use dpmr_vm::telemetry::TelemetryConfig;
 use dpmr_workloads::{AppSpec, WorkloadParams};
 use std::collections::BTreeMap;
 
@@ -86,7 +93,7 @@ impl CovAgg {
 
 /// One study: a list of named variants measured over all apps and both
 /// fault types, with conditional aggregates and overheads.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct StudyResults {
     /// Variant display names, in presentation order.
     pub variants: Vec<String>,
@@ -147,18 +154,165 @@ impl CampaignConfig {
     }
 }
 
-/// One parallel unit of a coverage study: every run of every variant at a
-/// single injection site. Sites are independent; the stdapp→variant
-/// dependency (`StdNotAllDet`) is *within* a unit, so fan-out never
-/// reorders it.
+/// Prepares every app (module build + golden run) in parallel.
+fn prepare_all(apps: &[AppSpec], cc: &CampaignConfig) -> Vec<PreparedApp> {
+    crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params))
+}
+
+/// Every prepared app built under every configuration, app-major: build
+/// `b` is app `b / configs.len()` under `configs[b % configs.len()]`.
+struct BuildGrid {
+    prepared: Vec<PreparedApp>,
+    configs: Vec<DpmrConfig>,
+    builds: Vec<Build>,
+}
+
+impl BuildGrid {
+    /// Prepares `apps` and builds each under `configs`, in parallel.
+    fn new(apps: &[AppSpec], configs: Vec<DpmrConfig>, cc: &CampaignConfig) -> BuildGrid {
+        let prepared = prepare_all(apps, cc);
+        let n = configs.len();
+        let grid: Vec<usize> = (0..prepared.len() * n).collect();
+        let builds = crate::sched::run_indexed(&grid, cc.workers, |&b| {
+            build(&prepared[b / n].module, &configs[b % n])
+        });
+        BuildGrid {
+            prepared,
+            configs,
+            builds,
+        }
+    }
+
+    /// The prepared app of build `b`.
+    fn app(&self, b: usize) -> &PreparedApp {
+        &self.prepared[b / self.configs.len()]
+    }
+
+    /// `f(app, config, build)` for every build, in parallel, in build
+    /// order.
+    fn map<R: Send>(
+        &self,
+        cc: &CampaignConfig,
+        f: impl Fn(&PreparedApp, &DpmrConfig, &Build) -> R + Sync,
+    ) -> Vec<R> {
+        let grid: Vec<usize> = (0..self.builds.len()).collect();
+        crate::sched::run_indexed(&grid, cc.workers, |&b| {
+            f(
+                self.app(b),
+                &self.configs[b % self.configs.len()],
+                &self.builds[b],
+            )
+        })
+    }
+
+    /// Clean-run overhead of every build, keyed by (variant name, app
+    /// name); `names` names the configurations.
+    fn overheads(&self, names: &[String], cc: &CampaignConfig) -> BTreeMap<(String, String), f64> {
+        let overheads = self.map(cc, |p, _, b| p.overhead(&b.exe()));
+        overheads
+            .into_iter()
+            .enumerate()
+            .map(|(b, o)| {
+                let app = self.app(b).app.name.to_string();
+                ((names[b % names.len()].clone(), app), o)
+            })
+            .collect()
+    }
+
+    /// The armed units of every build: per class in `classes(b)`, an even
+    /// sample of at most `cap` of its sites in build `b`.
+    fn armed_units(
+        &self,
+        classes: impl Fn(usize) -> Vec<Option<FaultModel>>,
+        cap: usize,
+    ) -> Vec<ArmedUnit> {
+        let mut units = Vec::new();
+        for (b, built) in self.builds.iter().enumerate() {
+            for class in classes(b) {
+                let sites = match class {
+                    Some(m) => dpmr_fi::enumerate_op_sites(&built.code, m),
+                    None => dpmr_fi::enumerate_replica_sites(&built.code),
+                };
+                units.extend(dpmr_fi::sample_sites(&sites, cap).into_iter().map(|site| {
+                    ArmedUnit {
+                        build: b,
+                        class,
+                        site,
+                    }
+                }));
+            }
+        }
+        units
+    }
+
+    /// The detection and recovery trials of every armed unit, in unit
+    /// order.
+    fn fault_trials(&self, units: &[ArmedUnit], cc: &CampaignConfig) -> Vec<Vec<FaultTrial>> {
+        crate::sched::run_indexed(units, cc.workers, |u| {
+            let cfg = &self.configs[u.build % self.configs.len()];
+            run_fault_unit(u, self.app(u.build), &self.builds[u.build], cfg, cc)
+        })
+    }
+}
+
+/// One allocation-site unit of the coverage and recovery studies: every
+/// run of every variant or policy at a single injection site.
 struct SiteUnit {
     app_idx: usize,
     fault: FaultType,
-    site: dpmr_fi::InjectionSite,
+    site: InjectionSite,
 }
 
-/// Measurements produced by one [`SiteUnit`], in the serial campaign's
-/// recording order.
+/// The site units of `prepared`: each app's manifesting sites per fault
+/// type, capped at `cc.max_sites`.
+fn site_units(prepared: &[PreparedApp], cc: &CampaignConfig) -> Vec<SiteUnit> {
+    let mut units = Vec::new();
+    for (app_idx, p) in prepared.iter().enumerate() {
+        for fault in FaultType::paper_set() {
+            let mut sites = p.manifest_sites(fault);
+            if let Some(cap) = cc.max_sites {
+                sites.truncate(cap);
+            }
+            units.extend(sites.into_iter().map(|site| SiteUnit {
+                app_idx,
+                fault,
+                site,
+            }));
+        }
+    }
+    units
+}
+
+/// The fault the replica pseudo-class arms at replica accesses.
+const HEAP_FLIP: FaultModel = FaultModel::BitFlip {
+    region: dpmr_fi::MemRegion::Heap,
+};
+
+/// One armed unit of the runtime fault studies (tabF.1's main and replica
+/// legs, tabV.1, profS.1): every trial of one fault class at one op site
+/// of one build of the study's [`BuildGrid`].
+struct ArmedUnit {
+    build: usize,
+    /// The class armed; `None` is the replica pseudo-class
+    /// [`REPLICA_CLASS`] (heap bit-flips at replica accesses).
+    class: Option<FaultModel>,
+    site: OpSite,
+}
+
+/// Display name of an armed class (`None`: the replica pseudo-class).
+fn class_name(class: Option<FaultModel>) -> String {
+    class.map_or_else(|| REPLICA_CLASS.to_string(), FaultModel::name)
+}
+
+impl ArmedUnit {
+    /// The fault trial `run` arms (see [`PreparedApp::arm`]).
+    fn arm(&self, p: &PreparedApp, run: u32, cc: &CampaignConfig) -> ArmedFault {
+        p.arm(self.class.unwrap_or(HEAP_FLIP), self.site, run, cc.runs)
+    }
+}
+
+/// Measurements produced by one [`SiteUnit`] of a coverage study, in the
+/// serial campaign's recording order.
 struct SiteOutcome {
     std_measurements: Vec<Measurement>,
     std_not_all_det: bool,
@@ -175,47 +329,25 @@ pub fn run_study(
     variants: &[(String, DpmrConfig)],
     cc: &CampaignConfig,
 ) -> StudyResults {
+    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
+    let grid = BuildGrid::new(apps, variants.iter().map(|(_, c)| c.clone()).collect(), cc);
     let mut res = StudyResults {
         variants: std::iter::once("stdapp".to_string())
-            .chain(variants.iter().map(|(n, _)| n.clone()))
+            .chain(names.iter().cloned())
             .collect(),
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
+        // Overheads: one clean run per (app, variant) build.
+        overhead: grid.overheads(&names, cc),
+        experiments: grid.builds.len() as u64,
         ..StudyResults::default()
     };
-    // Phase 1: prepare every app (module build + golden run) in parallel.
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
 
-    // Phase 2: overheads (non-faulty runs), one unit per (app, variant).
-    let oh_units: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|ai| (0..variants.len()).map(move |vi| (ai, vi)))
-        .collect();
-    let overheads = crate::sched::run_indexed(&oh_units, cc.workers, |&(ai, vi)| {
-        prepared[ai].overhead(&variants[vi].1)
-    });
-    for (&(ai, vi), o) in oh_units.iter().zip(overheads) {
-        res.overhead
-            .insert((variants[vi].0.clone(), apps[ai].name.to_string()), o);
-        res.experiments += 1;
-    }
-
-    // Phase 3: fault-injection trials, one unit per injection site.
-    let mut units = Vec::new();
-    for (app_idx, p) in prepared.iter().enumerate() {
-        for fault in FaultType::paper_set() {
-            let mut sites = p.manifest_sites(fault);
-            if let Some(cap) = cc.max_sites {
-                sites.truncate(cap);
-            }
-            units.extend(sites.into_iter().map(|site| SiteUnit {
-                app_idx,
-                fault,
-                site,
-            }));
-        }
-    }
+    // Fault-injection trials, one unit per injection site. Sites are
+    // independent; the stdapp→variant dependency (`StdNotAllDet`) is
+    // *within* a unit, so fan-out never reorders it.
+    let units = site_units(&grid.prepared, cc);
     let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_site_unit(u, &prepared[u.app_idx], variants, cc)
+        run_site_unit(u, &grid.prepared[u.app_idx], variants, cc)
     });
     for (u, oc) in units.iter().zip(outcomes) {
         let app = apps[u.app_idx].name;
@@ -231,7 +363,7 @@ pub fn run_study(
             &oc.std_measurements,
             oc.std_not_all_det,
         );
-        for ((vname, _), ms) in variants.iter().zip(&oc.variant_measurements) {
+        for (vname, ms) in names.iter().zip(&oc.variant_measurements) {
             record(&mut res, vname, app, &fault, ms, oc.std_not_all_det);
         }
     }
@@ -244,32 +376,22 @@ fn run_site_unit(
     variants: &[(String, DpmrConfig)],
     cc: &CampaignConfig,
 ) -> SiteOutcome {
-    use std::rc::Rc;
-    // Injection depends only on (site, fault), each variant's transform +
-    // bytecode lowering only on the injected module, and the external
-    // registries on nothing at all: build each once, not once per run.
+    // Injection depends only on (site, fault) and each variant's build
+    // only on the injected module: build each once, not once per run.
     let faulty = dpmr_fi::inject(&p.module, &u.site, u.fault);
-    let faulty_code = Rc::new(dpmr_vm::lower::lower(&faulty));
-    let base_reg = Rc::new(dpmr_vm::external::Registry::with_base());
-    let wrap_reg = Rc::new(registry_with_wrappers());
+    let runs = |exe: &Exe| -> Vec<Measurement> {
+        (0..cc.runs)
+            .map(|run| p.measure(&p.run(exe, None, TelemetryConfig::off(), run).out))
+            .collect()
+    };
     // stdapp first: establishes StdNotAllDet for this site.
-    let mut std_not_all_det = false;
-    let mut std_measurements = Vec::new();
-    for run in 0..cc.runs {
-        let m = p.run_built(&faulty, Rc::clone(&faulty_code), Rc::clone(&base_reg), run);
-        if m.sf && !m.co && !m.ndet {
-            std_not_all_det = true;
-        }
-        std_measurements.push(m);
-    }
+    let std_measurements = runs(&Exe::plain(&faulty, dpmr_vm::lower::lower(&faulty)));
+    let std_not_all_det = std_measurements.iter().any(|m| m.sf && !m.co && !m.ndet);
     let variant_measurements = variants
         .iter()
         .map(|(_, cfg)| {
-            let transformed = transform(&faulty, cfg).expect("transform");
-            let code = Rc::new(dpmr_vm::lower::lower(&transformed));
-            (0..cc.runs)
-                .map(|run| p.run_built(&transformed, Rc::clone(&code), Rc::clone(&wrap_reg), run))
-                .collect()
+            let b = build(&faulty, cfg);
+            runs(&Exe::dpmr(&b.module, b.code))
         })
         .collect();
     SiteOutcome {
@@ -428,24 +550,21 @@ pub fn run_recovery_study(
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..RecoveryStudyResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let mut units = Vec::new();
-    for (app_idx, p) in prepared.iter().enumerate() {
-        for fault in FaultType::paper_set() {
-            let mut sites = p.manifest_sites(fault);
-            if let Some(cap) = cc.max_sites {
-                sites.truncate(cap);
-            }
-            units.extend(sites.into_iter().map(|site| SiteUnit {
-                app_idx,
-                fault,
-                site,
-            }));
-        }
-    }
+    let prepared = prepare_all(apps, cc);
+    let units = site_units(&prepared, cc);
     let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_recovery_site_unit(u, &prepared[u.app_idx], base, &configs, cc)
+        // Injection and the build depend only on (site, fault, base):
+        // build once, not once per (config, run).
+        let p = &prepared[u.app_idx];
+        let b = build(&dpmr_fi::inject(&p.module, &u.site, u.fault), base);
+        let exe = Exe::dpmr(&b.module, b.code);
+        let mut out = Vec::new();
+        for rec in &configs {
+            for run in 0..cc.runs {
+                out.push((rec.name(), p.run_recovery(&exe, None, *rec, run)));
+            }
+        }
+        out
     });
     for (u, ms) in units.iter().zip(outcomes) {
         for (rec_name, m) in ms {
@@ -457,35 +576,6 @@ pub fn run_recovery_study(
         }
     }
     res
-}
-
-fn run_recovery_site_unit(
-    u: &SiteUnit,
-    p: &PreparedApp,
-    base: &DpmrConfig,
-    configs: &[RecoveryConfig],
-    cc: &CampaignConfig,
-) -> Vec<(String, RecoveryMeasurement)> {
-    // Injection, transformation, bytecode lowering, and the wrapper
-    // registry depend only on (site, fault, base): build them once, not
-    // once per (config, run).
-    let transformed = p.prepare_recovery(&u.site, u.fault, base);
-    let code = std::rc::Rc::new(dpmr_vm::lower::lower(&transformed));
-    let registry = std::rc::Rc::new(registry_with_wrappers());
-    let mut out = Vec::new();
-    for rec in configs {
-        for run in 0..cc.runs {
-            let m = p.run_recovery_lowered(
-                &transformed,
-                std::rc::Rc::clone(&code),
-                std::rc::Rc::clone(&registry),
-                *rec,
-                run,
-            );
-            out.push((rec.name(), m));
-        }
-    }
-    out
 }
 
 /// Default cap on armed sites per (app, fault class) when the campaign
@@ -655,20 +745,30 @@ pub struct FaultCampaignResults {
     pub experiments: u64,
 }
 
-/// One parallel unit of the fault campaign: every trial of one fault
-/// class armed at one op site of one app's transformed build.
-struct FaultUnit {
-    app_idx: usize,
-    class: FaultModel,
-    site: OpSite,
-}
-
-/// One trial's reduced outcome.
+/// One armed trial's reduced outcome.
 struct FaultTrial {
     m: Measurement,
-    recovered: bool,
-    wrong_repair: bool,
-    ran_recovery: bool,
+    /// The recovery leg, run only when DPMR detected.
+    recovery: Option<RecoveryMeasurement>,
+}
+
+impl FaultTrial {
+    /// Executions the trial took: its detection leg plus any recovery leg.
+    fn executions(&self) -> u64 {
+        1 + u64::from(self.recovery.is_some())
+    }
+}
+
+/// Folds a unit's trials into `agg`.
+fn fold_trials(agg: &mut FaultClassAgg, trials: &[FaultTrial]) {
+    for t in trials {
+        let r = t.recovery.as_ref();
+        agg.add(
+            &t.m,
+            r.is_some_and(|r| r.recovered_correct),
+            r.is_some_and(|r| r.survived_wrong),
+        );
+    }
 }
 
 /// Runs the runtime fault-injection campaign: every class of
@@ -684,132 +784,52 @@ pub fn run_fault_campaign(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> FaultCampaignResults {
-    let classes = FaultModel::paper_set();
+    let main: Vec<Option<FaultModel>> = FaultModel::paper_set()
+        .into_iter()
+        .map(Some)
+        .chain([None])
+        .collect();
     let mut res = FaultCampaignResults {
-        classes: classes
-            .iter()
-            .map(|c| c.name())
-            .chain(std::iter::once(REPLICA_CLASS.to_string()))
-            .collect(),
+        classes: main.iter().map(|&c| class_name(c)).collect(),
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..FaultCampaignResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // Transformation and lowering depend only on (app, base): build each
-    // once, in parallel (stored plain so the results stay `Send`; units
-    // clone the bytecode into their own `Rc`). The K = 2 builds back the
-    // replica-region differential.
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = dpmr_vm::lower::lower(&t);
-        (t, code)
-    });
-    let base_k2 = base.clone().with_replicas(2);
-    let built_k2: Vec<(Module, LoweredCode)> =
-        crate::sched::run_indexed(&prepared, cc.workers, |p| {
-            let t = transform(&p.module, &base_k2).expect("transform");
-            let code = dpmr_vm::lower::lower(&t);
-            (t, code)
-        });
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
-    let mut units = Vec::new();
-    for (app_idx, (_, code)) in built.iter().enumerate() {
-        for class in &classes {
-            let sites = dpmr_fi::enumerate_op_sites(code, *class);
-            units.extend(
-                dpmr_fi::sample_sites(&sites, cap)
-                    .into_iter()
-                    .map(|site| FaultUnit {
-                        app_idx,
-                        class: *class,
-                        site,
-                    }),
-            );
-        }
-    }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        run_fault_unit(u, &prepared[u.app_idx], &built[u.app_idx], base, 1, cc)
-    });
+    // Each app at K = 1 (even builds) and K = 2 (odd builds). Every class
+    // arms the K = 1 build; the replica-region class also arms the K = 2
+    // build, whose replica surface differs, for the differential of K = 1
+    // repair-from-replica against K = 2 vote-and-repair.
+    let grid = BuildGrid::new(apps, vec![base.clone(), base.clone().with_replicas(2)], cc);
+    let units = grid.armed_units(
+        |b| if b % 2 == 0 { main.clone() } else { vec![None] },
+        cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
+    );
+    let outcomes = grid.fault_trials(&units, cc);
     for (u, trials) in units.iter().zip(outcomes) {
-        let key = (u.class.name(), apps[u.app_idx].name.to_string());
-        let agg = res.agg.entry(key).or_default();
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            agg.add(&t.m, t.recovered, t.wrong_repair);
+        let app = apps[u.build / 2].name.to_string();
+        let k2 = u.build % 2 == 1;
+        res.experiments += trials.iter().map(FaultTrial::executions).sum::<u64>();
+        if u.class.is_none() {
+            let pair = res.replica_differential.entry(app.clone()).or_default();
+            fold_trials(if k2 { &mut pair.1 } else { &mut pair.0 }, &trials);
         }
-    }
-    // Replica-region bit-flips: arm each build's own replica-access
-    // sites (the replica surface differs between K = 1 and K = 2 builds)
-    // and compare the recovery verdicts — K = 1 repair-from-replica vs
-    // K = 2 vote-and-repair.
-    let heap_flip = FaultModel::BitFlip {
-        region: dpmr_fi::MemRegion::Heap,
-    };
-    let mut rep_units = Vec::new();
-    for (app_idx, ((_, code1), (_, code2))) in built.iter().zip(&built_k2).enumerate() {
-        for (degree, code) in [(1usize, code1), (2usize, code2)] {
-            let sites = dpmr_fi::enumerate_replica_sites(code);
-            rep_units.extend(dpmr_fi::sample_sites(&sites, cap).into_iter().map(|site| {
-                (
-                    FaultUnit {
-                        app_idx,
-                        class: heap_flip,
-                        site,
-                    },
-                    degree,
-                )
-            }));
-        }
-    }
-    let rep_outcomes = crate::sched::run_indexed(&rep_units, cc.workers, |(u, degree)| {
-        let b = if *degree == 1 {
-            &built[u.app_idx]
-        } else {
-            &built_k2[u.app_idx]
-        };
-        run_fault_unit(u, &prepared[u.app_idx], b, base, *degree, cc)
-    });
-    for ((u, degree), trials) in rep_units.iter().zip(rep_outcomes) {
-        let app = apps[u.app_idx].name.to_string();
-        let pair = res.replica_differential.entry(app.clone()).or_default();
-        let diff_agg = if *degree == 1 {
-            &mut pair.0
-        } else {
-            &mut pair.1
-        };
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            diff_agg.add(&t.m, t.recovered, t.wrong_repair);
-            if *degree == 1 {
-                // The K = 1 replica-region rows also feed the main table
-                // as the REPLICA_CLASS pseudo-class.
-                res.agg
-                    .entry((REPLICA_CLASS.to_string(), app.clone()))
-                    .or_default()
-                    .add(&t.m, t.recovered, t.wrong_repair);
-            }
+        if !k2 {
+            // The K = 1 replica-region rows also feed the main table as
+            // the REPLICA_CLASS pseudo-class.
+            fold_trials(
+                res.agg.entry((class_name(u.class), app)).or_default(),
+                &trials,
+            );
         }
     }
     res
 }
 
-fn run_fault_unit(
-    u: &FaultUnit,
-    p: &PreparedApp,
-    built: &(Module, LoweredCode),
-    base: &DpmrConfig,
-    degree: usize,
-    cc: &CampaignConfig,
-) -> Vec<FaultTrial> {
-    use std::rc::Rc;
-    let (transformed, code) = built;
-    let code = Rc::new(code.clone());
-    let registry = Rc::new(registry_with_wrappers());
-    let mut rec = base.recovery;
-    // The best repair policy available at the build's replication
-    // degree: single-replica copy-back at K = 1, majority vote above.
-    rec.policy = if degree >= 2 {
+/// The campaign's recovery leg at `cfg`'s replication degree: the best
+/// repair policy available, single-replica copy-back at K = 1 and
+/// majority vote above.
+fn repair_config(cfg: &DpmrConfig) -> RecoveryConfig {
+    let mut rec = cfg.recovery;
+    rec.policy = if cfg.replicas >= 2 {
         RecoveryPolicy::VoteAndRepair {
             max_repairs: CAMPAIGN_REPAIR_BUDGET,
         }
@@ -818,45 +838,28 @@ fn run_fault_unit(
             max_repairs: CAMPAIGN_REPAIR_BUDGET,
         }
     };
+    rec
+}
+
+/// Every trial of armed unit `u` on `built` (made under `cfg`): a
+/// detection leg, then — for DPMR detections only; crashes are not
+/// resumable and escapes never trap — a recovery leg under the same
+/// armed fault.
+fn run_fault_unit(
+    u: &ArmedUnit,
+    p: &PreparedApp,
+    built: &Build,
+    cfg: &DpmrConfig,
+    cc: &CampaignConfig,
+) -> Vec<FaultTrial> {
+    let exe = built.exe();
+    let rec = repair_config(cfg);
     (0..cc.runs)
         .map(|run| {
-            let armed = ArmedFault {
-                site: u.site.pc,
-                fault: u.class,
-                seed: dpmr_fi::trial_seed(u.site.pc, run),
-                // Trial r arms r/runs of the way into the golden running
-                // time (trial 0 is armed from the first cycle).
-                arm_cycle: p.golden.cycles * u64::from(run) / u64::from(cc.runs.max(1)),
-            };
-            let m = p.run_armed(
-                transformed,
-                Rc::clone(&code),
-                Rc::clone(&registry),
-                armed,
-                run,
-            );
-            // The recovery leg only makes sense for DPMR detections —
-            // crashes are not resumable and escapes never trap.
-            let ran_recovery = m.sf && m.ddet;
-            let (recovered, wrong_repair) = if ran_recovery {
-                let r = p.run_armed_recovery(
-                    transformed,
-                    Rc::clone(&code),
-                    Rc::clone(&registry),
-                    armed,
-                    rec,
-                    run,
-                );
-                (r.recovered_correct, r.survived_wrong)
-            } else {
-                (false, false)
-            };
-            FaultTrial {
-                m,
-                recovered,
-                wrong_repair,
-                ran_recovery,
-            }
+            let armed = Some(u.arm(p, run, cc));
+            let m = p.measure(&p.run(&exe, armed, TelemetryConfig::off(), run).out);
+            let recovery = (m.sf && m.ddet).then(|| p.run_recovery(&exe, armed, rec, run));
+            FaultTrial { m, recovery }
         })
         .collect()
 }
@@ -898,17 +901,6 @@ pub fn replication_variants(base: &DpmrConfig) -> Vec<(String, DpmrConfig)> {
     v
 }
 
-/// One parallel unit of the replication-degree study.
-struct RepDegreeUnit {
-    app_idx: usize,
-    var_idx: usize,
-    /// Display name of the armed class (the replica pseudo-class arms
-    /// heap bit-flips at replica sites).
-    class_name: String,
-    fault: FaultModel,
-    site: OpSite,
-}
-
 /// Runs the replication-degree study (Table V.1): the variant grid of
 /// [`replication_variants`] over `apps`, measuring overhead scaling and —
 /// for the classes the vote story is about (heap bit-flips at arbitrary
@@ -923,102 +915,43 @@ pub fn run_replication_degree_study(
     cc: &CampaignConfig,
 ) -> ReplicationStudyResults {
     let variants = replication_variants(base);
-    let heap_flip = FaultModel::BitFlip {
-        region: dpmr_fi::MemRegion::Heap,
-    };
-    let classes: Vec<(String, Option<FaultModel>)> = vec![
-        (heap_flip.name(), Some(heap_flip)),
-        (REPLICA_CLASS.to_string(), None), // replica sites, heap flips
-        (FaultModel::WildWrite.name(), Some(FaultModel::WildWrite)),
-    ];
+    let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
+    let classes = vec![Some(HEAP_FLIP), None, Some(FaultModel::WildWrite)];
+    let grid = BuildGrid::new(apps, variants.into_iter().map(|(_, c)| c).collect(), cc);
     let mut res = ReplicationStudyResults {
-        variants: variants.iter().map(|(n, _)| n.clone()).collect(),
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
-        classes: classes.iter().map(|(n, _)| n.clone()).collect(),
+        classes: classes.iter().map(|&c| class_name(c)).collect(),
+        // Overheads: one clean run per (app, variant) build.
+        overhead: grid.overheads(&names, cc),
+        experiments: grid.builds.len() as u64,
+        variants: names,
         ..ReplicationStudyResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    // One transformed build per (app, variant), in parallel.
-    let build_units: Vec<(usize, usize)> = (0..prepared.len())
-        .flat_map(|ai| (0..variants.len()).map(move |vi| (ai, vi)))
-        .collect();
-    let built: Vec<(Module, LoweredCode)> =
-        crate::sched::run_indexed(&build_units, cc.workers, |&(ai, vi)| {
-            let t = transform(&prepared[ai].module, &variants[vi].1).expect("transform");
-            let code = dpmr_vm::lower::lower(&t);
-            (t, code)
-        });
-    let built_of = |ai: usize, vi: usize| &built[ai * variants.len() + vi];
-    // Overheads (clean runs) per (app, variant).
-    let overheads = crate::sched::run_indexed(&build_units, cc.workers, |&(ai, vi)| {
-        let (t, code) = built_of(ai, vi);
-        let m = prepared[ai].run_built(
-            t,
-            std::rc::Rc::new(code.clone()),
-            std::rc::Rc::new(registry_with_wrappers()),
-            0,
-        );
-        m.cycles as f64 / prepared[ai].golden.cycles as f64
-    });
-    for (&(ai, vi), o) in build_units.iter().zip(overheads) {
-        res.overhead
-            .insert((variants[vi].0.clone(), apps[ai].name.to_string()), o);
-        res.experiments += 1;
-    }
     // Fault trials: per (app, variant, class), an even sample of the
     // class's sites in *that build* (replica surfaces differ per K).
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
-    let mut units = Vec::new();
-    for ai in 0..prepared.len() {
-        for vi in 0..variants.len() {
-            let (_, code) = built_of(ai, vi);
-            for (cname, model) in &classes {
-                let sites = match model {
-                    Some(m) => dpmr_fi::enumerate_op_sites(code, *m),
-                    None => dpmr_fi::enumerate_replica_sites(code),
-                };
-                units.extend(dpmr_fi::sample_sites(&sites, cap).into_iter().map(|site| {
-                    RepDegreeUnit {
-                        app_idx: ai,
-                        var_idx: vi,
-                        class_name: cname.clone(),
-                        fault: model.unwrap_or(heap_flip),
-                        site,
-                    }
-                }));
-            }
-        }
-    }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        let fu = FaultUnit {
-            app_idx: u.app_idx,
-            class: u.fault,
-            site: u.site,
-        };
-        let degree = variants[u.var_idx].1.replicas;
-        run_fault_unit(
-            &fu,
-            &prepared[u.app_idx],
-            built_of(u.app_idx, u.var_idx),
-            base,
-            degree,
-            cc,
-        )
-    });
+    let units = grid.armed_units(
+        |_| classes.clone(),
+        cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
+    );
+    let outcomes = grid.fault_trials(&units, cc);
     for (u, trials) in units.iter().zip(outcomes) {
         let key = (
-            variants[u.var_idx].0.clone(),
-            apps[u.app_idx].name.to_string(),
-            u.class_name.clone(),
+            res.variants[u.build % res.variants.len()].clone(),
+            apps[u.build / res.variants.len()].name.to_string(),
+            class_name(u.class),
         );
-        let agg = res.agg.entry(key).or_default();
-        for t in trials {
-            res.experiments += 1 + u64::from(t.ran_recovery);
-            agg.add(&t.m, t.recovered, t.wrong_repair);
-        }
+        res.experiments += trials.iter().map(FaultTrial::executions).sum::<u64>();
+        fold_trials(res.agg.entry(key).or_default(), &trials);
     }
     res
+}
+
+/// The base configuration of `scheme`.
+fn scheme_config(scheme: Scheme) -> DpmrConfig {
+    match scheme {
+        Scheme::Sds => DpmrConfig::sds(),
+        Scheme::Mds => DpmrConfig::mds(),
+    }
 }
 
 /// The diversity-study variant list (Sections 3.7 / 4.5): all seven
@@ -1027,14 +960,20 @@ pub fn diversity_variants(scheme: Scheme) -> Vec<(String, DpmrConfig)> {
     Diversity::paper_set()
         .into_iter()
         .map(|d| {
-            let base = match scheme {
-                Scheme::Sds => DpmrConfig::sds(),
-                Scheme::Mds => DpmrConfig::mds(),
-            };
-            (
-                d.name(),
-                base.with_diversity(d).with_policy(Policy::AllLoads),
-            )
+            let cfg = scheme_config(scheme).with_diversity(d);
+            (d.name(), cfg.with_policy(Policy::AllLoads))
+        })
+        .collect()
+}
+
+/// The policy-study variant list (Sections 3.8 / 4.5): all seven
+/// comparison policies under rearrange-heap (the best diversity).
+pub fn policy_variants(scheme: Scheme) -> Vec<(String, DpmrConfig)> {
+    Policy::paper_set()
+        .into_iter()
+        .map(|pol| {
+            let cfg = scheme_config(scheme).with_diversity(Diversity::RearrangeHeap);
+            (pol.name(), cfg.with_policy(pol))
         })
         .collect()
 }
@@ -1076,13 +1015,6 @@ pub struct SiteProfileResults {
     pub experiments: u64,
 }
 
-/// One parallel unit of the site-profile study: the clean instrumented
-/// run (`armed: None`) or every trial of one fault class at one site.
-struct ProfileUnit {
-    app_idx: usize,
-    armed: Option<(FaultModel, OpSite)>,
-}
-
 /// Runs the site-profile study: each app's DPMR-transformed build is
 /// executed once cleanly with full telemetry (per-site execution counts,
 /// per-function pc profile, region footprint), then re-executed under
@@ -1097,117 +1029,75 @@ pub fn run_site_profile_study(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> SiteProfileResults {
-    use std::rc::Rc;
     let mut res = SiteProfileResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..SiteProfileResults::default()
     };
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = dpmr_vm::lower::lower(&t);
-        (t, code)
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
+    let clean = grid.map(cc, |p, _, b| {
+        p.run(&b.exe(), None, TelemetryConfig::full(), 0)
     });
-    let cap = cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS);
-    let mut units = Vec::new();
-    for (app_idx, (_, code)) in built.iter().enumerate() {
-        units.push(ProfileUnit {
-            app_idx,
-            armed: None,
-        });
-        for class in FaultModel::paper_set() {
-            let sites = dpmr_fi::enumerate_op_sites(code, class);
-            units.extend(
-                dpmr_fi::sample_sites(&sites, cap)
-                    .into_iter()
-                    .map(|site| ProfileUnit {
-                        app_idx,
-                        armed: Some((class, site)),
-                    }),
-            );
-        }
+    let classes: Vec<Option<FaultModel>> = FaultModel::paper_set().into_iter().map(Some).collect();
+    let units = grid.armed_units(
+        |_| classes.clone(),
+        cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
+    );
+    let armed = crate::sched::run_indexed(&units, cc.workers, |u| {
+        let p = grid.app(u.build);
+        let exe = grid.builds[u.build].exe();
+        (0..cc.runs)
+            .map(|run| p.run(&exe, Some(u.arm(p, run, cc)), TelemetryConfig::full(), run))
+            .collect::<Vec<_>>()
+    });
+    for ((app, built), r) in apps.iter().zip(&grid.builds).zip(clean) {
+        let (transformed, code) = (&built.module, &built.code);
+        let site_pcs = code.check_site_pcs();
+        let site_funcs = site_pcs
+            .iter()
+            .map(|&pc| transformed.func(code.func_of_pc(pc)).name.clone())
+            .collect();
+        let funcs = r
+            .telemetry
+            .func_totals(code)
+            .unwrap_or_else(|e| {
+                eprintln!("[harness] func attribution skipped: {e}");
+                Vec::new()
+            })
+            .into_iter()
+            .enumerate()
+            .map(|(f, n)| {
+                let id = dpmr_ir::module::FuncId(f as u32);
+                (transformed.func(id).name.clone(), n)
+            })
+            .collect();
+        res.experiments += 1;
+        let prof = AppSiteProfile {
+            site_pcs,
+            site_funcs,
+            clean: r.telemetry.site_stats,
+            armed: vec![Default::default(); code.check_sites as usize],
+            trials: 0,
+            clean_cycles: r.out.cycles,
+            funcs,
+            mem: r.mem,
+        };
+        res.profiles.insert(app.name.to_string(), prof);
     }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
-        let p = &prepared[u.app_idx];
-        let (transformed, code) = &built[u.app_idx];
-        let code = Rc::new(code.clone());
-        let registry = Rc::new(registry_with_wrappers());
-        match u.armed {
-            None => vec![p.run_instrumented(transformed, code, registry, None, 0)],
-            Some((class, site)) => (0..cc.runs)
-                .map(|run| {
-                    let armed = ArmedFault {
-                        site: site.pc,
-                        fault: class,
-                        seed: dpmr_fi::trial_seed(site.pc, run),
-                        arm_cycle: p.golden.cycles * u64::from(run) / u64::from(cc.runs.max(1)),
-                    };
-                    p.run_instrumented(
-                        transformed,
-                        Rc::clone(&code),
-                        Rc::clone(&registry),
-                        Some(armed),
-                        run,
-                    )
-                })
-                .collect(),
-        }
-    });
-    for (u, runs) in units.iter().zip(outcomes) {
-        let app = apps[u.app_idx].name.to_string();
-        let (transformed, code) = &built[u.app_idx];
-        let prof = res.profiles.entry(app).or_insert_with(|| {
-            let site_pcs = code.check_site_pcs();
-            let site_funcs = site_pcs
-                .iter()
-                .map(|&pc| transformed.func(code.func_of_pc(pc)).name.clone())
-                .collect();
-            AppSiteProfile {
-                site_pcs,
-                site_funcs,
-                armed: vec![Default::default(); code.check_sites as usize],
-                ..AppSiteProfile::default()
-            }
-        });
+    for (u, runs) in units.iter().zip(armed) {
+        let prof = res
+            .profiles
+            .get_mut(apps[u.build].name)
+            .expect("every app has a clean profile");
         for r in runs {
             res.experiments += 1;
-            match u.armed {
-                None => {
-                    prof.clean = r.telemetry.site_stats.clone();
-                    prof.clean_cycles = r.out.cycles;
-                    prof.mem = r.mem;
-                    prof.funcs = r
-                        .telemetry
-                        .func_totals(code)
-                        .unwrap_or_else(|e| {
-                            eprintln!("[harness] func attribution skipped: {e}");
-                            Vec::new()
-                        })
-                        .into_iter()
-                        .enumerate()
-                        .map(|(f, n)| {
-                            (
-                                transformed
-                                    .func(dpmr_ir::module::FuncId(f as u32))
-                                    .name
-                                    .clone(),
-                                n,
-                            )
-                        })
-                        .collect();
-                }
-                Some(_) => {
-                    prof.trials += 1;
-                    for (agg, s) in prof.armed.iter_mut().zip(&r.telemetry.site_stats) {
-                        agg.executions += s.executions;
-                        agg.detections += s.detections;
-                        agg.repairs += s.repairs;
-                        agg.replica_repairs += s.replica_repairs;
-                        agg.terminations += s.terminations;
-                        agg.cycles += s.cycles;
-                    }
-                }
+            prof.trials += 1;
+            for (agg, s) in prof.armed.iter_mut().zip(&r.telemetry.site_stats) {
+                agg.executions += s.executions;
+                agg.detections += s.detections;
+                agg.repairs += s.repairs;
+                agg.replica_repairs += s.replica_repairs;
+                agg.terminations += s.terminations;
+                agg.cycles += s.cycles;
             }
         }
     }
@@ -1264,43 +1154,28 @@ pub fn run_trace_study(
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> TraceStudyResults {
-    use std::rc::Rc;
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = dpmr_vm::lower::lower(&t);
-        (t, code)
-    });
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
     let mut units: Vec<(usize, Option<FaultModel>)> = Vec::new();
-    for app_idx in 0..prepared.len() {
+    for app_idx in 0..apps.len() {
         units.push((app_idx, None));
         for class in FaultModel::paper_set() {
             units.push((app_idx, Some(class)));
         }
     }
     let outcomes = crate::sched::run_indexed(&units, cc.workers, |&(app_idx, class)| {
-        let p = &prepared[app_idx];
-        let (transformed, code) = &built[app_idx];
-        let code = Rc::new(code.clone());
-        let registry = Rc::new(registry_with_wrappers());
-        let armed = class.and_then(|c| {
-            let sites = dpmr_fi::enumerate_op_sites(&code, c);
-            dpmr_fi::sample_sites(&sites, 1)
-                .first()
-                .map(|s| ArmedFault {
-                    site: s.pc,
-                    fault: c,
-                    seed: dpmr_fi::trial_seed(s.pc, 0),
-                    arm_cycle: 0,
-                })
-        });
-        if class.is_some() && armed.is_none() {
-            // No eligible site for this class in this app: record an
-            // empty trace so the unit list (and artifact) stays stable.
-            return None;
-        }
-        Some(p.run_instrumented(transformed, code, registry, armed, 0))
+        let p = &grid.prepared[app_idx];
+        let built = &grid.builds[app_idx];
+        let armed = match class {
+            None => None,
+            // A class with no eligible site in this app runs nothing and
+            // records no trace: the sink omits it for this app.
+            Some(c) => {
+                let sites = dpmr_fi::enumerate_op_sites(&built.code, c);
+                let site = *dpmr_fi::sample_sites(&sites, 1).first()?;
+                Some(p.arm(c, site, 0, cc.runs))
+            }
+        };
+        Some(p.run(&built.exe(), armed, TelemetryConfig::full(), 0))
     });
     let mut res = TraceStudyResults::default();
     for (&(app_idx, class), run) in units.iter().zip(&outcomes) {
@@ -1389,35 +1264,23 @@ pub fn run_opt_study(
     usefulness: &BTreeMap<String, Vec<f64>>,
     cc: &CampaignConfig,
 ) -> OptStudyResults {
-    use std::rc::Rc;
     const COMBOS: usize = 2;
-    let prepared: Vec<PreparedApp> =
-        crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params));
     // Lower once: each combination applies its own configuration.
-    let built: Vec<(Module, LoweredCode)> = crate::sched::run_indexed(&prepared, cc.workers, |p| {
-        let t = transform(&p.module, base).expect("transform");
-        let code = dpmr_vm::lower::lower(&t);
-        (t, code)
-    });
-    let units: Vec<(usize, usize)> = (0..prepared.len())
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
+    let units: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|ai| (0..COMBOS).map(move |ci| (ai, ci)))
         .collect();
     let outcomes: Vec<(OptComboRow, Option<String>)> =
         crate::sched::run_indexed(&units, cc.workers, |&(ai, ci)| {
-            let p = &prepared[ai];
-            let (transformed, code) = &built[ai];
+            let p = &grid.prepared[ai];
+            let built = &grid.builds[ai];
             let cfg = opt_combo(ci, apps[ai].name, usefulness);
-            let mut opt = dpmr_vm::opt::optimize(code, &cfg);
+            let mut opt = dpmr_vm::opt::optimize(&built.code, &cfg);
             let report = (!opt.dropped.is_empty()).then(|| opt.dropped_report_jsonl());
             let live_checks = opt.live_checks();
             let optimized = std::mem::take(&mut opt.code);
-            let run = p.run_instrumented(
-                transformed,
-                Rc::new(optimized),
-                Rc::new(registry_with_wrappers()),
-                None,
-                0,
-            );
+            let exe = Exe::dpmr(&built.module, optimized);
+            let run = p.run(&exe, None, TelemetryConfig::full(), 0);
             let row = OptComboRow {
                 live_checks,
                 dropped: opt.dropped.len() as u64,
@@ -1445,25 +1308,6 @@ pub fn run_opt_study(
         res.rows.insert((app, res.combos[ci].clone()), row);
     }
     res
-}
-
-/// The policy-study variant list (Sections 3.8 / 4.5): all seven
-/// comparison policies under rearrange-heap (the best diversity).
-pub fn policy_variants(scheme: Scheme) -> Vec<(String, DpmrConfig)> {
-    Policy::paper_set()
-        .into_iter()
-        .map(|pol| {
-            let base = match scheme {
-                Scheme::Sds => DpmrConfig::sds(),
-                Scheme::Mds => DpmrConfig::mds(),
-            };
-            (
-                pol.name(),
-                base.with_diversity(Diversity::RearrangeHeap)
-                    .with_policy(pol),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
