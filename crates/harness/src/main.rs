@@ -21,27 +21,48 @@ use std::collections::BTreeSet;
 
 const USAGE: &str = "usage: dpmr-harness <all|quick|list|profile|trace|optimize|bench-report|ids...> [--runs N] [--scale N] [--max-sites N] [--workers N] [--quiet]";
 
-/// The value of flag `args[i]`, or a usage error and exit 2 when the
-/// value is missing or unparsable.
-fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
-    match args.get(i).map(|v| v.parse::<T>()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{flag} requires a numeric value");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
-    }
+/// What a command line asks for.
+#[derive(Debug)]
+enum Command {
+    /// Print the known artifacts with their descriptions.
+    List,
+    /// Render the interpreter throughput trajectory.
+    BenchReport,
+    /// Reproduce `ids` under `cc`; `quiet` suppresses scheduler progress.
+    Reproduce {
+        ids: BTreeSet<String>,
+        cc: CampaignConfig,
+        quiet: bool,
+    },
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!("{USAGE}");
-        eprintln!("known ids: {}", all_ids().join(", "));
-        std::process::exit(2);
-    }
+/// The value of flag `args[i]`, or an error when it is missing or
+/// unparsable.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, String> {
+    args.get(i)
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} requires a numeric value"))
+}
 
+/// Like [`flag_value`], rejecting 0: a campaign needs at least one run
+/// and one site.
+fn positive_flag_value<T>(args: &[String], i: usize, flag: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + Default + PartialEq,
+{
+    let v: T = flag_value(args, i, flag)?;
+    if v == T::default() {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(v)
+}
+
+/// Parses the arguments after the program name. `quick` only sets
+/// defaults: `--runs` and `--max-sites` override it wherever they stand.
+fn parse(args: &[String]) -> Result<Command, String> {
+    if args.is_empty() {
+        return Err("no artifact requested".to_string());
+    }
     let mut ids: BTreeSet<String> = BTreeSet::new();
     let mut quiet = false;
     let mut cc = CampaignConfig {
@@ -50,16 +71,13 @@ fn main() {
         max_sites: None,
         workers: dpmr_harness::sched::default_workers(),
     };
+    let (mut runs, mut max_sites) = (None, None);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "list" => {
-                println!("known artifact ids:");
-                for (id, descr) in artifact_descriptions() {
-                    println!("  {id:<8} {descr}");
-                }
-                std::process::exit(0);
-            }
+            "list" => return Ok(Command::List),
+            // Pure file rendering — no campaign config applies.
+            "bench-report" => return Ok(Command::BenchReport),
             "all" => ids.extend(all_ids().into_iter().map(String::from)),
             "quick" => {
                 ids.extend(all_ids().into_iter().map(String::from));
@@ -75,58 +93,54 @@ fn main() {
             "optimize" => {
                 ids.insert("optP.1".to_string());
             }
-            "bench-report" => {
-                // Pure file rendering — no campaign config applies.
-                let path = dpmr_harness::bench_report::trajectory_path();
-                match std::fs::read_to_string(&path) {
-                    Ok(contents) => {
-                        print!(
-                            "{}",
-                            dpmr_harness::bench_report::render_report(&contents, "full")
-                        );
-                        let smoke = dpmr_harness::bench_report::render_report(&contents, "smoke");
-                        if !smoke.starts_with("no ") {
-                            println!();
-                            print!("{smoke}");
-                        }
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("bench-report: cannot read {}: {e}", path.display());
-                        eprintln!("run `cargo bench --bench interp_throughput` to record points");
-                        std::process::exit(1);
-                    }
-                }
-            }
             "--quiet" => quiet = true,
             "--runs" => {
                 i += 1;
-                cc.runs = flag_value(&args, i, "--runs");
+                runs = Some(positive_flag_value(args, i, "--runs")?);
             }
             "--scale" => {
                 i += 1;
-                cc.params.scale = flag_value(&args, i, "--scale");
+                cc.params.scale = flag_value(args, i, "--scale")?;
             }
             "--max-sites" => {
                 i += 1;
-                cc.max_sites = Some(flag_value(&args, i, "--max-sites"));
+                max_sites = Some(positive_flag_value(args, i, "--max-sites")?);
             }
             "--workers" => {
                 i += 1;
-                cc.workers = flag_value::<usize>(&args, i, "--workers").max(1);
+                cc.workers = flag_value::<usize>(args, i, "--workers")?.max(1);
             }
             id if all_ids().contains(&id) => {
                 ids.insert(id.to_string());
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("{USAGE}");
-                eprintln!("known artifact ids: {}", all_ids().join(", "));
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
         i += 1;
     }
+    cc.runs = runs.unwrap_or(cc.runs);
+    cc.max_sites = max_sites.or(cc.max_sites);
+    Ok(Command::Reproduce { ids, cc, quiet })
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (ids, cc, quiet) = match parse(&args) {
+        Ok(Command::Reproduce { ids, cc, quiet }) => (ids, cc, quiet),
+        Ok(Command::List) => {
+            println!("known artifact ids:");
+            for (id, descr) in artifact_descriptions() {
+                println!("  {id:<8} {descr}");
+            }
+            return;
+        }
+        Ok(Command::BenchReport) => bench_report(),
+        Err(e) => {
+            eprintln!("{e}");
+            eprintln!("{USAGE}");
+            eprintln!("known artifact ids: {}", all_ids().join(", "));
+            std::process::exit(2);
+        }
+    };
 
     dpmr_harness::sched::set_progress(!quiet);
     let t0 = std::time::Instant::now();
@@ -137,4 +151,66 @@ fn main() {
         ids.len(),
         t0.elapsed().as_secs_f64()
     );
+}
+
+/// Prints the interpreter throughput trajectory and exits.
+fn bench_report() -> ! {
+    let path = dpmr_harness::bench_report::trajectory_path();
+    match std::fs::read_to_string(&path) {
+        Ok(contents) => {
+            print!(
+                "{}",
+                dpmr_harness::bench_report::render_report(&contents, "full")
+            );
+            let smoke = dpmr_harness::bench_report::render_report(&contents, "smoke");
+            if !smoke.starts_with("no ") {
+                println!();
+                print!("{smoke}");
+            }
+            std::process::exit(0);
+        }
+        Err(e) => {
+            eprintln!("bench-report: cannot read {}: {e}", path.display());
+            eprintln!("run `cargo bench --bench interp_throughput` to record points");
+            std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_words(line: &str) -> Result<Command, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    fn budget(line: &str) -> (u32, Option<usize>) {
+        match parse_words(line) {
+            Ok(Command::Reproduce { cc, .. }) => (cc.runs, cc.max_sites),
+            other => panic!("{line:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn explicit_flags_override_quick_in_either_order_and_zero_budgets_are_errors() {
+        assert_eq!(budget("quick"), (1, Some(4)));
+        assert_eq!(budget("all"), (2, None));
+        assert_eq!(budget("--max-sites 1 --runs 3 quick"), (3, Some(1)));
+        assert_eq!(budget("quick --max-sites 1 --runs 3"), (3, Some(1)));
+        assert_eq!(budget("--runs 3 quick"), (3, Some(4)));
+        for line in [
+            "tabR.1 --runs 0",
+            "tabR.1 --max-sites 0",
+            "quick --runs 0",
+            "--max-sites 0 quick",
+            "tabR.1 --runs",
+            "tabR.1 --runs x",
+            "nonsense",
+            "",
+        ] {
+            assert!(parse_words(line).is_err(), "{line:?} must be a usage error");
+        }
+    }
 }
