@@ -62,7 +62,7 @@ pub struct RecoveryMeasurement {
 
 /// One interpreter run: the raw outcome plus everything the telemetry
 /// layer collected (nothing when telemetry is off).
-pub struct RunRecord {
+pub(crate) struct RunRecord {
     /// Raw run outcome.
     pub out: RunOutcome,
     /// Collected per-site/per-pc profiles and the event trace.
@@ -76,7 +76,7 @@ pub struct RunRecord {
 /// A DPMR-transformed module and its lowered bytecode, stored plain (not
 /// `Rc`-wrapped) so builds stay `Send` for the study scheduler.
 #[derive(Clone)]
-pub struct Build {
+pub(crate) struct Build {
     /// The transformed module.
     pub module: Module,
     /// Its lowered bytecode.
@@ -88,7 +88,7 @@ pub struct Build {
 ///
 /// # Panics
 /// Panics if the transformation rejects the module (a workload bug).
-pub fn build(module: &Module, cfg: &DpmrConfig) -> Build {
+pub(crate) fn build(module: &Module, cfg: &DpmrConfig) -> Build {
     let module = transform(module, cfg).expect("transform");
     let code = dpmr_vm::lower::lower(&module);
     Build { module, code }
@@ -96,7 +96,7 @@ pub fn build(module: &Module, cfg: &DpmrConfig) -> Build {
 
 impl Build {
     /// This build, ready to run (its bytecode copied into an `Rc`).
-    pub fn exe(&self) -> Exe<'_> {
+    pub(crate) fn exe(&self) -> Exe<'_> {
         Exe::dpmr(&self.module, self.code.clone())
     }
 }
@@ -104,7 +104,7 @@ impl Build {
 /// A module ready to run: its lowered bytecode and the registry of
 /// externals it links against. A unit makes one and shares it across its
 /// runs and legs.
-pub struct Exe<'m> {
+pub(crate) struct Exe<'m> {
     /// The module (`code` was lowered from it).
     pub module: &'m Module,
     /// Its lowered bytecode.
@@ -115,7 +115,7 @@ pub struct Exe<'m> {
 
 impl<'m> Exe<'m> {
     /// A DPMR-transformed `module`, linked against the wrapper registry.
-    pub fn dpmr(module: &'m Module, code: LoweredCode) -> Exe<'m> {
+    pub(crate) fn dpmr(module: &'m Module, code: LoweredCode) -> Exe<'m> {
         Exe {
             module,
             code: Rc::new(code),
@@ -125,7 +125,7 @@ impl<'m> Exe<'m> {
 
     /// An untransformed `module` (`golden`, `fi-stdapp`), linked against
     /// the base registry.
-    pub fn plain(module: &'m Module, code: LoweredCode) -> Exe<'m> {
+    pub(crate) fn plain(module: &'m Module, code: LoweredCode) -> Exe<'m> {
         Exe {
             module,
             code: Rc::new(code),
@@ -216,7 +216,7 @@ impl PreparedApp {
     /// by `(pc, run)` and armed `run/runs` of the way into the golden
     /// running time, so trial 0 is armed from the first cycle. The armed
     /// triple makes the trial exactly replayable.
-    pub fn arm(&self, fault: FaultModel, site: OpSite, run: u32, runs: u32) -> ArmedFault {
+    pub(crate) fn arm(&self, fault: FaultModel, site: OpSite, run: u32, runs: u32) -> ArmedFault {
         ArmedFault {
             site: site.pc,
             fault,
@@ -240,7 +240,7 @@ impl PreparedApp {
 
     /// Runs `exe` once with run `run`'s seeds, `fault` armed (if any) and
     /// `telemetry` collected.
-    pub fn run(
+    pub(crate) fn run(
         &self,
         exe: &Exe,
         fault: Option<ArmedFault>,
@@ -269,7 +269,7 @@ impl PreparedApp {
     /// any): repairs and checkpoint replays face the same deterministic
     /// corruption a detection run saw. Reduces against the golden
     /// reference.
-    pub fn run_recovery(
+    pub(crate) fn run_recovery(
         &self,
         exe: &Exe,
         fault: Option<ArmedFault>,
@@ -327,7 +327,7 @@ impl PreparedApp {
 
     /// Overhead of a DPMR build (`nofi-dpmr`): the cycles of its clean
     /// run 0 divided by the golden cycles (Eq. 3.1).
-    pub fn overhead(&self, exe: &Exe) -> f64 {
+    pub(crate) fn overhead(&self, exe: &Exe) -> f64 {
         let out = self.run(exe, None, TelemetryConfig::off(), 0).out;
         out.cycles as f64 / self.golden.cycles as f64
     }

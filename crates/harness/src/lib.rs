@@ -319,11 +319,8 @@ impl Studies {
     }
     fn fault(&mut self, cc: &CampaignConfig) -> &FaultCampaignResults {
         cached(&mut self.fault, "runtime fault campaign", || {
-            run_fault_campaign(
-                &dpmr_workloads::fault_campaign_apps(),
-                &DpmrConfig::sds(),
-                cc,
-            )
+            let apps = dpmr_workloads::fault_campaign_apps();
+            run_fault_campaign(&apps, &DpmrConfig::sds(), cc)
         })
     }
     fn replication(&mut self, cc: &CampaignConfig) -> &ReplicationStudyResults {
@@ -340,11 +337,8 @@ impl Studies {
     }
     fn trace(&mut self, cc: &CampaignConfig) -> &TraceStudyResults {
         cached(&mut self.trace, "event-trace study", || {
-            run_trace_study(
-                &dpmr_workloads::fault_campaign_apps(),
-                &DpmrConfig::sds(),
-                cc,
-            )
+            let apps = dpmr_workloads::fault_campaign_apps();
+            run_trace_study(&apps, &DpmrConfig::sds(), cc)
         })
     }
     fn opt(&mut self, cc: &CampaignConfig) -> &OptStudyResults {

@@ -3,9 +3,9 @@
 //! campaigns across variant builds.
 //!
 //! Every study shares one plumbing: apps are prepared and built once per
-//! configuration ([`BuildGrid`]), decomposed into units — allocation-site
-//! units ([`SiteUnit`]) for the injection studies, armed units
-//! ([`ArmedUnit`]) for the runtime fault studies — fanned across the
+//! configuration (`BuildGrid`), decomposed into units — allocation-site
+//! units (`SiteUnit`) for the injection studies, armed units
+//! (`ArmedUnit`) for the runtime fault studies — fanned across the
 //! study scheduler, and merged in unit order.
 
 use crate::experiment::{
@@ -188,27 +188,20 @@ impl BuildGrid {
         &self.prepared[b / self.configs.len()]
     }
 
-    /// `f(app, config, build)` for every build, in parallel, in build
-    /// order.
+    /// `f(app, build)` for every build, in parallel, in build order.
     fn map<R: Send>(
         &self,
         cc: &CampaignConfig,
-        f: impl Fn(&PreparedApp, &DpmrConfig, &Build) -> R + Sync,
+        f: impl Fn(&PreparedApp, &Build) -> R + Sync,
     ) -> Vec<R> {
         let grid: Vec<usize> = (0..self.builds.len()).collect();
-        crate::sched::run_indexed(&grid, cc.workers, |&b| {
-            f(
-                self.app(b),
-                &self.configs[b % self.configs.len()],
-                &self.builds[b],
-            )
-        })
+        crate::sched::run_indexed(&grid, cc.workers, |&b| f(self.app(b), &self.builds[b]))
     }
 
     /// Clean-run overhead of every build, keyed by (variant name, app
     /// name); `names` names the configurations.
     fn overheads(&self, names: &[String], cc: &CampaignConfig) -> BTreeMap<(String, String), f64> {
-        let overheads = self.map(cc, |p, _, b| p.overhead(&b.exe()));
+        let overheads = self.map(cc, |p, b| p.overhead(&b.exe()));
         overheads
             .into_iter()
             .enumerate()
@@ -221,14 +214,14 @@ impl BuildGrid {
 
     /// The armed units of every build: per class in `classes(b)`, an even
     /// sample of at most `cap` of its sites in build `b`.
-    fn armed_units(
+    fn armed_units<'c>(
         &self,
-        classes: impl Fn(usize) -> Vec<Option<FaultModel>>,
+        classes: impl Fn(usize) -> &'c [Option<FaultModel>],
         cap: usize,
     ) -> Vec<ArmedUnit> {
         let mut units = Vec::new();
         for (b, built) in self.builds.iter().enumerate() {
-            for class in classes(b) {
+            for &class in classes(b) {
                 let sites = match class {
                     Some(m) => dpmr_fi::enumerate_op_sites(&built.code, m),
                     None => dpmr_fi::enumerate_replica_sites(&built.code),
@@ -800,7 +793,7 @@ pub fn run_fault_campaign(
     // repair-from-replica against K = 2 vote-and-repair.
     let grid = BuildGrid::new(apps, vec![base.clone(), base.clone().with_replicas(2)], cc);
     let units = grid.armed_units(
-        |b| if b % 2 == 0 { main.clone() } else { vec![None] },
+        |b| if b % 2 == 0 { &main } else { &[None] },
         cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
     );
     let outcomes = grid.fault_trials(&units, cc);
@@ -929,10 +922,7 @@ pub fn run_replication_degree_study(
     };
     // Fault trials: per (app, variant, class), an even sample of the
     // class's sites in *that build* (replica surfaces differ per K).
-    let units = grid.armed_units(
-        |_| classes.clone(),
-        cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
-    );
+    let units = grid.armed_units(|_| &classes, cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS));
     let outcomes = grid.fault_trials(&units, cc);
     for (u, trials) in units.iter().zip(outcomes) {
         let key = (
@@ -1034,14 +1024,9 @@ pub fn run_site_profile_study(
         ..SiteProfileResults::default()
     };
     let grid = BuildGrid::new(apps, vec![base.clone()], cc);
-    let clean = grid.map(cc, |p, _, b| {
-        p.run(&b.exe(), None, TelemetryConfig::full(), 0)
-    });
+    let clean = grid.map(cc, |p, b| p.run(&b.exe(), None, TelemetryConfig::full(), 0));
     let classes: Vec<Option<FaultModel>> = FaultModel::paper_set().into_iter().map(Some).collect();
-    let units = grid.armed_units(
-        |_| classes.clone(),
-        cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
-    );
+    let units = grid.armed_units(|_| &classes, cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS));
     let armed = crate::sched::run_indexed(&units, cc.workers, |u| {
         let p = grid.app(u.build);
         let exe = grid.builds[u.build].exe();
