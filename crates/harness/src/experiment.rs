@@ -160,15 +160,52 @@ pub fn lower_with_passes(module: &Module, _cfg: &DpmrConfig) -> LoweredCode {
     dpmr_vm::lower::lower(module)
 }
 
+/// An application whose golden run did not end cleanly: with no golden
+/// output there is nothing to judge its trials against. A workload
+/// scaled past the golden budget (`--scale`) times out this way.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PrepareError {
+    /// The application.
+    pub app: &'static str,
+    /// How its golden run ended.
+    pub status: ExitStatus,
+    /// The golden run's instruction budget.
+    pub budget: u64,
+}
+
+impl std::fmt::Display for PrepareError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}: the golden run ended {:?}, not Normal(0), within its {}-instruction budget",
+            self.app, self.status, self.budget
+        )
+    }
+}
+
+impl std::error::Error for PrepareError {}
+
 /// Builds and measures the golden variant of an application.
 ///
 /// # Panics
-/// Panics if the golden run is not clean (a workload bug).
+/// Panics with the [`PrepareError`] when the golden run is not clean.
+/// Kept for campaign_bench's mirror test; the harness's studies prepare
+/// through the fallible version. Remove in campaign_bench's next change.
 pub fn prepare(app: AppSpec, params: &WorkloadParams) -> PreparedApp {
+    try_prepare(app, params).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Builds and measures the golden variant of an application, or says
+/// why its golden run, under [`RunConfig::default`]'s budget, did not
+/// end with `Normal(0)`.
+pub(crate) fn try_prepare(
+    app: AppSpec,
+    params: &WorkloadParams,
+) -> Result<PreparedApp, PrepareError> {
     let module = (app.build)(params);
     let code_rc = Rc::new(dpmr_vm::lower::lower(&module));
+    let rc = RunConfig::default();
     let golden = {
-        let rc = RunConfig::default();
         let mut interp = Interp::with_code(
             &module,
             Rc::clone(&code_rc),
@@ -177,23 +214,24 @@ pub fn prepare(app: AppSpec, params: &WorkloadParams) -> PreparedApp {
         );
         interp.run(rc.args.clone())
     };
+    if golden.status != ExitStatus::Normal(0) {
+        return Err(PrepareError {
+            app: app.name,
+            status: golden.status,
+            budget: rc.max_instrs,
+        });
+    }
     // The golden interpreter is gone; reclaim the lowering it shared.
     let code = Rc::try_unwrap(code_rc).expect("golden interpreter dropped");
-    assert_eq!(
-        golden.status,
-        ExitStatus::Normal(0),
-        "{}: golden run must be clean",
-        app.name
-    );
     let sites = enumerate_heap_alloc_sites(&module);
-    PreparedApp {
+    Ok(PreparedApp {
         app,
         module,
         code,
         golden,
         sites,
         params: *params,
-    }
+    })
 }
 
 impl PreparedApp {
@@ -337,6 +375,33 @@ impl PreparedApp {
 mod tests {
     use super::*;
     use dpmr_workloads::app_by_name;
+
+    /// A golden run that does not end with `Normal(0)` is an error that
+    /// names the app, its status and the budget, not a panic.
+    #[test]
+    fn unclean_golden_run_is_an_error() {
+        fn exits_one(_: &WorkloadParams) -> Module {
+            let mut m = Module::new();
+            let i64t = m.types.int(64);
+            let mut b = dpmr_ir::builder::FunctionBuilder::new(&mut m, "main", i64t, &[]);
+            b.ret(Some(dpmr_ir::instr::Const::i64(1).into()));
+            m.entry = Some(b.finish());
+            m
+        }
+        let app = AppSpec {
+            name: "exits-one",
+            build: exits_one,
+        };
+        let e = try_prepare(app, &WorkloadParams::quick())
+            .err()
+            .expect("not clean");
+        assert_eq!(e.status, ExitStatus::Normal(1));
+        assert_eq!(
+            e.to_string(),
+            "exits-one: the golden run ended Normal(1), not Normal(0), \
+             within its 200000000-instruction budget"
+        );
+    }
 
     #[test]
     fn prepare_builds_golden_and_sites() {

@@ -13,6 +13,10 @@
 //!
 //! Long campaigns report `[sched] units done/total` progress on stderr;
 //! `--quiet` suppresses it. Artifact stdout never carries progress.
+//!
+//! Usage errors exit with code 2. So does a `--scale` at which an app's
+//! golden run does not end cleanly within its instruction budget: the
+//! message names the app, how its golden run ended, and the budget.
 
 use dpmr_harness::metrics::CampaignConfig;
 use dpmr_harness::{all_ids, artifact_descriptions, reproduce};
@@ -144,7 +148,15 @@ fn main() {
 
     dpmr_harness::sched::set_progress(!quiet);
     let t0 = std::time::Instant::now();
-    let report = reproduce(&ids, &cc);
+    let report = match reproduce(&ids, &cc) {
+        Ok(report) => report,
+        Err(e) => {
+            // A workload too large for its golden budget is a usage
+            // error: the scale asked for cannot be measured.
+            eprintln!("dpmr-harness: {e} (at --scale {})", cc.params.scale);
+            std::process::exit(2);
+        }
+    };
     println!("{report}");
     eprintln!(
         "[harness] reproduced {} artifact(s) in {:.1}s",

@@ -7,9 +7,16 @@
 //! units (`SiteUnit`) for the injection studies, armed units
 //! (`ArmedUnit`) for the runtime fault studies — fanned across the
 //! study scheduler, and merged in unit order.
+//!
+//! Every study returns the [`PrepareError`] of the first app, in the
+//! order given, whose golden run is not clean; no trial runs then.
+//! `run_study`, `run_recovery_study` and `run_fault_campaign` panic with
+//! it instead: campaign_bench's mirror test calls them. Remove those
+//! three wrappers in campaign_bench's next change.
 
 use crate::experiment::{
-    build, prepare, Build, Exe, Measurement, PreparedApp, RecoveryMeasurement, CYCLES_PER_MSEC,
+    build, try_prepare, Build, Exe, Measurement, PrepareError, PreparedApp, RecoveryMeasurement,
+    CYCLES_PER_MSEC,
 };
 use dpmr_core::prelude::*;
 use dpmr_fi::{ArmedFault, FaultModel, FaultType, InjectionSite, OpSite};
@@ -154,9 +161,13 @@ impl CampaignConfig {
     }
 }
 
-/// Prepares every app (module build + golden run) in parallel.
-fn prepare_all(apps: &[AppSpec], cc: &CampaignConfig) -> Vec<PreparedApp> {
-    crate::sched::run_indexed(apps, cc.workers, |a| prepare(*a, &cc.params))
+/// Prepares every app (module build + golden run) in parallel; the
+/// error is the first app, in `apps` order, whose golden run is not
+/// clean.
+fn prepare_all(apps: &[AppSpec], cc: &CampaignConfig) -> Result<Vec<PreparedApp>, PrepareError> {
+    crate::sched::run_indexed(apps, cc.workers, |a| try_prepare(*a, &cc.params))
+        .into_iter()
+        .collect()
 }
 
 /// Every prepared app built under every configuration, app-major: build
@@ -169,18 +180,22 @@ struct BuildGrid {
 
 impl BuildGrid {
     /// Prepares `apps` and builds each under `configs`, in parallel.
-    fn new(apps: &[AppSpec], configs: Vec<DpmrConfig>, cc: &CampaignConfig) -> BuildGrid {
-        let prepared = prepare_all(apps, cc);
+    fn new(
+        apps: &[AppSpec],
+        configs: Vec<DpmrConfig>,
+        cc: &CampaignConfig,
+    ) -> Result<BuildGrid, PrepareError> {
+        let prepared = prepare_all(apps, cc)?;
         let n = configs.len();
         let grid: Vec<usize> = (0..prepared.len() * n).collect();
         let builds = crate::sched::run_indexed(&grid, cc.workers, |&b| {
             build(&prepared[b / n].module, &configs[b % n])
         });
-        BuildGrid {
+        Ok(BuildGrid {
             prepared,
             configs,
             builds,
-        }
+        })
     }
 
     /// The prepared app of build `b`.
@@ -317,13 +332,26 @@ struct SiteOutcome {
 /// is always included first (it defines `StdNotAllDet` and the
 /// natural-detection baseline). Results are merged in deterministic unit
 /// order: the artifacts are bit-identical at any worker count.
+///
+/// # Panics
+/// Panics with the [`PrepareError`] of an app whose golden run is not
+/// clean.
 pub fn run_study(
     apps: &[AppSpec],
     variants: &[(String, DpmrConfig)],
     cc: &CampaignConfig,
 ) -> StudyResults {
+    try_run_study(apps, variants, cc).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The fallible core of [`run_study`].
+pub(crate) fn try_run_study(
+    apps: &[AppSpec],
+    variants: &[(String, DpmrConfig)],
+    cc: &CampaignConfig,
+) -> Result<StudyResults, PrepareError> {
     let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
-    let grid = BuildGrid::new(apps, variants.iter().map(|(_, c)| c.clone()).collect(), cc);
+    let grid = BuildGrid::new(apps, variants.iter().map(|(_, c)| c.clone()).collect(), cc)?;
     let mut res = StudyResults {
         variants: std::iter::once("stdapp".to_string())
             .chain(names.iter().cloned())
@@ -360,7 +388,7 @@ pub fn run_study(
             record(&mut res, vname, app, &fault, ms, oc.std_not_all_det);
         }
     }
-    res
+    Ok(res)
 }
 
 fn run_site_unit(
@@ -397,14 +425,17 @@ fn run_site_unit(
 /// The diversity study (Figs. 3.6–3.10 / 4.5, 4.7–4.10): all seven
 /// diversity transformations under the all-loads policy, over the four
 /// SPEC analogues.
-pub fn run_diversity_study(scheme: Scheme, cc: &CampaignConfig) -> StudyResults {
-    run_study(&dpmr_workloads::all_apps(), &diversity_variants(scheme), cc)
+pub fn run_diversity_study(
+    scheme: Scheme,
+    cc: &CampaignConfig,
+) -> Result<StudyResults, PrepareError> {
+    try_run_study(&dpmr_workloads::all_apps(), &diversity_variants(scheme), cc)
 }
 
 /// The comparison-policy study (Figs. 3.11–3.15 / 4.6, 4.11–4.14): all
 /// seven policies under rearrange-heap, over the four SPEC analogues.
-pub fn run_policy_study(scheme: Scheme, cc: &CampaignConfig) -> StudyResults {
-    run_study(&dpmr_workloads::all_apps(), &policy_variants(scheme), cc)
+pub fn run_policy_study(scheme: Scheme, cc: &CampaignConfig) -> Result<StudyResults, PrepareError> {
+    try_run_study(&dpmr_workloads::all_apps(), &policy_variants(scheme), cc)
 }
 
 fn record(
@@ -532,18 +563,31 @@ pub struct RecoveryStudyResults {
 /// configuration in [`RecoveryConfig::paper_set`] (the three policies
 /// plus retry under the mid-run checkpoint cadence) over `apps` x both
 /// fault types, under the given DPMR base configuration.
+///
+/// # Panics
+/// Panics with the [`PrepareError`] of an app whose golden run is not
+/// clean.
 pub fn run_recovery_study(
     apps: &[AppSpec],
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> RecoveryStudyResults {
+    try_run_recovery_study(apps, base, cc).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The fallible core of [`run_recovery_study`].
+pub(crate) fn try_run_recovery_study(
+    apps: &[AppSpec],
+    base: &DpmrConfig,
+    cc: &CampaignConfig,
+) -> Result<RecoveryStudyResults, PrepareError> {
     let configs = RecoveryConfig::paper_set();
     let mut res = RecoveryStudyResults {
         policies: configs.iter().map(RecoveryConfig::name).collect(),
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..RecoveryStudyResults::default()
     };
-    let prepared = prepare_all(apps, cc);
+    let prepared = prepare_all(apps, cc)?;
     let units = site_units(&prepared, cc);
     let outcomes = crate::sched::run_indexed(&units, cc.workers, |u| {
         // Injection and the build depend only on (site, fault, base):
@@ -568,7 +612,7 @@ pub fn run_recovery_study(
                 .add(&m);
         }
     }
-    res
+    Ok(res)
 }
 
 /// Default cap on armed sites per (app, fault class) when the campaign
@@ -772,11 +816,24 @@ fn fold_trials(agg: &mut FaultClassAgg, trials: &[FaultTrial]) {
 /// leg and — when DPMR detected — a repair-from-replica recovery leg.
 /// Units fan across the study scheduler and merge in unit order, so the
 /// artifact is bit-identical at any worker count.
+///
+/// # Panics
+/// Panics with the [`PrepareError`] of an app whose golden run is not
+/// clean.
 pub fn run_fault_campaign(
     apps: &[AppSpec],
     base: &DpmrConfig,
     cc: &CampaignConfig,
 ) -> FaultCampaignResults {
+    try_run_fault_campaign(apps, base, cc).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The fallible core of [`run_fault_campaign`].
+pub(crate) fn try_run_fault_campaign(
+    apps: &[AppSpec],
+    base: &DpmrConfig,
+    cc: &CampaignConfig,
+) -> Result<FaultCampaignResults, PrepareError> {
     let main: Vec<Option<FaultModel>> = FaultModel::paper_set()
         .into_iter()
         .map(Some)
@@ -791,7 +848,7 @@ pub fn run_fault_campaign(
     // arms the K = 1 build; the replica-region class also arms the K = 2
     // build, whose replica surface differs, for the differential of K = 1
     // repair-from-replica against K = 2 vote-and-repair.
-    let grid = BuildGrid::new(apps, vec![base.clone(), base.clone().with_replicas(2)], cc);
+    let grid = BuildGrid::new(apps, vec![base.clone(), base.clone().with_replicas(2)], cc)?;
     let units = grid.armed_units(
         |b| if b % 2 == 0 { &main } else { &[None] },
         cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS),
@@ -814,7 +871,7 @@ pub fn run_fault_campaign(
             );
         }
     }
-    res
+    Ok(res)
 }
 
 /// The campaign's recovery leg at `cfg`'s replication degree: the best
@@ -906,11 +963,11 @@ pub fn run_replication_degree_study(
     apps: &[AppSpec],
     base: &DpmrConfig,
     cc: &CampaignConfig,
-) -> ReplicationStudyResults {
+) -> Result<ReplicationStudyResults, PrepareError> {
     let variants = replication_variants(base);
     let names: Vec<String> = variants.iter().map(|(n, _)| n.clone()).collect();
     let classes = vec![Some(HEAP_FLIP), None, Some(FaultModel::WildWrite)];
-    let grid = BuildGrid::new(apps, variants.into_iter().map(|(_, c)| c).collect(), cc);
+    let grid = BuildGrid::new(apps, variants.into_iter().map(|(_, c)| c).collect(), cc)?;
     let mut res = ReplicationStudyResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         classes: classes.iter().map(|&c| class_name(c)).collect(),
@@ -933,7 +990,7 @@ pub fn run_replication_degree_study(
         res.experiments += trials.iter().map(FaultTrial::executions).sum::<u64>();
         fold_trials(res.agg.entry(key).or_default(), &trials);
     }
-    res
+    Ok(res)
 }
 
 /// The base configuration of `scheme`.
@@ -1018,12 +1075,12 @@ pub fn run_site_profile_study(
     apps: &[AppSpec],
     base: &DpmrConfig,
     cc: &CampaignConfig,
-) -> SiteProfileResults {
+) -> Result<SiteProfileResults, PrepareError> {
     let mut res = SiteProfileResults {
         apps: apps.iter().map(|a| a.name.to_string()).collect(),
         ..SiteProfileResults::default()
     };
-    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc)?;
     let clean = grid.map(cc, |p, b| p.run(&b.exe(), None, TelemetryConfig::full(), 0));
     let classes: Vec<Option<FaultModel>> = FaultModel::paper_set().into_iter().map(Some).collect();
     let units = grid.armed_units(|_| &classes, cc.max_sites.unwrap_or(FAULT_SITES_PER_CLASS));
@@ -1086,7 +1143,7 @@ pub fn run_site_profile_study(
             }
         }
     }
-    res
+    Ok(res)
 }
 
 /// One keyed trace of the trace study: the JSONL block for a single
@@ -1138,8 +1195,8 @@ pub fn run_trace_study(
     apps: &[AppSpec],
     base: &DpmrConfig,
     cc: &CampaignConfig,
-) -> TraceStudyResults {
-    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
+) -> Result<TraceStudyResults, PrepareError> {
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc)?;
     let mut units: Vec<(usize, Option<FaultModel>)> = Vec::new();
     for app_idx in 0..apps.len() {
         units.push((app_idx, None));
@@ -1175,7 +1232,7 @@ pub fn run_trace_study(
             jsonl: keyed_jsonl(app, run.seed, &config, &run.telemetry),
         });
     }
-    res
+    Ok(res)
 }
 
 /// One (app, pass-combination) row of the optimizer study (`optP.1`).
@@ -1248,10 +1305,10 @@ pub fn run_opt_study(
     base: &DpmrConfig,
     usefulness: &BTreeMap<String, Vec<f64>>,
     cc: &CampaignConfig,
-) -> OptStudyResults {
+) -> Result<OptStudyResults, PrepareError> {
     const COMBOS: usize = 2;
     // Lower once: each combination applies its own configuration.
-    let grid = BuildGrid::new(apps, vec![base.clone()], cc);
+    let grid = BuildGrid::new(apps, vec![base.clone()], cc)?;
     let units: Vec<(usize, usize)> = (0..apps.len())
         .flat_map(|ai| (0..COMBOS).map(move |ci| (ai, ci)))
         .collect();
@@ -1292,7 +1349,7 @@ pub fn run_opt_study(
         }
         res.rows.insert((app, res.combos[ci].clone()), row);
     }
-    res
+    Ok(res)
 }
 
 #[cfg(test)]
@@ -1412,7 +1469,8 @@ mod tests {
             &DpmrConfig::sds(),
             &BTreeMap::new(),
             &CampaignConfig::tiny(),
-        );
+        )
+        .unwrap();
         assert_eq!(res.experiments, 2);
         let row = |combo: &str| &res.rows[&("bzip2".to_string(), combo.to_string())];
         let (off, pgo) = (row("off"), row("pgo"));

@@ -62,7 +62,7 @@ fn all_reproduces_every_artifact() {
         CampaignConfig::default().with_workers(default_workers())
     };
     let ids: BTreeSet<String> = all_ids().into_iter().map(String::from).collect();
-    let report = reproduce(&ids, &cc);
+    let report = reproduce(&ids, &cc).unwrap();
     for id in all_ids() {
         let heading = heading(id);
         assert!(
@@ -73,7 +73,7 @@ fn all_reproduces_every_artifact() {
     let tiny = if cfg!(debug_assertions) {
         report
     } else {
-        reproduce(&ids, &CampaignConfig::tiny())
+        reproduce(&ids, &CampaignConfig::tiny()).unwrap()
     };
     assert_matches_golden(&tiny);
 }

@@ -21,9 +21,15 @@ fn tiny(workers: usize) -> CampaignConfig {
 fn site_profile_is_bit_identical_at_any_worker_count() {
     let apps = fault_campaign_apps();
     let base = DpmrConfig::sds();
-    let one = site_profile_table("t", &run_site_profile_study(&apps, &base, &tiny(1)));
+    let one = site_profile_table(
+        "t",
+        &run_site_profile_study(&apps, &base, &tiny(1)).unwrap(),
+    );
     for workers in [2, 8] {
-        let many = site_profile_table("t", &run_site_profile_study(&apps, &base, &tiny(workers)));
+        let many = site_profile_table(
+            "t",
+            &run_site_profile_study(&apps, &base, &tiny(workers)).unwrap(),
+        );
         assert_eq!(one, many, "profS.1 diverged at {workers} workers");
     }
 }
@@ -32,15 +38,15 @@ fn site_profile_is_bit_identical_at_any_worker_count() {
 fn trace_sink_is_bit_identical_at_any_worker_count() {
     let apps = fault_campaign_apps();
     let base = DpmrConfig::sds();
-    let one = trace_sink("t", &run_trace_study(&apps, &base, &tiny(1)));
-    let eight = trace_sink("t", &run_trace_study(&apps, &base, &tiny(8)));
+    let one = trace_sink("t", &run_trace_study(&apps, &base, &tiny(1)).unwrap());
+    let eight = trace_sink("t", &run_trace_study(&apps, &base, &tiny(8)).unwrap());
     assert_eq!(one, eight, "traceE.1 diverged at 8 workers");
 }
 
 #[test]
 fn site_profile_reports_executions_and_detections() {
     let apps = fault_campaign_apps();
-    let res = run_site_profile_study(&apps, &DpmrConfig::sds(), &tiny(4));
+    let res = run_site_profile_study(&apps, &DpmrConfig::sds(), &tiny(4)).unwrap();
     assert_eq!(res.apps.len(), apps.len());
     for app in &res.apps {
         let p = &res.profiles[app];
@@ -66,7 +72,7 @@ fn site_profile_reports_executions_and_detections() {
 #[test]
 fn trace_sink_lines_are_keyed_json_objects() {
     let apps = [dpmr_workloads::app_by_name("mcf").unwrap()];
-    let res = run_trace_study(&apps, &DpmrConfig::sds(), &tiny(2));
+    let res = run_trace_study(&apps, &DpmrConfig::sds(), &tiny(2)).unwrap();
     assert!(res.traces.iter().any(|t| t.config == "clean"));
     assert!(res.traces.iter().any(|t| t.config != "clean"));
     for t in &res.traces {

@@ -139,7 +139,7 @@ fn tiny() -> CampaignConfig {
 fn replication_degree_study_shape_and_worker_bit_identity() {
     let apps = [dpmr_workloads::app_by_name("rvictim").unwrap()];
     let base = DpmrConfig::sds();
-    let one = run_replication_degree_study(&apps, &base, &tiny());
+    let one = run_replication_degree_study(&apps, &base, &tiny()).unwrap();
     assert_eq!(one.variants.len(), 2 * REPLICATION_DEGREES.len());
     assert_eq!(one.classes.len(), 3);
     assert!(one.experiments > 0);
@@ -168,7 +168,7 @@ fn replication_degree_study_shape_and_worker_bit_identity() {
         assert!(k2.unrecoverable_rate() <= k1.unrecoverable_rate());
     }
     // The rendered artifact is bit-identical at any worker count.
-    let eight = run_replication_degree_study(&apps, &base, &tiny().with_workers(8));
+    let eight = run_replication_degree_study(&apps, &base, &tiny().with_workers(8)).unwrap();
     assert_eq!(
         figures::replication_table("t", &one),
         figures::replication_table("t", &eight)

@@ -89,7 +89,6 @@ pub struct RepairHandler {
     budget: u64,
     approved: u64,
     grant: TrapAction,
-    traps: Vec<DetectionTrap>,
 }
 
 impl RepairHandler {
@@ -99,7 +98,6 @@ impl RepairHandler {
             budget,
             approved: 0,
             grant: TrapAction::Repair,
-            traps: Vec::new(),
         }
     }
 
@@ -117,16 +115,10 @@ impl RepairHandler {
     pub fn approved(&self) -> u64 {
         self.approved
     }
-
-    /// Every trap delivered, in order (repaired and terminal alike).
-    pub fn traps(&self) -> &[DetectionTrap] {
-        &self.traps
-    }
 }
 
 impl TrapHandler for RepairHandler {
-    fn on_detection(&mut self, trap: &DetectionTrap) -> TrapAction {
-        self.traps.push(trap.clone());
+    fn on_detection(&mut self, _trap: &DetectionTrap) -> TrapAction {
         if self.approved < self.budget {
             self.approved += 1;
             self.grant
@@ -598,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_handler_records_traps_in_order() {
+    fn repair_handler_grants_until_budget() {
         let mut h = RepairHandler::new(2);
         let t = DetectionTrap {
             got: 1,
@@ -614,6 +606,5 @@ mod tests {
         assert_eq!(h.on_detection(&t), TrapAction::Repair);
         assert_eq!(h.on_detection(&t), TrapAction::Terminate);
         assert_eq!(h.approved(), 2);
-        assert_eq!(h.traps().len(), 3);
     }
 }

@@ -63,7 +63,7 @@ pub struct FrameLayout {
 }
 
 // The scalar memory encodings live in `crate::value` (one source of
-// truth shared with `load_scalar`/`store_scalar`); ops embed them.
+// truth shared with global initialization); ops embed them.
 pub use crate::value::{LoadKind, StoreKind};
 
 /// One bytecode operation. Each IR instruction and each block terminator

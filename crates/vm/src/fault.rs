@@ -113,19 +113,12 @@ impl FaultModel {
     }
 }
 
-/// Sentinel pc meaning "no fault armed". The interpreter keeps the
-/// armed site pc in a plain `u32` compared against the current pc each
-/// iteration; lowered code is bounded far below `u32::MAX`, so the
-/// sentinel can never match a real pc. The dispatch loop also keys its
-/// instantiation on this: an unarmed, unprofiled run
-/// (`armed_pc == UNARMED_PC`) compiles the per-op pc compare out of the
-/// loop entirely.
-pub const UNARMED_PC: u32 = u32::MAX;
-
 /// A fault armed for one run: the `(site, seed, cycle)` triple that makes
 /// runtime injections replayable. `site` is an absolute pc into the
 /// module's lowered op stream (see [`crate::code::LoweredCode::ops`]);
-/// the op there must be a load or store for the fault to ever fire.
+/// the op there must be a load or store for the fault to ever fire. The
+/// interpreter gives that one pc an armed handler entry in the run's own
+/// dispatch table, so no other op of the run tests for the fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArmedFault {
     /// Absolute pc of the armed load/store op.

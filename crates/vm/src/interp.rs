@@ -40,10 +40,10 @@
 use crate::alloc::{AllocStats, Allocator, FreeOutcome};
 use crate::code::{LoadKind, LoweredCode, Op, Opnd, StoreKind};
 use crate::external::{Handler, Registry};
-use crate::fault::{fault_mix, ArmedFault, FaultModel, UNARMED_PC};
+use crate::fault::{fault_mix, ArmedFault, FaultModel};
 use crate::mem::{Mem, MemConfig, MemFault, MemSnapshot, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 use crate::telemetry::{Telemetry, TelemetryConfig, TraceEvent};
-use crate::value::{normalize_int, scalar_bytes, store_scalar, Value};
+use crate::value::{normalize_int, scalar_bytes, Value};
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
 use dpmr_ir::module::{ExternalId, FuncId, GlobalInit, Module};
 use dpmr_ir::types::{TypeId, TypeKind};
@@ -600,6 +600,10 @@ pub struct Interp<'m> {
     /// Heap allocator.
     pub alloc: Allocator,
     global_addrs: Vec<u64>,
+    /// Why the module's globals could not be laid out, when they could
+    /// not: every run then ends at once with this as an invalid-execution
+    /// crash.
+    load_error: Option<String>,
     /// The module compiled to linear bytecode at load.
     code: Rc<LoweredCode>,
     /// Per-function frame-construction metadata.
@@ -646,12 +650,12 @@ pub struct Interp<'m> {
     pause_at: Option<u64>,
     /// Runtime fault armed for this run, when any.
     armed: Option<ArmedFault>,
-    /// The armed site pc (`u32::MAX` when unarmed): the dispatch loop's
-    /// one-compare fast path for the injection hook.
-    armed_pc: u32,
-    /// True while the op being stepped is the armed site (set by the
-    /// dispatch loop; consulted only by the load/store handlers).
-    fault_pending: bool,
+    /// The handler ids this run dispatches through, when they differ
+    /// from the shared `code.handler_ids` (see [`run_handler_ids`]).
+    run_ids: Option<Rc<[u8]>>,
+    /// Under pc profiling, the id [`h_profile`] forwards each pc to: the
+    /// table the run would dispatch through unprofiled. Empty otherwise.
+    profiled_ids: Box<[u8]>,
     /// The call, return or trap the last handler parked (see
     /// [`FRAME_OP`]); always `None` between ops.
     frame_op: Option<FrameOp>,
@@ -672,12 +676,11 @@ pub struct Interp<'m> {
 impl<'m> Interp<'m> {
     /// Creates an interpreter: lowers the module to bytecode, allocates
     /// and initializes all globals, and pre-resolves per-function
-    /// metadata and external handlers.
-    ///
-    /// # Panics
-    /// Panics if the module's globals cannot be laid out (unsized types)
-    /// or a scalar register has a non-scalar type — program construction
-    /// errors, not simulated faults.
+    /// metadata and external handlers. Globals that cannot be laid out
+    /// (an unsized type, more bytes than the global region holds, an
+    /// initializer that does not fit the type) do not panic: every run
+    /// of the interpreter ends at once as an invalid-execution crash
+    /// that names the global.
     pub fn new(module: &'m Module, cfg: &RunConfig, externals: Rc<Registry>) -> Self {
         Self::with_code(module, Rc::new(crate::lower::lower(module)), cfg, externals)
     }
@@ -704,14 +707,24 @@ impl<'m> Interp<'m> {
             Rc::new(c)
         };
         let mut mem = Mem::new(&cfg.mem);
-        // Pass 1: allocate.
+        // Pass 1: allocate. A global that cannot be placed gets the null
+        // address; the load error keeps any run from starting.
+        let mut load_error = None;
         let mut global_addrs = Vec::with_capacity(module.globals.len());
         for g in &module.globals {
-            let size = module
-                .types
-                .size_of(g.ty)
-                .unwrap_or_else(|e| panic!("global {}: {e}", g.name));
-            global_addrs.push(mem.alloc_global(size));
+            let addr = match module.types.size_of(g.ty) {
+                Ok(size) => mem.alloc_global(size).ok_or_else(|| {
+                    format!(
+                        "{size} bytes do not fit the {}-byte global region",
+                        cfg.mem.global_capacity
+                    )
+                }),
+                Err(e) => Err(e.to_string()),
+            };
+            global_addrs.push(addr.unwrap_or_else(|e| {
+                load_error.get_or_insert(format!("global {}: {e}", g.name));
+                0
+            }));
         }
         // Frame templates: lowered code lays each function's slots out in
         // `code.frames`; hand-built code without a layout gets the IR
@@ -746,11 +759,13 @@ impl<'m> Interp<'m> {
             .iter()
             .map(|e| externals.get(&e.name))
             .collect();
+        let (run_ids, profiled_ids) = run_handler_ids(&code, cfg);
         let mut it = Interp {
             module,
             mem,
             alloc: Allocator::new(),
             global_addrs,
+            load_error,
             code,
             meta,
             ext_handlers,
@@ -777,8 +792,8 @@ impl<'m> Interp<'m> {
             pinned_checkpoint: None,
             pause_at: None,
             armed: cfg.fault,
-            armed_pc: cfg.fault.map_or(u32::MAX, |f| f.site),
-            fault_pending: false,
+            run_ids,
+            profiled_ids,
             frame_op: None,
             fault_fired: None,
             fault_hits: 0,
@@ -792,61 +807,65 @@ impl<'m> Interp<'m> {
         if it.tele_cfg.profile {
             it.tele.pc_exec = vec![0; it.code.ops.len()];
         }
-        // Pass 2: initialize.
+        // Pass 2: initialize, up to the first global that does not fit.
         for (i, g) in module.globals.iter().enumerate() {
+            if it.load_error.is_some() {
+                break;
+            }
             let addr = it.global_addrs[i];
-            it.init_global(g.ty, &g.init, addr);
+            if let Err(e) = it.init_global(g.ty, &g.init, addr) {
+                it.load_error = Some(format!("global {}: {e}", g.name));
+            }
         }
         it
     }
 
-    fn init_global(&mut self, ty: TypeId, init: &GlobalInit, addr: u64) {
+    /// Writes `init` as a value of type `ty` at `addr`, or says why it
+    /// does not fit (an initializer the verifier rejects).
+    fn init_global(&mut self, ty: TypeId, init: &GlobalInit, addr: u64) -> Result<(), String> {
         let tt = &self.module.types;
-        match init {
+        let scalar = |v: Value| match StoreKind::of(tt, ty) {
+            Some(kind) => Ok((kind, v)),
+            None => Err(format!("scalar initializer for {:?}", tt.kind(ty))),
+        };
+        let written = match init {
             GlobalInit::Zero => {
-                let n = tt.size_of(ty).expect("sized global") as usize;
-                self.mem.write(addr, &vec![0u8; n]).expect("global mapped");
+                let n = tt.size_of(ty).map_err(|e| e.to_string())?;
+                self.mem.write(addr, &vec![0u8; n as usize])
             }
             GlobalInit::Int(v) => {
-                store_scalar(&mut self.mem, tt, ty, addr, Value::Int(*v)).expect("global mapped");
+                let (kind, v) = scalar(Value::Int(*v))?;
+                crate::value::store_kind(&mut self.mem, kind, addr, v)
             }
             GlobalInit::Float(f) => {
-                store_scalar(&mut self.mem, tt, ty, addr, Value::Float(*f)).expect("global mapped");
+                let (kind, v) = scalar(Value::Float(*f))?;
+                crate::value::store_kind(&mut self.mem, kind, addr, v)
             }
-            GlobalInit::Null => {
-                self.mem.write_u64(addr, 0).expect("global mapped");
-            }
-            GlobalInit::Ref(g) => {
-                let target = self.global_addrs[g.0 as usize];
-                self.mem.write_u64(addr, target).expect("global mapped");
-            }
-            GlobalInit::FuncRef(f) => {
-                self.mem
-                    .write_u64(addr, FUNC_BASE + u64::from(f.0))
-                    .expect("global mapped");
-            }
-            GlobalInit::Bytes(b) => {
-                self.mem.write(addr, b).expect("global mapped");
-            }
-            GlobalInit::Composite(items) => match tt.kind(ty) {
-                TypeKind::Struct { fields, .. } => {
-                    let fields = fields.clone();
-                    assert_eq!(fields.len(), items.len(), "composite arity");
-                    for (i, (f, item)) in fields.iter().zip(items).enumerate() {
-                        let off = tt.field_offset(ty, i).expect("layout");
-                        self.init_global(*f, item, addr + off);
-                    }
-                }
-                TypeKind::Array { elem, .. } => {
-                    let elem = *elem;
-                    let esz = tt.size_of(elem).expect("sized elem");
-                    for (i, item) in items.iter().enumerate() {
-                        self.init_global(elem, item, addr + esz * i as u64);
-                    }
-                }
-                other => panic!("composite init of {other:?}"),
+            GlobalInit::Null => self.mem.write_u64(addr, 0),
+            GlobalInit::Ref(g) => match self.global_addrs.get(g.0 as usize) {
+                Some(&target) => self.mem.write_u64(addr, target),
+                None => return Err(format!("reference to unknown global g{}", g.0)),
             },
-        }
+            GlobalInit::FuncRef(f) => self.mem.write_u64(addr, FUNC_BASE + u64::from(f.0)),
+            GlobalInit::Bytes(b) => self.mem.write(addr, b),
+            GlobalInit::Composite(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    let (field, off) = match tt.kind(ty) {
+                        TypeKind::Struct { fields, .. } if fields.len() == items.len() => {
+                            (fields[i], tt.field_offset(ty, i))
+                        }
+                        TypeKind::Array { elem, .. } => {
+                            (*elem, tt.size_of(*elem).map(|n| n.wrapping_mul(i as u64)))
+                        }
+                        other => return Err(format!("composite initializer for {other:?}")),
+                    };
+                    let off = off.map_err(|e| e.to_string())?;
+                    self.init_global(field, item, addr.wrapping_add(off))?;
+                }
+                Ok(())
+            }
+        };
+        written.map_err(|e| e.to_string())
     }
 
     /// Address assigned to a global.
@@ -1214,6 +1233,10 @@ impl<'m> Interp<'m> {
                 });
             }
         }
+        if let Some(e) = &self.load_error {
+            let status = ExitStatus::Crash(CrashKind::InvalidExec(e.clone()));
+            return Some(self.finish(status));
+        }
         let entry = match self.module.entry {
             Some(e) => e,
             None => {
@@ -1366,13 +1389,12 @@ impl<'m> Interp<'m> {
     /// every observable — instruction counts, virtual cycles, traps,
     /// telemetry, snapshots — is the same either way.
     fn dispatch(&mut self, base: usize) -> Result<DispatchEnd, Trap> {
-        // The bytecode is behind an Rc so ops can be borrowed across the
-        // `&mut self` op execution (the lowered code is immutable).
+        // The bytecode and the run's handler ids are behind an Rc so they
+        // can be borrowed across the `&mut self` op execution (neither
+        // changes during a run).
         let code = Rc::clone(&self.code);
-        // The per-op hooks (armed-pc compare, pc profile bump) are
-        // compiled out of the window loop for runs that need neither —
-        // the overwhelmingly common case — via the const generic.
-        let hooks = self.armed_pc != UNARMED_PC || self.tele_cfg.profile;
+        let run_ids = self.run_ids.clone();
+        let ids = run_ids.as_deref().unwrap_or(&code.handler_ids);
         loop {
             if base == 0 {
                 self.maybe_auto_checkpoint();
@@ -1382,12 +1404,7 @@ impl<'m> Interp<'m> {
                     }
                 }
             }
-            let w = if hooks {
-                self.run_window::<true>(&code, base)
-            } else {
-                self.run_window::<false>(&code, base)
-            }?;
-            if let Window::Returned(v) = w {
+            if let Window::Returned(v) = self.run_window(&code.ops, ids, base)? {
                 return Ok(DispatchEnd::Returned(v));
             }
         }
@@ -1404,20 +1421,18 @@ impl<'m> Interp<'m> {
     ///   level only) or [`CLOCK_LIMIT`], whichever is nearer.
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
-    /// and registers cached in locals: one handler-id fetch and one
-    /// indirect handler call per op, whose result is the next pc, plus —
-    /// only when `HOOKS` — the armed-fault flag and the pc-profile bump.
+    /// and registers cached in locals: one fetch from the run's handler
+    /// ids and one indirect handler call per op, whose result is the next
+    /// pc. Nothing else runs per op: the fault injection and the pc
+    /// profile are entries of the run's own table ([`run_handler_ids`]),
+    /// so only the armed site, or a profiled run, pays for them.
     /// Calls, returns and traps come back as [`FRAME_OP`] with the request
     /// in `frame_op`; settling a call or return re-caches the locals.
     /// Closing the window parks pc and registers back into the frame, so
     /// the state a caller observes is an exact instruction boundary
     /// (snapshots taken at the dispatch top stay valid and portable).
     #[inline(never)]
-    fn run_window<const HOOKS: bool>(
-        &mut self,
-        code: &LoweredCode,
-        base: usize,
-    ) -> Result<Window, Trap> {
+    fn run_window(&mut self, ops: &[Op], ids: &[u8], base: usize) -> Result<Window, Trap> {
         let mut instr_hazard = self.max_instrs;
         let mut cycle_hazard = CLOCK_LIMIT;
         if base == 0 {
@@ -1429,8 +1444,6 @@ impl<'m> Interp<'m> {
         if self.plain_dispatch {
             instr_hazard = instr_hazard.min(self.instrs + 1);
         }
-        let ops: &[Op] = &code.ops;
-        let ids: &[u8] = &code.handler_ids;
         let mut fi = self.frames.len() - 1;
         let mut pc = self.frames[fi].pc;
         let mut regs = std::mem::take(&mut self.frames[fi].regs);
@@ -1445,18 +1458,6 @@ impl<'m> Interp<'m> {
                 return Err(pc_out_of_range(pc));
             };
             self.instrs += 1;
-            if HOOKS {
-                // The injection hook: one compare against the armed site
-                // pc (`u32::MAX` when unarmed). The pc profile's bump sits
-                // behind one flag branch; `get_mut` keeps a panic edge
-                // out of the loop (`pc_exec` is sized to `ops` when on).
-                self.fault_pending = pc == self.armed_pc;
-                if self.tele_cfg.profile {
-                    if let Some(n) = self.tele.pc_exec.get_mut(pc as usize) {
-                        *n += 1;
-                    }
-                }
-            }
             let next = HANDLERS[usize::from(id)](self, &mut regs, op, pc);
             if next != FRAME_OP {
                 pc = next;
@@ -2005,8 +2006,15 @@ mod hid {
     pub const CMP_FIRST: u8 = BIN64_FIRST + super::BIN_OPS.len() as u8;
     /// `CAST_FIRST + op` serves cast `op`.
     pub const CAST_FIRST: u8 = CMP_FIRST + super::CMP_PREDS.len() as u8;
+    /// The armed site's load, which applies the run's fault. Only a
+    /// run's own ids hold it and the two after it (`run_handler_ids`).
+    pub const LOAD_ARMED: u8 = CAST_FIRST + super::CAST_OPS.len() as u8;
+    /// The armed site's store.
+    pub const STORE_ARMED: u8 = LOAD_ARMED + 1;
+    /// The pc-profile entry, which every pc of a profiled run maps to.
+    pub const PROFILE: u8 = STORE_ARMED + 1;
     /// Table length.
-    pub const COUNT: usize = CAST_FIRST as usize + super::CAST_OPS.len();
+    pub const COUNT: usize = PROFILE as usize + 1;
 }
 
 // Every id indexes `HANDLERS`.
@@ -2109,8 +2117,8 @@ op_handlers! {
     h_alloca => op_alloca,
     h_malloc => op_malloc,
     h_free => op_free,
-    h_load<const K: u8> => op_load,
-    h_store<const K: u8> => op_store,
+    h_load<const K: u8, const ARMED: bool> => op_load,
+    h_store<const K: u8, const ARMED: bool> => op_store,
     h_field_addr => op_field_addr,
     h_index_addr => op_index_addr,
     h_cast<const C: u8> => op_cast,
@@ -2135,10 +2143,14 @@ op_handlers! {
     h_elided => op_elided,
 }
 
-/// Fills `t[first + i]` with `entry::<i>` for each listed index.
+/// Fills `t[first + i]` with `entry::<i>`, or `entry::<i, extra>`, for
+/// each listed index.
 macro_rules! kind_entries {
     ($t:ident, $first:expr, $entry:ident; $($i:literal)*) => {
         $($t[$first as usize + $i] = $entry::<$i>;)*
+    };
+    ($t:ident, $first:expr, $entry:ident, $extra:tt; $($i:literal)*) => {
+        $($t[$first as usize + $i] = $entry::<$i, $extra>;)*
     };
 }
 
@@ -2155,8 +2167,8 @@ static HANDLERS: [OpHandler; 1 << u8::BITS] = {
     t[hid::ALLOCA as usize] = h_alloca;
     t[hid::MALLOC as usize] = h_malloc;
     t[hid::FREE as usize] = h_free;
-    t[hid::LOAD as usize] = h_load::<ANY>;
-    t[hid::STORE as usize] = h_store::<ANY>;
+    t[hid::LOAD as usize] = h_load::<ANY, false>;
+    t[hid::STORE as usize] = h_store::<ANY, false>;
     t[hid::FIELD_ADDR as usize] = h_field_addr;
     t[hid::INDEX_ADDR as usize] = h_index_addr;
     t[hid::CAST as usize] = h_cast::<ANY>;
@@ -2179,8 +2191,8 @@ static HANDLERS: [OpHandler; 1 << u8::BITS] = {
     t[hid::BAD_BLOCK as usize] = h_bad_block;
     t[hid::INVALID as usize] = h_invalid;
     t[hid::ELIDED as usize] = h_elided;
-    kind_entries!(t, hid::LOAD_FIRST, h_load; 0 1 2 3);
-    kind_entries!(t, hid::STORE_FIRST, h_store; 0 1);
+    kind_entries!(t, hid::LOAD_FIRST, h_load, false; 0 1 2 3);
+    kind_entries!(t, hid::STORE_FIRST, h_store, false; 0 1);
     t[hid::CHECK_FIRST as usize] = h_dpmr_check::<1>;
     t[hid::CHECK_FIRST as usize + 1] = h_dpmr_check::<2>;
     kind_entries!(t, hid::CMP_FIRST, h_cmp; 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15);
@@ -2192,8 +2204,50 @@ static HANDLERS: [OpHandler; 1 << u8::BITS] = {
         )*};
     }
     bin_entries!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    t[hid::LOAD_ARMED as usize] = h_load::<ANY, true>;
+    t[hid::STORE_ARMED as usize] = h_store::<ANY, true>;
+    t[hid::PROFILE as usize] = h_profile;
     t
 };
+
+/// The pc-profile entry: bumps the pc's counter, then forwards to the
+/// entry the run would dispatch the op through unprofiled. `get_mut` and
+/// `get` keep panic edges out (both tables are sized to the ops).
+fn h_profile(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> u32 {
+    if let Some(n) = it.tele.pc_exec.get_mut(pc as usize) {
+        *n += 1;
+    }
+    let id = it.profiled_ids.get(pc as usize).copied();
+    HANDLERS[usize::from(id.unwrap_or(hid::INVALID))](it, regs, op, pc)
+}
+
+/// The handler ids a run dispatches through when they differ from the
+/// shared `code.handler_ids`, and the ids [`h_profile`] forwards to.
+/// Arming a load or store maps that one pc to its armed entry, so no
+/// other op tests for the fault; arming any other op changes nothing.
+/// Profiling maps every pc to [`h_profile`], which forwards through the
+/// table the run would use unprofiled. Built once per run, one byte per
+/// op; an unarmed, unprofiled run builds nothing.
+fn run_handler_ids(code: &LoweredCode, cfg: &RunConfig) -> (Option<Rc<[u8]>>, Box<[u8]>) {
+    let armed = cfg.fault.and_then(|f| {
+        let id = match code.ops.get(f.site as usize)? {
+            Op::Load { .. } => hid::LOAD_ARMED,
+            Op::Store { .. } => hid::STORE_ARMED,
+            _ => return None,
+        };
+        let mut ids = code.handler_ids.clone();
+        ids[f.site as usize] = id;
+        Some(ids)
+    });
+    if !cfg.telemetry.profile {
+        return (armed.map(Rc::from), Box::default());
+    }
+    let forward = armed.unwrap_or_else(|| code.handler_ids.clone());
+    (
+        Some(vec![hid::PROFILE; forward.len()].into()),
+        forward.into(),
+    )
+}
 
 /// Parks a trapping op's trap for the dispatch loop (see [`FRAME_OP`]).
 #[cold]
@@ -2413,15 +2467,20 @@ fn op_free(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
 }
 
 #[inline(always)]
-fn op_load<const K: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_load<const K: u8, const ARMED: bool>(
+    it: &mut Interp,
+    regs: &mut [Reg],
+    op: &Op,
+    pc: u32,
+) -> Step {
     let Op::Load { dst, ptr, kind } = op else {
         return Err(malformed_op());
     };
     let kind = LOAD_KINDS.get(usize::from(K)).copied().unwrap_or(*kind);
     let mut a = eval_ptr(regs, *ptr)?;
-    // Injection hook: an armed fault may corrupt the memory about to be
-    // read, skew the address, or force the value.
-    let forced = if it.fault_pending {
+    // Only the armed site's entry applies the fault: it may corrupt the
+    // memory about to be read, skew the address, or force the value.
+    let forced = if ARMED {
         it.fault_on_load(&mut a, kind)
     } else {
         None
@@ -2434,16 +2493,21 @@ fn op_load<const K: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> 
 }
 
 #[inline(always)]
-fn op_store<const K: u8>(it: &mut Interp, regs: &mut [Reg], op: &Op, pc: u32) -> Step {
+fn op_store<const K: u8, const ARMED: bool>(
+    it: &mut Interp,
+    regs: &mut [Reg],
+    op: &Op,
+    pc: u32,
+) -> Step {
     let Op::Store { ptr, value, kind } = op else {
         return Err(malformed_op());
     };
     let kind = STORE_KINDS.get(usize::from(K)).copied().unwrap_or(*kind);
     let mut a = eval_ptr(regs, *ptr)?;
     let v = eval(regs, *value)?;
-    // Injection hook: an armed fault may redirect the store; a region
-    // bit-flip corrupts the stored bytes afterwards.
-    let flip_after = if it.fault_pending {
+    // Only the armed site's entry applies the fault: it may redirect the
+    // store; a region bit-flip corrupts the stored bytes afterwards.
+    let flip_after = if ARMED {
         it.fault_on_store(&mut a, store_width(kind))
     } else {
         false
@@ -3120,19 +3184,53 @@ mod dispatch_table_tests {
         regs
     }
 
+    /// The entries `op` can run through: its chosen entry, its shape's
+    /// fallback, and the ids a run armed at it and profiling it gives it
+    /// (the profile entry, and the armed entry it forwards a load or
+    /// store to). Returns them with the profile entry's forward table.
+    fn entries(op: &Op) -> ([u8; 4], Box<[u8]>) {
+        let mut code = LoweredCode {
+            ops: vec![op.clone()],
+            ..LoweredCode::default()
+        };
+        code.rebuild_handler_ids();
+        let cfg = RunConfig {
+            fault: Some(ArmedFault {
+                site: 0,
+                fault: FaultModel::OffByN { n: 0 },
+                seed: 0,
+                arm_cycle: 0,
+            }),
+            telemetry: TelemetryConfig {
+                profile: true,
+                ..TelemetryConfig::off()
+            },
+            ..RunConfig::default()
+        };
+        let (run, forward) = run_handler_ids(&code, &cfg);
+        let run = run.expect("a profiled run has its own ids");
+        (
+            [handler_id(op), fallback_id(op), run[0], forward[0]],
+            forward,
+        )
+    }
+
     /// Every id's entry accepts the ops `handler_id` maps to it: each
-    /// sample runs through its chosen entry and its shape's fallback
-    /// entry, neither may reject it as malformed (an entry of another
-    /// shape parks `malformed_op`), and both return the right next pc.
-    /// The samples reach every id, and only ids below `hid::COUNT`.
-    /// `specialized_entries_match_the_fallback` checks that an entry of
-    /// the right shape also serves the right kind.
+    /// sample runs through its chosen entry, its shape's fallback entry,
+    /// and the armed and profile entries an armed, profiled run gives
+    /// it. None may reject it as malformed (an entry of another shape
+    /// parks `malformed_op`), all return the right next pc, and the
+    /// profile entry counts the pc once. The samples reach every id, and
+    /// only ids below `hid::COUNT`. `specialized_entries_match_the_fallback`
+    /// checks that an entry of the right shape also serves the right
+    /// kind, and that the armed entries of an unarmed run act as the
+    /// fallback.
     #[test]
     fn handler_table_is_aligned() {
         let samples = samples();
         let mut reached = vec![false; hid::COUNT];
         for op in &samples {
-            for id in [handler_id(op), fallback_id(op)] {
+            for id in entries(op).0 {
                 reached[usize::from(id)] = true;
             }
         }
@@ -3142,9 +3240,14 @@ mod dispatch_table_tests {
         let mut it = Interp::new(&module, &cfg, Rc::new(Registry::with_base()));
         let mismatch = *malformed_op();
         for op in &samples {
-            for id in [handler_id(op), fallback_id(op)] {
+            let (ids, forward) = entries(op);
+            it.profiled_ids = forward;
+            for id in ids {
                 let mut regs = preset_regs();
+                it.tele.pc_exec = vec![0];
                 let next = HANDLERS[usize::from(id)](&mut it, &mut regs, op, 0);
+                let counted = u64::from(id == hid::PROFILE);
+                assert_eq!(it.tele.pc_exec, [counted], "{op:?} through entry {id}");
                 match it.frame_op.take() {
                     Some(FrameOp::Trap(t)) => {
                         assert_eq!(next, FRAME_OP, "trap parked by {op:?}");
@@ -3254,9 +3357,10 @@ mod dispatch_table_tests {
             .collect()
     }
 
-    /// Runs `op` through its chosen entry and its fallback entry from
-    /// identical state and requires identical effects; returns whether
-    /// the chosen entry is a specialized one.
+    /// Runs `op` through its chosen entry, its fallback entry and, for a
+    /// load or store, its armed entry from identical state and requires
+    /// identical effects; returns whether the chosen entry is a
+    /// specialized one.
     fn same_as_fallback(
         op: &Op,
         regs: &dyn Fn(u64) -> Vec<Reg>,
@@ -3264,9 +3368,17 @@ mod dispatch_table_tests {
         action: Option<TrapAction>,
     ) -> bool {
         let (id, fallback) = (handler_id(op), fallback_id(op));
-        let chosen = run_entry(id, op, regs, sites, action);
         let reference = run_entry(fallback, op, regs, sites, action);
-        assert_eq!(chosen, reference, "{op:?} through entry {id} vs {fallback}");
+        // The run is unarmed, so an armed entry must act as the fallback.
+        let armed = match op {
+            Op::Load { .. } => Some(hid::LOAD_ARMED),
+            Op::Store { .. } => Some(hid::STORE_ARMED),
+            _ => None,
+        };
+        for entry in std::iter::once(id).chain(armed) {
+            let got = run_entry(entry, op, regs, sites, action);
+            assert_eq!(got, reference, "{op:?} through entry {entry} vs {fallback}");
+        }
         id != fallback
     }
 

@@ -66,5 +66,5 @@ pub mod prelude {
     };
     pub use crate::opt::{optimize, OptOutcome, PassConfig, ProfileGuided};
     pub use crate::telemetry::{SiteStats, Telemetry, TelemetryConfig, TraceEvent};
-    pub use crate::value::{load_scalar, normalize_int, scalar_bytes, store_scalar, Value};
+    pub use crate::value::{normalize_int, scalar_bytes, Value};
 }

@@ -33,10 +33,9 @@
 //!   still take precedence. An operand naming a global the module does
 //!   not declare does the same: the op becomes [`Op::Invalid`] carrying
 //!   the operands its handler evaluates before that one, and traps "use
-//!   of unknown global gN". Only *non-scalar register types* on loads,
-//!   stores, and checks panic at lowering (the same module would panic
-//!   mid-run under the tree-walker; surfacing it at load is the
-//!   construction-error contract `Interp::new` already has for globals).
+//!   of unknown global gN". So does a load, store or check whose register
+//!   has a non-scalar type (which only an unverified module can hold):
+//!   lowering never panics on a module's types.
 //!
 //! What stays runtime-resolved: global addresses (allocated per run and
 //! written into each function's constant slots when an interpreter
@@ -53,10 +52,6 @@ use dpmr_ir::types::{TypeId, TypeKind, TypeTable};
 use std::collections::HashMap;
 
 /// Lowers a whole module. See the module docs for the invariants.
-///
-/// # Panics
-/// Panics when a register holding a non-scalar type is loaded, stored, or
-/// checked — a program construction error, not a simulated fault.
 pub fn lower(module: &Module) -> LoweredCode {
     let mut lc = LoweredCode {
         ops: Vec::with_capacity(module.static_instr_count()),
@@ -166,33 +161,29 @@ impl Slots {
     }
 }
 
-/// Memory decoding of a scalar type (derivation shared with
-/// `load_scalar`; see `crate::value::LoadKind`).
-fn load_kind(tt: &TypeTable, ty: TypeId) -> LoadKind {
-    LoadKind::of(tt, ty)
-        .unwrap_or_else(|| panic!("lower: load of non-scalar type {:?}", tt.kind(ty)))
-}
-
-/// Memory encoding of a scalar type (derivation shared with
-/// `store_scalar`; see `crate::value::StoreKind`).
-fn store_kind(tt: &TypeTable, ty: TypeId) -> StoreKind {
-    StoreKind::of(tt, ty)
-        .unwrap_or_else(|| panic!("lower: store of non-scalar type {:?}", tt.kind(ty)))
+/// The trap message of a `what` through a register of type `ty`, which
+/// is not scalar.
+fn non_scalar(tt: &TypeTable, what: &str, ty: TypeId) -> String {
+    format!("{what} of non-scalar type {:?}", tt.kind(ty))
 }
 
 /// Memory encoding of a store *value operand* (the tree-walker matched on
 /// the operand form; constants encode by their own width, registers by
 /// their declared type, and address-valued operands are pointer-width).
-fn store_value_kind(tt: &TypeTable, f: &Function, value: &Operand) -> StoreKind {
-    match value {
-        Operand::Reg(r) => store_kind(tt, f.reg_ty(*r)),
+/// `Err` names a register type that is not scalar.
+fn store_value_kind(tt: &TypeTable, f: &Function, value: &Operand) -> Result<StoreKind, String> {
+    Ok(match value {
+        Operand::Reg(r) => {
+            let ty = f.reg_ty(*r);
+            StoreKind::of(tt, ty).ok_or_else(|| non_scalar(tt, "store", ty))?
+        }
         Operand::Const(Const::Int { bits, .. }) => {
             StoreKind::Raw(usize::from(*bits).div_ceil(8).max(1) as u8)
         }
         Operand::Const(Const::Float { bits: 32, .. }) => StoreKind::F32,
         // Float64, null, globals, function addresses: pointer-width raw.
         _ => StoreKind::Raw(8),
-    }
+    })
 }
 
 /// Pointee type of a pointer-valued operand (`None` when the operand
@@ -291,15 +282,21 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                     Err(e) => invalid(s, &[count], e.to_string()),
                 },
                 Instr::Free { ptr } => Op::Free { ptr: s.of(ptr) },
-                Instr::Load { dst, ptr } => Op::Load {
-                    dst: dst.0,
-                    ptr: s.of(ptr),
-                    kind: load_kind(tt, f.reg_ty(*dst)),
+                Instr::Load { dst, ptr } => match LoadKind::of(tt, f.reg_ty(*dst)) {
+                    Some(kind) => Op::Load {
+                        dst: dst.0,
+                        ptr: s.of(ptr),
+                        kind,
+                    },
+                    None => invalid(s, &[ptr], non_scalar(tt, "load", f.reg_ty(*dst))),
                 },
-                Instr::Store { ptr, value } => Op::Store {
-                    ptr: s.of(ptr),
-                    value: s.of(value),
-                    kind: store_value_kind(tt, f, value),
+                Instr::Store { ptr, value } => match store_value_kind(tt, f, value) {
+                    Ok(kind) => Op::Store {
+                        ptr: s.of(ptr),
+                        value: s.of(value),
+                        kind,
+                    },
+                    Err(msg) => invalid(s, &[ptr, value], msg),
                 },
                 Instr::FieldAddr { dst, base, field } => {
                     match operand_pointee_ty(module, f, base) {
@@ -402,15 +399,24 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                 Instr::DpmrCheck { a, reps, ptrs } => {
                     let site = lc.check_sites;
                     lc.check_sites += 1;
-                    Op::DpmrCheck {
-                        a: s.of(a),
-                        reps: s.all(reps),
-                        ptrs: ptrs.as_ref().map(|(ap, rps)| (s.of(ap), s.all(rps))),
-                        site,
-                        a_reg: match a {
-                            Operand::Reg(r) => Some((r.0, store_kind(tt, f.reg_ty(*r)))),
-                            _ => None,
+                    let a_reg = match a {
+                        Operand::Reg(r) => {
+                            let ty = f.reg_ty(*r);
+                            StoreKind::of(tt, ty)
+                                .map(|kind| Some((r.0, kind)))
+                                .ok_or_else(|| non_scalar(tt, "check", ty))
+                        }
+                        _ => Ok(None),
+                    };
+                    match a_reg {
+                        Ok(a_reg) => Op::DpmrCheck {
+                            a: s.of(a),
+                            reps: s.all(reps),
+                            ptrs: ptrs.as_ref().map(|(ap, rps)| (s.of(ap), s.all(rps))),
+                            site,
+                            a_reg,
                         },
+                        Err(msg) => invalid(s, &[a], msg),
                     }
                 }
                 Instr::RandInt {

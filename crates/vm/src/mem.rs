@@ -412,17 +412,16 @@ impl Mem {
     }
 
     /// Allocates `size` bytes in the global region (bump allocation,
-    /// 16-byte aligned). Returns the address.
-    ///
-    /// # Panics
-    /// Panics if the global region is exhausted (a configuration error,
-    /// not a simulated fault).
-    pub fn alloc_global(&mut self, size: u64) -> u64 {
+    /// 16-byte aligned). Returns the address, or `None` when the rest of
+    /// the region cannot hold `size` bytes.
+    pub fn alloc_global(&mut self, size: u64) -> Option<u64> {
         let off = self.globals_len.next_multiple_of(16);
-        let end = off + size as usize;
-        assert!(end <= self.globals.len(), "global region exhausted");
+        let end = usize::try_from(size).ok()?.checked_add(off)?;
+        if end > self.globals.len() {
+            return None;
+        }
         self.globals_len = end;
-        GLOBAL_BASE + off as u64
+        Some(GLOBAL_BASE + off as u64)
     }
 
     /// Current stack pointer offset (frame save/restore token).
@@ -958,12 +957,17 @@ mod tests {
     #[test]
     fn global_bump_allocation() {
         let mut m = mem();
-        let a = m.alloc_global(10);
-        let b = m.alloc_global(10);
+        let a = m.alloc_global(10).unwrap();
+        let b = m.alloc_global(10).unwrap();
         assert_eq!(a, GLOBAL_BASE);
         assert_eq!(b, GLOBAL_BASE + 16);
         assert!(m.read(a, 10).is_ok());
         assert!(m.write_u64(b, 1).is_ok());
+        // What does not fit is refused, without overflow or a panic, and
+        // leaves the region as it was.
+        assert_eq!(m.alloc_global(4096), None);
+        assert_eq!(m.alloc_global(u64::MAX), None);
+        assert_eq!(m.alloc_global(4096 - 32), Some(GLOBAL_BASE + 32));
     }
 
     #[test]
@@ -991,7 +995,7 @@ mod tests {
         let mut m = mem();
         m.grow_heap(128).unwrap();
         m.write_u64(HEAP_BASE, 0x1111).unwrap();
-        let g = m.alloc_global(16);
+        let g = m.alloc_global(16).unwrap();
         m.write_u64(g, 0x2222).unwrap();
         let mark = m.stack_alloc(32).unwrap();
         m.write_u64(mark, 0x3333).unwrap();
@@ -1001,7 +1005,7 @@ mod tests {
         m.write_u64(HEAP_BASE, 0xdead).unwrap();
         m.grow_heap(64).unwrap();
         m.write_u64(g, 0xbeef).unwrap();
-        m.alloc_global(32);
+        m.alloc_global(32).unwrap();
         m.stack_alloc(64).unwrap();
 
         m.restore(&snap);
@@ -1122,7 +1126,7 @@ mod tests {
     fn snapshot_captures_only_live_prefixes() {
         let mut m = mem();
         m.grow_heap(64).unwrap();
-        m.alloc_global(8);
+        m.alloc_global(8).unwrap();
         let snap = m.snapshot();
         assert_eq!(snap.captured_bytes(), 64 + 8);
     }
@@ -1140,7 +1144,7 @@ mod tests {
         };
         {
             let mut m = Mem::new(&cfg);
-            let g = m.alloc_global(64);
+            let g = m.alloc_global(64).unwrap();
             m.write(g, &[0xAA; 64]).unwrap();
             m.grow_heap(128).unwrap();
             m.write(HEAP_BASE, &[0xBB; 128]).unwrap();
@@ -1150,7 +1154,7 @@ mod tests {
             m.write_u64(STACK_BASE + 2048, u64::MAX).unwrap();
         }
         let mut m = Mem::new(&cfg);
-        let g = m.alloc_global(64);
+        let g = m.alloc_global(64).unwrap();
         assert!(m.read(g, 64).unwrap().iter().all(|&b| b == 0));
         m.grow_heap(128).unwrap();
         assert!(m.read(HEAP_BASE, 128).unwrap().iter().all(|&b| b == 0));
@@ -1204,7 +1208,7 @@ mod tests {
         let mut m = mem();
         assert_eq!(m.region_of(0), None, "null page");
         assert_eq!(m.region_of(GLOBAL_BASE), None, "no globals allocated yet");
-        let g = m.alloc_global(8);
+        let g = m.alloc_global(8).unwrap();
         assert_eq!(m.region_of(g), Some(MemRegion::Globals));
         assert_eq!(m.region_of(HEAP_BASE), None, "before brk");
         m.grow_heap(64).unwrap();

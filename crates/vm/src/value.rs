@@ -68,8 +68,8 @@ pub fn scalar_bytes(tt: &TypeTable, ty: TypeId) -> usize {
 }
 
 /// How a scalar of some IR type is decoded from memory — the single
-/// source of truth for the encoding: [`load_scalar`] derives it per call,
-/// while the bytecode lowering bakes it into each load op.
+/// source of truth for the encoding: the bytecode lowering bakes it into
+/// each load op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadKind {
     /// Little-endian integer of `bytes` bytes, sign-extended from `bits`.
@@ -169,38 +169,6 @@ pub fn store_kind(mem: &mut Mem, kind: StoreKind, addr: u64, v: Value) -> Result
     }
 }
 
-/// Loads a scalar of type `ty` from memory.
-///
-/// # Errors
-/// Traps if the range is unmapped.
-///
-/// # Panics
-/// Panics if `ty` is not scalar.
-pub fn load_scalar(mem: &Mem, tt: &TypeTable, ty: TypeId, addr: u64) -> Result<Value, MemFault> {
-    let kind =
-        LoadKind::of(tt, ty).unwrap_or_else(|| panic!("load of non-scalar type {:?}", tt.kind(ty)));
-    load_kind(mem, kind, addr)
-}
-
-/// Stores a scalar of type `ty` to memory.
-///
-/// # Errors
-/// Traps if the range is unmapped.
-///
-/// # Panics
-/// Panics if `ty` is not scalar.
-pub fn store_scalar(
-    mem: &mut Mem,
-    tt: &TypeTable,
-    ty: TypeId,
-    addr: u64,
-    v: Value,
-) -> Result<(), MemFault> {
-    let kind = StoreKind::of(tt, ty)
-        .unwrap_or_else(|| panic!("store of non-scalar type {:?}", tt.kind(ty)));
-    store_kind(mem, kind, addr, v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +180,12 @@ mod tests {
         assert_eq!(normalize_int(0x7F, 8), 127);
         assert_eq!(normalize_int(0xFFFF_FFFF, 32), -1);
         assert_eq!(normalize_int(-1, 64), -1);
+    }
+
+    /// Stores `v` as a scalar of type `ty` at `a`, then loads it back.
+    fn roundtrip(mem: &mut Mem, tt: &TypeTable, ty: TypeId, a: u64, v: Value) -> Value {
+        store_kind(mem, StoreKind::of(tt, ty).unwrap(), a, v).unwrap();
+        load_kind(mem, LoadKind::of(tt, ty).unwrap(), a).unwrap()
     }
 
     #[test]
@@ -226,27 +200,15 @@ mod tests {
         let mut mem = Mem::new(&MemConfig::default());
         mem.grow_heap(64).unwrap();
         let a = HEAP_BASE;
-
-        store_scalar(&mut mem, &tt, i8t, a, Value::Int(-5)).unwrap();
-        assert_eq!(load_scalar(&mem, &tt, i8t, a).unwrap(), Value::Int(-5));
-
-        store_scalar(&mut mem, &tt, i32t, a, Value::Int(123_456)).unwrap();
-        assert_eq!(
-            load_scalar(&mem, &tt, i32t, a).unwrap(),
-            Value::Int(123_456)
-        );
-
-        store_scalar(&mut mem, &tt, f64t, a, Value::Float(3.25)).unwrap();
-        assert_eq!(load_scalar(&mem, &tt, f64t, a).unwrap(), Value::Float(3.25));
-
-        store_scalar(&mut mem, &tt, f32t, a, Value::Float(1.5)).unwrap();
-        assert_eq!(load_scalar(&mem, &tt, f32t, a).unwrap(), Value::Float(1.5));
-
-        store_scalar(&mut mem, &tt, p, a, Value::Ptr(0xdead_0000)).unwrap();
-        assert_eq!(
-            load_scalar(&mem, &tt, p, a).unwrap(),
-            Value::Ptr(0xdead_0000)
-        );
+        for (ty, v) in [
+            (i8t, Value::Int(-5)),
+            (i32t, Value::Int(123_456)),
+            (f64t, Value::Float(3.25)),
+            (f32t, Value::Float(1.5)),
+            (p, Value::Ptr(0xdead_0000)),
+        ] {
+            assert_eq!(roundtrip(&mut mem, &tt, ty, a, v), v);
+        }
     }
 
     #[test]
@@ -255,10 +217,7 @@ mod tests {
         let i8t = tt.int(8);
         let mut mem = Mem::new(&MemConfig::default());
         mem.grow_heap(64).unwrap();
-        store_scalar(&mut mem, &tt, i8t, HEAP_BASE, Value::Int(0x1FF)).unwrap();
-        assert_eq!(
-            load_scalar(&mem, &tt, i8t, HEAP_BASE).unwrap(),
-            Value::Int(-1)
-        );
+        let v = roundtrip(&mut mem, &tt, i8t, HEAP_BASE, Value::Int(0x1FF));
+        assert_eq!(v, Value::Int(-1));
     }
 }

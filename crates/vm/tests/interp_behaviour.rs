@@ -1135,3 +1135,174 @@ fn qsort_with_wrapping_element_addresses_returns() {
     m.entry = Some(f);
     assert_eq!(run(&m).status, ExitStatus::Normal(0));
 }
+
+/// `main` sums a three-element global array through a stack slot: loads
+/// from globals and from the stack, and stores to the stack.
+fn global_sum_module() -> Module {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let arr3 = m.types.array(i64t, 3);
+    let g = m.add_global(Global {
+        name: "g".into(),
+        ty: arr3,
+        init: GlobalInit::Composite(vec![
+            GlobalInit::Int(10),
+            GlobalInit::Int(20),
+            GlobalInit::Int(30),
+        ]),
+    });
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let sum = b.alloca(i64t, "sum");
+    b.store(sum.into(), Const::i64(0).into());
+    b.for_loop(Const::i64(0).into(), Const::i64(3).into(), |b, i| {
+        let p = b.index_addr(Operand::Global(g), i.into(), "p");
+        let v = b.load(i64t, p.into(), "v");
+        let s = b.load(i64t, sum.into(), "s");
+        let t = b.bin(BinOp::Add, i64t, s.into(), v.into());
+        b.store(sum.into(), t.into());
+    });
+    let total = b.load(i64t, sum.into(), "total");
+    b.output(total.into());
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    m
+}
+
+/// Only a load or store can be an armed site: every fault class armed
+/// at every other pc, or past the end of the op stream, gives exactly
+/// the unarmed outcome, while the same arming at a load does change the
+/// run.
+#[test]
+fn arming_an_op_that_is_not_a_load_or_store_changes_nothing() {
+    let m = global_sum_module();
+    let code = lower(&m);
+    let run = |fault: Option<ArmedFault>| {
+        let rc = RunConfig {
+            fault,
+            ..RunConfig::default()
+        };
+        format!("{:?}", run_with_limits(&m, &rc))
+    };
+    let unarmed = run(None);
+    assert!(unarmed.contains("output: [60]"), "{unarmed}");
+    let arm = |site: usize, fault: FaultModel| {
+        Some(ArmedFault {
+            site: site as u32,
+            fault,
+            seed: 7,
+            arm_cycle: 0,
+        })
+    };
+    let others = (0..code.ops.len() + 2)
+        .filter(|&pc| !matches!(code.ops.get(pc), Some(Op::Load { .. } | Op::Store { .. })));
+    for pc in others {
+        for fault in FaultModel::paper_set() {
+            assert_eq!(run(arm(pc, fault)), unarmed, "{} at pc {pc}", fault.name());
+        }
+    }
+    let load = code.ops.iter().position(|op| matches!(op, Op::Load { .. }));
+    let load = load.expect("the module loads");
+    assert_ne!(run(arm(load, FaultModel::UninitRead)), unarmed);
+}
+
+/// An unverified module may load into, store from, or check a register
+/// of non-scalar type. Lowering turns each such op into a trap, after
+/// evaluating the operands the op reads first, as it does for other
+/// ill-typed operands; it never panics.
+#[test]
+fn non_scalar_memory_ops_lower_to_traps() {
+    let trap = |build: &dyn Fn(&mut FunctionBuilder<'_>, RegId, RegId)| {
+        let m = module_with_main(|b| {
+            let i64t = b.module.types.int(64);
+            let pair = b.module.types.struct_type("pair", vec![i64t, i64t]);
+            let slot = b.alloca(i64t, "slot");
+            let v = b.reg(pair, "v");
+            build(b, slot, v);
+            b.ret(Some(Const::i64(0).into()));
+        });
+        assert!(dpmr_ir::verify::verify_module(&m).is_err());
+        match run(&m).status {
+            ExitStatus::Crash(CrashKind::InvalidExec(msg)) => msg,
+            other => panic!("expected an invalid-execution crash, got {other:?}"),
+        }
+    };
+    let load = trap(&|b, slot, v| {
+        b.emit(Instr::Load {
+            dst: v,
+            ptr: slot.into(),
+        })
+    });
+    assert!(load.starts_with("load of non-scalar type Struct"), "{load}");
+    // The store's value register is unset: that trap comes first.
+    let unset = trap(&|b, slot, v| {
+        b.emit(Instr::Store {
+            ptr: slot.into(),
+            value: v.into(),
+        })
+    });
+    assert!(unset.starts_with("use of unset register"), "{unset}");
+    let store = trap(&|b, slot, v| {
+        b.assign(v, Const::i64(1).into());
+        b.emit(Instr::Store {
+            ptr: slot.into(),
+            value: v.into(),
+        });
+    });
+    assert!(
+        store.starts_with("store of non-scalar type Struct"),
+        "{store}"
+    );
+    let check = trap(&|b, _, v| {
+        b.assign(v, Const::i64(1).into());
+        b.emit(Instr::DpmrCheck {
+            a: v.into(),
+            reps: vec![v.into()],
+            ptrs: None,
+        });
+    });
+    assert!(
+        check.starts_with("check of non-scalar type Struct"),
+        "{check}"
+    );
+}
+
+/// Globals the global region cannot hold are a load error, not a panic
+/// in the constructor: every run of the interpreter ends at once as an
+/// invalid-execution crash naming the first global that did not fit,
+/// whether it overruns the region or its end overflows an address.
+#[test]
+fn globals_beyond_the_global_region_fail_every_run() {
+    let capacity = MemConfig::default().global_capacity as u64;
+    for (len, want) in [
+        (capacity, "global big: 1048576 bytes"),
+        (u64::MAX - 8, "global big: 1844"),
+    ] {
+        let mut m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
+        let i8t = m.types.int(8);
+        let i64t = m.types.int(64);
+        let big = m.types.array(i8t, len);
+        for (name, ty) in [("small", i64t), ("big", big), ("after", i64t)] {
+            m.add_global(Global {
+                name: name.into(),
+                ty,
+                init: GlobalInit::Zero,
+            });
+        }
+        assert!(dpmr_ir::verify::verify_module(&m).is_ok());
+        let mut it = Interp::new(
+            &m,
+            &RunConfig::default(),
+            std::rc::Rc::new(Registry::with_base()),
+        );
+        for _ in 0..2 {
+            match it.run(vec![]).status {
+                ExitStatus::Crash(CrashKind::InvalidExec(msg)) => {
+                    assert!(msg.starts_with(want), "{msg}");
+                    assert!(msg.ends_with("do not fit the 1048576-byte global region"));
+                }
+                other => panic!("expected a load error, got {other:?}"),
+            }
+        }
+    }
+}

@@ -219,7 +219,7 @@ proptest! {
             stack_capacity: 4096,
             fill_seed: 7,
         });
-        mem.alloc_global(100);
+        mem.alloc_global(100).expect("global capacity");
         mem.grow_heap(256).expect("heap capacity");
         let read = mem.read(addr, width).map(<[u8]>::len);
         let region = mem.region_of(addr);
@@ -432,6 +432,44 @@ proptest! {
         let mut thr = Interp::new(&t, &dispatch_cfg(seed, false), reg);
         let thr_out = thr.run(vec![]);
         prop_assert_eq!(observe(&mut plain, &ref_out), observe(&mut thr, &thr_out));
+    }
+
+    /// An armed, profiled run dispatches the armed site through the
+    /// profile entry, which forwards to the armed entry: long hazard
+    /// windows and one-op windows give the same outcome, telemetry and
+    /// pc profile, and the profile counts the armed site whenever the
+    /// fault fired.
+    #[test]
+    fn armed_profiled_runs_match_under_threaded_and_plain_dispatch(
+        prog in 0usize..3,
+        class_pick in 0usize..16,
+        site_pick in 0usize..64,
+        seed in 1u64..100_000,
+    ) {
+        use dpmr::fi::{enumerate_op_sites, ArmedFault, FaultModel};
+        let t = transform(&fi_program(prog), &DpmrConfig::sds())
+            .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+        let code = Rc::new(dpmr::vm::lower::lower(&t));
+        let classes = FaultModel::paper_set();
+        let class = classes[class_pick % classes.len()];
+        let sites = enumerate_op_sites(&code, class);
+        if sites.is_empty() {
+            return Ok(());
+        }
+        let site = sites[site_pick % sites.len()].pc;
+        let fault = Some(ArmedFault { site, fault: class, seed, arm_cycle: 0 });
+        let reg = Rc::new(registry_with_wrappers());
+        let mut runs = [true, false].map(|plain| {
+            let rc = RunConfig { fault, ..dispatch_cfg(seed, plain) };
+            let mut it = Interp::with_code(&t, Rc::clone(&code), &rc, Rc::clone(&reg));
+            let out = it.run(vec![]);
+            (it, out)
+        });
+        let [(plain, plain_out), (thr, thr_out)] = &mut runs;
+        prop_assert_eq!(observe(plain, plain_out), observe(thr, thr_out));
+        if thr_out.fault_hits > 0 {
+            prop_assert!(thr.telemetry().pc_exec[site as usize] > 0);
+        }
     }
 
     /// Pausing and resuming at arbitrary instruction boundaries cuts
