@@ -59,12 +59,15 @@ pub enum TypeKind {
 pub enum LayoutError {
     /// The type has no size (void, function, unsized array, opaque struct).
     Unsized(TypeId),
+    /// The type's size, or an offset inside it, does not fit in 64 bits.
+    Overflow(TypeId),
 }
 
 impl fmt::Display for LayoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LayoutError::Unsized(t) => write!(f, "type t{} has no size", t.0),
+            LayoutError::Overflow(t) => write!(f, "type t{} is larger than 2^64 bytes", t.0),
         }
     }
 }
@@ -369,15 +372,17 @@ impl TypeTable {
     ///
     /// # Errors
     /// Returns [`LayoutError::Unsized`] for void/function/unsized-array/
-    /// opaque types.
+    /// opaque types, and [`LayoutError::Overflow`] for a type whose size
+    /// does not fit in 64 bits.
     pub fn size_of(&self, id: TypeId) -> Result<u64, LayoutError> {
+        let overflow = || LayoutError::Overflow(id);
         match self.kind(id) {
             TypeKind::Void | TypeKind::Function { .. } => Err(LayoutError::Unsized(id)),
             TypeKind::Int { bits } => Ok(u64::from(*bits).div_ceil(8).max(1)),
             TypeKind::Float { bits } => Ok(u64::from(*bits) / 8),
             TypeKind::Pointer { .. } => Ok(PTR_BYTES),
             TypeKind::Array { elem, len } => match len {
-                Some(n) => Ok(self.size_of(*elem)? * n),
+                Some(n) => self.size_of(*elem)?.checked_mul(*n).ok_or_else(overflow),
                 None => Err(LayoutError::Unsized(id)),
             },
             TypeKind::Struct { fields, .. } => {
@@ -390,10 +395,13 @@ impl TypeTable {
                 for f in fields {
                     let fa = self.align_of(f)?;
                     align = align.max(fa);
-                    off = off.next_multiple_of(fa);
-                    off += self.size_of(f)?;
+                    let size = self.size_of(f)?;
+                    off = off
+                        .checked_next_multiple_of(fa)
+                        .and_then(|o| o.checked_add(size))
+                        .ok_or_else(overflow)?;
                 }
-                Ok(off.next_multiple_of(align))
+                off.checked_next_multiple_of(align).ok_or_else(overflow)
             }
             TypeKind::Union { members, .. } => {
                 if !self.has_body(id) {
@@ -406,7 +414,7 @@ impl TypeTable {
                     align = align.max(self.align_of(m)?);
                     sz = sz.max(self.size_of(m)?);
                 }
-                Ok(sz.next_multiple_of(align))
+                sz.checked_next_multiple_of(align).ok_or_else(overflow)
             }
         }
     }
@@ -414,7 +422,8 @@ impl TypeTable {
     /// Byte offset of struct field `idx` within struct `id`.
     ///
     /// # Errors
-    /// Returns [`LayoutError`] if layout cannot be computed.
+    /// Returns [`LayoutError`] if layout cannot be computed, including
+    /// an offset that does not fit in 64 bits.
     ///
     /// # Panics
     /// Panics if `id` is not a struct or `idx` is out of range.
@@ -424,14 +433,15 @@ impl TypeTable {
             other => panic!("field_offset on non-struct {other:?}"),
         };
         assert!(idx < fields.len(), "field index {idx} out of range");
+        let overflow = || LayoutError::Overflow(id);
         let mut off = 0u64;
         for (i, f) in fields.iter().enumerate() {
             let fa = self.align_of(*f)?;
-            off = off.next_multiple_of(fa);
+            off = off.checked_next_multiple_of(fa).ok_or_else(overflow)?;
             if i == idx {
                 return Ok(off);
             }
-            off += self.size_of(*f)?;
+            off = off.checked_add(self.size_of(*f)?).ok_or_else(overflow)?;
         }
         unreachable!()
     }
@@ -620,6 +630,36 @@ mod tests {
         assert!(tt.size_of(ua).is_err());
         let p = tt.pointer(ua);
         assert_eq!(tt.size_of(p).unwrap(), 8);
+    }
+
+    /// A layout whose size or an offset inside it passes 2^64 bytes is an
+    /// error naming the type that overflowed, never a panic or a wrapped
+    /// size: flat and nested arrays, struct sums and field offsets.
+    #[test]
+    fn oversized_layouts_are_overflow_errors() {
+        let mut tt = TypeTable::new();
+        let i8t = tt.int(8);
+        let i64t = tt.int(64);
+        let flat = tt.array(i64t, u64::MAX / 4);
+        assert_eq!(tt.size_of(flat), Err(LayoutError::Overflow(flat)));
+        let half = tt.array(i8t, 1 << 63);
+        assert_eq!(tt.size_of(half).unwrap(), 1 << 63);
+        let rows = tt.array(i64t, 1 << 40);
+        let nested = tt.array(rows, 1 << 40);
+        assert_eq!(tt.size_of(nested), Err(LayoutError::Overflow(nested)));
+        let inner_bad = tt.array(flat, 2);
+        assert_eq!(tt.size_of(inner_bad), Err(LayoutError::Overflow(flat)));
+        let pair = tt.struct_type("pair", vec![half, half]);
+        assert_eq!(tt.size_of(pair), Err(LayoutError::Overflow(pair)));
+        let after = tt.struct_type("after", vec![half, half, i64t]);
+        assert_eq!(tt.field_offset(after, 1).unwrap(), 1 << 63);
+        assert_eq!(tt.field_offset(after, 2), Err(LayoutError::Overflow(after)));
+        let odd = tt.array(i8t, u64::MAX);
+        let padded = tt.union_type("padded", vec![odd, i64t]);
+        assert_eq!(tt.size_of(padded), Err(LayoutError::Overflow(padded)));
+        assert!(LayoutError::Overflow(flat)
+            .to_string()
+            .contains("larger than"));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use crate::value::{normalize_int, scalar_bytes, Value};
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
 use dpmr_ir::module::{ExternalId, FuncId, GlobalInit, Module};
-use dpmr_ir::types::{TypeId, TypeKind};
+use dpmr_ir::types::{LayoutError, TypeId, TypeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -854,9 +854,12 @@ impl<'m> Interp<'m> {
                         TypeKind::Struct { fields, .. } if fields.len() == items.len() => {
                             (fields[i], tt.field_offset(ty, i))
                         }
-                        TypeKind::Array { elem, .. } => {
-                            (*elem, tt.size_of(*elem).map(|n| n.wrapping_mul(i as u64)))
-                        }
+                        TypeKind::Array { elem, .. } => (
+                            *elem,
+                            tt.size_of(*elem).and_then(|n| {
+                                n.checked_mul(i as u64).ok_or(LayoutError::Overflow(ty))
+                            }),
+                        ),
                         other => return Err(format!("composite initializer for {other:?}")),
                     };
                     let off = off.map_err(|e| e.to_string())?;

@@ -152,11 +152,27 @@ pub struct Mem {
     sp: usize,
     /// High-water mark of stack-region writes. The stack is mapped to its
     /// full capacity regardless of `sp`, but everything at or above this
-    /// offset is still all-zero — which is what bounds the re-zeroing
-    /// work on buffer recycling and checkpoint restores.
+    /// offset is still all-zero.
     stack_hw: usize,
+    /// End of the highest frame [`Mem::stack_alloc`] garbage-filled on
+    /// this timeline (or of the prefix a restore copied in): every page
+    /// below it was written, so it is re-zeroed whole, and a write that
+    /// ends at or below it has nothing to record. It never exceeds
+    /// `stack_hw`, so skipping those writes leaves that mark exact.
+    frame_hw: usize,
+    /// One bit per [`STACK_PAGE`] bytes of the stack region, set for every
+    /// page a write above `frame_hw` reached. Every nonzero stack byte
+    /// lies below `frame_hw` or in a dirty page below `stack_hw`, so
+    /// buffer recycling and checkpoint restores re-zero only those: a
+    /// stray write near the top of the stack costs one page, not a
+    /// memset up to it.
+    stack_dirty: Vec<u64>,
     fill_seed: u64,
 }
+
+/// Granularity of the stack region's dirty tracking (a host page: zeroing
+/// a page nobody wrote would fault it in).
+const STACK_PAGE: usize = 4096;
 
 /// The region buffers of one address space, recycled through a
 /// thread-local pool: zeroing them on release costs time proportional to
@@ -164,10 +180,12 @@ pub struct Mem {
 /// page fault per page first touched (once a full memset of the
 /// configured capacities, hundreds of microseconds — which dominated
 /// short trial runs, since campaigns build one interpreter per trial).
+/// Pooled buffers are all-zero, dirty bitmap included.
 struct RegionBufs {
     globals: Vec<u8>,
     heap: Vec<u8>,
     stack: Vec<u8>,
+    stack_dirty: Vec<u64>,
 }
 
 thread_local! {
@@ -181,17 +199,18 @@ const BUF_POOL_KEEP: usize = 4;
 
 impl Drop for Mem {
     fn drop(&mut self) {
-        let mut bufs = RegionBufs {
+        // Writes cannot land above the global length / heap break, nor on
+        // the stack outside the frame prefix and the dirty pages, so
+        // zeroing those restores the fresh-buffer state exactly.
+        self.globals[..self.globals_len].fill(0);
+        self.heap[..self.brk].fill(0);
+        self.wipe_stack_above(0);
+        let bufs = RegionBufs {
             globals: std::mem::take(&mut self.globals),
             heap: std::mem::take(&mut self.heap),
             stack: std::mem::take(&mut self.stack),
+            stack_dirty: std::mem::take(&mut self.stack_dirty),
         };
-        // Writes cannot land above the global length / heap break / stack
-        // high-water mark, so zeroing those prefixes restores the
-        // fresh-buffer state exactly.
-        bufs.globals[..self.globals_len].fill(0);
-        bufs.heap[..self.brk].fill(0);
-        bufs.stack[..self.stack_hw].fill(0);
         // Ignore a torn-down TLS pool (thread exit): buffers just drop.
         let _ = BUF_POOL.try_with(|p| {
             let mut p = p.borrow_mut();
@@ -246,6 +265,7 @@ impl Mem {
             globals: zeroed_region(cfg.global_capacity),
             heap: zeroed_region(cfg.heap_capacity),
             stack: zeroed_region(cfg.stack_capacity),
+            stack_dirty: vec![0; cfg.stack_capacity.div_ceil(STACK_PAGE).div_ceil(64)],
         });
         Mem {
             globals: bufs.globals,
@@ -255,7 +275,29 @@ impl Mem {
             stack: bufs.stack,
             sp: 0,
             stack_hw: 0,
+            frame_hw: 0,
+            stack_dirty: bufs.stack_dirty,
             fill_seed: cfg.fill_seed,
+        }
+    }
+
+    /// Zeroes every stack byte at or above `from` that may be nonzero —
+    /// the frame prefix and the dirty pages' bytes below `stack_hw` — and
+    /// clears every dirty bit. Pages nobody wrote are never touched, so
+    /// they stay unmapped on the host.
+    fn wipe_stack_above(&mut self, from: usize) {
+        let frames = self.frame_hw.max(from);
+        self.stack[from..frames].fill(0);
+        for (w, word) in self.stack_dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let page = (w * 64 + bits.trailing_zeros() as usize) * STACK_PAGE;
+                bits &= bits - 1;
+                let (lo, hi) = (page.max(frames), (page + STACK_PAGE).min(self.stack_hw));
+                if lo < hi {
+                    self.stack[lo..hi].fill(0);
+                }
+            }
         }
     }
 
@@ -348,8 +390,8 @@ impl Mem {
             let range = span(addr, STACK_BASE, len);
             let end = range.end;
             let got = self.stack.get_mut(range);
-            if got.is_some() {
-                self.stack_hw = self.stack_hw.max(end);
+            if got.is_some() && end > self.frame_hw {
+                note_stack_write(&mut self.stack_hw, &mut self.stack_dirty, end - len, end);
             }
             got
         } else if addr >= HEAP_BASE {
@@ -456,6 +498,7 @@ impl Mem {
         let addr = STACK_BASE + off as u64;
         self.garbage_fill(addr, size as usize)
             .expect("fresh stack range is mapped");
+        self.frame_hw = self.frame_hw.max(end);
         Ok(addr)
     }
 
@@ -516,15 +559,17 @@ impl Mem {
         Ok(())
     }
 
-    /// The mapped bytes `[addr, addr+len)`, writable; a stack range raises
-    /// the stack high-water mark.
+    /// The mapped bytes `[addr, addr+len)`, writable; a stack range is
+    /// recorded like a [`Mem::write`].
     fn mapped_range(&mut self, addr: u64, len: usize) -> Result<&mut [u8], MemFault> {
         let (r, off) = self.locate(addr, len)?;
         let buf = match r {
             Region::Global => &mut self.globals,
             Region::Heap => &mut self.heap,
             Region::Stack => {
-                self.stack_hw = self.stack_hw.max(off + len);
+                if off + len > self.frame_hw {
+                    note_stack_write(&mut self.stack_hw, &mut self.stack_dirty, off, off + len);
+                }
                 &mut self.stack
             }
         };
@@ -578,9 +623,10 @@ impl Mem {
         // attempt above `sp` would be observable (e.g. by a stale pointer
         // into a released frame). Zero it: that is exactly the fresh-run
         // state for a run-boundary checkpoint, keeping replays
-        // bit-identical to a fresh run. Nothing was ever written at or
-        // above the high-water mark, so zeroing stops there.
-        self.stack[snap.sp..self.stack_hw.max(snap.sp)].fill(0);
+        // bit-identical to a fresh run. Afterwards only the copied prefix
+        // can be nonzero, so it becomes the frame prefix.
+        self.wipe_stack_above(snap.sp);
+        self.frame_hw = snap.sp;
         self.stack_hw = snap.sp;
         self.sp = snap.sp;
         self.fill_seed = snap.fill_seed;
@@ -625,6 +671,22 @@ fn zeroed_region(len: usize) -> Vec<u8> {
     let mut buf = vec![0; len.max(FRESH_MAP_BYTES)];
     buf.truncate(len);
     buf
+}
+
+/// Records a write to stack bytes `[start, end)` that ends above the
+/// frame prefix: it raises the high-water mark `hw` and marks the pages
+/// it reached in `dirty`. Out of line and cold, because nearly every
+/// stack write lands in a frame: those pay one compare, and the store
+/// path stays small enough to inline.
+#[cold]
+#[inline(never)]
+fn note_stack_write(hw: &mut usize, dirty: &mut [u64], start: usize, end: usize) {
+    *hw = (*hw).max(end);
+    if start < end {
+        for page in start / STACK_PAGE..=(end - 1) / STACK_PAGE {
+            dirty[page / 64] |= 1 << (page % 64);
+        }
+    }
 }
 
 /// Offset of `[addr, addr + len)` in the region mapped at `base` with
@@ -1201,6 +1263,68 @@ mod tests {
         m.write_u64(STACK_BASE + 512, 0xbeef).unwrap();
         m.restore(&snap);
         assert_eq!(m.read_u64(STACK_BASE + 512).unwrap(), 0);
+
+        // A checkpoint whose `sp` sits inside its second page, then
+        // writes above it: on its page, straddling the next page
+        // boundary, in a far page and on the last byte, by store, fill
+        // and garbage fill. Restoring leaves the captured bytes and
+        // nothing else, and the captured prefix is the only part left
+        // to wipe.
+        let mut m = Mem::new(&MemConfig {
+            stack_capacity: 16 * STACK_PAGE,
+            ..MemConfig::default()
+        });
+        let frame = m.stack_alloc(STACK_PAGE as u64 + 100).unwrap();
+        let live = m.read(frame, STACK_PAGE + 100).unwrap().to_vec();
+        let snap = m.snapshot();
+        let top = STACK_BASE + m.stack_size() as u64;
+        m.write_u64(frame + STACK_PAGE as u64 + 200, 0xfeed)
+            .unwrap();
+        m.write_u64(STACK_BASE + 2 * STACK_PAGE as u64 - 4, u64::MAX)
+            .unwrap();
+        m.fill(STACK_BASE + 9 * STACK_PAGE as u64, 3 * STACK_PAGE, 0xAB)
+            .unwrap();
+        m.garbage_fill(top - 5000, 4000).unwrap();
+        m.write(top - 1, &[0xCD]).unwrap();
+        assert_eq!(m.usage().stack_high_water, m.stack_size());
+        m.restore(&snap);
+        assert_eq!(m.usage().stack_high_water, STACK_PAGE + 100);
+        assert_eq!((m.frame_hw, dirty_pages(&m)), (STACK_PAGE + 100, 0));
+        let all = m.read(STACK_BASE, m.stack_size()).unwrap();
+        assert_eq!(&all[..STACK_PAGE + 100], &live[..]);
+        assert!(all[STACK_PAGE + 100..].iter().all(|&b| b == 0));
+    }
+
+    fn dirty_pages(m: &Mem) -> u32 {
+        m.stack_dirty.iter().map(|w| w.count_ones()).sum()
+    }
+
+    /// One stray write to the stack's last byte dirties exactly one more
+    /// page, and the drop that returns the buffer to the pool wipes it:
+    /// the recycled space reads all-zero over the whole stack region.
+    #[test]
+    fn a_stray_write_at_the_stack_top_dirties_and_wipes_one_page() {
+        let cfg = MemConfig {
+            global_capacity: 4096,
+            heap_capacity: 4096,
+            stack_capacity: 64 * STACK_PAGE,
+            fill_seed: 7,
+        };
+        let stack_ptr = {
+            let mut m = Mem::new(&cfg);
+            m.stack_alloc(64).unwrap();
+            assert_eq!(dirty_pages(&m), 1);
+            m.write(STACK_BASE + m.stack_size() as u64 - 1, &[0xEE])
+                .unwrap();
+            assert_eq!(dirty_pages(&m), 2, "one more page");
+            assert_eq!(m.usage().stack_high_water, m.stack_size());
+            m.stack.as_ptr()
+        };
+        let m = Mem::new(&cfg);
+        assert_eq!(m.stack.as_ptr(), stack_ptr, "the pooled buffer came back");
+        assert_eq!(dirty_pages(&m), 0);
+        let all = m.read(STACK_BASE, m.stack_size()).unwrap();
+        assert!(all.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -1267,6 +1267,50 @@ fn non_scalar_memory_ops_lower_to_traps() {
     );
 }
 
+/// A type larger than 2^64 bytes is a layout error naming it, not an
+/// overflow panic or a wrapped size. As a global it is a load error that
+/// ends every run as an invalid-execution crash; as an alloca it lowers
+/// to an op that traps the same way when reached.
+#[test]
+fn layouts_past_2_pow_64_bytes_fail_every_run() {
+    let mut m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
+    let i64t = m.types.int(64);
+    let huge = m.types.array(i64t, u64::MAX / 4);
+    m.add_global(Global {
+        name: "huge".into(),
+        ty: huge,
+        init: GlobalInit::Zero,
+    });
+    assert!(dpmr_ir::verify::verify_module(&m).is_ok());
+    let mut it = Interp::new(
+        &m,
+        &RunConfig::default(),
+        std::rc::Rc::new(Registry::with_base()),
+    );
+    let want = format!("global huge: type t{} is larger than 2^64 bytes", huge.0);
+    for _ in 0..2 {
+        match it.run(vec![]).status {
+            ExitStatus::Crash(CrashKind::InvalidExec(msg)) => assert_eq!(msg, want),
+            other => panic!("expected a load error, got {other:?}"),
+        }
+    }
+
+    let m = module_with_main(|b| {
+        let i64t = b.module.types.int(64);
+        let rows = b.module.types.array(i64t, 1 << 40);
+        let grid = b.module.types.array(rows, 1 << 40);
+        b.alloca(grid, "grid");
+        b.ret(Some(Const::i64(0).into()));
+    });
+    assert!(dpmr_ir::verify::verify_module(&m).is_ok());
+    match run(&m).status {
+        ExitStatus::Crash(CrashKind::InvalidExec(msg)) => {
+            assert!(msg.contains("is larger than 2^64 bytes"), "{msg}");
+        }
+        other => panic!("expected an invalid-execution crash, got {other:?}"),
+    }
+}
+
 /// Globals the global region cannot hold are a load error, not a panic
 /// in the constructor: every run of the interpreter ends at once as an
 /// invalid-execution crash naming the first global that did not fit,

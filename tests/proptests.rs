@@ -235,6 +235,119 @@ proptest! {
     }
 }
 
+/// Stack capacity of `recycled_stacks_read_all_zero`: not a whole
+/// number of pages, so the last page is partial.
+const STACK_CAP: usize = 40_000;
+
+/// One step of `recycled_stacks_read_all_zero`. Offsets are from the
+/// stack base; ranges may run past the region's end and fault.
+#[derive(Debug, Clone)]
+enum StackOp {
+    Write(usize, usize),
+    Fill(usize, usize),
+    GarbageFill(usize, usize),
+    Alloc(usize),
+    Snapshot,
+    Restore,
+    /// Returns the buffers to the thread's pool and takes them back.
+    Recycle,
+}
+
+/// Any stack offset, biased toward page boundaries and the region's end.
+fn stack_offset() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        0..STACK_CAP + 16,
+        (1usize..10, 0usize..16).prop_map(|(page, d)| page * 4096 + d - 8),
+        (0usize..16).prop_map(|d| STACK_CAP - d),
+    ]
+}
+
+fn stack_op() -> impl Strategy<Value = StackOp> {
+    prop_oneof![
+        (stack_offset(), 0usize..=16).prop_map(|(o, n)| StackOp::Write(o, n)),
+        (stack_offset(), 0usize..3 * 4096).prop_map(|(o, n)| StackOp::Fill(o, n)),
+        (stack_offset(), 0usize..3 * 4096).prop_map(|(o, n)| StackOp::GarbageFill(o, n)),
+        (0usize..6000).prop_map(StackOp::Alloc),
+        Just(StackOp::Snapshot),
+        Just(StackOp::Restore),
+        Just(StackOp::Recycle),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Whatever lands on the stack, by store, fill, garbage fill or
+    /// frame push, at any offset: the stack reads exactly what was
+    /// written (restores included, into the same space or a recycled
+    /// one), its high-water mark is the largest end written since the
+    /// space was made or last restored (a restore sets it to the
+    /// checkpoint's `sp`), and a recycled space reads all-zero.
+    #[test]
+    fn recycled_stacks_read_all_zero(ops in proptest::collection::vec(stack_op(), 1..40)) {
+        use dpmr::vm::mem::STACK_BASE;
+        let cfg = MemConfig {
+            global_capacity: 4096,
+            heap_capacity: 4096,
+            stack_capacity: STACK_CAP,
+            fill_seed: 11,
+        };
+        let mut mem = Mem::new(&cfg);
+        let mut model = vec![0u8; STACK_CAP];
+        let mut high_water = 0;
+        let mut checkpoint = None;
+        for op in ops {
+            let mut wrote = |mem: &Mem, off: usize, len: usize| {
+                let got = mem.read(STACK_BASE + off as u64, len).expect("written bytes are mapped");
+                model[off..off + len].copy_from_slice(got);
+                high_water = high_water.max(off + len);
+            };
+            match op {
+                StackOp::Write(off, len) => {
+                    let bytes: Vec<u8> = (1..=len as u8).collect();
+                    if mem.write(STACK_BASE + off as u64, &bytes).is_ok() {
+                        wrote(&mem, off, len);
+                    }
+                }
+                StackOp::Fill(off, len) => {
+                    if mem.fill(STACK_BASE + off as u64, len, 0xA5).is_ok() {
+                        wrote(&mem, off, len);
+                    }
+                }
+                StackOp::GarbageFill(off, len) => {
+                    if mem.garbage_fill(STACK_BASE + off as u64, len).is_ok() {
+                        wrote(&mem, off, len);
+                    }
+                }
+                StackOp::Alloc(len) => {
+                    if let Ok(addr) = mem.stack_alloc(len as u64) {
+                        wrote(&mem, (addr - STACK_BASE) as usize, len);
+                    }
+                }
+                StackOp::Snapshot => {
+                    let sp = mem.stack_mark();
+                    checkpoint = Some((mem.snapshot(), model[..sp].to_vec()));
+                }
+                StackOp::Restore => {
+                    if let Some((snap, captured)) = &checkpoint {
+                        mem.restore(snap);
+                        model[..captured.len()].copy_from_slice(captured);
+                        model[captured.len()..].fill(0);
+                        high_water = captured.len();
+                    }
+                }
+                StackOp::Recycle => {
+                    drop(mem);
+                    mem = Mem::new(&cfg);
+                    model.fill(0);
+                    high_water = 0;
+                }
+            }
+            prop_assert_eq!(mem.usage().stack_high_water, high_water);
+            prop_assert!(mem.read(STACK_BASE, STACK_CAP).expect("mapped") == &model[..]);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Scalar encoding properties
 // ---------------------------------------------------------------------
