@@ -15,7 +15,6 @@
 //! is itself null (`None` here).
 
 use dpmr_ir::types::{TypeId, TypeKind, TypeTable};
-use std::collections::{HashMap, HashSet};
 
 /// Which pointer-handling design is in force (Sec. 2.2 vs Ch. 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,6 +27,38 @@ pub enum Scheme {
     Mds,
 }
 
+/// A map keyed by [`TypeId`], stored densely: the ids of a table are
+/// consecutive indices, so a vector indexed by id replaces hashing.
+struct DenseMap<V>(Vec<Option<V>>);
+
+impl<V: Copy> DenseMap<V> {
+    fn new() -> Self {
+        DenseMap(Vec::new())
+    }
+
+    fn get(&self, t: TypeId) -> Option<V> {
+        self.0.get(t.index()).copied().flatten()
+    }
+
+    /// Sets `t`'s entry, returning the one it replaces.
+    fn insert(&mut self, t: TypeId, v: V) -> Option<V> {
+        if t.index() >= self.0.len() {
+            self.0.resize(t.index() + 1, None);
+        }
+        self.0[t.index()].replace(v)
+    }
+
+    fn remove(&mut self, t: TypeId) {
+        if let Some(slot) = self.0.get_mut(t.index()) {
+            *slot = None;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().filter(|v| v.is_some()).count()
+    }
+}
+
 /// Computes and memoizes `st`, `at`, and `st ∘ at` over one [`TypeTable`].
 ///
 /// The algebra is parameterized by the replication degree K
@@ -38,12 +69,16 @@ pub enum Scheme {
 pub struct TypeAlgebra {
     scheme: Scheme,
     replicas: usize,
-    st_memo: HashMap<TypeId, Option<TypeId>>,
-    st_inprogress: HashMap<TypeId, TypeId>,
-    at_memo: HashMap<TypeId, TypeId>,
-    at_inprogress: HashMap<TypeId, TypeId>,
-    sat_memo: HashMap<TypeId, Option<TypeId>>,
-    fun_inprogress: HashSet<TypeId>,
+    st_memo: DenseMap<Option<TypeId>>,
+    st_inprogress: DenseMap<TypeId>,
+    at_memo: DenseMap<TypeId>,
+    at_inprogress: DenseMap<TypeId>,
+    sat_memo: DenseMap<Option<TypeId>>,
+    fun_inprogress: DenseMap<()>,
+    /// Visit marks of [`TypeAlgebra::contains_function_type`]: a type is
+    /// visited in the current walk when its mark equals `walk`.
+    visit: Vec<u32>,
+    walk: u32,
 }
 
 impl std::fmt::Debug for TypeAlgebra {
@@ -71,12 +106,14 @@ impl TypeAlgebra {
         TypeAlgebra {
             scheme,
             replicas: replicas.max(1),
-            st_memo: HashMap::new(),
-            st_inprogress: HashMap::new(),
-            at_memo: HashMap::new(),
-            at_inprogress: HashMap::new(),
-            sat_memo: HashMap::new(),
-            fun_inprogress: HashSet::new(),
+            st_memo: DenseMap::new(),
+            st_inprogress: DenseMap::new(),
+            at_memo: DenseMap::new(),
+            at_inprogress: DenseMap::new(),
+            sat_memo: DenseMap::new(),
+            fun_inprogress: DenseMap::new(),
+            visit: Vec::new(),
+            walk: 0,
         }
     }
 
@@ -93,12 +130,12 @@ impl TypeAlgebra {
     /// `st(t)` — the shadow type of `t` (Table 2.1); `None` is the paper's
     /// null shadow type ∅.
     pub fn st(&mut self, tt: &mut TypeTable, t: TypeId) -> Option<TypeId> {
-        if let Some(&m) = self.st_memo.get(&t) {
+        if let Some(m) = self.st_memo.get(t) {
             return m;
         }
         let result = match tt.kind(t).clone() {
             TypeKind::Pointer { pointee } => {
-                if let Some(&r) = self.st_inprogress.get(&t) {
+                if let Some(r) = self.st_inprogress.get(t) {
                     return Some(r);
                 }
                 let r = tt.fresh_opaque("sdw.ptr");
@@ -113,7 +150,7 @@ impl TypeAlgebra {
                 let mut body = vec![t; self.replicas];
                 body.push(nsop);
                 tt.set_struct_body(r, body);
-                self.st_inprogress.remove(&t);
+                self.st_inprogress.remove(t);
                 Some(r)
             }
             TypeKind::Array { elem, len } => {
@@ -158,11 +195,11 @@ impl TypeAlgebra {
     /// re-enters itself) — a corner the paper handles with named type
     /// placeholders and which none of the evaluated programs exhibit.
     pub fn at(&mut self, tt: &mut TypeTable, t: TypeId) -> TypeId {
-        if let Some(&m) = self.at_memo.get(&t) {
+        if let Some(m) = self.at_memo.get(t) {
             return m;
         }
         // Only types containing function types actually change (Sec. 2.3).
-        if !Self::contains_function_type(tt, t) {
+        if !self.contains_function_type(tt, t) {
             self.at_memo.insert(t, t);
             return t;
         }
@@ -180,7 +217,7 @@ impl TypeAlgebra {
                 }
             }
             TypeKind::Struct { name, fields } => {
-                if let Some(&r) = self.at_inprogress.get(&t) {
+                if let Some(r) = self.at_inprogress.get(t) {
                     return r;
                 }
                 // Fast path: unchanged when no function types occur inside
@@ -188,7 +225,7 @@ impl TypeAlgebra {
                 let r = tt.fresh_opaque(&format!("{name}.aug"));
                 self.at_inprogress.insert(t, r);
                 let augs: Vec<TypeId> = fields.iter().map(|&f| self.at(tt, f)).collect();
-                self.at_inprogress.remove(&t);
+                self.at_inprogress.remove(t);
                 if augs == fields {
                     // Identity: discard the opaque wrapper (it stays
                     // body-less and unreferenced only if no recursion hit
@@ -202,13 +239,13 @@ impl TypeAlgebra {
                 r
             }
             TypeKind::Union { name, members } => {
-                if let Some(&r) = self.at_inprogress.get(&t) {
+                if let Some(r) = self.at_inprogress.get(t) {
                     return r;
                 }
                 let r = tt.opaque_union(format!("{name}.aug"));
                 self.at_inprogress.insert(t, r);
                 let augs: Vec<TypeId> = members.iter().map(|&m| self.at(tt, m)).collect();
-                self.at_inprogress.remove(&t);
+                self.at_inprogress.remove(t);
                 if augs == members && !Self::type_referenced(tt, r) {
                     self.at_memo.insert(t, t);
                     return t;
@@ -218,12 +255,12 @@ impl TypeAlgebra {
             }
             TypeKind::Function { ret, params } => {
                 assert!(
-                    self.fun_inprogress.insert(t),
+                    self.fun_inprogress.insert(t, ()).is_none(),
                     "unsupported recursive function type {}",
                     tt.display(t)
                 );
                 let r = self.aug_function_type(tt, ret, &params);
-                self.fun_inprogress.remove(&t);
+                self.fun_inprogress.remove(t);
                 r
             }
         };
@@ -294,7 +331,7 @@ impl TypeAlgebra {
     /// types whether reached through `sat` or through `st` (function
     /// parameter NSOP types must match register NSOP types).
     pub fn sat(&mut self, tt: &mut TypeTable, t: TypeId) -> Option<TypeId> {
-        if let Some(&m) = self.sat_memo.get(&t) {
+        if let Some(m) = self.sat_memo.get(t) {
             return m;
         }
         let a = self.at(tt, t);
@@ -315,12 +352,17 @@ impl TypeAlgebra {
     /// Returns `None` when the field itself has a null shadow type (there
     /// is no shadow field to address).
     pub fn phi(&mut self, tt: &mut TypeTable, struct_ty: TypeId, field: u32) -> Option<u32> {
-        let members = tt.members(struct_ty);
-        let fty = members[field as usize];
-        self.sat(tt, fty)?;
+        // Members are read by index: `sat` may grow the table.
+        let member = |tt: &TypeTable, i: u32| match tt.kind(struct_ty) {
+            TypeKind::Struct { fields: ms, .. } | TypeKind::Union { members: ms, .. } => {
+                ms[i as usize]
+            }
+            other => panic!("phi on non-aggregate {other:?}"),
+        };
+        self.sat(tt, member(tt, field))?;
         let mut idx = 0u32;
-        for &m in members.iter().take(field as usize) {
-            if self.sat(tt, m).is_some() {
+        for i in 0..field {
+            if self.sat(tt, member(tt, i)).is_some() {
                 idx += 1;
             }
         }
@@ -329,27 +371,23 @@ impl TypeAlgebra {
 
     /// True when a function type occurs anywhere inside `t` (through
     /// pointers, arrays, structs, and unions).
-    fn contains_function_type(tt: &TypeTable, t: TypeId) -> bool {
-        let mut visited = HashSet::new();
-        Self::cft_impl(tt, t, &mut visited)
+    fn contains_function_type(&mut self, tt: &TypeTable, t: TypeId) -> bool {
+        self.walk += 1;
+        self.visit.resize(self.visit.len().max(tt.len()), 0);
+        self.cft_impl(tt, t)
     }
 
-    fn cft_impl(tt: &TypeTable, t: TypeId, visited: &mut HashSet<TypeId>) -> bool {
-        if !visited.insert(t) {
+    fn cft_impl(&mut self, tt: &TypeTable, t: TypeId) -> bool {
+        if std::mem::replace(&mut self.visit[t.index()], self.walk) == self.walk {
             return false;
         }
         match tt.kind(t) {
             TypeKind::Function { .. } => true,
-            TypeKind::Pointer { pointee } => Self::cft_impl(tt, *pointee, visited),
-            TypeKind::Array { elem, .. } => Self::cft_impl(tt, *elem, visited),
-            TypeKind::Struct { fields, .. } => fields
-                .clone()
-                .iter()
-                .any(|&f| Self::cft_impl(tt, f, visited)),
-            TypeKind::Union { members, .. } => members
-                .clone()
-                .iter()
-                .any(|&m| Self::cft_impl(tt, m, visited)),
+            TypeKind::Pointer { pointee } => self.cft_impl(tt, *pointee),
+            TypeKind::Array { elem, .. } => self.cft_impl(tt, *elem),
+            TypeKind::Struct { fields: ms, .. } | TypeKind::Union { members: ms, .. } => {
+                ms.iter().any(|&m| self.cft_impl(tt, m))
+            }
             _ => false,
         }
     }

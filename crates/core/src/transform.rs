@@ -21,7 +21,6 @@ use dpmr_ir::types::{TypeId, TypeKind};
 use dpmr_ir::verify::{verify_module, VerifyError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Failure modes of the transformation (the input-program restrictions of
@@ -87,21 +86,62 @@ pub fn wrapper_name(orig: &str, scheme: Scheme) -> String {
 pub const MAIN_AUG_SUFFIX: &str = "Aug";
 
 /// Companion registers for one original register: one replica object
-/// pointer per replica (`rops`, empty for non-pointers) plus — under SDS
-/// — the shadow object pointer.
-#[derive(Debug, Clone)]
+/// pointer per replica (`nrops` of them, none for non-pointers) plus —
+/// under SDS — the shadow object pointer. The ROP registers directly
+/// follow `app`.
+#[derive(Debug, Clone, Copy)]
 struct Companions {
     app: RegId,
-    rops: Vec<RegId>,
+    nrops: u32,
     sop: Option<RegId>,
 }
 
-/// Companion operands for one original operand (`rops` empty for plain
-/// scalars, which have no replica side).
-#[derive(Debug, Clone)]
+impl Companions {
+    /// Replica `k`'s ROP register.
+    fn rop(&self, k: usize) -> RegId {
+        debug_assert!(
+            k < self.nrops as usize,
+            "ROP {k} of a {}-ROP register",
+            self.nrops
+        );
+        RegId(self.app.0 + 1 + k as u32)
+    }
+
+    /// The ROP registers in replica order.
+    fn rops(&self) -> impl Iterator<Item = RegId> {
+        let first = self.app.0 + 1;
+        (first..first + self.nrops).map(RegId)
+    }
+}
+
+/// The replica side of a mapped operand, by the rule that yields replica
+/// `k`'s operand (so mapping an operand allocates nothing).
+#[derive(Debug, Clone, Copy)]
+enum Rops {
+    /// No replica side (plain scalars): every replica reads the
+    /// application operand.
+    App,
+    /// A register's companions.
+    Regs(Companions),
+    /// The same operand for every replica.
+    Same(Operand),
+    /// Replica `k`'s copy of global `g` in a module of `n` application
+    /// globals (see [`replica_global`]).
+    Global { g: GlobalId, n: u32 },
+}
+
+/// Replica `r`'s copy of application global `g` in a module with `n`
+/// application globals: the replica sets follow the application globals
+/// in replica order, so replica `r`'s copy of `g` has id `n*(1+r) + g`.
+fn replica_global(n: u32, r: usize, g: GlobalId) -> GlobalId {
+    GlobalId(g.0 + (1 + r as u32) * n)
+}
+
+/// Companion operands for one original operand.
+#[derive(Debug, Clone, Copy)]
 struct Ops {
     app: Operand,
-    rops: Vec<Operand>,
+    rops: Rops,
     sop: Option<Operand>,
 }
 
@@ -109,29 +149,73 @@ impl Ops {
     /// Replica `k`'s operand, falling back to the application operand for
     /// operands without replica companions (e.g. excluded or scalar).
     fn rop(&self, k: usize) -> Operand {
-        self.rops.get(k).copied().unwrap_or(self.app)
+        match self.rops {
+            Rops::Regs(c) if k < c.nrops as usize => Operand::Reg(c.rop(k)),
+            Rops::Same(op) => op,
+            Rops::Global { g, n } => Operand::Global(replica_global(n, k, g)),
+            Rops::App | Rops::Regs(..) => self.app,
+        }
     }
 }
 
+/// Growable buffers the transformer lends to each function's [`Emit`].
+#[derive(Default)]
+struct Scratch {
+    regs: Vec<RegInfo>,
+    instrs: Vec<Instr>,
+}
+
 /// Function-under-construction emitter with block chaining.
+///
+/// Registers, and the current block's instructions, grow in [`Scratch`]
+/// buffers reused across functions; a block receives its instructions,
+/// in one exactly sized vector, when emission leaves it.
 struct Emit {
     regs: Vec<RegInfo>,
     blocks: Vec<Block>,
     cur: usize,
+    /// Instructions emitted into block `cur` so far.
+    pending: Vec<Instr>,
 }
 
 impl Emit {
+    fn new(blocks: Vec<Block>, scratch: &mut Scratch) -> Emit {
+        Emit {
+            regs: std::mem::take(&mut scratch.regs),
+            blocks,
+            cur: 0,
+            pending: std::mem::take(&mut scratch.instrs),
+        }
+    }
+
+    /// The function's registers and blocks; the buffers go back to
+    /// `scratch`.
+    fn finish(mut self, scratch: &mut Scratch) -> (Vec<RegInfo>, Vec<Block>) {
+        self.flush();
+        let regs = self.regs.drain(..).collect();
+        scratch.regs = self.regs;
+        scratch.instrs = self.pending;
+        (regs, self.blocks)
+    }
+
+    fn flush(&mut self) {
+        self.blocks[self.cur].instrs.append(&mut self.pending);
+    }
+
     fn reg(&mut self, ty: TypeId, name: String) -> RegId {
         let id = RegId(self.regs.len() as u32);
-        self.regs.push(RegInfo {
-            ty,
-            name: if name.is_empty() { None } else { Some(name) },
-        });
+        self.regs.push(RegInfo { ty, name: None });
+        self.set_name(id, name);
         id
     }
 
+    /// Names register `r` (an empty name leaves it unnamed).
+    fn set_name(&mut self, r: RegId, name: String) {
+        self.regs[r.0 as usize].name = if name.is_empty() { None } else { Some(name) };
+    }
+
     fn ins(&mut self, i: Instr) {
-        self.blocks[self.cur].instrs.push(i);
+        self.pending.push(i);
     }
 
     fn new_block(&mut self) -> BlockId {
@@ -145,7 +229,10 @@ impl Emit {
     }
 
     fn start(&mut self, b: BlockId) {
+        self.flush();
         self.cur = b.0 as usize;
+        // Block 0 is re-entered after the hoisted rv-slot allocas.
+        self.pending.append(&mut self.blocks[self.cur].instrs);
     }
 
     fn reg_ty(&self, r: RegId) -> TypeId {
@@ -178,13 +265,12 @@ struct Transformer<'a> {
     /// (replica 0 keeps the legacy behaviour exactly): `pad_rngs[k - 1]`
     /// is replica `k`'s stream, seeded from `(seed, k)`.
     pad_rngs: Vec<StdRng>,
-    /// Replica global sets, indexed `[replica][original global]`.
-    replica_globals: Vec<Vec<GlobalId>>,
     shadow_globals: Vec<Option<GlobalId>>,
     rearrange_buf: Option<GlobalId>,
     mask_counter: Option<GlobalId>,
     ext_map: Vec<ExternalId>,
     load_site_counter: u64,
+    scratch: Scratch,
 }
 
 impl<'a> Transformer<'a> {
@@ -207,12 +293,12 @@ impl<'a> Transformer<'a> {
                     )
                 })
                 .collect(),
-            replica_globals: Vec::new(),
             shadow_globals: Vec::new(),
             rearrange_buf: None,
             mask_counter: None,
             ext_map: Vec::new(),
             load_site_counter: 0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -249,7 +335,6 @@ impl<'a> Transformer<'a> {
         // Replica globals: one full set per replica, appended in replica
         // order so replica r's copy of global g has id n*(1+r) + g.
         for r in 0..self.nreps {
-            let mut set = Vec::with_capacity(n);
             for i in 0..n {
                 let g = self.src.globals[i].clone();
                 let aty = self.alg.at(&mut self.out.types, g.ty);
@@ -264,9 +349,8 @@ impl<'a> Transformer<'a> {
                     ty: aty,
                     init,
                 });
-                set.push(id);
+                debug_assert_eq!(id, replica_global(n as u32, r, GlobalId(i as u32)));
             }
-            self.replica_globals.push(set);
         }
         // Shadow globals (SDS).
         for i in 0..n {
@@ -310,9 +394,9 @@ impl<'a> Transformer<'a> {
 
     fn mds_replica_init(&mut self, r: usize, ty: TypeId, init: &GlobalInit) -> GlobalInit {
         match init {
-            GlobalInit::Ref(g) => GlobalInit::Ref(GlobalId(
-                g.0 + (1 + r as u32) * self.src.globals.len() as u32,
-            )),
+            GlobalInit::Ref(g) => {
+                GlobalInit::Ref(replica_global(self.src.globals.len() as u32, r, *g))
+            }
             GlobalInit::Composite(items) => {
                 let member_tys: Vec<TypeId> = match self.out.types.kind(ty) {
                     TypeKind::Struct { fields, .. } => fields.clone(),
@@ -342,7 +426,8 @@ impl<'a> Transformer<'a> {
                 match init {
                     GlobalInit::Ref(g) => {
                         for r in 0..self.nreps {
-                            items.push(GlobalInit::Ref(self.replica_globals[r][g.0 as usize]));
+                            let n = self.src.globals.len() as u32;
+                            items.push(GlobalInit::Ref(replica_global(n, r, *g)));
                         }
                         items.push(match self.shadow_globals[g.0 as usize] {
                             Some(s) => GlobalInit::Ref(s),
@@ -449,14 +534,8 @@ impl<'a> Transformer<'a> {
         let ret_ty = f.ret_ty(&self.src.types);
         let ret_is_ptr = self.src.types.is_pointer(ret_ty);
 
-        let mut em = Emit {
-            regs: Vec::new(),
-            blocks: (0..f.blocks.len()).map(|_| Block::new()).collect(),
-            cur: 0,
-        };
-        if em.blocks.is_empty() {
-            em.blocks.push(Block::new());
-        }
+        let blocks = (0..f.blocks.len().max(1)).map(|_| Block::new()).collect();
+        let mut em = Emit::new(blocks, &mut self.scratch);
 
         // --- parameter registers in augmented order -----------------------
         let mut params: Vec<RegId> = Vec::new();
@@ -505,11 +584,12 @@ impl<'a> Transformer<'a> {
         let comps: Vec<Companions> = comps.into_iter().map(|c| c.expect("filled")).collect();
 
         // --- rv slots for call sites returning pointers (hoisted allocas) --
-        let mut rv_slots: HashMap<(u32, u32), RegId> = HashMap::new();
+        // Keyed by (block, instruction), pushed in that order: sorted.
+        let mut rv_slots: Vec<((u32, u32), RegId)> = Vec::new();
         for (bi, block) in f.blocks.iter().enumerate() {
             for (ii, ins) in block.instrs.iter().enumerate() {
                 if let Instr::Call { callee, .. } = ins {
-                    let cret = self.callee_ret_ty(f, callee);
+                    let (cret, _) = self.callee_sig(f, callee);
                     if self.src.types.is_pointer(cret) {
                         let (slot_pointee, nm) = match self.cfg.scheme {
                             Scheme::Sds => (
@@ -529,14 +609,16 @@ impl<'a> Transformer<'a> {
                             }
                         };
                         let pty = self.out.types.pointer(slot_pointee);
-                        let slot = em.reg(pty, format!("{nm}.{bi}.{ii}"));
+                        let (b, i) = (&mut [0; 20], &mut [0; 20]);
+                        let name = [nm, ".", decimal(bi as u64, b), ".", decimal(ii as u64, i)];
+                        let slot = em.reg(pty, name.concat());
                         em.start(BlockId(0));
                         em.ins(Instr::Alloca {
                             dst: slot,
                             ty: slot_pointee,
                             count: None,
                         });
-                        rv_slots.insert((bi as u32, ii as u32), slot);
+                        rv_slots.push(((bi as u32, ii as u32), slot));
                     }
                 }
             }
@@ -546,21 +628,21 @@ impl<'a> Transformer<'a> {
         for bi in 0..f.blocks.len() {
             em.start(BlockId(bi as u32));
             // Continue after any prologue emitted into block 0.
-            for ii in 0..f.blocks[bi].instrs.len() {
-                let ins = f.blocks[bi].instrs[ii].clone();
+            for (ii, ins) in f.blocks[bi].instrs.iter().enumerate() {
                 let site: SiteRef = (fid.0, bi as u32, ii as u32);
-                self.xform_instr(&mut em, f, &fname, &comps, &ins, site, &rv_slots)?;
+                self.xform_instr(&mut em, f, &fname, &comps, ins, site, &rv_slots)?;
             }
-            let term = f.blocks[bi].term.clone();
-            self.xform_term(&mut em, f, &comps, term, rv_slot_param, ret_is_ptr);
+            let term = &f.blocks[bi].term;
+            self.xform_term(&mut em, &comps, term, rv_slot_param, ret_is_ptr);
         }
 
+        let (regs, blocks) = em.finish(&mut self.scratch);
         Ok(Function {
             name: fname,
             ty: aug_fty,
             params,
-            regs: em.regs,
-            blocks: em.blocks,
+            regs,
+            blocks,
         })
     }
 
@@ -574,33 +656,33 @@ impl<'a> Transformer<'a> {
     ) -> Companions {
         let ty = f.reg_ty(r);
         let aty = self.alg.at(&mut self.out.types, ty);
-        let base = f.regs[r.0 as usize]
-            .name
-            .clone()
-            .unwrap_or_else(|| format!("v{}", r.0));
-        let app = em.reg(aty, base.clone());
+        let base = match &f.regs[r.0 as usize].name {
+            Some(name) => name.clone(),
+            None => ["v", decimal(u64::from(r.0), &mut [0; 20])].concat(),
+        };
+        // Named last: the companions' names derive from `base`.
+        let app = em.reg(aty, String::new());
         if is_param {
             params.push(app);
         }
         if !self.src.types.is_pointer(ty) {
+            em.set_name(app, base);
             return Companions {
                 app,
-                rops: Vec::new(),
+                nrops: 0,
                 sop: None,
             };
         }
-        let mut rops = Vec::with_capacity(self.nreps);
         for r in 0..self.nreps {
             let name = if r == 0 {
-                format!("{base}_r")
+                [&base, "_r"].concat()
             } else {
-                format!("{base}_r{}", r + 1)
+                [&base, "_r", decimal(r as u64 + 1, &mut [0; 20])].concat()
             };
             let rop = em.reg(aty, name);
             if is_param {
                 params.push(rop);
             }
-            rops.push(rop);
         }
         let sop = if self.cfg.scheme == Scheme::Sds {
             let pointee = self.src.types.pointee(ty).expect("pointer");
@@ -608,7 +690,7 @@ impl<'a> Transformer<'a> {
                 Some(s) => self.out.types.pointer(s),
                 None => self.out.types.void_ptr(),
             };
-            let s = em.reg(sty, format!("{base}_s"));
+            let s = em.reg(sty, [&base, "_s"].concat());
             if is_param {
                 params.push(s);
             }
@@ -616,79 +698,52 @@ impl<'a> Transformer<'a> {
         } else {
             None
         };
-        Companions { app, rops, sop }
+        em.set_name(app, base);
+        Companions {
+            app,
+            nrops: self.nreps as u32,
+            sop,
+        }
     }
 
-    fn callee_ret_ty(&self, f: &Function, callee: &Callee) -> TypeId {
+    /// Return and parameter types of a call's callee in the ORIGINAL
+    /// module.
+    fn callee_sig(&self, f: &Function, callee: &Callee) -> (TypeId, &'a [TypeId]) {
+        let src: &'a Module = self.src;
         let fty = match callee {
-            Callee::Direct(id) => self.src.func(*id).ty,
-            Callee::External(id) => self.src.external(*id).ty,
-            Callee::Indirect(op) => {
-                let t = self.orig_operand_ty(f, op);
-                self.src.types.pointee(t).expect("function pointer")
-            }
+            Callee::Direct(id) => src.func(*id).ty,
+            Callee::External(id) => src.external(*id).ty,
+            Callee::Indirect(op) => self.orig_pointee(f, op).expect("function pointer"),
         };
-        match self.src.types.kind(fty) {
-            TypeKind::Function { ret, .. } => *ret,
+        match src.types.kind(fty) {
+            TypeKind::Function { ret, params } => (*ret, params),
             _ => unreachable!("callee not of function type"),
         }
     }
 
-    fn callee_param_tys(&self, f: &Function, callee: &Callee) -> Vec<TypeId> {
-        let fty = match callee {
-            Callee::Direct(id) => self.src.func(*id).ty,
-            Callee::External(id) => self.src.external(*id).ty,
-            Callee::Indirect(op) => {
-                let t = self.orig_operand_ty(f, op);
-                self.src.types.pointee(t).expect("function pointer")
-            }
-        };
-        match self.src.types.kind(fty) {
-            TypeKind::Function { params, .. } => params.clone(),
-            _ => unreachable!("callee not of function type"),
-        }
-    }
-
-    /// Static type of an operand in the ORIGINAL module.
-    fn orig_operand_ty(&self, f: &Function, op: &Operand) -> TypeId {
+    /// The pointee of an operand's static type in the ORIGINAL module, or
+    /// `None` when the operand is not a pointer. It reads the operand
+    /// itself (a register's type, a null's pointee, a global's or a
+    /// function's type), so a constant needs no type of its width in the
+    /// table.
+    fn orig_pointee(&self, f: &Function, op: &Operand) -> Option<TypeId> {
         match op {
-            Operand::Reg(r) => f.reg_ty(*r),
-            Operand::Const(Const::Int { bits, .. }) => {
-                self.find_src_ty(&TypeKind::Int { bits: *bits })
-            }
-            Operand::Const(Const::Float { bits, .. }) => {
-                self.find_src_ty(&TypeKind::Float { bits: *bits })
-            }
-            Operand::Const(Const::Null { pointee }) => {
-                self.find_src_ty(&TypeKind::Pointer { pointee: *pointee })
-            }
-            Operand::Global(g) => self.find_src_ty(&TypeKind::Pointer {
-                pointee: self.src.global(*g).ty,
-            }),
-            Operand::Func(fid) => self.find_src_ty(&TypeKind::Pointer {
-                pointee: self.src.func(*fid).ty,
-            }),
+            Operand::Reg(r) => self.src.types.pointee(f.reg_ty(*r)),
+            Operand::Const(Const::Null { pointee }) => Some(*pointee),
+            Operand::Const(Const::Int { .. } | Const::Float { .. }) => None,
+            Operand::Global(g) => Some(self.src.global(*g).ty),
+            Operand::Func(fid) => Some(self.src.func(*fid).ty),
         }
-    }
-
-    fn find_src_ty(&self, kind: &TypeKind) -> TypeId {
-        for i in 0..self.src.types.len() {
-            let id = TypeId(i as u32);
-            if self.src.types.kind(id) == kind {
-                return id;
-            }
-        }
-        panic!("type {kind:?} not interned in source module");
     }
 
     /// Maps an original operand to its companions in the new function.
-    fn map_operand(&mut self, f: &Function, comps: &[Companions], op: &Operand) -> Ops {
+    fn map_operand(&mut self, comps: &[Companions], op: &Operand) -> Ops {
         match op {
             Operand::Reg(r) => {
-                let c = &comps[r.0 as usize];
+                let c = comps[r.0 as usize];
                 Ops {
                     app: Operand::Reg(c.app),
-                    rops: c.rops.iter().copied().map(Operand::Reg).collect(),
+                    rops: Rops::Regs(c),
                     sop: c.sop.map(Operand::Reg),
                 }
             }
@@ -698,7 +753,7 @@ impl<'a> Transformer<'a> {
                 let sop_pointee = self.alg.sat(&mut self.out.types, *pointee).unwrap_or(void);
                 Ops {
                     app: Operand::Const(Const::Null { pointee: ap }),
-                    rops: vec![Operand::Const(Const::Null { pointee: ap }); self.nreps],
+                    rops: Rops::Same(Operand::Const(Const::Null { pointee: ap })),
                     sop: Some(Operand::Const(Const::Null {
                         pointee: sop_pointee,
                     })),
@@ -706,13 +761,10 @@ impl<'a> Transformer<'a> {
             }
             Operand::Const(c) => Ops {
                 app: Operand::Const(*c),
-                rops: Vec::new(),
+                rops: Rops::App,
                 sop: None,
             },
             Operand::Global(g) => {
-                let rops = (0..self.nreps)
-                    .map(|r| Operand::Global(self.replica_globals[r][g.0 as usize]))
-                    .collect();
                 let sop = match self.shadow_globals[g.0 as usize] {
                     Some(s) => Operand::Global(s),
                     None => {
@@ -722,7 +774,10 @@ impl<'a> Transformer<'a> {
                 };
                 Ops {
                     app: Operand::Global(*g),
-                    rops,
+                    rops: Rops::Global {
+                        g: *g,
+                        n: self.src.globals.len() as u32,
+                    },
                     sop: Some(sop),
                 }
             }
@@ -732,14 +787,9 @@ impl<'a> Transformer<'a> {
                 let void = self.out.types.void();
                 Ops {
                     app: Operand::Func(*fid),
-                    rops: vec![Operand::Func(*fid); self.nreps],
+                    rops: Rops::Same(Operand::Func(*fid)),
                     sop: Some(Operand::Const(Const::Null { pointee: void })),
                 }
-            }
-            #[allow(unreachable_patterns)]
-            _ => {
-                let _ = f;
-                unreachable!()
             }
         }
     }
@@ -753,7 +803,7 @@ impl<'a> Transformer<'a> {
         comps: &[Companions],
         ins: &Instr,
         site: SiteRef,
-        rv_slots: &HashMap<(u32, u32), RegId>,
+        rv_slots: &[((u32, u32), RegId)],
     ) -> Result<(), TransformError> {
         let sds = self.cfg.scheme == Scheme::Sds;
         match ins {
@@ -761,7 +811,7 @@ impl<'a> Transformer<'a> {
             Instr::Alloca { dst, ty, count } => {
                 let c = &comps[dst.0 as usize];
                 let aty = self.alg.at(&mut self.out.types, *ty);
-                let cnt = count.map(|op| self.map_operand(f, comps, &op).app);
+                let cnt = count.map(|op| self.map_operand(comps, &op).app);
                 em.ins(Instr::Alloca {
                     dst: c.app,
                     ty: aty,
@@ -773,7 +823,7 @@ impl<'a> Transformer<'a> {
                 }
                 for k in 0..self.nreps {
                     em.ins(Instr::Alloca {
-                        dst: c.rops[k],
+                        dst: c.rop(k),
                         ty: aty,
                         count: cnt,
                     });
@@ -785,7 +835,7 @@ impl<'a> Transformer<'a> {
             Instr::Malloc { dst, elem, count } => {
                 let c = &comps[dst.0 as usize];
                 let aty = self.alg.at(&mut self.out.types, *elem);
-                let cnt = self.map_operand(f, comps, count).app;
+                let cnt = self.map_operand(comps, count).app;
                 em.ins(Instr::Malloc {
                     dst: c.app,
                     elem: aty,
@@ -796,7 +846,7 @@ impl<'a> Transformer<'a> {
                     return Ok(());
                 }
                 for k in 0..self.nreps {
-                    self.emit_replica_malloc(em, c.rops[k], aty, cnt, k);
+                    self.emit_replica_malloc(em, c.rop(k), aty, cnt, k);
                 }
                 if sds {
                     self.emit_shadow_alloc(em, c, aty, Some(cnt), true);
@@ -804,7 +854,7 @@ impl<'a> Transformer<'a> {
             }
             // ---- heap deallocation (Table 2.6 / 4.3) ----------------------
             Instr::Free { ptr } => {
-                let o = self.map_operand(f, comps, ptr);
+                let o = self.map_operand(comps, ptr);
                 em.ins(Instr::Free { ptr: o.app });
                 // Under a DSA-refined plan an excluded object's replicas
                 // alias the application object (Ch. 5); freeing one again
@@ -869,14 +919,13 @@ impl<'a> Transformer<'a> {
             }
             // ---- store (Table 2.6 / 4.3) ----------------------------------
             Instr::Store { ptr, value } => {
-                let p = self.map_operand(f, comps, ptr);
-                let v = self.map_operand(f, comps, value);
+                let p = self.map_operand(comps, ptr);
+                let v = self.map_operand(comps, value);
                 em.ins(Instr::Store {
                     ptr: p.app,
                     value: v.app,
                 });
-                let vty = self.orig_operand_ty(f, value);
-                let v_is_ptr = self.src.types.is_pointer(vty);
+                let v_is_ptr = self.orig_pointee(f, value).is_some();
                 if sds {
                     // Same value to every replica memory (comparable
                     // pointers).
@@ -893,7 +942,7 @@ impl<'a> Transformer<'a> {
                             // Shadow of a pointer always exists; a null
                             // const would mean the program stores a
                             // pointer through a shadow-less pointer.
-                            return self.store_ptr_via_const_shadow(em, psop, &v);
+                            return self.store_ptr_via_const_shadow(em, psop, v);
                         }
                         for k in 0..self.nreps {
                             let fk = self.shadow_field_addr(em, psop, k as u32);
@@ -922,7 +971,7 @@ impl<'a> Transformer<'a> {
             }
             // ---- load (Table 2.6 / 4.3) -----------------------------------
             Instr::Load { dst, ptr } => {
-                let p = self.map_operand(f, comps, ptr);
+                let p = self.map_operand(comps, ptr);
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::Load {
                     dst: c.app,
@@ -934,8 +983,7 @@ impl<'a> Transformer<'a> {
                 // MDS never checks pointer loads (they differ by design).
                 let checkable = sds || !d_is_ptr;
                 if checkable && !self.cfg.plan.uncheck_loads.contains(&site) {
-                    let rop_ptrs: Vec<Operand> = (0..self.nreps).map(|k| p.rop(k)).collect();
-                    self.emit_load_check(em, c.app, &rop_ptrs, p.app);
+                    self.emit_load_check(em, c.app, p);
                 }
                 if d_is_ptr {
                     if sds {
@@ -943,7 +991,7 @@ impl<'a> Transformer<'a> {
                         for k in 0..self.nreps {
                             let fk = self.shadow_field_addr(em, psop, k as u32);
                             em.ins(Instr::Load {
-                                dst: c.rops[k],
+                                dst: c.rop(k),
                                 ptr: fk,
                             });
                         }
@@ -955,7 +1003,7 @@ impl<'a> Transformer<'a> {
                     } else {
                         for k in 0..self.nreps {
                             em.ins(Instr::Load {
-                                dst: c.rops[k],
+                                dst: c.rop(k),
                                 ptr: p.rop(k),
                             });
                         }
@@ -964,7 +1012,7 @@ impl<'a> Transformer<'a> {
             }
             // ---- address of a struct field (Table 2.6 / 4.3) --------------
             Instr::FieldAddr { dst, base, field } => {
-                let b = self.map_operand(f, comps, base);
+                let b = self.map_operand(comps, base);
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::FieldAddr {
                     dst: c.app,
@@ -973,14 +1021,13 @@ impl<'a> Transformer<'a> {
                 });
                 for k in 0..self.nreps {
                     em.ins(Instr::FieldAddr {
-                        dst: c.rops[k],
+                        dst: c.rop(k),
                         base: b.rop(k),
                         field: *field,
                     });
                 }
                 if sds {
-                    let bty = self.orig_operand_ty(f, base);
-                    let pointee = self.src.types.pointee(bty).expect("pointer base");
+                    let pointee = self.orig_pointee(f, base).expect("pointer base");
                     let apointee = self.alg.at(&mut self.out.types, pointee);
                     let phi = self.alg.phi(&mut self.out.types, apointee, *field);
                     match phi {
@@ -1003,8 +1050,8 @@ impl<'a> Transformer<'a> {
             }
             // ---- address of an array element ------------------------------
             Instr::IndexAddr { dst, base, index } => {
-                let b = self.map_operand(f, comps, base);
-                let idx = self.map_operand(f, comps, index).app;
+                let b = self.map_operand(comps, base);
+                let idx = self.map_operand(comps, index).app;
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::IndexAddr {
                     dst: c.app,
@@ -1013,14 +1060,13 @@ impl<'a> Transformer<'a> {
                 });
                 for k in 0..self.nreps {
                     em.ins(Instr::IndexAddr {
-                        dst: c.rops[k],
+                        dst: c.rop(k),
                         base: b.rop(k),
                         index: idx,
                     });
                 }
                 if sds {
-                    let bty = self.orig_operand_ty(f, base);
-                    let pointee = self.src.types.pointee(bty).expect("pointer base");
+                    let pointee = self.orig_pointee(f, base).expect("pointer base");
                     let elem = match self.src.types.kind(pointee) {
                         TypeKind::Array { elem, .. } => *elem,
                         _ => pointee,
@@ -1043,7 +1089,7 @@ impl<'a> Transformer<'a> {
             }
             // ---- casts (Table 2.7 / 4.4) ----------------------------------
             Instr::Cast { dst, op, src } => {
-                let s = self.map_operand(f, comps, src);
+                let s = self.map_operand(comps, src);
                 let c = &comps[dst.0 as usize];
                 match op {
                     CastOp::Bitcast => {
@@ -1054,7 +1100,7 @@ impl<'a> Transformer<'a> {
                         });
                         for k in 0..self.nreps {
                             em.ins(Instr::Cast {
-                                dst: c.rops[k],
+                                dst: c.rop(k),
                                 op: CastOp::Bitcast,
                                 src: s.rop(k),
                             });
@@ -1082,7 +1128,7 @@ impl<'a> Transformer<'a> {
                         });
                         for k in 0..self.nreps {
                             em.ins(Instr::Copy {
-                                dst: c.rops[k],
+                                dst: c.rop(k),
                                 src: Operand::Reg(c.app),
                             });
                         }
@@ -1106,8 +1152,8 @@ impl<'a> Transformer<'a> {
             }
             // ---- arithmetic -----------------------------------------------
             Instr::Bin { dst, op, lhs, rhs } => {
-                let l = self.map_operand(f, comps, lhs);
-                let r = self.map_operand(f, comps, rhs);
+                let l = self.map_operand(comps, lhs);
+                let r = self.map_operand(comps, rhs);
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::Bin {
                     dst: c.app,
@@ -1125,7 +1171,7 @@ impl<'a> Transformer<'a> {
                     }
                     for k in 0..self.nreps {
                         em.ins(Instr::Bin {
-                            dst: c.rops[k],
+                            dst: c.rop(k),
                             op: *op,
                             lhs: l.rop(k),
                             rhs: r.rop(k),
@@ -1146,8 +1192,8 @@ impl<'a> Transformer<'a> {
                 lhs,
                 rhs,
             } => {
-                let l = self.map_operand(f, comps, lhs).app;
-                let r = self.map_operand(f, comps, rhs).app;
+                let l = self.map_operand(comps, lhs).app;
+                let r = self.map_operand(comps, rhs).app;
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::Cmp {
                     dst: c.app,
@@ -1157,13 +1203,13 @@ impl<'a> Transformer<'a> {
                 });
             }
             Instr::Copy { dst, src } => {
-                let s = self.map_operand(f, comps, src);
+                let s = self.map_operand(comps, src);
                 let c = &comps[dst.0 as usize];
                 em.ins(Instr::Copy {
                     dst: c.app,
                     src: s.app,
                 });
-                for (k, &rop) in c.rops.iter().enumerate() {
+                for (k, rop) in c.rops().enumerate() {
                     em.ins(Instr::Copy {
                         dst: rop,
                         src: s.rop(k),
@@ -1185,16 +1231,16 @@ impl<'a> Transformer<'a> {
             }
             // ---- passthrough ----------------------------------------------
             Instr::DpmrCheck { a, reps, ptrs } => {
-                let a = self.map_operand(f, comps, a).app;
+                let a = self.map_operand(comps, a).app;
                 let reps = reps
                     .iter()
-                    .map(|r| self.map_operand(f, comps, r).app)
+                    .map(|r| self.map_operand(comps, r).app)
                     .collect();
                 let ptrs = ptrs.as_ref().map(|(ap, rps)| {
                     (
-                        self.map_operand(f, comps, ap).app,
+                        self.map_operand(comps, ap).app,
                         rps.iter()
-                            .map(|rp| self.map_operand(f, comps, rp).app)
+                            .map(|rp| self.map_operand(comps, rp).app)
                             .collect(),
                     )
                 });
@@ -1206,8 +1252,8 @@ impl<'a> Transformer<'a> {
                 hi,
                 stream,
             } => {
-                let lo = self.map_operand(f, comps, lo).app;
-                let hi = self.map_operand(f, comps, hi).app;
+                let lo = self.map_operand(comps, lo).app;
+                let hi = self.map_operand(comps, hi).app;
                 em.ins(Instr::RandInt {
                     dst: comps[dst.0 as usize].app,
                     lo,
@@ -1216,14 +1262,14 @@ impl<'a> Transformer<'a> {
                 });
             }
             Instr::HeapBufSize { dst, ptr } => {
-                let p = self.map_operand(f, comps, ptr).app;
+                let p = self.map_operand(comps, ptr).app;
                 em.ins(Instr::HeapBufSize {
                     dst: comps[dst.0 as usize].app,
                     ptr: p,
                 });
             }
             Instr::Output { value } => {
-                let v = self.map_operand(f, comps, value).app;
+                let v = self.map_operand(comps, value).app;
                 em.ins(Instr::Output { value: v });
             }
             Instr::FiMarker { site } => {
@@ -1246,28 +1292,33 @@ impl<'a> Transformer<'a> {
         callee: &Callee,
         args: &[Operand],
         site: SiteRef,
-        rv_slots: &HashMap<(u32, u32), RegId>,
+        rv_slots: &[((u32, u32), RegId)],
     ) {
         let sds = self.cfg.scheme == Scheme::Sds;
-        let cret = self.callee_ret_ty(f, callee);
+        let (cret, param_tys) = self.callee_sig(f, callee);
         let ret_is_ptr = self.src.types.is_pointer(cret);
-        let param_tys = self.callee_param_tys(f, callee);
 
-        let mut new_args: Vec<Operand> = Vec::new();
+        // At most: sdwSize, the rv slot, and each argument with its ROPs
+        // and shadow.
+        let mut new_args: Vec<Operand> = Vec::with_capacity(2 + args.len() * (2 + self.nreps));
 
         // Extra sdwSize parameter for size-carrying externals (SDS).
         if sds {
             if let Callee::External(eid) = callee {
-                let ename = self.src.external(*eid).name.clone();
-                if SIZE_CARRYING_EXTERNALS.contains(&ename.as_str()) {
-                    let sz = self.compute_sdw_size_operand(em, f, comps, &ename, args);
+                let src: &'a Module = self.src;
+                let ename = src.external(*eid).name.as_str();
+                if SIZE_CARRYING_EXTERNALS.contains(&ename) {
+                    let sz = self.compute_sdw_size_operand(em, f, comps, ename, args);
                     new_args.push(sz);
                 }
             }
         }
 
         let slot = if ret_is_ptr {
-            let slot = rv_slots[&(site.1, site.2)];
+            let at = rv_slots
+                .binary_search_by_key(&(site.1, site.2), |&(k, _)| k)
+                .expect("rv slot for a pointer-returning call");
+            let slot = rv_slots[at].1;
             new_args.push(Operand::Reg(slot));
             Some(slot)
         } else {
@@ -1275,7 +1326,7 @@ impl<'a> Transformer<'a> {
         };
 
         for (i, a) in args.iter().enumerate() {
-            let o = self.map_operand(f, comps, a);
+            let o = self.map_operand(comps, a);
             new_args.push(o.app);
             let pt = param_tys.get(i).copied();
             let is_ptr_param = pt.map(|t| self.src.types.is_pointer(t)).unwrap_or(false);
@@ -1295,7 +1346,7 @@ impl<'a> Transformer<'a> {
 
         let new_callee = match callee {
             Callee::Direct(fid) => Callee::Direct(*fid),
-            Callee::Indirect(op) => Callee::Indirect(self.map_operand(f, comps, op).app),
+            Callee::Indirect(op) => Callee::Indirect(self.map_operand(comps, op).app),
             Callee::External(eid) => Callee::External(self.ext_map[eid.0 as usize]),
         };
 
@@ -1313,7 +1364,7 @@ impl<'a> Transformer<'a> {
                     for k in 0..self.nreps {
                         let fk = self.shadow_field_addr(em, slot, k as u32);
                         em.ins(Instr::Load {
-                            dst: c.rops[k],
+                            dst: c.rop(k),
                             ptr: fk,
                         });
                     }
@@ -1324,12 +1375,12 @@ impl<'a> Transformer<'a> {
                     });
                 } else if self.nreps == 1 {
                     em.ins(Instr::Load {
-                        dst: c.rops[0],
+                        dst: c.rop(0),
                         ptr: slot,
                     });
                 } else {
                     // The MDS slot is an array of K ROPs.
-                    for (k, &rop) in c.rops.iter().enumerate() {
+                    for (k, rop) in c.rops().enumerate() {
                         let ek = self.mds_slot_elem_addr(em, slot, k);
                         em.ins(Instr::Load { dst: rop, ptr: ek });
                     }
@@ -1371,23 +1422,26 @@ impl<'a> Transformer<'a> {
         ename: &str,
         args: &[Operand],
     ) -> Operand {
-        let elem_of = |me: &mut Self, op: &Operand| -> TypeId {
+        // The element type of the memory an argument points to; `None`
+        // for a non-pointer argument, whose shadow size is 0.
+        let elem_of = |me: &Self, op: &Operand| -> Option<TypeId> {
             // "The real type of the memory passed" (Sec. 3.1.5): the
             // argument is usually a void* produced by a bitcast, so trace
             // single-definition bitcast/copy chains back to a typed
             // pointer before reading the element type.
             let traced = me.trace_typed_pointer(f, op, 8);
-            let t = me.orig_operand_ty(f, &traced);
-            let pointee = me.src.types.pointee(t).unwrap_or(t);
-            match me.src.types.kind(pointee) {
+            let pointee = me.orig_pointee(f, &traced)?;
+            Some(match me.src.types.kind(pointee) {
                 TypeKind::Array { elem, .. } => *elem,
                 _ => pointee,
-            }
+            })
         };
         let i64t = self.out.types.int(64);
+        let Some(elem) = elem_of(self, &args[0]) else {
+            return Operand::Const(Const::i64(0));
+        };
         match ename {
             "qsort" => {
-                let elem = elem_of(self, &args[0]);
                 let aelem = self.alg.at(&mut self.out.types, elem);
                 let ssz = self
                     .alg
@@ -1398,7 +1452,6 @@ impl<'a> Transformer<'a> {
             }
             _ => {
                 // memcpy/memmove: sdwBytes = n / sizeof(elem) * sizeof(sat).
-                let elem = elem_of(self, &args[0]);
                 let aelem = self.alg.at(&mut self.out.types, elem);
                 let esz = self.out.types.size_of(aelem).unwrap_or(1).max(1);
                 let ssz = self
@@ -1409,7 +1462,7 @@ impl<'a> Transformer<'a> {
                 if ssz == 0 {
                     return Operand::Const(Const::i64(0));
                 }
-                let n = self.map_operand(f, comps, &args[2]).app;
+                let n = self.map_operand(comps, &args[2]).app;
                 let q = em.reg(i64t, String::new());
                 em.ins(Instr::Bin {
                     dst: q,
@@ -1476,30 +1529,29 @@ impl<'a> Transformer<'a> {
     fn xform_term(
         &mut self,
         em: &mut Emit,
-        f: &Function,
         comps: &[Companions],
-        term: Term,
+        term: &Term,
         rv_slot: Option<RegId>,
         ret_is_ptr: bool,
     ) {
         match term {
-            Term::Br(t) => em.term(Term::Br(t)),
+            Term::Br(t) => em.term(Term::Br(*t)),
             Term::CondBr {
                 cond,
                 then_bb,
                 else_bb,
             } => {
-                let c = self.map_operand(f, comps, &cond).app;
+                let c = self.map_operand(comps, cond).app;
                 em.term(Term::CondBr {
                     cond: c,
-                    then_bb,
-                    else_bb,
+                    then_bb: *then_bb,
+                    else_bb: *else_bb,
                 });
             }
             Term::Ret(v) => {
                 if ret_is_ptr {
-                    let v = v.expect("pointer return has a value");
-                    let o = self.map_operand(f, comps, &v);
+                    let v = v.as_ref().expect("pointer return has a value");
+                    let o = self.map_operand(comps, v);
                     let slot = Operand::Reg(rv_slot.expect("rv slot param"));
                     if self.cfg.scheme == Scheme::Sds {
                         for k in 0..self.nreps {
@@ -1530,7 +1582,7 @@ impl<'a> Transformer<'a> {
                     }
                     em.term(Term::Ret(Some(o.app)));
                 } else {
-                    let v = v.map(|v| self.map_operand(f, comps, &v).app);
+                    let v = v.as_ref().map(|v| self.map_operand(comps, v).app);
                     em.term(Term::Ret(v));
                 }
             }
@@ -1547,7 +1599,7 @@ impl<'a> Transformer<'a> {
     /// For an excluded allocation: every replica aliases the app object;
     /// shadow null (Ch. 5 refinement).
     fn alias_companions(&mut self, em: &mut Emit, c: &Companions) {
-        for &rop in &c.rops {
+        for rop in c.rops() {
             em.ins(Instr::Copy {
                 dst: rop,
                 src: Operand::Reg(c.app),
@@ -1865,21 +1917,17 @@ impl<'a> Transformer<'a> {
     /// Emits the policy-gated load check: one replica load per replica +
     /// a K+1-way comparison (the `assert(x == *pr)` of Table 2.6 under
     /// the configured policy, generalized over the replication degree).
-    fn emit_load_check(
-        &mut self,
-        em: &mut Emit,
-        app: RegId,
-        rop_ptrs: &[Operand],
-        app_ptr: Operand,
-    ) {
+    /// `ptr` is the mapped pointer operand the application value was
+    /// loaded through.
+    fn emit_load_check(&mut self, em: &mut Emit, app: RegId, ptr: Ops) {
         self.load_site_counter += 1;
         match self.cfg.policy {
             Policy::AllLoads => {
-                self.emit_check_now(em, app, rop_ptrs, app_ptr);
+                self.emit_check_now(em, app, ptr);
             }
             Policy::Static { percent } => {
                 if self.rng.gen_range(0u32..100) < u32::from(percent) {
-                    self.emit_check_now(em, app, rop_ptrs, app_ptr);
+                    self.emit_check_now(em, app, ptr);
                 }
             }
             Policy::StaticPeriodic { period } => {
@@ -1887,7 +1935,7 @@ impl<'a> Transformer<'a> {
                     .load_site_counter
                     .is_multiple_of(u64::from(period.max(1)))
                 {
-                    self.emit_check_now(em, app, rop_ptrs, app_ptr);
+                    self.emit_check_now(em, app, ptr);
                 }
             }
             Policy::Temporal { mask } => {
@@ -1936,7 +1984,7 @@ impl<'a> Transformer<'a> {
                     else_bb: cont_bb,
                 });
                 em.start(check_bb);
-                self.emit_check_now(em, app, rop_ptrs, app_ptr);
+                self.emit_check_now(em, app, ptr);
                 em.term(Term::Br(cont_bb));
                 em.start(cont_bb);
                 // maskCounter <- (maskCounter + 1) % 64 (always).
@@ -1962,19 +2010,16 @@ impl<'a> Transformer<'a> {
         }
     }
 
-    fn emit_check_now(
-        &mut self,
-        em: &mut Emit,
-        app: RegId,
-        rop_ptrs: &[Operand],
-        app_ptr: Operand,
-    ) {
+    fn emit_check_now(&mut self, em: &mut Emit, app: RegId, ptr: Ops) {
         let ty = em.reg_ty(app);
-        let mut reps = Vec::with_capacity(rop_ptrs.len());
-        for &rp in rop_ptrs {
+        let mut reps = Vec::with_capacity(self.nreps);
+        let mut rop_ptrs = Vec::with_capacity(self.nreps);
+        for k in 0..self.nreps {
+            let rp = ptr.rop(k);
             let rep = em.reg(ty, String::new());
             em.ins(Instr::Load { dst: rep, ptr: rp });
             reps.push(Operand::Reg(rep));
+            rop_ptrs.push(rp);
         }
         // The check names every source location so a recovery trap handler
         // can repair the divergent application memory from a replica — or,
@@ -1983,7 +2028,7 @@ impl<'a> Transformer<'a> {
         em.ins(Instr::DpmrCheck {
             a: Operand::Reg(app),
             reps,
-            ptrs: Some((app_ptr, rop_ptrs.to_vec())),
+            ptrs: Some((ptr.app, rop_ptrs)),
         });
     }
 
@@ -1996,7 +2041,12 @@ impl<'a> Transformer<'a> {
             _ => unreachable!("shadow operand shape"),
         };
         let pointee = self.out.types.pointee(sty).expect("shadow pointer");
-        let fty = self.out.types.members(pointee)[field as usize];
+        let fty = match self.out.types.kind(pointee) {
+            TypeKind::Struct { fields: ms, .. } | TypeKind::Union { members: ms, .. } => {
+                ms[field as usize]
+            }
+            other => panic!("shadow pointer to non-aggregate {other:?}"),
+        };
         let pfty = self.out.types.pointer(fty);
         let dst = em.reg(pfty, String::new());
         em.ins(Instr::FieldAddr {
@@ -2011,7 +2061,7 @@ impl<'a> Transformer<'a> {
         &mut self,
         _em: &mut Emit,
         _psop: Operand,
-        _v: &Ops,
+        _v: Ops,
     ) -> Result<(), TransformError> {
         // Storing a pointer through a pointer whose shadow is a null
         // constant would violate the SDS store restriction (Sec. 2.9).
@@ -2048,11 +2098,7 @@ impl<'a> Transformer<'a> {
             return Err(TransformError::UnsupportedEntrySignature { func: orig_name });
         }
 
-        let mut em = Emit {
-            regs: Vec::new(),
-            blocks: vec![Block::new()],
-            cur: 0,
-        };
+        let mut em = Emit::new(vec![Block::new()], &mut self.scratch);
         let mut params = Vec::new();
         for (i, &t) in param_tys.iter().enumerate() {
             let at = self.alg.at(&mut self.out.types, t);
@@ -2095,12 +2141,13 @@ impl<'a> Transformer<'a> {
 
         let mapped_params = param_tys_map(&mut self.alg, &mut self.out.types, &param_tys);
         let fty = self.out.types.function(aret, mapped_params);
+        let (regs, blocks) = em.finish(&mut self.scratch);
         let id = self.out.add_function(Function {
             name: orig_name,
             ty: fty,
             params,
-            regs: em.regs,
-            blocks: em.blocks,
+            regs,
+            blocks,
         });
         Ok(id)
     }
@@ -2325,4 +2372,20 @@ fn param_tys_map(
     param_tys: &[TypeId],
 ) -> Vec<TypeId> {
     param_tys.iter().map(|&t| alg.at(tt, t)).collect()
+}
+
+/// `n` in decimal, written into `buf`. Register names are built with
+/// `concat`, in one exactly sized allocation: a name is made for every
+/// register, where `format!` would cost a formatter pass each.
+fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
 }

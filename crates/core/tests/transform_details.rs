@@ -574,3 +574,23 @@ fn temporal_mask_checks_the_configured_runtime_fraction() {
         "temporal 1/2 must check about half the loads, got {ratio:.3}"
     );
 }
+
+/// A constant needs no type of its width in the module's table: the
+/// verifier accepts `1:i16` in a module without `i16`, so the transform
+/// must too. It once looked the constant's type up by kind in the source
+/// table and panicked ("type Int { bits: 16 } not interned in source
+/// module").
+#[test]
+fn constant_of_a_width_the_table_lacks_transforms_and_runs() {
+    let text = "fn main() -> i64 {\n  reg %p: i64*\nb0:\n  %p = alloca i64\n  \
+                store %p, 1:i16\n  ret 0:i64\n}\nentry main\n";
+    let m = dpmr_ir::parser::parse_module(text).expect("parses");
+    dpmr_ir::verify::verify_module(&m).expect("verifies");
+    for cfg in [DpmrConfig::sds(), DpmrConfig::mds()] {
+        let t = transform(&m, &cfg).expect("transforms");
+        assert!(lower(&t).ops.len() >= t.static_instr_count());
+        let reg = Rc::new(registry_with_wrappers());
+        let out = run_with_registry(&t, &RunConfig::default(), reg);
+        assert_eq!(out.status, ExitStatus::Normal(0), "{:?}", cfg.scheme);
+    }
+}

@@ -88,7 +88,12 @@ fn every_build_matches_the_recorded_golden() {
     if table != GOLDEN {
         print!("{table}");
         for (i, (got, want)) in table.lines().zip(GOLDEN.lines()).enumerate() {
-            assert_eq!(got, want, "build diverged from the golden at line {}", i + 1);
+            assert_eq!(
+                got,
+                want,
+                "build diverged from the golden at line {}",
+                i + 1
+            );
         }
         assert_eq!(
             table.lines().count(),

@@ -358,41 +358,49 @@ impl Instr {
 
     /// All operands read by the instruction.
     pub fn operands(&self) -> Vec<Operand> {
+        let mut v = Vec::new();
+        self.for_each_operand(|op| v.push(*op));
+        v
+    }
+
+    /// Calls `f` on every operand the instruction reads, in
+    /// [`Instr::operands`] order, without collecting them.
+    pub(crate) fn for_each_operand(&self, mut f: impl FnMut(&Operand)) {
         match self {
-            Instr::Alloca { count, .. } => count.iter().copied().collect(),
-            Instr::Malloc { count, .. } => vec![*count],
-            Instr::Free { ptr } => vec![*ptr],
-            Instr::Load { ptr, .. } => vec![*ptr],
-            Instr::Store { ptr, value } => vec![*ptr, *value],
-            Instr::FieldAddr { base, .. } => vec![*base],
-            Instr::IndexAddr { base, index, .. } => vec![*base, *index],
-            Instr::Cast { src, .. } => vec![*src],
-            Instr::Bin { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Instr::Copy { src, .. } => vec![*src],
+            Instr::Alloca { count, .. } => count.iter().for_each(f),
+            Instr::Malloc { count: op, .. }
+            | Instr::Free { ptr: op }
+            | Instr::Load { ptr: op, .. }
+            | Instr::FieldAddr { base: op, .. }
+            | Instr::Cast { src: op, .. }
+            | Instr::Copy { src: op, .. }
+            | Instr::HeapBufSize { ptr: op, .. }
+            | Instr::Output { value: op } => f(op),
+            Instr::Store { ptr: a, value: b }
+            | Instr::IndexAddr {
+                base: a, index: b, ..
+            }
+            | Instr::Bin { lhs: a, rhs: b, .. }
+            | Instr::Cmp { lhs: a, rhs: b, .. }
+            | Instr::RandInt { lo: a, hi: b, .. } => {
+                f(a);
+                f(b);
+            }
             Instr::Call { callee, args, .. } => {
-                let mut v = Vec::with_capacity(args.len() + 1);
                 if let Callee::Indirect(op) = callee {
-                    v.push(*op);
+                    f(op);
                 }
-                v.extend(args.iter().copied());
-                v
+                args.iter().for_each(f);
             }
             Instr::DpmrCheck { a, reps, ptrs } => {
-                let mut v = Vec::with_capacity(1 + reps.len() * 2 + 1);
-                v.push(*a);
-                v.extend(reps.iter().copied());
+                f(a);
+                reps.iter().for_each(&mut f);
                 if let Some((ap, rps)) = ptrs {
-                    v.push(*ap);
-                    v.extend(rps.iter().copied());
+                    f(ap);
+                    rps.iter().for_each(f);
                 }
-                v
             }
-            Instr::RandInt { lo, hi, .. } => vec![*lo, *hi],
-            Instr::HeapBufSize { ptr, .. } => vec![*ptr],
-            Instr::Output { value } => vec![*value],
-            Instr::FiMarker { .. } => vec![],
-            Instr::Abort { .. } => vec![],
+            Instr::FiMarker { .. } | Instr::Abort { .. } => {}
         }
     }
 }

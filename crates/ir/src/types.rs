@@ -15,6 +15,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Width of every pointer, in bytes (the paper's "predefined size").
 pub const PTR_BYTES: u64 = 8;
@@ -74,9 +75,60 @@ impl fmt::Display for LayoutError {
 
 impl std::error::Error for LayoutError {}
 
+/// A fixed, deterministic multiply-rotate hasher (the Fx hash of the
+/// Rust compiler) for maps keyed by small ids and type shapes, where
+/// std's keyed SipHash costs more than the lookup it serves. Its output
+/// depends only on the bytes written, so a map's contents never depend
+/// on the process; no output iterates over such a map.
+#[derive(Default, Clone, Copy)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// The integer writes fold one word each; only `write` sees byte strings
+/// (struct names, never hashed on the hot paths).
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        for &b in chunks.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` hashed with [`FxHasher`].
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
 #[derive(Default, Clone)]
 struct Interner {
-    map: HashMap<TypeKind, TypeId>,
+    map: FxHashMap<TypeKind, TypeId>,
 }
 
 /// Interning table that owns every type of a module.
@@ -139,6 +191,13 @@ impl TypeTable {
     /// Panics if `id` does not belong to this table.
     pub fn kind(&self, id: TypeId) -> &TypeKind {
         &self.kinds[id.0 as usize]
+    }
+
+    /// The interned type of shape `kind`, if the table holds one: the
+    /// lookup-only counterpart of the interning constructors (nominal
+    /// structs and unions are never found).
+    pub(crate) fn lookup(&self, kind: &TypeKind) -> Option<TypeId> {
+        self.interner.map.get(kind).copied()
     }
 
     fn push(&mut self, kind: TypeKind) -> TypeId {
@@ -389,10 +448,9 @@ impl TypeTable {
                 if !self.has_body(id) {
                     return Err(LayoutError::Unsized(id));
                 }
-                let fields = fields.clone();
                 let mut off = 0u64;
                 let mut align = 1u64;
-                for f in fields {
+                for &f in fields {
                     let fa = self.align_of(f)?;
                     align = align.max(fa);
                     let size = self.size_of(f)?;
@@ -407,10 +465,9 @@ impl TypeTable {
                 if !self.has_body(id) {
                     return Err(LayoutError::Unsized(id));
                 }
-                let members = members.clone();
                 let mut sz = 0u64;
                 let mut align = 1u64;
-                for m in members {
+                for &m in members {
                     align = align.max(self.align_of(m)?);
                     sz = sz.max(self.size_of(m)?);
                 }
@@ -429,7 +486,7 @@ impl TypeTable {
     /// Panics if `id` is not a struct or `idx` is out of range.
     pub fn field_offset(&self, id: TypeId, idx: usize) -> Result<u64, LayoutError> {
         let fields = match self.kind(id) {
-            TypeKind::Struct { fields, .. } => fields.clone(),
+            TypeKind::Struct { fields, .. } => fields,
             other => panic!("field_offset on non-struct {other:?}"),
         };
         assert!(idx < fields.len(), "field index {idx} out of range");
@@ -458,22 +515,19 @@ impl TypeTable {
     /// True when the type contains a pointer anywhere outside function
     /// types — the `containsPointerOutsideFunType` predicate of Figure 2.5.
     pub fn contains_pointer_outside_fun(&self, id: TypeId) -> bool {
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = vec![false; self.len()];
         self.cpof_impl(id, &mut visited)
     }
 
-    fn cpof_impl(&self, id: TypeId, visited: &mut std::collections::HashSet<TypeId>) -> bool {
-        if !visited.insert(id) {
+    fn cpof_impl(&self, id: TypeId, visited: &mut [bool]) -> bool {
+        if std::mem::replace(&mut visited[id.index()], true) {
             return false;
         }
         match self.kind(id) {
             TypeKind::Pointer { .. } => true,
             TypeKind::Array { elem, .. } => self.cpof_impl(*elem, visited),
-            TypeKind::Struct { fields, .. } => {
-                fields.clone().iter().any(|&f| self.cpof_impl(f, visited))
-            }
-            TypeKind::Union { members, .. } => {
-                members.clone().iter().any(|&m| self.cpof_impl(m, visited))
+            TypeKind::Struct { fields: ms, .. } | TypeKind::Union { members: ms, .. } => {
+                ms.iter().any(|&m| self.cpof_impl(m, visited))
             }
             _ => false,
         }

@@ -78,9 +78,7 @@ impl Ctx<'_> {
 
     // Lookup-only type finders (the verifier must not mutate the table).
     fn find(&self, kind: &TypeKind) -> Option<TypeId> {
-        (0..self.module.types.len())
-            .map(|i| TypeId(i as u32))
-            .find(|&t| self.module.types.kind(t) == kind)
+        self.module.types.lookup(kind)
     }
     fn find_int(&self, bits: u16) -> Option<TypeId> {
         self.find(&TypeKind::Int { bits })
@@ -185,11 +183,15 @@ fn verify_function(ctx: &mut Ctx<'_>, _id: FuncId) {
         for ins in &block.instrs {
             verify_instr(ctx, ins, bi);
         }
-        for t in block.term.successors() {
-            ctx.check_block_ref(t);
-        }
         match &block.term {
-            Term::CondBr { cond, .. } => {
+            Term::Br(t) => ctx.check_block_ref(*t),
+            Term::CondBr {
+                cond,
+                then_bb,
+                else_bb,
+            } => {
+                ctx.check_block_ref(*then_bb);
+                ctx.check_block_ref(*else_bb);
                 ctx.operand_ty(cond);
             }
             Term::Ret(v) => {
@@ -201,16 +203,16 @@ fn verify_function(ctx: &mut Ctx<'_>, _id: FuncId) {
                     _ => {}
                 }
             }
-            Term::Br(_) | Term::Unreachable => {}
+            Term::Unreachable => {}
         }
     }
 }
 
 fn verify_instr(ctx: &mut Ctx<'_>, ins: &Instr, bi: usize) {
     // All operands must resolve.
-    for op in ins.operands() {
-        ctx.operand_ty(&op);
-    }
+    ins.for_each_operand(|op| {
+        ctx.operand_ty(op);
+    });
     if let Some(d) = ins.dst() {
         ctx.check_scalar_reg(d, "destination");
     }
@@ -238,18 +240,15 @@ fn verify_instr(ctx: &mut Ctx<'_>, ins: &Instr, bi: usize) {
         Instr::FieldAddr { base, field, .. } => {
             if let Some(bt) = ctx.operand_ty(base) {
                 match ctx.module.types.pointee(bt) {
-                    Some(p) => {
-                        let nf = ctx.module.types.members(p).len();
-                        let is_agg = matches!(
-                            ctx.module.types.kind(p),
-                            TypeKind::Struct { .. } | TypeKind::Union { .. }
-                        );
-                        if !is_agg {
-                            ctx.err(format!("b{bi}: field_addr into non-aggregate"));
-                        } else if (*field as usize) >= nf {
-                            ctx.err(format!("b{bi}: field index {field} out of range"));
+                    Some(p) => match ctx.module.types.kind(p) {
+                        TypeKind::Struct { fields: ms, .. }
+                        | TypeKind::Union { members: ms, .. } => {
+                            if (*field as usize) >= ms.len() {
+                                ctx.err(format!("b{bi}: field index {field} out of range"));
+                            }
                         }
-                    }
+                        _ => ctx.err(format!("b{bi}: field_addr into non-aggregate")),
+                    },
                     None => ctx.err(format!("b{bi}: field_addr base not a pointer")),
                 }
             }
@@ -316,8 +315,8 @@ fn verify_instr(ctx: &mut Ctx<'_>, ins: &Instr, bi: usize) {
                 }),
             };
             if let Some(fty) = fty {
-                if let TypeKind::Function { ret, params } = ctx.module.types.kind(fty) {
-                    let (ret, params) = (*ret, params.clone());
+                let types = &ctx.module.types;
+                if let TypeKind::Function { ret, params } = types.kind(fty) {
                     if params.len() != args.len() {
                         ctx.err(format!(
                             "b{bi}: call arity mismatch ({} args, {} params)",
@@ -325,7 +324,7 @@ fn verify_instr(ctx: &mut Ctx<'_>, ins: &Instr, bi: usize) {
                             params.len()
                         ));
                     }
-                    let is_void = matches!(ctx.module.types.kind(ret), TypeKind::Void);
+                    let is_void = matches!(types.kind(*ret), TypeKind::Void);
                     if dst.is_some() && is_void {
                         ctx.err(format!("b{bi}: capturing result of void call"));
                     }

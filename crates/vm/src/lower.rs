@@ -48,8 +48,7 @@ use crate::interp::FUNC_BASE;
 use crate::value::{normalize_int, Value};
 use dpmr_ir::instr::{Callee, Const, Instr, Operand, Term};
 use dpmr_ir::module::{Function, Module};
-use dpmr_ir::types::{TypeId, TypeKind, TypeTable};
-use std::collections::HashMap;
+use dpmr_ir::types::{FxHashMap, LayoutError, TypeId, TypeKind, TypeTable};
 
 /// Lowers a whole module. See the module docs for the invariants.
 pub fn lower(module: &Module) -> LoweredCode {
@@ -60,10 +59,11 @@ pub fn lower(module: &Module) -> LoweredCode {
         handler_ids: Vec::new(),
         frames: Vec::with_capacity(module.funcs.len()),
     };
+    let mut layouts = Layouts::new(&module.types);
     for f in &module.funcs {
         let entry = lc.ops.len() as u32;
         lc.func_entry.push(entry);
-        let frame = lower_function(module, f, entry, &mut lc);
+        let frame = lower_function(module, f, entry, &mut lc, &mut layouts);
         lc.frames.push(frame);
     }
     lc.rebuild_handler_ids();
@@ -85,13 +85,51 @@ fn view(op: &Operand) -> Opnd {
     }
 }
 
+/// A size or offset, or why the type has none.
+type Bytes = Result<u64, LayoutError>;
+
+/// Type layouts of one lowering, each computed once: every alloca,
+/// malloc, field address and element address asks for one.
+struct Layouts<'t> {
+    tt: &'t TypeTable,
+    sizes: Vec<Option<Bytes>>,
+    offsets: FxHashMap<(TypeId, usize), Bytes>,
+}
+
+impl<'t> Layouts<'t> {
+    fn new(tt: &'t TypeTable) -> Layouts<'t> {
+        Layouts {
+            tt,
+            sizes: vec![None; tt.len()],
+            offsets: FxHashMap::default(),
+        }
+    }
+
+    /// [`TypeTable::size_of`].
+    fn size_of(&mut self, t: TypeId) -> Bytes {
+        let tt = self.tt;
+        self.sizes[t.index()]
+            .get_or_insert_with(|| tt.size_of(t))
+            .clone()
+    }
+
+    /// [`TypeTable::field_offset`].
+    fn field_offset(&mut self, s: TypeId, idx: usize) -> Bytes {
+        let tt = self.tt;
+        self.offsets
+            .entry((s, idx))
+            .or_insert_with(|| tt.field_offset(s, idx))
+            .clone()
+    }
+}
+
 /// One function's frame slots while it is lowered: registers keep their
 /// numbers, and each distinct constant is appended after them.
 struct Slots {
     layout: FrameLayout,
     /// Constant slot by (kind, bit pattern): exact bits, so the interning
     /// never merges `0.0` with `-0.0` or one NaN payload with another.
-    index: HashMap<(u8, u64), u32>,
+    index: FxHashMap<(u8, u64), u32>,
     /// Number of globals the module declares.
     globals: u32,
     /// The first undeclared global an operand of the current op named.
@@ -105,7 +143,7 @@ impl Slots {
                 regs: f.regs.len() as u32,
                 consts: Vec::new(),
             },
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             globals: globals as u32,
             unknown_global: None,
         }
@@ -232,7 +270,13 @@ fn dst_bits(tt: &TypeTable, ty: TypeId) -> u16 {
 }
 
 #[allow(clippy::too_many_lines)]
-fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCode) -> FrameLayout {
+fn lower_function(
+    module: &Module,
+    f: &Function,
+    entry: u32,
+    lc: &mut LoweredCode,
+    layouts: &mut Layouts<'_>,
+) -> FrameLayout {
     let tt = &module.types;
     let mut slots = Slots::new(f, module.globals.len());
     if f.blocks.is_empty() {
@@ -261,7 +305,7 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
         for ins in &block.instrs {
             let s = &mut slots;
             let op = match ins {
-                Instr::Alloca { dst, ty, count } => match tt.size_of(*ty) {
+                Instr::Alloca { dst, ty, count } => match layouts.size_of(*ty) {
                     Ok(size) => Op::Alloca {
                         dst: dst.0,
                         count: count.as_ref().map(|c| s.of(c)),
@@ -273,7 +317,7 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                         e.to_string(),
                     ),
                 },
-                Instr::Malloc { dst, elem, count } => match tt.size_of(*elem) {
+                Instr::Malloc { dst, elem, count } => match layouts.size_of(*elem) {
                     Ok(esize) => Op::Malloc {
                         dst: dst.0,
                         count: s.of(count),
@@ -303,7 +347,7 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                         None => invalid(s, &[base], "field_addr through non-pointer"),
                         Some(pointee) => match tt.kind(pointee) {
                             TypeKind::Struct { .. } => {
-                                match tt.field_offset(pointee, *field as usize) {
+                                match layouts.field_offset(pointee, *field as usize) {
                                     Ok(off) => Op::FieldAddr {
                                         dst: dst.0,
                                         base: s.of(base),
@@ -325,7 +369,7 @@ fn lower_function(module: &Module, f: &Function, entry: u32, lc: &mut LoweredCod
                     match operand_pointee_ty(module, f, base) {
                         None => invalid(s, &[base, index], "index_addr through non-pointer"),
                         Some(pointee) => match tt.kind(pointee) {
-                            TypeKind::Array { elem, .. } => match tt.size_of(*elem) {
+                            TypeKind::Array { elem, .. } => match layouts.size_of(*elem) {
                                 Ok(esize) => Op::IndexAddr {
                                     dst: dst.0,
                                     base: s.of(base),
