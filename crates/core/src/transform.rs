@@ -15,7 +15,8 @@ use dpmr_ir::instr::{
     BinOp, Block, BlockId, Callee, CastOp, CmpPred, Const, Instr, Operand, RegId, Term,
 };
 use dpmr_ir::module::{
-    ExternalId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegInfo,
+    CompanionRole, ExternalId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegInfo,
+    RegName,
 };
 use dpmr_ir::types::{TypeId, TypeKind};
 use dpmr_ir::verify::{verify_module, VerifyError};
@@ -137,6 +138,15 @@ fn replica_global(n: u32, r: usize, g: GlobalId) -> GlobalId {
     GlobalId(g.0 + (1 + r as u32) * n)
 }
 
+/// Member `i` of an aggregate initializer: zero unless it is composite.
+fn member_init(init: &GlobalInit, i: usize) -> &GlobalInit {
+    static ZERO: GlobalInit = GlobalInit::Zero;
+    match init {
+        GlobalInit::Composite(items) => &items[i],
+        _ => &ZERO,
+    }
+}
+
 /// Companion operands for one original operand.
 #[derive(Debug, Clone, Copy)]
 struct Ops {
@@ -202,16 +212,10 @@ impl Emit {
         self.blocks[self.cur].instrs.append(&mut self.pending);
     }
 
-    fn reg(&mut self, ty: TypeId, name: String) -> RegId {
+    fn reg(&mut self, ty: TypeId, name: RegName) -> RegId {
         let id = RegId(self.regs.len() as u32);
-        self.regs.push(RegInfo { ty, name: None });
-        self.set_name(id, name);
+        self.regs.push(RegInfo { ty, name });
         id
-    }
-
-    /// Names register `r` (an empty name leaves it unnamed).
-    fn set_name(&mut self, r: RegId, name: String) {
-        self.regs[r.0 as usize].name = if name.is_empty() { None } else { Some(name) };
     }
 
     fn ins(&mut self, i: Instr) {
@@ -321,10 +325,9 @@ impl<'a> Transformer<'a> {
     // ----- globals ------------------------------------------------------
 
     fn create_globals(&mut self) {
+        let src: &'a Module = self.src;
         // Application globals keep their ids; types become augmented.
-        let n = self.src.globals.len();
-        for i in 0..n {
-            let g = self.src.globals[i].clone();
+        for g in &src.globals {
             let aty = self.alg.at(&mut self.out.types, g.ty);
             self.out.add_global(Global {
                 name: g.name.clone(),
@@ -334,9 +337,9 @@ impl<'a> Transformer<'a> {
         }
         // Replica globals: one full set per replica, appended in replica
         // order so replica r's copy of global g has id n*(1+r) + g.
+        let n = src.globals.len();
         for r in 0..self.nreps {
-            for i in 0..n {
-                let g = self.src.globals[i].clone();
+            for (i, g) in src.globals.iter().enumerate() {
                 let aty = self.alg.at(&mut self.out.types, g.ty);
                 let init = self.replica_init(r, g.ty, &g.init);
                 let name = if r == 0 {
@@ -353,14 +356,12 @@ impl<'a> Transformer<'a> {
             }
         }
         // Shadow globals (SDS).
-        for i in 0..n {
+        for g in &src.globals {
             if self.cfg.scheme != Scheme::Sds {
                 self.shadow_globals.push(None);
                 continue;
             }
-            let g = self.src.globals[i].clone();
-            let sat = self.alg.sat(&mut self.out.types, g.ty);
-            match sat {
+            match self.alg.sat(&mut self.out.types, g.ty) {
                 Some(sty) => {
                     let id = self.out.add_global(Global {
                         name: format!("{}.sdw", g.name),
@@ -373,9 +374,8 @@ impl<'a> Transformer<'a> {
             }
         }
         // Patch shadow inits now that replica/shadow ids all exist.
-        for i in 0..n {
+        for (i, g) in src.globals.iter().enumerate() {
             if let Some(id) = self.shadow_globals[i] {
-                let g = self.src.globals[i].clone();
                 let init = self.shadow_init(g.ty, &g.init);
                 self.out.globals[id.0 as usize].init = init;
             }
@@ -455,24 +455,23 @@ impl<'a> Transformer<'a> {
                     .enumerate()
                     .filter(|(_, f)| self.alg.sat(&mut self.out.types, *f).is_some())
                     .collect();
-                let inits = match init {
-                    GlobalInit::Composite(its) => its.clone(),
-                    _ => vec![GlobalInit::Zero; fields.len()],
-                };
                 GlobalInit::Composite(
                     items
                         .into_iter()
-                        .map(|(i, f)| self.shadow_init(f, &inits[i]))
+                        .map(|(i, f)| self.shadow_init(f, member_init(init, i)))
                         .collect(),
                 )
             }
             TypeKind::Array { elem, len } => {
-                let n = len.unwrap_or(0) as usize;
-                let inits = match init {
-                    GlobalInit::Composite(its) => its.clone(),
-                    _ => vec![GlobalInit::Zero; n],
+                let n = match init {
+                    GlobalInit::Composite(its) => its.len(),
+                    _ => len.unwrap_or(0) as usize,
                 };
-                GlobalInit::Composite(inits.iter().map(|it| self.shadow_init(elem, it)).collect())
+                GlobalInit::Composite(
+                    (0..n)
+                        .map(|i| self.shadow_init(elem, member_init(init, i)))
+                        .collect(),
+                )
             }
             _ => GlobalInit::Zero,
         }
@@ -503,8 +502,8 @@ impl<'a> Transformer<'a> {
     // ----- externals ------------------------------------------------------
 
     fn map_externals(&mut self) {
-        for i in 0..self.src.externals.len() {
-            let e = self.src.externals[i].clone();
+        let src: &'a Module = self.src;
+        for e in &src.externals {
             let mut aty = self.alg.at(&mut self.out.types, e.ty);
             if self.cfg.scheme == Scheme::Sds && SIZE_CARRYING_EXTERNALS.contains(&e.name.as_str())
             {
@@ -563,7 +562,7 @@ impl<'a> Transformer<'a> {
                 Scheme::Sds => "rvSop",
                 Scheme::Mds => "rvRopPtr",
             };
-            let r = em.reg(slot_ty, name.into());
+            let r = em.reg(slot_ty, RegName::Static(name));
             params.push(r);
             rv_slot_param = Some(r);
         }
@@ -609,9 +608,8 @@ impl<'a> Transformer<'a> {
                             }
                         };
                         let pty = self.out.types.pointer(slot_pointee);
-                        let (b, i) = (&mut [0; 20], &mut [0; 20]);
-                        let name = [nm, ".", decimal(bi as u64, b), ".", decimal(ii as u64, i)];
-                        let slot = em.reg(pty, name.concat());
+                        let name = RegName::AtInstr(nm, bi as u32, ii as u32);
+                        let slot = em.reg(pty, name);
                         em.start(BlockId(0));
                         em.ins(Instr::Alloca {
                             dst: slot,
@@ -656,30 +654,26 @@ impl<'a> Transformer<'a> {
     ) -> Companions {
         let ty = f.reg_ty(r);
         let aty = self.alg.at(&mut self.out.types, ty);
-        let base = match &f.regs[r.0 as usize].name {
-            Some(name) => name.clone(),
-            None => ["v", decimal(u64::from(r.0), &mut [0; 20])].concat(),
+        let name = match &f.regs[r.0 as usize].name {
+            RegName::Unnamed => RegName::Numbered("v", r.0),
+            // Its base is a register of the source function.
+            RegName::Companion { .. } => RegName::from(f.reg_name(r).as_str()),
+            name => name.clone(),
         };
-        // Named last: the companions' names derive from `base`.
-        let app = em.reg(aty, String::new());
+        let app = em.reg(aty, name);
         if is_param {
             params.push(app);
         }
         if !self.src.types.is_pointer(ty) {
-            em.set_name(app, base);
             return Companions {
                 app,
                 nrops: 0,
                 sop: None,
             };
         }
-        for r in 0..self.nreps {
-            let name = if r == 0 {
-                [&base, "_r"].concat()
-            } else {
-                [&base, "_r", decimal(r as u64 + 1, &mut [0; 20])].concat()
-            };
-            let rop = em.reg(aty, name);
+        for k in 0..self.nreps as u32 {
+            let role = CompanionRole::Replica(k);
+            let rop = em.reg(aty, RegName::Companion { base: app, role });
             if is_param {
                 params.push(rop);
             }
@@ -690,7 +684,8 @@ impl<'a> Transformer<'a> {
                 Some(s) => self.out.types.pointer(s),
                 None => self.out.types.void_ptr(),
             };
-            let s = em.reg(sty, [&base, "_s"].concat());
+            let role = CompanionRole::Shadow;
+            let s = em.reg(sty, RegName::Companion { base: app, role });
             if is_param {
                 params.push(s);
             }
@@ -698,7 +693,6 @@ impl<'a> Transformer<'a> {
         } else {
             None
         };
-        em.set_name(app, base);
         Companions {
             app,
             nrops: self.nreps as u32,
@@ -864,7 +858,7 @@ impl<'a> Transformer<'a> {
                     let rop = o.rop(k);
                     if !self.cfg.plan.exclude_allocs.is_empty() {
                         let i8t = self.out.types.int(8);
-                        let differs = em.reg(i8t, String::new());
+                        let differs = em.reg(i8t, RegName::Unnamed);
                         em.ins(Instr::Cmp {
                             dst: differs,
                             pred: CmpPred::Ne,
@@ -896,7 +890,7 @@ impl<'a> Transformer<'a> {
                     // if (ps != null) free(ps)
                     let sop = o.sop.expect("sds companion");
                     let i8t = self.out.types.int(8);
-                    let cnd = em.reg(i8t, String::new());
+                    let cnd = em.reg(i8t, RegName::Unnamed);
                     let void = self.out.types.void();
                     em.ins(Instr::Cmp {
                         dst: cnd,
@@ -1402,7 +1396,7 @@ impl<'a> Transformer<'a> {
             _ => unreachable!("MDS multi-replica slot points at an array"),
         };
         let pe = self.out.types.pointer(elem);
-        let dst = em.reg(pe, String::new());
+        let dst = em.reg(pe, RegName::Unnamed);
         em.ins(Instr::IndexAddr {
             dst,
             base: slot,
@@ -1463,14 +1457,14 @@ impl<'a> Transformer<'a> {
                     return Operand::Const(Const::i64(0));
                 }
                 let n = self.map_operand(comps, &args[2]).app;
-                let q = em.reg(i64t, String::new());
+                let q = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: q,
                     op: BinOp::SDiv,
                     lhs: n,
                     rhs: Operand::Const(Const::i64(esz as i64)),
                 });
-                let m = em.reg(i64t, String::new());
+                let m = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: m,
                     op: BinOp::Mul,
@@ -1685,14 +1679,14 @@ impl<'a> Transformer<'a> {
                 let i64t = self.out.types.int(64);
                 let i8t = self.out.types.int(8);
                 let esz = self.out.types.size_of(aty).unwrap_or(1);
-                let bytes = em.reg(i64t, String::new());
+                let bytes = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: bytes,
                     op: BinOp::Mul,
                     lhs: count,
                     rhs: Operand::Const(Const::i64(esz as i64)),
                 });
-                let padded = em.reg(i64t, String::new());
+                let padded = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: padded,
                     op: BinOp::Add,
@@ -1700,7 +1694,7 @@ impl<'a> Transformer<'a> {
                     rhs: Operand::Const(Const::i64(pad as i64)),
                 });
                 let i8p = self.out.types.pointer(i8t);
-                let raw = em.reg(i8p, String::new());
+                let raw = em.reg(i8p, RegName::Unnamed);
                 em.ins(Instr::Malloc {
                     dst: raw,
                     elem: i8t,
@@ -1718,7 +1712,7 @@ impl<'a> Transformer<'a> {
                 let i64t = self.out.types.int(64);
                 let i8t = self.out.types.int(8);
                 let buf = self.rearrange_buf.expect("rearrange buffer global");
-                let n = em.reg(i64t, "rh.n".into());
+                let n = em.reg(i64t, RegName::Static("rh.n"));
                 em.ins(Instr::RandInt {
                     dst: n,
                     lo: Operand::Const(Const::i64(1)),
@@ -1728,7 +1722,7 @@ impl<'a> Transformer<'a> {
                     // replicas decorrelate (stream 0 is the legacy draw).
                     stream: k as u32,
                 });
-                let i = em.reg(i64t, "rh.i".into());
+                let i = em.reg(i64t, RegName::Static("rh.i"));
                 em.ins(Instr::Copy {
                     dst: i,
                     src: Operand::Const(Const::i64(0)),
@@ -1739,7 +1733,7 @@ impl<'a> Transformer<'a> {
                 let mid = em.new_block();
                 em.term(Term::Br(head1));
                 em.start(head1);
-                let c1 = em.reg(i8t, String::new());
+                let c1 = em.reg(i8t, RegName::Unnamed);
                 em.ins(Instr::Cmp {
                     dst: c1,
                     pred: CmpPred::Slt,
@@ -1752,20 +1746,20 @@ impl<'a> Transformer<'a> {
                     else_bb: mid,
                 });
                 em.start(body1);
-                let decoy = em.reg(self.out.types.pointer(aty), String::new());
+                let decoy = em.reg(self.out.types.pointer(aty), RegName::Unnamed);
                 em.ins(Instr::Malloc {
                     dst: decoy,
                     elem: aty,
                     count,
                 });
                 let vp = self.out.types.void_ptr();
-                let decoy_v = em.reg(vp, String::new());
+                let decoy_v = em.reg(vp, RegName::Unnamed);
                 em.ins(Instr::Cast {
                     dst: decoy_v,
                     op: CastOp::Bitcast,
                     src: Operand::Reg(decoy),
                 });
-                let slot = em.reg(self.out.types.pointer(vp), String::new());
+                let slot = em.reg(self.out.types.pointer(vp), RegName::Unnamed);
                 em.ins(Instr::IndexAddr {
                     dst: slot,
                     base: Operand::Global(buf),
@@ -1775,7 +1769,7 @@ impl<'a> Transformer<'a> {
                     ptr: Operand::Reg(slot),
                     value: Operand::Reg(decoy_v),
                 });
-                let i2 = em.reg(i64t, String::new());
+                let i2 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: i2,
                     op: BinOp::Add,
@@ -1804,7 +1798,7 @@ impl<'a> Transformer<'a> {
                 let done = em.new_block();
                 em.term(Term::Br(head2));
                 em.start(head2);
-                let c2 = em.reg(i8t, String::new());
+                let c2 = em.reg(i8t, RegName::Unnamed);
                 em.ins(Instr::Cmp {
                     dst: c2,
                     pred: CmpPred::Slt,
@@ -1817,13 +1811,13 @@ impl<'a> Transformer<'a> {
                     else_bb: done,
                 });
                 em.start(body2);
-                let slot2 = em.reg(self.out.types.pointer(vp), String::new());
+                let slot2 = em.reg(self.out.types.pointer(vp), RegName::Unnamed);
                 em.ins(Instr::IndexAddr {
                     dst: slot2,
                     base: Operand::Global(buf),
                     index: Operand::Reg(i),
                 });
-                let d = em.reg(vp, String::new());
+                let d = em.reg(vp, RegName::Unnamed);
                 em.ins(Instr::Load {
                     dst: d,
                     ptr: Operand::Reg(slot2),
@@ -1831,7 +1825,7 @@ impl<'a> Transformer<'a> {
                 em.ins(Instr::Free {
                     ptr: Operand::Reg(d),
                 });
-                let i3 = em.reg(i64t, String::new());
+                let i3 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: i3,
                     op: BinOp::Add,
@@ -1853,20 +1847,20 @@ impl<'a> Transformer<'a> {
     fn emit_zero_before_free(&mut self, em: &mut Emit, rop: Operand) {
         let i64t = self.out.types.int(64);
         let i8t = self.out.types.int(8);
-        let size = em.reg(i64t, "zbf.size".into());
+        let size = em.reg(i64t, RegName::Static("zbf.size"));
         em.ins(Instr::HeapBufSize {
             dst: size,
             ptr: rop,
         });
         let arr = self.out.types.unsized_array(i8t);
         let arrp = self.out.types.pointer(arr);
-        let bytes = em.reg(arrp, String::new());
+        let bytes = em.reg(arrp, RegName::Unnamed);
         em.ins(Instr::Cast {
             dst: bytes,
             op: CastOp::Bitcast,
             src: rop,
         });
-        let i = em.reg(i64t, "zbf.i".into());
+        let i = em.reg(i64t, RegName::Static("zbf.i"));
         em.ins(Instr::Copy {
             dst: i,
             src: Operand::Const(Const::i64(0)),
@@ -1876,7 +1870,7 @@ impl<'a> Transformer<'a> {
         let done = em.new_block();
         em.term(Term::Br(head));
         em.start(head);
-        let c = em.reg(i8t, String::new());
+        let c = em.reg(i8t, RegName::Unnamed);
         em.ins(Instr::Cmp {
             dst: c,
             pred: CmpPred::Slt,
@@ -1889,7 +1883,7 @@ impl<'a> Transformer<'a> {
             else_bb: done,
         });
         em.start(body);
-        let slot = em.reg(self.out.types.pointer(i8t), String::new());
+        let slot = em.reg(self.out.types.pointer(i8t), RegName::Unnamed);
         em.ins(Instr::IndexAddr {
             dst: slot,
             base: Operand::Reg(bytes),
@@ -1899,7 +1893,7 @@ impl<'a> Transformer<'a> {
             ptr: Operand::Reg(slot),
             value: Operand::Const(Const::i8(0)),
         });
-        let i2 = em.reg(i64t, String::new());
+        let i2 = em.reg(i64t, RegName::Unnamed);
         em.ins(Instr::Bin {
             dst: i2,
             op: BinOp::Add,
@@ -1943,33 +1937,33 @@ impl<'a> Transformer<'a> {
                 let i64t = self.out.types.int(64);
                 let i8t = self.out.types.int(8);
                 let counter = self.mask_counter.expect("mask counter global");
-                let c = em.reg(i64t, String::new());
+                let c = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Load {
                     dst: c,
                     ptr: Operand::Global(counter),
                 });
-                let t1 = em.reg(i64t, String::new());
+                let t1 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: t1,
                     op: BinOp::Sub,
                     lhs: Operand::Const(Const::i64(63)),
                     rhs: Operand::Reg(c),
                 });
-                let t2 = em.reg(i64t, String::new());
+                let t2 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: t2,
                     op: BinOp::Shl,
                     lhs: Operand::Const(Const::i64(mask as i64)),
                     rhs: Operand::Reg(t1),
                 });
-                let bit = em.reg(i64t, String::new());
+                let bit = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: bit,
                     op: BinOp::LShr,
                     lhs: Operand::Reg(t2),
                     rhs: Operand::Const(Const::i64(63)),
                 });
-                let cnd = em.reg(i8t, String::new());
+                let cnd = em.reg(i8t, RegName::Unnamed);
                 em.ins(Instr::Cmp {
                     dst: cnd,
                     pred: CmpPred::Ne,
@@ -1988,14 +1982,14 @@ impl<'a> Transformer<'a> {
                 em.term(Term::Br(cont_bb));
                 em.start(cont_bb);
                 // maskCounter <- (maskCounter + 1) % 64 (always).
-                let c1 = em.reg(i64t, String::new());
+                let c1 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: c1,
                     op: BinOp::Add,
                     lhs: Operand::Reg(c),
                     rhs: Operand::Const(Const::i64(1)),
                 });
-                let c2 = em.reg(i64t, String::new());
+                let c2 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
                     dst: c2,
                     op: BinOp::SRem,
@@ -2016,7 +2010,7 @@ impl<'a> Transformer<'a> {
         let mut rop_ptrs = Vec::with_capacity(self.nreps);
         for k in 0..self.nreps {
             let rp = ptr.rop(k);
-            let rep = em.reg(ty, String::new());
+            let rep = em.reg(ty, RegName::Unnamed);
             em.ins(Instr::Load { dst: rep, ptr: rp });
             reps.push(Operand::Reg(rep));
             rop_ptrs.push(rp);
@@ -2048,7 +2042,7 @@ impl<'a> Transformer<'a> {
             other => panic!("shadow pointer to non-aggregate {other:?}"),
         };
         let pfty = self.out.types.pointer(fty);
-        let dst = em.reg(pfty, String::new());
+        let dst = em.reg(pfty, RegName::Unnamed);
         em.ins(Instr::FieldAddr {
             dst,
             base: shadow,
@@ -2102,7 +2096,7 @@ impl<'a> Transformer<'a> {
         let mut params = Vec::new();
         for (i, &t) in param_tys.iter().enumerate() {
             let at = self.alg.at(&mut self.out.types, t);
-            let r = em.reg(at, format!("a{i}"));
+            let r = em.reg(at, RegName::Numbered("a", i as u32));
             params.push(r);
         }
 
@@ -2130,7 +2124,7 @@ impl<'a> Transformer<'a> {
         let dst = if ret_void {
             None
         } else {
-            Some(em.reg(aret, "rv".into()))
+            Some(em.reg(aret, RegName::Static("rv")))
         };
         em.ins(Instr::Call {
             dst,
@@ -2191,16 +2185,16 @@ impl<'a> Transformer<'a> {
         // replica.
         let mut argv_rs = Vec::with_capacity(self.nreps);
         for k in 0..self.nreps {
-            let raw_r = em.reg(self.out.types.pointer(strp), String::new());
+            let raw_r = em.reg(self.out.types.pointer(strp), RegName::Unnamed);
             em.ins(Instr::Malloc {
                 dst: raw_r,
                 elem: strp,
                 count: Operand::Reg(argc),
             });
             let name = if k == 0 {
-                "argv_r".to_string()
+                RegName::Static("argv_r")
             } else {
-                format!("argv_r{}", k + 1)
+                RegName::Numbered("argv_r", k as u32 + 1)
             };
             let argv_r = em.reg(argv_ty, name);
             em.ins(Instr::Cast {
@@ -2217,13 +2211,13 @@ impl<'a> Transformer<'a> {
             let se = sat_elem.expect("pointer sat");
             let sarr = self.out.types.unsized_array(se);
             let sarrp = self.out.types.pointer(sarr);
-            let raw_s = em.reg(self.out.types.pointer(se), String::new());
+            let raw_s = em.reg(self.out.types.pointer(se), RegName::Unnamed);
             em.ins(Instr::Malloc {
                 dst: raw_s,
                 elem: se,
                 count: Operand::Reg(argc),
             });
-            let argv_s = em.reg(sarrp, "argv_s".into());
+            let argv_s = em.reg(sarrp, RegName::Static("argv_s"));
             em.ins(Instr::Cast {
                 dst: argv_s,
                 op: CastOp::Bitcast,
@@ -2240,7 +2234,7 @@ impl<'a> Transformer<'a> {
         let strcpy_ty = self.out.types.function(strp, vec![strp, strp]);
         let strcpy = self.out.declare_external("strcpy", strcpy_ty);
 
-        let i = em.reg(i64t, "ar.i".into());
+        let i = em.reg(i64t, RegName::Static("ar.i"));
         em.ins(Instr::Copy {
             dst: i,
             src: Operand::Const(Const::i64(0)),
@@ -2250,7 +2244,7 @@ impl<'a> Transformer<'a> {
         let done = em.new_block();
         em.term(Term::Br(head));
         em.start(head);
-        let c = em.reg(self.out.types.int(8), String::new());
+        let c = em.reg(self.out.types.int(8), RegName::Unnamed);
         em.ins(Instr::Cmp {
             dst: c,
             pred: CmpPred::Slt,
@@ -2264,25 +2258,25 @@ impl<'a> Transformer<'a> {
         });
         em.start(body);
         // ai = argv[i]
-        let slot = em.reg(self.out.types.pointer(strp), String::new());
+        let slot = em.reg(self.out.types.pointer(strp), RegName::Unnamed);
         em.ins(Instr::IndexAddr {
             dst: slot,
             base: Operand::Reg(argv),
             index: Operand::Reg(i),
         });
-        let ai = em.reg(strp, String::new());
+        let ai = em.reg(strp, RegName::Unnamed);
         em.ins(Instr::Load {
             dst: ai,
             ptr: Operand::Reg(slot),
         });
         // Replica strings on the heap: one copy per replica.
-        let len = em.reg(i64t, String::new());
+        let len = em.reg(i64t, RegName::Unnamed);
         em.ins(Instr::Call {
             dst: Some(len),
             callee: Callee::External(strlen),
             args: vec![Operand::Reg(ai)],
         });
-        let len1 = em.reg(i64t, String::new());
+        let len1 = em.reg(i64t, RegName::Unnamed);
         em.ins(Instr::Bin {
             dst: len1,
             op: BinOp::Add,
@@ -2291,13 +2285,13 @@ impl<'a> Transformer<'a> {
         });
         let mut bufs = Vec::with_capacity(self.nreps);
         for _ in 0..self.nreps {
-            let buf_raw = em.reg(self.out.types.pointer(i8t), String::new());
+            let buf_raw = em.reg(self.out.types.pointer(i8t), RegName::Unnamed);
             em.ins(Instr::Malloc {
                 dst: buf_raw,
                 elem: i8t,
                 count: Operand::Reg(len1),
             });
-            let buf = em.reg(strp, String::new());
+            let buf = em.reg(strp, RegName::Unnamed);
             em.ins(Instr::Cast {
                 dst: buf,
                 op: CastOp::Bitcast,
@@ -2313,7 +2307,7 @@ impl<'a> Transformer<'a> {
         // argv_r_k[i]: SDS stores the identical pointer (comparable); MDS
         // stores replica k's string pointer (its ROP).
         for k in 0..self.nreps {
-            let rslot = em.reg(self.out.types.pointer(strp), String::new());
+            let rslot = em.reg(self.out.types.pointer(strp), RegName::Unnamed);
             em.ins(Instr::IndexAddr {
                 dst: rslot,
                 base: Operand::Reg(argv_rs[k]),
@@ -2328,7 +2322,7 @@ impl<'a> Transformer<'a> {
         if let Some(argv_s) = argv_s {
             let sslot = em.reg(
                 self.out.types.pointer(sat_elem.expect("sat")),
-                String::new(),
+                RegName::Unnamed,
             );
             em.ins(Instr::IndexAddr {
                 dst: sslot,
@@ -2349,7 +2343,7 @@ impl<'a> Transformer<'a> {
                 value: Operand::Const(Const::Null { pointee: void }),
             });
         }
-        let i2 = em.reg(i64t, String::new());
+        let i2 = em.reg(i64t, RegName::Unnamed);
         em.ins(Instr::Bin {
             dst: i2,
             op: BinOp::Add,
@@ -2372,20 +2366,4 @@ fn param_tys_map(
     param_tys: &[TypeId],
 ) -> Vec<TypeId> {
     param_tys.iter().map(|&t| alg.at(tt, t)).collect()
-}
-
-/// `n` in decimal, written into `buf`. Register names are built with
-/// `concat`, in one exactly sized allocation: a name is made for every
-/// register, where `format!` would cost a formatter pass each.
-fn decimal(mut n: u64, buf: &mut [u8; 20]) -> &str {
-    let mut i = buf.len();
-    loop {
-        i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    std::str::from_utf8(&buf[i..]).expect("ASCII digits")
 }

@@ -4,7 +4,7 @@
 //! the printer output of the transformed module.
 
 use dpmr_core::prelude::*;
-use dpmr_ir::instr::Instr;
+use dpmr_ir::instr::{Instr, RegId};
 use dpmr_ir::module::FuncId;
 use dpmr_ir::printer::print_function;
 use dpmr_workloads::micro;
@@ -141,12 +141,11 @@ fn shadow_type_names_follow_the_paper() {
     let f = t.func(create);
     // The shadow object register n_s must have a pointer-to-shadow-struct
     // type whose display mentions the sdw-derived name.
-    let n_s = f
-        .regs
-        .iter()
-        .find(|r| r.name.as_deref() == Some("n_s"))
+    let n_s = (0..f.regs.len() as u32)
+        .map(RegId)
+        .find(|&r| f.reg_name(r) == "n_s")
         .expect("n_s");
-    let disp = t.types.display(n_s.ty);
+    let disp = t.types.display(f.reg_ty(n_s));
     assert!(
         disp.contains("sdw") || disp.contains("Sdw"),
         "shadow type name surfaces in {disp}"

@@ -42,7 +42,7 @@ pub use dpmr_vm::fault::{fault_mix, ArmedFault, FaultModel};
 pub use dpmr_vm::mem::MemRegion;
 
 use dpmr_ir::instr::{BinOp, Const, Instr, Operand, RegId};
-use dpmr_ir::module::{FuncId, Module, RegInfo};
+use dpmr_ir::module::{FuncId, Module, RegInfo, RegName};
 use dpmr_vm::code::{LoweredCode, Op, Opnd};
 use dpmr_vm::value::Value;
 
@@ -208,6 +208,15 @@ pub struct OpSite {
     pub access: AccessKind,
 }
 
+/// The access an op performs and its pointer slot, for loads and stores.
+fn access(op: &Op) -> Option<(AccessKind, u32)> {
+    match op {
+        Op::Load { ptr, .. } => Some((AccessKind::Load, *ptr)),
+        Op::Store { ptr, .. } => Some((AccessKind::Store, *ptr)),
+        _ => None,
+    }
+}
+
 /// Enumerates every op of the lowered stream where `model` can be armed,
 /// in pc order: loads and/or stores per the class's eligibility (a wild
 /// write needs a store, an uninitialized read needs a load, the rest
@@ -216,31 +225,29 @@ pub struct OpSite {
 /// the target region is statically knowable, so trials are never wasted
 /// arming sites that provably cannot land in the region.
 pub fn enumerate_op_sites(code: &LoweredCode, model: FaultModel) -> Vec<OpSite> {
-    code.ops
-        .iter()
-        .enumerate()
-        .filter_map(|(pc, op)| {
-            let (access, ptr) = match op {
-                Op::Load { ptr, .. } => (AccessKind::Load, ptr),
-                Op::Store { ptr, .. } => (AccessKind::Store, ptr),
-                _ => return None,
+    let globals_only = model
+        == FaultModel::BitFlip {
+            region: MemRegion::Globals,
+        };
+    let mut out = Vec::new();
+    for (range, frame) in code.functions() {
+        for (pc, op) in range.clone().zip(&code.ops[range]) {
+            let Some((access, ptr)) = access(op) else {
+                continue;
             };
-            let mut eligible = match access {
+            let eligible = match access {
                 AccessKind::Load => model.applies_to_loads(),
                 AccessKind::Store => model.applies_to_stores(),
             };
-            if let FaultModel::BitFlip {
-                region: MemRegion::Globals,
-            } = model
-            {
-                eligible &= matches!(code.operand(pc as u32, *ptr), Opnd::Global(_));
+            if eligible && (!globals_only || matches!(frame.operand(ptr), Opnd::Global(_))) {
+                out.push(OpSite {
+                    pc: pc as u32,
+                    access,
+                });
             }
-            eligible.then_some(OpSite {
-                pc: pc as u32,
-                access,
-            })
-        })
-        .collect()
+        }
+    }
+    out
 }
 
 /// Enumerates the load/store ops that access *replica* memory: ops whose
@@ -254,46 +261,50 @@ pub fn enumerate_op_sites(code: &LoweredCode, model: FaultModel) -> Vec<OpSite> 
 /// exists to fix.
 pub fn enumerate_replica_sites(code: &LoweredCode) -> Vec<OpSite> {
     let mut out = Vec::new();
-    let nfuncs = code.func_entry.len();
-    for fi in 0..nfuncs {
-        let start = code.func_entry[fi] as usize;
-        let end = if fi + 1 < nfuncs {
-            code.func_entry[fi + 1] as usize
-        } else {
-            code.ops.len()
-        };
-        let mut rep_regs: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for (pc, op) in code.ops.iter().enumerate().take(end).skip(start) {
+    // One pass per function: it marks replica-pointer registers and
+    // collects register-addressed accesses, which are kept once the whole
+    // function is marked (a check may follow its access). The frame's
+    // registers are marked in a bitmap; a slot past its constants, which
+    // only hand-built code names, in a list.
+    let mut replica: Vec<u64> = Vec::new();
+    let mut beyond: Vec<u32> = Vec::new();
+    let mut accesses: Vec<(OpSite, u32)> = Vec::new();
+    for (range, frame) in code.functions() {
+        replica.clear();
+        replica.resize((frame.regs as usize).div_ceil(64), 0);
+        beyond.clear();
+        accesses.clear();
+        for (pc, op) in range.clone().zip(&code.ops[range]) {
             if let Op::DpmrCheck {
                 ptrs: Some((_, rps)),
                 ..
             } = op
             {
                 for &rp in rps.iter() {
-                    if let Opnd::Reg(r) = code.operand(pc as u32, rp) {
-                        rep_regs.insert(r);
+                    match frame.operand(rp) {
+                        Opnd::Reg(r) if r < frame.regs => replica[r as usize / 64] |= 1 << (r % 64),
+                        Opnd::Reg(r) => beyond.push(r),
+                        _ => {}
                     }
                 }
-            }
-        }
-        if rep_regs.is_empty() {
-            continue;
-        }
-        for (pc, op) in code.ops.iter().enumerate().take(end).skip(start) {
-            let (access, ptr) = match op {
-                Op::Load { ptr, .. } => (AccessKind::Load, ptr),
-                Op::Store { ptr, .. } => (AccessKind::Store, ptr),
-                _ => continue,
-            };
-            if let Opnd::Reg(r) = code.operand(pc as u32, *ptr) {
-                if rep_regs.contains(&r) {
-                    out.push(OpSite {
+            } else if let Some((access, ptr)) = access(op) {
+                if let Opnd::Reg(r) = frame.operand(ptr) {
+                    let site = OpSite {
                         pc: pc as u32,
                         access,
-                    });
+                    };
+                    accesses.push((site, r));
                 }
             }
         }
+        out.extend(accesses.iter().filter_map(|&(site, r)| {
+            let marked = if r < frame.regs {
+                replica[r as usize / 64] & (1 << (r % 64)) != 0
+            } else {
+                beyond.contains(&r)
+            };
+            marked.then_some(site)
+        }));
     }
     out
 }
@@ -339,12 +350,12 @@ pub fn inject(m: &Module, site: &InjectionSite, fault: FaultType) -> Module {
             let scaled = RegId(f.regs.len() as u32);
             f.regs.push(RegInfo {
                 ty: i64t,
-                name: Some(format!("fi.scaled.{}", site.site_id)),
+                name: RegName::from(format!("fi.scaled.{}", site.site_id).as_str()),
             });
             let reduced = RegId(f.regs.len() as u32);
             f.regs.push(RegInfo {
                 ty: i64t,
-                name: Some(format!("fi.reduced.{}", site.site_id)),
+                name: RegName::from(format!("fi.reduced.{}", site.site_id).as_str()),
             });
             f.blocks[site.block as usize].instrs.splice(
                 idx..=idx,
@@ -564,6 +575,47 @@ mod tests {
             "cap above len is all"
         );
         assert!(sample_sites(&sites, 0).is_empty());
+    }
+
+    #[test]
+    fn replica_sites_match_slots_past_the_constants_too() {
+        // Hand-built code: slot 0 is a register, slot 2 the one constant,
+        // and slot 9 lies past both (an unset register to the
+        // interpreter). Accesses through either kind of replica pointer
+        // count; one through the application pointer (slot 1) does not.
+        use dpmr_vm::code::{FrameLayout, LoadKind, StoreKind};
+        let check = |rep| Op::DpmrCheck {
+            a: 2,
+            reps: vec![2].into(),
+            ptrs: Some((1, vec![rep].into())),
+            site: 0,
+            a_reg: None,
+        };
+        let load = |ptr| Op::Load {
+            dst: 0,
+            ptr,
+            kind: LoadKind::Ptr,
+        };
+        let store = |ptr| Op::Store {
+            ptr,
+            value: 2,
+            kind: StoreKind::Raw(8),
+        };
+        let mut code = LoweredCode {
+            ops: vec![load(9), check(9), store(1), check(0), store(0)],
+            func_entry: vec![0],
+            frames: vec![FrameLayout {
+                regs: 2,
+                consts: vec![Opnd::Imm(Value::Int(0))],
+            }],
+            ..LoweredCode::default()
+        };
+        code.rebuild_handler_ids();
+        let pcs: Vec<u32> = enumerate_replica_sites(&code)
+            .iter()
+            .map(|s| s.pc)
+            .collect();
+        assert_eq!(pcs, [0, 4]);
     }
 
     #[test]

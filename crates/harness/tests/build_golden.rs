@@ -4,9 +4,8 @@
 //!
 //! Each line is one build: the app, the variant group and name, FNV-1a of
 //! the printed transformed module, FNV-1a of the lowered ops' `Debug`
-//! text, the op count and the check-site count. The apps are the union of
-//! [`all_apps`], [`fault_campaign_apps`] and [`recovery_apps`] (first
-//! occurrence of each name), at the default workload sizing. The variants
+//! text, the op count and the check-site count. The apps are
+//! `common::golden_apps`, at the default workload sizing. The variants
 //! are the SDS and MDS diversity and policy grids plus the replication
 //! grid over SDS. A transform error is recorded as such.
 //!
@@ -20,8 +19,10 @@ use dpmr_core::prelude::*;
 use dpmr_harness::metrics::{diversity_variants, policy_variants, replication_variants};
 use dpmr_ir::printer::print_module;
 use dpmr_vm::lower::lower;
-use dpmr_workloads::{all_apps, fault_campaign_apps, recovery_apps, WorkloadParams};
+use dpmr_workloads::WorkloadParams;
 use std::fmt::Write as _;
+
+mod common;
 
 const GOLDEN: &str = include_str!("build_golden.txt");
 
@@ -32,15 +33,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn build_table() -> String {
-    let mut apps = all_apps();
-    apps.extend(fault_campaign_apps());
-    apps.extend(recovery_apps());
-    let mut seen = Vec::new();
-    apps.retain(|a| {
-        let fresh = !seen.contains(&a.name);
-        seen.push(a.name);
-        fresh
-    });
+    let apps = common::golden_apps();
     let mut variants = Vec::new();
     for scheme in [Scheme::Sds, Scheme::Mds] {
         let tag = format!("{scheme:?}").to_lowercase();

@@ -7,7 +7,7 @@
 use crate::instr::{
     BinOp, Block, BlockId, Callee, CastOp, CmpPred, Const, Instr, Operand, RegId, Term,
 };
-use crate::module::{FuncId, Function, Module, RegInfo};
+use crate::module::{FuncId, Function, Module, RegInfo, RegName};
 use crate::types::{TypeId, TypeKind};
 
 /// Builds one function into a [`Module`].
@@ -57,7 +57,7 @@ impl<'m> FunctionBuilder<'m> {
             param_regs.push(RegId(regs.len() as u32));
             regs.push(RegInfo {
                 ty: *pty,
-                name: Some((*pname).to_string()),
+                name: RegName::from(*pname),
             });
         }
         let ptys: Vec<TypeId> = params.iter().map(|(_, t)| *t).collect();
@@ -90,11 +90,7 @@ impl<'m> FunctionBuilder<'m> {
         let id = RegId(self.func.regs.len() as u32);
         self.func.regs.push(RegInfo {
             ty,
-            name: if name.is_empty() {
-                None
-            } else {
-                Some(name.to_string())
-            },
+            name: RegName::from(name),
         });
         id
     }

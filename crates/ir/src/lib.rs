@@ -56,7 +56,8 @@ pub mod prelude {
         BinOp, Block, BlockId, Callee, CastOp, CmpPred, Const, Instr, Operand, RegId, Term,
     };
     pub use crate::module::{
-        ExternalDecl, ExternalId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegInfo,
+        CompanionRole, ExternalDecl, ExternalId, FuncId, Function, Global, GlobalId, GlobalInit,
+        Module, RegInfo, RegName,
     };
     pub use crate::types::{TypeId, TypeKind, TypeTable, PTR_BYTES};
 }

@@ -2,6 +2,8 @@
 
 use crate::instr::{Block, BlockId, RegId};
 use crate::types::{TypeId, TypeKind, TypeTable};
+use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Index of a function within a module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -20,8 +22,56 @@ pub struct ExternalId(pub u32);
 pub struct RegInfo {
     /// Scalar type held by the register.
     pub ty: TypeId,
-    /// Optional human-readable name (printer output).
-    pub name: Option<String>,
+    /// Human-readable name (printer output).
+    pub name: RegName,
+}
+
+/// A register's name as stored. Only the printer reads names, so derived
+/// forms record what they derive from and [`Function::reg_name`] spells
+/// them out: building a module allocates no text for them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RegName {
+    /// No name: spelled `rN` after the register's index.
+    Unnamed,
+    /// Fixed text.
+    Static(&'static str),
+    /// Text shared (not copied) by the modules derived from this one.
+    Text(Arc<str>),
+    /// The prefix followed by the number in decimal (`v7`, `a0`).
+    Numbered(&'static str, u32),
+    /// `{prefix}.{block}.{instr}`: a register made for the instruction at
+    /// that position of a source function (`csSop.2.5`).
+    AtInstr(&'static str, u32, u32),
+    /// A companion of register `base` of the same function: the base's
+    /// name followed by the role's suffix.
+    Companion {
+        /// The register the name derives from; it must come earlier in
+        /// the function (a later one spells as unnamed).
+        base: RegId,
+        /// Which companion.
+        role: CompanionRole,
+    },
+}
+
+/// The companion registers the DPMR transformation gives a pointer
+/// register, by the suffix each adds to its base's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CompanionRole {
+    /// Replica `k`'s object pointer: `_r` for replica 0, `_r{k+1}` after.
+    Replica(u32),
+    /// The shadow object pointer: `_s`.
+    Shadow,
+}
+
+impl From<&str> for RegName {
+    /// Text of its own; the empty string is no name.
+    fn from(s: &str) -> RegName {
+        if s.is_empty() {
+            RegName::Unnamed
+        } else {
+            RegName::Text(s.into())
+        }
+    }
 }
 
 /// A function definition.
@@ -51,6 +101,46 @@ impl Function {
     /// Panics if the register does not belong to this function.
     pub fn reg_ty(&self, r: RegId) -> TypeId {
         self.regs[r.0 as usize].ty
+    }
+
+    /// Register `r`'s name spelled out, with `rN` for an unnamed one.
+    /// Names need not be unique: the printer makes them so.
+    pub fn reg_name(&self, r: RegId) -> String {
+        // Companion roles from `r` down to a register named on its own.
+        let mut roles = Vec::new();
+        let mut cur = r;
+        let mut out = String::new();
+        loop {
+            match self.regs.get(cur.0 as usize).map(|ri| &ri.name) {
+                Some(RegName::Companion { base, role }) if base.0 < cur.0 => {
+                    roles.push(*role);
+                    cur = *base;
+                    continue;
+                }
+                Some(RegName::Static(s)) => out.push_str(s),
+                Some(RegName::Text(s)) => out.push_str(s),
+                Some(RegName::Numbered(prefix, n)) => {
+                    let _ = write!(out, "{prefix}{n}");
+                }
+                Some(RegName::AtInstr(prefix, block, instr)) => {
+                    let _ = write!(out, "{prefix}.{block}.{instr}");
+                }
+                _ => {
+                    let _ = write!(out, "r{}", cur.0);
+                }
+            }
+            break;
+        }
+        for role in roles.iter().rev() {
+            match role {
+                CompanionRole::Replica(0) => out.push_str("_r"),
+                CompanionRole::Replica(k) => {
+                    let _ = write!(out, "_r{}", u64::from(*k) + 1);
+                }
+                CompanionRole::Shadow => out.push_str("_s"),
+            }
+        }
+        out
     }
 
     /// Start offsets of each basic block in a linearized layout of the

@@ -13,7 +13,9 @@
 use crate::instr::{
     BinOp, Block, BlockId, Callee, CastOp, CmpPred, Const, Instr, Operand, RegId, Term,
 };
-use crate::module::{ExternalId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegInfo};
+use crate::module::{
+    ExternalId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegInfo, RegName,
+};
 use crate::types::{TypeId, TypeKind};
 use std::collections::HashMap;
 use std::fmt;
@@ -127,10 +129,15 @@ impl<'a> Parser<'a> {
         // Pass 1: collect function names/signatures so calls resolve
         // regardless of definition order.
         let mut sigs: Vec<(String, String)> = Vec::new(); // (name, header line)
-        for (_, l) in &self.lines {
+        for i in 0..self.lines.len() {
+            let l = self.lines[i].1;
             if let Some(rest) = l.strip_prefix("fn ") {
                 let name = rest.split('(').next().unwrap_or("").trim().to_string();
-                sigs.push((name, (*l).to_string()));
+                if sigs.iter().any(|(n, _)| *n == name) {
+                    self.pos = i;
+                    return self.err(format!("duplicate function {name}"));
+                }
+                sigs.push((name, l.to_string()));
             }
         }
         // Pre-register functions with placeholder bodies so FuncIds exist.
@@ -144,7 +151,7 @@ impl<'a> Parser<'a> {
                 param_regs.push(RegId(regs.len() as u32));
                 regs.push(RegInfo {
                     ty: *pty,
-                    name: Some(pname.clone()),
+                    name: RegName::Text(pname.as_str().into()),
                 });
             }
             self.module.add_function(Function {
@@ -287,6 +294,9 @@ impl<'a> Parser<'a> {
             return self.err("global needs `@name: ty`");
         };
         let name = name.trim().trim_start_matches('@').to_string();
+        if self.module.global_by_name(&name).is_some() {
+            return self.err(format!("duplicate global @{name}"));
+        }
         let ty = self.parse_type(ty.trim())?;
         let init = match init {
             None => GlobalInit::Zero,
@@ -348,8 +358,13 @@ impl<'a> Parser<'a> {
         let Some((name, ty)) = rest.split_once(':') else {
             return self.err("extern needs `name: ty`");
         };
+        let name = name.trim();
+        // `declare_external` would return the first declaration unchanged.
+        if self.module.externals.iter().any(|e| e.name == name) {
+            return self.err(format!("duplicate extern {name}"));
+        }
         let ty = self.parse_type(ty.trim())?;
-        self.module.declare_external(name.trim().to_string(), ty);
+        self.module.declare_external(name.to_string(), ty);
         Ok(())
     }
 
@@ -406,17 +421,16 @@ impl<'a> Parser<'a> {
             line: 0,
             msg: format!("function {name} not preregistered"),
         })?;
-        self.pos += 1;
-
+        // Only the parameters exist yet, each named as the header wrote it.
         let mut regs: HashMap<String, RegId> = HashMap::new();
-        {
-            let f = self.module.func(fid);
-            for (i, r) in f.regs.iter().enumerate() {
-                if let Some(n) = &r.name {
-                    regs.insert(n.clone(), RegId(i as u32));
+        for (i, r) in self.module.func(fid).regs.iter().enumerate() {
+            if let RegName::Text(n) = &r.name {
+                if regs.insert(n.to_string(), RegId(i as u32)).is_some() {
+                    return self.err(format!("duplicate register %{n}"));
                 }
             }
         }
+        self.pos += 1;
         let mut blocks: Vec<Block> = Vec::new();
         let mut cur: Option<Block> = None;
         while self.pos < self.lines.len() {
@@ -442,15 +456,16 @@ impl<'a> Parser<'a> {
                 };
                 let name = n.trim().trim_start_matches('%').to_string();
                 let ty = self.parse_type(t.trim())?;
-                if let std::collections::hash_map::Entry::Vacant(e) = regs.entry(name.clone()) {
-                    let f = self.module.func_mut(fid);
-                    let id = RegId(f.regs.len() as u32);
-                    f.regs.push(RegInfo {
-                        ty,
-                        name: Some(name),
-                    });
-                    e.insert(id);
-                }
+                let std::collections::hash_map::Entry::Vacant(e) = regs.entry(name) else {
+                    return self.err(format!("duplicate register {}", n.trim()));
+                };
+                let f = self.module.func_mut(fid);
+                let id = RegId(f.regs.len() as u32);
+                f.regs.push(RegInfo {
+                    ty,
+                    name: RegName::Text(e.key().as_str().into()),
+                });
+                e.insert(id);
                 self.pos += 1;
                 continue;
             }
@@ -641,7 +656,7 @@ impl<'a> Parser<'a> {
             let id = RegId(f.regs.len() as u32);
             f.regs.push(RegInfo {
                 ty,
-                name: Some(dst_name.to_string()),
+                name: RegName::Text(dst_name.into()),
             });
             regs.insert(dst_name.to_string(), id);
             id

@@ -10,19 +10,35 @@ use crate::module::{Function, Global, GlobalInit, Module};
 use crate::types::{TypeId, TypeKind};
 use std::fmt::Write as _;
 
-/// Per-function display names for registers: the declared name when it is
-/// unique within the function, `name.N` for repeats, `rN` when unnamed.
+/// Per-function display names for registers: the spelled name
+/// ([`Function::reg_name`]) when it is unique within the function, `name.N`
+/// for repeats, skipping any `name.N` another register already spells.
 fn reg_names(f: &Function) -> Vec<String> {
-    let mut used = std::collections::HashMap::<String, u32>::new();
-    let mut out = Vec::with_capacity(f.regs.len());
-    for (i, r) in f.regs.iter().enumerate() {
-        let base = r.name.clone().unwrap_or_else(|| format!("r{i}"));
-        let n = used.entry(base.clone()).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            out.push(base);
-        } else {
-            out.push(format!("{base}.{n}"));
+    unique_names((0..f.regs.len()).map(|i| f.reg_name(crate::instr::RegId(i as u32))))
+}
+
+/// Makes `names` unique: the first occurrence of a name keeps it, a repeat
+/// takes the lowest `name.N` (N >= 2, counting on from the name's last
+/// suffix) that no name in the list and no earlier result has.
+fn unique_names(names: impl Iterator<Item = String>) -> Vec<String> {
+    let names: Vec<String> = names.collect();
+    let mut taken: std::collections::HashSet<String> = names.iter().cloned().collect();
+    let mut last = std::collections::HashMap::<&str, u32>::new();
+    let mut out = Vec::with_capacity(names.len());
+    for name in &names {
+        let n = last.entry(name).or_insert(0);
+        if *n == 0 {
+            *n = 1;
+            out.push(name.clone());
+            continue;
+        }
+        loop {
+            *n += 1;
+            let candidate = format!("{name}.{n}");
+            if taken.insert(candidate.clone()) {
+                out.push(candidate);
+                break;
+            }
         }
     }
     out
@@ -51,24 +67,20 @@ fn op_str(
 }
 
 /// Module-wide unique display names for nominal types: a repeated struct
-/// or union name gets a `.N` suffix so the text format can address each
-/// identity (the type algebra legitimately mints structurally equal twins
-/// for recursive shadow types).
+/// or union name gets a `.N` suffix (as [`unique_names`] assigns it) so the
+/// text format can address each identity (the type algebra legitimately
+/// mints structurally equal twins for recursive shadow types).
 fn type_names(m: &Module) -> std::collections::HashMap<u32, String> {
-    let mut used = std::collections::HashMap::<String, u32>::new();
-    let mut out = std::collections::HashMap::new();
-    for i in 0..m.types.len() {
-        let t = TypeId(i as u32);
-        let name = match m.types.kind(t) {
-            TypeKind::Struct { name, .. } | TypeKind::Union { name, .. } => name.clone(),
-            _ => continue,
-        };
-        let n = used.entry(name.clone()).or_insert(0);
-        *n += 1;
-        let display = if *n == 1 { name } else { format!("{name}.{n}") };
-        out.insert(i as u32, display);
-    }
-    out
+    let named: Vec<(u32, &str)> = (0..m.types.len() as u32)
+        .filter_map(|i| match m.types.kind(TypeId(i)) {
+            TypeKind::Struct { name, .. } | TypeKind::Union { name, .. } => {
+                Some((i, name.as_str()))
+            }
+            _ => None,
+        })
+        .collect();
+    let unique = unique_names(named.iter().map(|(_, name)| (*name).to_string()));
+    named.iter().map(|(i, _)| *i).zip(unique).collect()
 }
 
 /// Short type spelling (named aggregates by unique display name).

@@ -1,6 +1,7 @@
 //! IR-level integration tests: printer output, verifier negative space,
 //! structured-control-flow builder helpers, and type-table edge cases.
 
+use dpmr_ir::parser::parse_module;
 use dpmr_ir::prelude::*;
 use dpmr_ir::printer::{print_function, print_module};
 use dpmr_ir::verify::verify_module;
@@ -115,6 +116,128 @@ fn print_function_names_parameters() {
 }
 
 #[test]
+fn repeated_register_names_never_print_a_taken_name() {
+    // `x`, `x`, `x.2`: the repeat must not print as `x.2`, which the third
+    // register spells, or the text merges two registers on parsing.
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let regs = [b.reg(i64t, "x"), b.reg(i64t, "x"), b.reg(i64t, "x.2")];
+    let mut sum: Operand = Const::i64(0).into();
+    for (i, &r) in regs.iter().enumerate() {
+        b.assign(r, Const::i64(1 << i).into());
+        sum = b.bin(BinOp::Add, i64t, sum, r.into()).into();
+    }
+    b.ret(Some(sum));
+    let f = b.finish();
+    m.entry = Some(f);
+    let txt = print_module(&m);
+    for decl in ["reg %x: i64", "reg %x.3: i64", "reg %x.2: i64"] {
+        assert!(txt.contains(decl), "missing `{decl}`:\n{txt}");
+    }
+    let back = parse_module(&txt).expect("printed text parses");
+    assert_eq!(back.func(f).regs.len(), m.func(f).regs.len());
+    assert_eq!(print_module(&back), txt);
+}
+
+#[test]
+fn repeated_type_names_never_print_a_taken_name() {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let i8t = m.types.int(8);
+    for (name, field) in [("S", i64t), ("S", i8t), ("S.2", i64t)] {
+        let s = m.types.opaque_struct(name);
+        m.types.set_struct_body(s, vec![field, i64t]);
+        let g = format!("g{}", m.globals.len());
+        m.add_global(Global {
+            name: g,
+            ty: s,
+            init: GlobalInit::Zero,
+        });
+    }
+    let txt = print_module(&m);
+    let back = parse_module(&txt).expect("printed text parses");
+    assert_eq!(print_module(&back), txt);
+    assert!(txt.contains("type %S.3 = { i8, i64 }"), "{txt}");
+}
+
+#[test]
+fn derived_register_names_spell_from_their_base() {
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let pt = m.types.pointer(i64t);
+    let named = |name| RegInfo { ty: pt, name };
+    let companion = |base, role| {
+        named(RegName::Companion {
+            base: RegId(base),
+            role,
+        })
+    };
+    let f = Function {
+        name: "f".into(),
+        ty: m.types.function(i64t, vec![]),
+        params: vec![],
+        regs: vec![
+            named(RegName::Numbered("v", 7)),
+            companion(0, CompanionRole::Replica(0)),
+            companion(0, CompanionRole::Replica(2)),
+            companion(0, CompanionRole::Shadow),
+            named(RegName::Static("p")),
+            companion(4, CompanionRole::Replica(1)),
+            companion(1, CompanionRole::Shadow),
+            // A base that does not come earlier spells as unnamed.
+            companion(8, CompanionRole::Shadow),
+            named(RegName::Unnamed),
+        ],
+        blocks: vec![Block::new()],
+    };
+    let spelled: Vec<String> = (0..f.regs.len() as u32)
+        .map(|r| f.reg_name(RegId(r)))
+        .collect();
+    assert_eq!(
+        spelled,
+        ["v7", "v7_r", "v7_r3", "v7_s", "p", "p_r2", "v7_r_s", "r7", "r8"]
+    );
+}
+
+#[test]
+fn parser_rejects_duplicate_symbols() {
+    let body = "b0:\n  ret 0:i64\n}\n";
+    let cases = [
+        (
+            format!("global @g: i64 = 1\nglobal @g: i64 = 2\nfn main() -> i64 {{\n{body}"),
+            "duplicate global @g",
+        ),
+        (
+            format!("fn main() -> i64 {{\n  reg %x: i64\n  reg %x: i64\n{body}"),
+            "duplicate register %x",
+        ),
+        (
+            format!("fn f(%x: i64, %x: i64) -> i64 {{\n{body}"),
+            "duplicate register %x",
+        ),
+        (
+            format!("fn f(%x: i64) -> i64 {{\n  reg %x: i64\n{body}"),
+            "duplicate register %x",
+        ),
+        (
+            format!("fn f() -> i64 {{\n{body}fn f() -> i64 {{\n{body}"),
+            "duplicate function f",
+        ),
+        (
+            format!("extern g: i64()\nextern g: void(i64)\nfn f() -> i64 {{\n{body}"),
+            "duplicate extern g",
+        ),
+    ];
+    for (text, want) in cases {
+        match parse_module(&text) {
+            Ok(_) => panic!("parsed despite {want}:\n{text}"),
+            Err(e) => assert!(e.msg.contains(want), "{e} for:\n{text}"),
+        }
+    }
+}
+
+#[test]
 fn for_loop_helper_generates_correct_counts() {
     let mut m = Module::new();
     let i64t = m.types.int(64);
@@ -193,7 +316,7 @@ fn verifier_rejects_field_index_out_of_range() {
         let id = RegId(fmut.regs.len() as u32);
         fmut.regs.push(RegInfo {
             ty: m.types.pointer(i64t),
-            name: None,
+            name: RegName::Unnamed,
         });
         id
     };

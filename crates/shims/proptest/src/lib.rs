@@ -8,7 +8,11 @@
 //! `prop_assert*` macros; [`ProptestConfig`]; and [`TestCaseError`].
 //!
 //! Differences from real proptest, deliberately accepted:
-//! * no shrinking — a failing case reports its generated inputs instead;
+//! * shrinking is simpler: integers (ranges and `any`), `bool`s, `Vec`s
+//!   and tuples of them shrink ([`Strategy::shrink`]); mapped, boxed and
+//!   union strategies do not, and their values are reported as generated.
+//!   A failing case is shrunk greedily, one simpler candidate at a time,
+//!   and reported with the input it was generated from;
 //! * generation is driven by a fixed per-test deterministic RNG (seeded
 //!   from the test's module path and name), so failures reproduce exactly
 //!   on re-run;
@@ -146,6 +150,12 @@ pub trait Strategy {
 
     /// Generates one value.
     fn generate(&self, rng: &mut TestRng) -> Self::Value;
+
+    /// Values this strategy can generate that are simpler than `value`,
+    /// most simplifying first. Empty when the strategy cannot shrink.
+    fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+        Vec::new()
+    }
 
     /// Maps generated values through `f`.
     fn prop_map<O, F>(self, f: F) -> Map<Self, F>
@@ -286,6 +296,16 @@ impl<T> Strategy for Union<T> {
     }
 }
 
+/// Integers between `value` and `target`, from `target` itself towards
+/// `value` by halving steps (`value - d`, `value - d/2`, ..., `value - 1`
+/// for `d = value - target`), so a greedy shrinker binary-searches the
+/// boundary of a failure.
+fn shrink_int(value: i128, target: i128) -> impl Iterator<Item = i128> {
+    let d = value - target;
+    std::iter::successors((d != 0).then_some(d), |&k| Some(k / 2).filter(|&k| k != 0))
+        .map(move |k| value - k)
+}
+
 macro_rules! impl_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for std::ops::Range<$t> {
@@ -296,6 +316,12 @@ macro_rules! impl_range_strategy {
                 let span = (self.end as i128 - self.start as i128) as u128;
                 let off = (u128::from(rng.next_u64()) % span) as i128;
                 (self.start as i128 + off) as $t
+            }
+            /// Towards zero, or the range's end nearest to it.
+            #[allow(clippy::cast_possible_truncation)]
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                let target = 0.clamp(self.start as i128, self.end as i128 - 1);
+                shrink_int(*value as i128, target).map(|v| v as $t).collect()
             }
         }
         impl Strategy for std::ops::RangeInclusive<$t> {
@@ -308,6 +334,12 @@ macro_rules! impl_range_strategy {
                 let off = (u128::from(rng.next_u64()) % span) as i128;
                 (lo as i128 + off) as $t
             }
+            /// Towards zero, or the range's end nearest to it.
+            #[allow(clippy::cast_possible_truncation)]
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                let target = 0.clamp(*self.start() as i128, *self.end() as i128);
+                shrink_int(*value as i128, target).map(|v| v as $t).collect()
+            }
         }
     )*};
 }
@@ -316,19 +348,37 @@ impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+))*) => {$(
-        impl<$($s: Strategy),+> Strategy for ($($s,)+) {
+        impl<$($s: Strategy),+> Strategy for ($($s,)+)
+        where
+            $($s::Value: Clone),+
+        {
             type Value = ($($s::Value,)+);
             fn generate(&self, rng: &mut TestRng) -> Self::Value {
                 ($(self.$idx.generate(rng),)+)
+            }
+            /// One component at a time, in order, the others unchanged.
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut out = Vec::new();
+                $(
+                    for c in self.$idx.shrink(&value.$idx) {
+                        let mut v = value.clone();
+                        v.$idx = c;
+                        out.push(v);
+                    }
+                )+
+                out
             }
         }
     )*};
 }
 
 impl_tuple_strategy! {
+    (A.0)
     (A.0, B.1)
     (A.0, B.1, C.2)
     (A.0, B.1, C.2, D.3)
+    (A.0, B.1, C.2, D.3, E.4)
+    (A.0, B.1, C.2, D.3, E.4, F.5)
 }
 
 // ---------------------------------------------------------------------
@@ -357,6 +407,13 @@ impl Strategy for AnyBool {
     fn generate(&self, rng: &mut TestRng) -> bool {
         rng.next_u64() & 1 == 1
     }
+    fn shrink(&self, value: &bool) -> Vec<bool> {
+        if *value {
+            vec![false]
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 impl Arbitrary for bool {
@@ -377,6 +434,11 @@ macro_rules! impl_any_int {
             #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
             fn generate(&self, rng: &mut TestRng) -> $t {
                 rng.next_u64() as $t
+            }
+            /// Towards zero.
+            #[allow(clippy::cast_possible_truncation)]
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                crate::shrink_int(*value as i128, 0).map(|v| v as $t).collect()
             }
         }
 
@@ -467,12 +529,41 @@ pub mod collection {
         size: SizeRange,
     }
 
-    impl<S: Strategy> Strategy for VecStrategy<S> {
+    impl<S: Strategy> Strategy for VecStrategy<S>
+    where
+        S::Value: Clone,
+    {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi_excl - self.size.lo) as u64;
             let len = self.size.lo + rng.below(span.max(1)) as usize;
             (0..len).map(|_| self.elem.generate(rng)).collect()
+        }
+        /// Shorter first: every run of `len/2`, `len/4`, ..., 1 elements
+        /// removed (down to the minimum length); then each element shrunk
+        /// in place.
+        fn shrink(&self, value: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
+            let mut out = Vec::new();
+            let len = value.len();
+            let runs = std::iter::successors(Some(len.div_ceil(2)), |&r| Some(r / 2));
+            for run in runs.take_while(|&r| r > 0) {
+                if len - run < self.size.lo {
+                    continue;
+                }
+                for start in (0..=len - run).step_by(run) {
+                    let mut v = value[..start].to_vec();
+                    v.extend_from_slice(&value[start + run..]);
+                    out.push(v);
+                }
+            }
+            for (i, x) in value.iter().enumerate() {
+                for c in self.elem.shrink(x) {
+                    let mut v = value.clone();
+                    v[i] = c;
+                    out.push(v);
+                }
+            }
+            out
         }
     }
 }
@@ -531,7 +622,9 @@ macro_rules! prop_assert_ne {
 }
 
 /// Declares property tests: each `fn name(arg in strategy, ...) { body }`
-/// becomes a `#[test]` that generates inputs and checks the body.
+/// becomes a `#[test]` that generates inputs and checks the body. A
+/// failing case is shrunk (up to six arguments, each `Clone`) and
+/// reported with the input it was generated from.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -540,6 +633,48 @@ macro_rules! proptest {
     ($($rest:tt)*) => {
         $crate::__proptest_items! { (<$crate::ProptestConfig as ::std::default::Default>::default()) $($rest)* }
     };
+}
+
+/// Implementation detail of [`proptest!`]: fixes a test body's argument
+/// type to the strategy's value type.
+#[doc(hidden)]
+pub fn __runner<S, F>(_strategy: &S, check: F) -> F
+where
+    S: Strategy,
+    F: Fn(&S::Value) -> Result<(), TestCaseError>,
+{
+    check
+}
+
+/// Implementation detail of [`proptest!`]: shrinks a failing `value`
+/// greedily, taking the first simpler candidate that still fails until
+/// none does (or a budget of runs is spent). Returns the simplest failing
+/// value found, the number of shrink steps taken, and its failure.
+#[doc(hidden)]
+pub fn __shrink<S: Strategy>(
+    strategy: &S,
+    mut value: S::Value,
+    mut error: TestCaseError,
+    check: impl Fn(&S::Value) -> Result<(), TestCaseError>,
+) -> (S::Value, u32, TestCaseError) {
+    const MAX_RUNS: u32 = 4096;
+    let (mut steps, mut runs) = (0, 0);
+    'shrink: loop {
+        for candidate in strategy.shrink(&value) {
+            if runs == MAX_RUNS {
+                break 'shrink;
+            }
+            runs += 1;
+            if let Err(e @ TestCaseError::Fail(_)) = check(&candidate) {
+                value = candidate;
+                error = e;
+                steps += 1;
+                continue 'shrink;
+            }
+        }
+        break;
+    }
+    (value, steps, error)
 }
 
 /// Implementation detail of [`proptest!`].
@@ -559,29 +694,42 @@ macro_rules! __proptest_items {
                 "::",
                 stringify!($name)
             ));
+            let strategy = ($($strat,)+);
+            let check = $crate::__runner(&strategy, |args| {
+                let ($($arg,)+) = ::std::clone::Clone::clone(args);
+                $body
+                ::std::result::Result::Ok(())
+            });
             for case in 0..config.cases {
-                $(let $arg = $crate::Strategy::generate(&($strat), &mut rng);)+
-                let described = format!(
-                    concat!($(stringify!($arg), " = {:?}; "),+),
-                    $(&$arg),+
+                let generated = $crate::Strategy::generate(&strategy, &mut rng);
+                let error = match check(&generated) {
+                    ::std::result::Result::Err(e @ $crate::TestCaseError::Fail(_)) => e,
+                    _ => continue,
+                };
+                let (minimal, steps, error) = $crate::__shrink(
+                    &strategy,
+                    ::std::clone::Clone::clone(&generated),
+                    error,
+                    &check,
                 );
-                let outcome: ::std::result::Result<(), $crate::TestCaseError> =
-                    (move || {
-                        $body
-                        ::std::result::Result::Ok(())
-                    })();
-                match outcome {
-                    ::std::result::Result::Ok(()) => {}
-                    ::std::result::Result::Err($crate::TestCaseError::Reject(_)) => {}
-                    ::std::result::Result::Err(e) => panic!(
-                        "proptest {} failed at case {}/{} with {}: {}",
-                        stringify!($name),
-                        case + 1,
-                        config.cases,
-                        described,
-                        e
-                    ),
-                }
+                let shown = {
+                    let ($($arg,)+) = &minimal;
+                    format!(concat!($(stringify!($arg), " = {:?}; "),+), $($arg),+)
+                };
+                let from = {
+                    let ($($arg,)+) = &generated;
+                    format!(concat!($(stringify!($arg), " = {:?}; "),+), $($arg),+)
+                };
+                panic!(
+                    "proptest {} failed at case {}/{} with {}(shrunk in {} steps from {}): {}",
+                    stringify!($name),
+                    case + 1,
+                    config.cases,
+                    shown,
+                    steps,
+                    from,
+                    error
+                );
             }
         }
         $crate::__proptest_items! { ($cfg) $($rest)* }
@@ -657,6 +805,47 @@ mod tests {
                 prop_assert_eq!(x, x);
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        // Not a test itself: `failing_vec_property_reports_a_minimal_case`
+        // runs it and reads its report.
+        fn no_element_reaches_100(xs in crate::collection::vec(-1000i64..1000, 0..20)) {
+            prop_assert!(xs.iter().all(|&x| x < 100), "an element reaches 100");
+        }
+    }
+
+    #[test]
+    fn failing_vec_property_reports_a_minimal_case() {
+        let report = std::panic::catch_unwind(no_element_reaches_100)
+            .expect_err("some generated vector has an element of at least 100");
+        let report = report
+            .downcast_ref::<String>()
+            .expect("the report is a formatted message");
+        assert!(
+            report.contains("with xs = [100]; (shrunk in"),
+            "not minimal: {report}"
+        );
+    }
+
+    #[test]
+    fn integers_shrink_towards_zero_within_their_range() {
+        assert_eq!((-50i64..50).shrink(&20), vec![0, 10, 15, 18, 19]);
+        assert_eq!((-50i64..50).shrink(&-3), vec![0, -2]);
+        assert_eq!((5u8..=9).shrink(&9), vec![5, 7, 8]);
+        assert!((5u8..=9).shrink(&5).is_empty());
+        assert_eq!(any::<i16>().shrink(&-4), vec![0, -2, -3]);
+    }
+
+    #[test]
+    fn vecs_shrink_by_removal_before_elements() {
+        let s = crate::collection::vec(0i64..10, 1..5);
+        let c = s.shrink(&vec![3, 4]);
+        assert_eq!(c[..2], [vec![4], vec![3]]);
+        assert!(c[2..].iter().all(|v| v.len() == 2));
+        // The minimum length holds.
+        assert!(s.shrink(&vec![0]).is_empty());
     }
 
     proptest! {

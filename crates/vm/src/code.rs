@@ -31,6 +31,7 @@
 use crate::value::Value;
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
 use dpmr_ir::module::FuncId;
+use std::ops::Range;
 
 /// An operand as the IR wrote it: the read-only view
 /// [`LoweredCode::operand`] gives of a slot index. Ops carry only the
@@ -61,6 +62,24 @@ pub struct FrameLayout {
     /// [`Opnd::Global`].
     pub consts: Vec<Opnd>,
 }
+
+impl FrameLayout {
+    /// The operand that slot `slot` names, as the IR wrote it. Slots past
+    /// the constants (hand-built code only) read as registers, which is
+    /// how the interpreter treats them: unset.
+    pub fn operand(&self, slot: u32) -> Opnd {
+        slot.checked_sub(self.regs)
+            .and_then(|i| self.consts.get(i as usize))
+            .copied()
+            .unwrap_or(Opnd::Reg(slot))
+    }
+}
+
+/// The layout of a function without one: every slot reads as a register.
+static NO_FRAME: FrameLayout = FrameLayout {
+    regs: 0,
+    consts: Vec::new(),
+};
 
 // The scalar memory encodings live in `crate::value` (one source of
 // truth shared with global initialization); ops embed them.
@@ -269,16 +288,27 @@ impl LoweredCode {
     }
 
     /// The operand that slot `slot` of the op at `pc` names, as the IR
-    /// wrote it. Slots past the function's constants (hand-built code
-    /// only) read as registers, which is how the interpreter treats them:
-    /// unset.
+    /// wrote it ([`FrameLayout::operand`] of the function holding `pc`).
     pub fn operand(&self, pc: u32, slot: u32) -> Opnd {
-        let f = self.func_of_pc(pc).0 as usize;
-        self.frames
-            .get(f)
-            .and_then(|l| l.consts.get(slot.checked_sub(l.regs)? as usize))
-            .copied()
-            .unwrap_or(Opnd::Reg(slot))
+        self.frame(self.func_of_pc(pc).0 as usize).operand(slot)
+    }
+
+    fn frame(&self, f: usize) -> &FrameLayout {
+        self.frames.get(f).unwrap_or(&NO_FRAME)
+    }
+
+    /// Each function's op range with its frame layout, in `FuncId` order.
+    /// The ranges split `0..ops.len()` as [`LoweredCode::func_of_pc`]
+    /// assigns pcs (given non-decreasing entries, as lowering lays them
+    /// out), so a walk over them resolves operands as
+    /// [`LoweredCode::operand`] does, without a search per pc.
+    pub fn functions(&self) -> impl Iterator<Item = (Range<usize>, &FrameLayout)> {
+        let n = self.ops.len();
+        let entry = move |f: usize| self.func_entry.get(f).map_or(n, |&e| (e as usize).min(n));
+        (0..self.func_entry.len().max(1)).map(move |f| {
+            let start = if f == 0 { 0 } else { entry(f) };
+            (start..entry(f + 1).max(start), self.frame(f))
+        })
     }
 
     /// The pc of every `dpmr.check` op, indexed by check-site id (site
