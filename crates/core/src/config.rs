@@ -195,12 +195,12 @@ pub struct RecoveryConfig {
     /// Reaction to detections.
     pub policy: RecoveryPolicy,
     /// Mid-run checkpoint cadence in virtual cycles for
-    /// [`RecoveryPolicy::RetryFromCheckpoint`]: the VM snapshots itself
-    /// every `cadence` cycles and the recovery driver rolls back to the
-    /// *nearest* usable checkpoint instead of replaying the whole run
-    /// (escalating toward whole-run rollback when near replays keep
-    /// re-detecting). `None` (the default) keeps run-boundary checkpoints
-    /// only — whole-run rollback.
+    /// [`RecoveryPolicy::RetryFromCheckpoint`]: the recovery driver pauses
+    /// the run every `cadence` cycles to take a checkpoint, and rolls
+    /// back to the *nearest* usable checkpoint instead of replaying the
+    /// whole run (escalating toward whole-run rollback when near replays
+    /// keep re-detecting). `None` (the default) keeps the run-boundary
+    /// checkpoint only — whole-run rollback.
     pub checkpoint_cadence: Option<u64>,
 }
 

@@ -19,12 +19,12 @@
 //!   ([`RecoveryPolicy::RepairFromReplica`]);
 //! * [`RepairHandler`] implements the VM's `TrapHandler` hook, approving
 //!   in-place repairs up to a budget;
-//! * [`RecoveryDriver`] owns the checkpoint cadence — the VM's explicit
-//!   frame stack makes checkpoints valid between *any* two instructions,
-//!   so the driver snapshots every `checkpoint_cadence` virtual cycles
-//!   and rolls back to the nearest usable checkpoint on trap (escalating
-//!   toward whole-run rollback) — and reduces everything to a
-//!   [`RecoveryOutcome`].
+//! * [`RecoveryDriver`] owns the checkpoints — the VM's explicit frame
+//!   stack makes checkpoints valid between *any* two instructions, so the
+//!   driver pauses the run every `checkpoint_cadence` virtual cycles to
+//!   snapshot it, and rolls back to the nearest usable checkpoint on trap
+//!   (escalating toward whole-run rollback) — and reduces its attempts to
+//!   a [`RecoveryOutcome`].
 //!
 //! # Examples
 //!
@@ -68,7 +68,6 @@
 
 pub use dpmr_core::config::{RecoveryConfig, RecoveryPolicy};
 
-use dpmr_core::config::DpmrConfig;
 use dpmr_ir::module::Module;
 use dpmr_vm::code::LoweredCode;
 use dpmr_vm::external::Registry;
@@ -76,8 +75,9 @@ use dpmr_vm::interp::{
     DetectionTrap, ExitStatus, Interp, InterpSnapshot, RunConfig, RunOutcome, TrapAction,
     TrapHandler,
 };
-use dpmr_vm::telemetry::TraceEvent;
+use dpmr_vm::telemetry::{Telemetry, TraceEvent};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Budgeted repair approver: grants its configured action
@@ -139,13 +139,18 @@ pub struct RecoveryOutcome {
     pub detections: u64,
     /// In-place repairs applied across all attempts.
     pub repairs: u64,
-    /// The policy hit its budget (retries or repairs) and stopped in a
-    /// controlled way, or was `FailStop` and detected.
+    /// The run ended on a detection under any policy but `Abort`: a
+    /// controlled stop, because the retry or repair budget ran dry, a
+    /// vote found no strict majority, or the policy was `FailStop`.
     pub fail_stopped: bool,
     /// Virtual cycles from the first detection to final completion,
     /// accumulated across failed attempts and the final one. `None` when
     /// nothing was detected or the run never completed.
     pub time_to_recovery: Option<u64>,
+    /// The final attempt's telemetry (see `RunConfig::telemetry`): its
+    /// trace holds that timeline's cadence checkpoints and the rollback
+    /// that began it. Empty when telemetry is off.
+    pub telemetry: Telemetry,
 }
 
 impl RecoveryOutcome {
@@ -157,8 +162,53 @@ impl RecoveryOutcome {
     }
 }
 
-/// Owns the checkpoint cadence and the detection-reaction loop for one
-/// transformed module.
+/// Mid-run checkpoints the driver keeps from a run (oldest dropped
+/// first); bounds checkpoint memory to a few live-prefix copies.
+const CHECKPOINTS_KEPT: usize = 8;
+
+/// The first attempt's cadence checkpoints: a ring of the newest
+/// [`CHECKPOINTS_KEPT`] plus one *pinned* checkpoint — the nearest one
+/// preceding the first fault-injection marker, rescued when the ring
+/// rotates it out — so the escalating rollback always finds a
+/// pre-injection restore point, however long the run kept rotating after
+/// the injection.
+#[derive(Default)]
+struct Checkpoints {
+    ring: VecDeque<InterpSnapshot>,
+    pinned: Option<InterpSnapshot>,
+}
+
+impl Checkpoints {
+    /// Keeps `snap`. A full ring drops its oldest checkpoint, which is
+    /// pinned when it precedes the injection marker `snap` has seen.
+    fn push(&mut self, snap: InterpSnapshot) {
+        if self.ring.len() == CHECKPOINTS_KEPT {
+            let dropped = self.ring.pop_front().expect("len checked");
+            if snap
+                .first_fi_cycle()
+                .is_some_and(|fc| dropped.clock() <= fc)
+            {
+                self.pinned = Some(dropped);
+            }
+        }
+        self.ring.push_back(snap);
+    }
+
+    /// The rollback checkpoint at escalation rung 0 (the newest) or 1
+    /// (the newest before the injection); `None` when none lies at that
+    /// distance, which sends the replay back to the whole-run checkpoint.
+    fn pick(&self, rung: u8, fi_cycle: Option<u64>) -> Option<&InterpSnapshot> {
+        let mut newest_first = self.ring.iter().rev().chain(&self.pinned);
+        match (rung, fi_cycle) {
+            (0, _) => newest_first.next(),
+            (1, Some(fc)) => newest_first.find(|s| s.clock() <= fc),
+            _ => None,
+        }
+    }
+}
+
+/// Runs one transformed module under a recovery policy: the checkpoints,
+/// the attempts and the reaction to each detection.
 ///
 /// A runtime fault armed on the run configuration (`RunConfig::fault`)
 /// rides into every attempt the driver makes: repairs face the same
@@ -170,14 +220,14 @@ impl RecoveryOutcome {
 ///
 /// The interpreter's execution stack is explicit, so a checkpoint taken
 /// between any two instructions is a complete description of execution
-/// state. With a configured cadence the driver collects mid-run
-/// checkpoints and, when a detection terminates an attempt, rolls back
-/// over an escalating distance — nearest checkpoint, nearest before the
-/// injection, whole run — instead of always replaying from scratch.
-/// Replays are *diverse*: each one re-seeds the runtime RNG and
-/// garbage-fill, so a corruption that landed on live state in one layout
-/// can land on slack in the next (the Rx avoidance model the paper's
-/// related work describes).
+/// state. With a configured cadence the driver pauses the run every
+/// `checkpoint_cadence` virtual cycles to take a checkpoint and, when a
+/// detection terminates an attempt, rolls back over an escalating
+/// distance — nearest checkpoint, nearest before the injection, whole
+/// run — instead of always replaying from scratch. Replays are *diverse*:
+/// each one re-seeds the runtime RNG and garbage-fill, so a corruption
+/// that landed on live state in one layout can land on slack in the next
+/// (the Rx avoidance model the paper's related work describes).
 pub struct RecoveryDriver<'m> {
     module: &'m Module,
     code: Rc<LoweredCode>,
@@ -219,19 +269,26 @@ impl<'m> RecoveryDriver<'m> {
         }
     }
 
-    /// Creates a driver honouring the recovery policy carried by the DPMR
-    /// build configuration (`DpmrConfig::with_recovery`) — the variant's
-    /// recovery knob and its runtime behaviour stay in one place.
-    pub fn from_dpmr_config(
-        module: &'m Module,
-        registry: Rc<Registry>,
-        run_cfg: RunConfig,
-        cfg: &DpmrConfig,
-    ) -> RecoveryDriver<'m> {
-        RecoveryDriver::new(module, registry, run_cfg, cfg.recovery)
-    }
-
-    /// Executes the module under the configured recovery policy.
+    /// Executes the module under the configured recovery policy, as a
+    /// loop of attempts. The policy picks the trap handler (repair and
+    /// vote approve in-place repairs up to their budget), the retry
+    /// budget, and whether the run is checkpointed at all.
+    ///
+    /// Only [`RecoveryPolicy::RetryFromCheckpoint`] replays. With no
+    /// cadence configured this is whole-run rollback: checkpoint once
+    /// before the run, and on DPMR detection restore it, diversify the
+    /// environment, and replay. With a mid-run cadence
+    /// (`RecoveryConfig::checkpoint_cadence`) the first attempt also
+    /// keeps cadence checkpoints, and the loop rolls back over an
+    /// *escalating distance*: first to the nearest checkpoint before the
+    /// detection (cheapest replay — wins whenever the fault's
+    /// manifestation depends on layout decisions made after it), then to
+    /// the nearest checkpoint before the fault *injection*
+    /// (re-randomizing every fault-relevant allocation), and finally to
+    /// the whole-run checkpoint for all remaining retries. A doomed near
+    /// replay is cheap — it re-detects almost immediately — so escalation
+    /// costs little virtual time while bounded rollback shrinks
+    /// time-to-recovery whenever a near replay succeeds.
     pub fn run(&self) -> RecoveryOutcome {
         let mut interp = Interp::with_code(
             self.module,
@@ -239,54 +296,26 @@ impl<'m> RecoveryDriver<'m> {
             &self.run_cfg,
             Rc::clone(&self.registry),
         );
-        match self.rec_cfg.policy {
-            RecoveryPolicy::Abort | RecoveryPolicy::FailStop => {
-                let out = interp.run(self.run_cfg.args.clone());
-                let fail_stopped = self.rec_cfg.policy == RecoveryPolicy::FailStop
-                    && out.status.is_dpmr_detection();
-                reduce(out, 1, fail_stopped)
-            }
+        let policy = self.rec_cfg.policy;
+        let (handler, max_retries, checkpointed) = match policy {
+            RecoveryPolicy::Abort | RecoveryPolicy::FailStop => (None, 0, false),
             RecoveryPolicy::RepairFromReplica { max_repairs } => {
-                let handler = Rc::new(RefCell::new(RepairHandler::new(max_repairs)));
-                interp.set_trap_handler(handler.clone());
-                let out = interp.run(self.run_cfg.args.clone());
-                // A terminal detection here means the budget ran dry.
-                let fail_stopped = out.status.is_dpmr_detection();
-                reduce(out, 1, fail_stopped)
+                (Some(RepairHandler::new(max_repairs)), 0, false)
             }
             RecoveryPolicy::VoteAndRepair { max_repairs } => {
-                let handler = Rc::new(RefCell::new(RepairHandler::voting(max_repairs)));
-                interp.set_trap_handler(handler.clone());
-                let out = interp.run(self.run_cfg.args.clone());
-                // A terminal detection: budget exhausted *or* no strict
-                // majority to arbitrate with (always the case at K = 1).
-                let fail_stopped = out.status.is_dpmr_detection();
-                reduce(out, 1, fail_stopped)
+                (Some(RepairHandler::voting(max_repairs)), 0, false)
             }
-            RecoveryPolicy::RetryFromCheckpoint { max_retries } => {
-                self.retry_loop(&mut interp, max_retries)
-            }
+            RecoveryPolicy::RetryFromCheckpoint { max_retries } => (None, max_retries, true),
+        };
+        if let Some(h) = handler {
+            interp.set_trap_handler(Rc::new(RefCell::new(h)));
         }
-    }
-
-    /// The rollback-and-replay loop. With no cadence configured this is
-    /// whole-run rollback: checkpoint once after initialization, and on
-    /// DPMR detection restore it, diversify the environment, and replay.
-    ///
-    /// With a mid-run cadence (`RecoveryConfig::checkpoint_cadence`), the
-    /// interpreter snapshots itself every N virtual cycles and the loop
-    /// rolls back over an *escalating distance*: first to the nearest
-    /// checkpoint before the detection (cheapest replay — wins whenever
-    /// the fault's manifestation depends on layout decisions made after
-    /// it), then to the nearest checkpoint before the fault *injection*
-    /// (re-randomizing every fault-relevant allocation), and finally to
-    /// the initial whole-run checkpoint for all remaining retries. A
-    /// doomed near replay is cheap — it re-detects almost immediately —
-    /// so escalation costs little virtual time while bounded rollback
-    /// shrinks time-to-recovery whenever a near replay succeeds.
-    fn retry_loop(&self, interp: &mut Interp<'_>, max_retries: u32) -> RecoveryOutcome {
-        let initial = interp.snapshot();
-        interp.set_checkpoint_cadence(self.rec_cfg.checkpoint_cadence);
+        let initial = checkpointed.then(|| interp.snapshot());
+        let cadence = self
+            .rec_cfg
+            .checkpoint_cadence
+            .filter(|&c| checkpointed && c > 0);
+        let mut checkpoints = Checkpoints::default();
         let mut attempts = 0u32;
         let mut detections = 0u64;
         let mut repairs = 0u64;
@@ -295,25 +324,16 @@ impl<'m> RecoveryDriver<'m> {
         let mut spent_cycles = 0u64;
         let mut attempt_base = 0u64;
         let mut first_detect: Option<u64> = None;
-        // Checkpoints collected on the first attempt's timeline (the
-        // canonical one); rollback candidates alongside `initial`.
-        let mut pool: Vec<InterpSnapshot> = Vec::new();
         let mut fi_cycle: Option<u64> = None;
         // 0 = nearest checkpoint, 1 = nearest before injection,
         // 2 = whole-run. Bumped after every failed *replay*.
         let mut escalation = 0u8;
         loop {
             attempts += 1;
-            // A mid-run rollback leaves live frames to resume; the first
-            // attempt and whole-run rollbacks start from a boundary.
-            let out = if interp.frame_depth() > 0 {
-                interp.resume()
-            } else {
-                interp.run(self.run_cfg.args.clone())
-            };
-            if attempts == 1 {
-                pool = interp.take_auto_checkpoints();
-            }
+            // The first attempt's timeline is the canonical one: only its
+            // checkpoints feed rollback selection.
+            let keep = (attempts == 1).then_some(&mut checkpoints);
+            let out = self.attempt(&mut interp, cadence, keep);
             detections += out.detections;
             repairs += out.repairs;
             if fi_cycle.is_none() {
@@ -324,9 +344,11 @@ impl<'m> RecoveryDriver<'m> {
                     .first_detection_cycle
                     .map(|c| spent_cycles + (c - attempt_base));
             }
+            // A terminal detection means the policy gave up: the retry or
+            // repair budget ran dry, a vote found no strict majority, or
+            // the policy stops at the first detection.
             let detected = out.status.is_dpmr_detection();
             if !detected || attempts > max_retries {
-                let fail_stopped = detected;
                 let time_to_recovery = match (first_detect, &out.status) {
                     (Some(f), ExitStatus::Normal(_)) => {
                         Some(spent_cycles + (out.cycles - attempt_base) - f)
@@ -338,12 +360,14 @@ impl<'m> RecoveryDriver<'m> {
                     attempts,
                     detections,
                     repairs,
-                    fail_stopped,
+                    fail_stopped: detected && policy != RecoveryPolicy::Abort,
                     time_to_recovery,
+                    telemetry: interp.take_telemetry(),
                 };
             }
             spent_cycles += out.cycles - attempt_base;
-            let rollback = self.pick_rollback(&initial, &pool, escalation, fi_cycle);
+            let initial = initial.as_ref().expect("only a checkpointed run replays");
+            let rollback = checkpoints.pick(escalation, fi_cycle).unwrap_or(initial);
             let rung = escalation;
             escalation = (escalation + 1).min(2);
             attempt_base = rollback.clock();
@@ -359,9 +383,6 @@ impl<'m> RecoveryDriver<'m> {
                 cycle: rollback.clock(),
                 level: rung,
             });
-            // Replays collect their own cadence checkpoints; only the
-            // canonical first-attempt pool feeds rollback selection.
-            let _ = interp.take_auto_checkpoints();
             // Diversify the replay environment: new RNG stream and fresh
             // garbage, hence new rearrange-heap layouts for both the
             // application's replica objects and allocator reuse patterns.
@@ -373,44 +394,40 @@ impl<'m> RecoveryDriver<'m> {
         }
     }
 
-    /// Chooses the rollback checkpoint for the next replay at the given
-    /// escalation level. Falls back toward `initial` whenever the pool
-    /// has no candidate at the requested distance.
-    fn pick_rollback<'a>(
+    /// Runs one attempt to its end: a fresh run, or the resumption of a
+    /// mid-run rollback. Under a cadence it pauses every `cadence`
+    /// virtual cycles to record a checkpoint on the trace, and keeps the
+    /// checkpoint itself in `keep` when given one.
+    fn attempt(
         &self,
-        initial: &'a InterpSnapshot,
-        pool: &'a [InterpSnapshot],
-        escalation: u8,
-        fi_cycle: Option<u64>,
-    ) -> &'a InterpSnapshot {
-        match escalation {
-            0 => pool.last().unwrap_or(initial),
-            1 => match fi_cycle {
-                Some(fc) => pool
-                    .iter()
-                    .rev()
-                    .find(|s| s.clock() <= fc)
-                    .unwrap_or(initial),
-                None => initial,
-            },
-            _ => initial,
+        interp: &mut Interp<'_>,
+        cadence: Option<u64>,
+        mut keep: Option<&mut Checkpoints>,
+    ) -> RunOutcome {
+        let next = |it: &Interp<'_>| cadence.map_or(u64::MAX, |c| it.clock().saturating_add(c));
+        // A mid-run rollback leaves live frames to resume; the first
+        // attempt and whole-run rollbacks start from a boundary.
+        let mut paused = if interp.frame_depth() > 0 {
+            interp.resume_until(next(interp))
+        } else {
+            interp.run_until(self.run_cfg.args.clone(), next(interp))
+        };
+        loop {
+            if let Some(out) = paused {
+                return out;
+            }
+            // Record the event *before* capturing, so the snapshot
+            // contains its own checkpoint-taken record and a restored
+            // replay's trace still ends with it.
+            interp.record_event(TraceEvent::CheckpointTaken {
+                cycle: interp.clock(),
+                instrs: interp.instrs(),
+            });
+            if let Some(k) = keep.as_deref_mut() {
+                k.push(interp.snapshot());
+            }
+            paused = interp.resume_until(next(interp));
         }
-    }
-}
-
-/// Reduces a single-attempt run to a [`RecoveryOutcome`].
-fn reduce(out: RunOutcome, attempts: u32, fail_stopped: bool) -> RecoveryOutcome {
-    let time_to_recovery = match (&out.status, out.first_detection_cycle) {
-        (ExitStatus::Normal(_), Some(f)) => Some(out.cycles - f),
-        _ => None,
-    };
-    RecoveryOutcome {
-        attempts,
-        detections: out.detections,
-        repairs: out.repairs,
-        fail_stopped,
-        time_to_recovery,
-        last: out,
     }
 }
 
@@ -419,7 +436,8 @@ mod tests {
     use super::*;
     use dpmr_core::prelude::*;
     use dpmr_fi::FaultType;
-    use dpmr_ir::module::Module;
+    use dpmr_ir::prelude::*;
+    use dpmr_vm::interp::run_with_limits;
     use dpmr_workloads::micro;
 
     fn wrappers() -> Rc<Registry> {
@@ -577,16 +595,109 @@ mod tests {
         }
     }
 
+    /// Runs `m`'s first attempt the way the driver does under a cadence,
+    /// keeping its checkpoints.
+    fn first_attempt(m: &Module, cadence: u64) -> (RunOutcome, Checkpoints) {
+        let driver = RecoveryDriver::new(
+            m,
+            Rc::new(Registry::with_base()),
+            RunConfig::default(),
+            RecoveryConfig::policy(RecoveryPolicy::RetryFromCheckpoint { max_retries: 0 }),
+        );
+        let mut interp = Interp::with_code(
+            m,
+            Rc::clone(&driver.code),
+            &driver.run_cfg,
+            Rc::clone(&driver.registry),
+        );
+        let mut kept = Checkpoints::default();
+        let out = driver.attempt(&mut interp, Some(cadence), Some(&mut kept));
+        (out, kept)
+    }
+
+    /// Restores `snap` into a fresh interpreter and runs it to the end.
+    fn replay_from(m: &Module, snap: &InterpSnapshot) -> RunOutcome {
+        let mut it = Interp::new(m, &RunConfig::default(), Rc::new(Registry::with_base()));
+        it.restore(snap);
+        it.resume()
+    }
+
     #[test]
-    fn from_dpmr_config_honours_the_carried_policy() {
-        // The recovery knob on DpmrConfig must actually drive behaviour.
-        let cfg = DpmrConfig::sds()
-            .with_recovery(RecoveryPolicy::RepairFromReplica { max_repairs: 1024 });
-        let t = transformed(&injected_resize(), &cfg);
-        let driver = RecoveryDriver::from_dpmr_config(&t, wrappers(), RunConfig::default(), &cfg);
-        let out = driver.run();
-        assert!(out.recovered(), "carried policy repaired the run");
-        assert!(out.repairs > 0);
+    fn checkpoint_cadence_collects_bounded_ring() {
+        let m = micro::linked_list(40);
+        let (out, kept) = first_attempt(&m, 200);
+        assert_eq!(out.status, ExitStatus::Normal(0));
+        assert!(!kept.ring.is_empty(), "cadence 200 fires on a 40-node list");
+        assert!(kept.ring.len() <= CHECKPOINTS_KEPT);
+        assert!(kept.pinned.is_none(), "nothing to pin without an injection");
+        assert!(
+            kept.ring
+                .iter()
+                .zip(kept.ring.iter().skip(1))
+                .all(|(a, b)| a.clock() < b.clock()),
+            "checkpoints are ordered by virtual time"
+        );
+        // A cadence checkpoint resumes to the same completion.
+        let reference = run_with_limits(&m, &RunConfig::default());
+        let replay = replay_from(&m, &kept.ring[kept.ring.len() / 2]);
+        assert_eq!(replay.output, reference.output);
+        assert_eq!(replay.cycles, reference.cycles);
+    }
+
+    #[test]
+    fn ring_rotation_pins_nearest_pre_injection_checkpoint() {
+        // A fault-injection marker fires early, then a long loop keeps the
+        // ring rotating. Without pinning, every checkpoint preceding the
+        // marker would rotate out of the bounded ring; rung 1 must still
+        // find one taken at or before the marker's cycle.
+        let mut m = Module::new();
+        let i64t = m.types.int(64);
+        let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+        let sum = b.reg(i64t, "sum");
+        b.assign(sum, Const::i64(0).into());
+        let add_up_to = |b: &mut FunctionBuilder<'_>, n: i64| {
+            b.for_loop(Const::i64(0).into(), Const::i64(n).into(), |b, i| {
+                let s = b.bin(BinOp::Add, i64t, sum.into(), i.into());
+                b.assign(sum, s.into());
+            });
+        };
+        // Warm-up work so checkpoints exist before the injection...
+        add_up_to(&mut b, 2_000);
+        b.emit(Instr::FiMarker { site: 7 });
+        // ...and enough afterwards to rotate all of them out of the ring.
+        add_up_to(&mut b, 20_000);
+        b.output(sum.into());
+        b.ret(Some(Const::i64(0).into()));
+        let f = b.finish();
+        m.entry = Some(f);
+
+        let (out, kept) = first_attempt(&m, 100);
+        assert_eq!(out.status, ExitStatus::Normal(0));
+        let fi_cycle = out.first_fi_cycle.expect("marker executed");
+        let pinned = kept
+            .pinned
+            .as_ref()
+            .expect("a pre-injection checkpoint was pinned");
+        assert!(pinned.clock() <= fi_cycle);
+        assert_eq!(kept.ring.len(), CHECKPOINTS_KEPT);
+        assert!(
+            kept.ring.iter().all(|s| s.clock() > fi_cycle),
+            "ring fully rotated past the injection"
+        );
+        // Rung 0 rolls back to the newest checkpoint, rung 1 to the pinned
+        // one, rung 2 to the whole-run checkpoint.
+        let newest = kept.ring.back();
+        assert!(std::ptr::eq(
+            kept.pick(0, Some(fi_cycle)).unwrap(),
+            newest.unwrap()
+        ));
+        assert!(std::ptr::eq(kept.pick(1, Some(fi_cycle)).unwrap(), pinned));
+        assert!(kept.pick(2, Some(fi_cycle)).is_none());
+        // The pinned checkpoint is a real restore point.
+        let reference = run_with_limits(&m, &RunConfig::default());
+        let replay = replay_from(&m, pinned);
+        assert_eq!(replay.output, reference.output);
+        assert_eq!(replay.cycles, reference.cycles);
     }
 
     #[test]

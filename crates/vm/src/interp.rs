@@ -22,8 +22,12 @@
 //! * **Mid-run checkpoints** — [`Interp::snapshot`] captures the live
 //!   frames, so a checkpoint is valid between *any* two instructions, and
 //!   [`Interp::resume`] continues a restored one bit-identically.
-//! * **Movable work units** — a paused run ([`Interp::run_steps`]) is a
-//!   self-contained value; schedulers can carry it across threads.
+//! * **One stop point** — [`Interp::run_until`] and
+//!   [`Interp::resume_until`] pause a run at the first top-level
+//!   instruction boundary where the virtual clock reaches a bound, with
+//!   the frames left live. The interpreter takes no checkpoints of its
+//!   own: the recovery driver pauses at its cadence, snapshots, and keeps
+//!   the checkpoints itself.
 //! * **Deep IR recursion** — call depth is a frame-count check against
 //!   [`RunConfig::max_depth`], not a host-stack limit; chains of 10⁵
 //!   simulated calls run in constant host stack space.
@@ -50,19 +54,12 @@ use dpmr_ir::types::{LayoutError, TypeId, TypeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 /// Pseudo-address base for function pointers (inside an unmapped gap, so
 /// dereferencing a function pointer faults like real hardware).
 pub const FUNC_BASE: u64 = 0x0f00_0000;
-
-/// Mid-run checkpoints retained by the cadence ring (oldest dropped
-/// first); bounds checkpoint memory to a few live-prefix copies. One
-/// extra *pinned* checkpoint — the nearest one preceding the first
-/// fault-injection marker — survives rotation so long runs keep a
-/// pre-injection rollback point (see [`Interp::take_auto_checkpoints`]).
-pub const AUTO_CHECKPOINTS_KEPT: usize = 8;
 
 /// Reasons the simulated process crashed (natural detection).
 #[derive(Debug, Clone, PartialEq)]
@@ -199,7 +196,7 @@ pub trait TrapHandler {
 
 /// One live activation of an IR function: the state the recursive
 /// interpreter used to keep on the host call stack, reified so it can be
-/// cloned into checkpoints and carried across threads.
+/// cloned into checkpoints.
 ///
 /// Layout: `pc` is the next op's absolute index into the module's lowered
 /// bytecode ([`crate::code::LoweredCode::ops`]) — a single flat counter
@@ -327,11 +324,6 @@ pub struct InterpSnapshot {
 }
 
 impl InterpSnapshot {
-    /// Bytes of simulated memory captured (checkpoint-size accounting).
-    pub fn captured_bytes(&self) -> usize {
-        self.mem.captured_bytes()
-    }
-
     /// Virtual cycle at which the snapshot was taken.
     pub fn clock(&self) -> u64 {
         self.clock
@@ -340,6 +332,12 @@ impl InterpSnapshot {
     /// Instructions executed when the snapshot was taken.
     pub fn instrs(&self) -> u64 {
         self.instrs
+    }
+
+    /// Virtual cycle of the first fault-injection marker executed before
+    /// the snapshot was taken, if any.
+    pub fn first_fi_cycle(&self) -> Option<u64> {
+        self.first_fi_cycle
     }
 
     /// True when the snapshot captures live frames (taken mid-run):
@@ -411,7 +409,7 @@ pub struct RunConfig {
     /// the same discipline as the fault hook — see [`crate::telemetry`]).
     pub telemetry: TelemetryConfig,
     /// Run every op in its own one-op hazard window, so the dispatch
-    /// top (checkpoint cadence, pause budget) runs between every two ops
+    /// top, where a cycle-bounded pause lands, runs between every two ops
     /// (see `Interp::dispatch`). Window length is invisible in every
     /// observable — outcomes, virtual cycles, instruction counts,
     /// snapshots, telemetry — so this exists only for differential
@@ -562,8 +560,9 @@ const CACHE_SETS: usize = 4096;
 enum DispatchEnd {
     /// The base frame returned with this value.
     Returned(Option<Value>),
-    /// The pause budget was reached at a top-level instruction boundary
-    /// (only with [`Interp::run_steps`]); frames stay live.
+    /// The pause cycle was reached at a top-level instruction boundary
+    /// (only with a bound from [`Interp::resume_until`]); frames stay
+    /// live.
     Paused,
 }
 
@@ -574,9 +573,9 @@ enum Window {
     /// The base activation returned with this value.
     Returned(Option<Value>),
     /// The window closed on a boundary the dispatch-loop *top* settles
-    /// (checkpoint cadence due, pause budget reached, or the end of a
-    /// one-op window): loop back to the top so the checkpoint or pause
-    /// lands at exactly its instruction boundary, then reopen a window.
+    /// (the pause cycle reached, or the end of a one-op window): loop
+    /// back to the top so the pause lands at exactly its instruction
+    /// boundary, then reopen a window.
     Closed,
 }
 
@@ -638,16 +637,9 @@ pub struct Interp<'m> {
     repairs: u64,
     replica_repairs: u64,
     first_detection_cycle: Option<u64>,
-    /// Mid-run checkpoint cadence in virtual cycles, when enabled.
-    checkpoint_cadence: Option<u64>,
-    next_checkpoint: u64,
-    auto_checkpoints: VecDeque<InterpSnapshot>,
-    /// The nearest pre-injection checkpoint rescued from ring rotation
-    /// (kept so long runs cannot rotate every pre-injection rollback
-    /// point out of the bounded ring).
-    pinned_checkpoint: Option<InterpSnapshot>,
-    /// Absolute instruction count at which `run_steps` pauses.
-    pause_at: Option<u64>,
+    /// Virtual cycle at which the top-level dispatch pauses (`u64::MAX`
+    /// for an unbounded run, which the clock limit ends first).
+    pause_at: u64,
     /// Runtime fault armed for this run, when any.
     armed: Option<ArmedFault>,
     /// The handler ids this run dispatches through, when they differ
@@ -786,11 +778,7 @@ impl<'m> Interp<'m> {
             repairs: 0,
             replica_repairs: 0,
             first_detection_cycle: None,
-            checkpoint_cadence: None,
-            next_checkpoint: u64::MAX,
-            auto_checkpoints: VecDeque::new(),
-            pinned_checkpoint: None,
-            pause_at: None,
+            pause_at: u64::MAX,
             armed: cfg.fault,
             run_ids,
             profiled_ids,
@@ -898,33 +886,14 @@ impl<'m> Interp<'m> {
         self.frames.len()
     }
 
-    /// Enables (or disables, with `None`) the mid-run checkpoint cadence:
-    /// every `cadence` virtual cycles, at the next top-level instruction
-    /// boundary, the interpreter snapshots itself into a bounded ring of
-    /// [`AUTO_CHECKPOINTS_KEPT`] checkpoints (oldest dropped first).
-    /// Drain the ring with [`Interp::take_auto_checkpoints`].
-    pub fn set_checkpoint_cadence(&mut self, cadence: Option<u64>) {
-        self.checkpoint_cadence = cadence.filter(|c| *c > 0);
-        self.next_checkpoint = match self.checkpoint_cadence {
-            Some(c) => self.clock.saturating_add(c),
-            None => u64::MAX,
-        };
+    /// The virtual clock: cycles charged so far on this timeline.
+    pub fn clock(&self) -> u64 {
+        self.clock
     }
 
-    /// Drains the cadence checkpoints collected so far, oldest first.
-    ///
-    /// When ring rotation would have discarded every checkpoint preceding
-    /// the first fault-injection marker, the nearest such *pre-injection*
-    /// checkpoint is pinned outside the ring and returned here as the
-    /// first element — so the recovery driver's escalating rollback
-    /// always finds a pre-injection restore point, no matter how long the
-    /// run kept rotating after the injection. (The result can therefore
-    /// hold up to [`AUTO_CHECKPOINTS_KEPT`] + 1 checkpoints, still in
-    /// ascending clock order.)
-    pub fn take_auto_checkpoints(&mut self) -> Vec<InterpSnapshot> {
-        let mut out: Vec<InterpSnapshot> = self.pinned_checkpoint.take().into_iter().collect();
-        out.extend(self.auto_checkpoints.drain(..));
-        out
+    /// Instructions executed so far on this timeline.
+    pub fn instrs(&self) -> u64 {
+        self.instrs
     }
 
     /// Captures a checkpoint of all between-instruction interpreter
@@ -989,11 +958,6 @@ impl<'m> Interp<'m> {
         // event is emitted here; the recovery driver records rollbacks
         // explicitly via [`Interp::record_event`] on the new timeline.
         self.tele = snap.tele.clone();
-        // Cadence restarts from the restored clock; checkpoints collected
-        // on the abandoned timeline are the caller's to keep or drop.
-        if let Some(c) = self.checkpoint_cadence {
-            self.next_checkpoint = self.clock.saturating_add(c);
-        }
     }
 
     /// Re-seeds the runtime RNG and garbage-fill seed. A recovery retry
@@ -1162,22 +1126,22 @@ impl<'m> Interp<'m> {
 
     /// Runs the module's entry function with the configured arguments.
     pub fn run(&mut self, args: Vec<Value>) -> RunOutcome {
-        match self.start(args) {
-            None => self.resume(),
-            Some(out) => out,
-        }
+        self.run_until(args, u64::MAX)
+            .expect("an unbounded run always completes")
     }
 
     /// Begins a run but pauses at the first top-level instruction boundary
-    /// after `steps` further instructions have executed. Returns the final
-    /// outcome when the program finished before the budget, `None` when
-    /// paused mid-run — snapshot the paused state and/or continue it with
-    /// [`Interp::resume`]. The pause lands *between* two instructions of
-    /// the outermost dispatch loop; external-handler re-entry is never
-    /// split.
-    pub fn run_steps(&mut self, args: Vec<Value>, steps: u64) -> Option<RunOutcome> {
+    /// where the virtual clock has reached `cycle`. Returns the final
+    /// outcome when the program finished first, `None` when paused
+    /// mid-run — snapshot the paused state and/or continue it with
+    /// [`Interp::resume`] or [`Interp::resume_until`]. The pause lands
+    /// *between* two instructions of the outermost dispatch loop;
+    /// external-handler re-entry is never split. A pause that falls due
+    /// where the instruction budget runs out still lands: the budget's
+    /// timeout follows on resuming.
+    pub fn run_until(&mut self, args: Vec<Value>, cycle: u64) -> Option<RunOutcome> {
         match self.start(args) {
-            None => self.resume_steps(steps),
+            None => self.resume_until(cycle),
             Some(out) => Some(out),
         }
     }
@@ -1186,26 +1150,25 @@ impl<'m> Interp<'m> {
     ///
     /// # Panics
     /// Panics when no frames are live (nothing to resume): pair it with
-    /// [`Interp::run_steps`] or a restored mid-run [`InterpSnapshot`].
+    /// [`Interp::run_until`] or a restored mid-run [`InterpSnapshot`].
     pub fn resume(&mut self) -> RunOutcome {
-        self.resume_steps(u64::MAX)
+        self.resume_until(u64::MAX)
             .expect("an unbounded resume always completes")
     }
 
-    /// Like [`Interp::resume`] but pauses again after `steps` further
-    /// instructions; `None` means paused.
+    /// Like [`Interp::resume`] but pauses again at the first top-level
+    /// instruction boundary where the virtual clock has reached `cycle`;
+    /// `None` means paused.
     ///
     /// # Panics
     /// Panics when no frames are live (nothing to resume).
-    pub fn resume_steps(&mut self, steps: u64) -> Option<RunOutcome> {
+    pub fn resume_until(&mut self, cycle: u64) -> Option<RunOutcome> {
         assert!(
             !self.frames.is_empty(),
-            "resume requires live frames (run_steps pause or mid-run restore)"
+            "resume requires live frames (a paused run or a mid-run restore)"
         );
-        self.pause_at = self.instrs.checked_add(steps);
-        let end = self.dispatch(0);
-        self.pause_at = None;
-        match end {
+        self.pause_at = cycle;
+        match self.dispatch(0) {
             Ok(DispatchEnd::Paused) => None,
             Ok(DispatchEnd::Returned(v)) => {
                 let code = match v {
@@ -1346,47 +1309,16 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Takes a cadence checkpoint when the virtual clock crossed the next
-    /// boundary (called only at top-level instruction boundaries, where
-    /// every frame's registers are in place). When the full ring rotates,
-    /// the dropped checkpoint is pinned if it is the nearest one still
-    /// preceding the first executed fault-injection marker.
-    fn maybe_auto_checkpoint(&mut self) {
-        if self.clock >= self.next_checkpoint {
-            if let Some(c) = self.checkpoint_cadence {
-                if self.auto_checkpoints.len() == AUTO_CHECKPOINTS_KEPT {
-                    let dropped = self.auto_checkpoints.pop_front().expect("len checked");
-                    if let Some(fc) = self.first_fi_cycle {
-                        if dropped.clock() <= fc {
-                            self.pinned_checkpoint = Some(dropped);
-                        }
-                    }
-                }
-                // Record the event *before* capturing, so the snapshot
-                // contains its own checkpoint-taken record and a restored
-                // replay's trace still ends with it.
-                if self.tele_cfg.trace {
-                    self.tele.push(TraceEvent::CheckpointTaken {
-                        cycle: self.clock,
-                        instrs: self.instrs,
-                    });
-                }
-                self.auto_checkpoints.push_back(self.snapshot());
-                self.next_checkpoint = self.clock.saturating_add(c);
-            }
-        }
-    }
-
     /// The flat dispatch loop: executes the lowered bytecode of frames
     /// above `base` until the base activation returns, a trap unwinds to
-    /// `base`, or (top level only) the pause budget is reached. All
+    /// `base`, or (top level only) the clock reaches the pause cycle. All
     /// simulated execution state stays in `self.frames`; the host stack
     /// does not grow with simulated call depth.
     ///
-    /// Each iteration settles the boundary concerns at the loop *top*
-    /// (checkpoint cadence, pause budget — top level only) and then runs
-    /// one hazard window ([`Interp::run_window`]), which executes ops
-    /// until the nearest point where a top concern can fire. Windows are
+    /// Each iteration settles the pause at the loop *top* (top level
+    /// only) and then runs one hazard window ([`Interp::run_window`]),
+    /// which executes ops until the nearest point where the pause, the
+    /// instruction budget or the clock limit can fall due. Windows are
     /// one op long under [`RunConfig::plain_dispatch`]; otherwise they
     /// span everything up to the next hazard. Window length is invisible:
     /// every observable — instruction counts, virtual cycles, traps,
@@ -1399,13 +1331,9 @@ impl<'m> Interp<'m> {
         let run_ids = self.run_ids.clone();
         let ids = run_ids.as_deref().unwrap_or(&code.handler_ids);
         loop {
-            if base == 0 {
-                self.maybe_auto_checkpoint();
-                if let Some(limit) = self.pause_at {
-                    if self.instrs >= limit {
-                        return Ok(DispatchEnd::Paused);
-                    }
-                }
+            // A spent clock never pauses: the window ends the run.
+            if base == 0 && self.clock >= self.pause_at && self.clock < CLOCK_LIMIT {
+                return Ok(DispatchEnd::Paused);
             }
             if let Window::Returned(v) = self.run_window(&code.ops, ids, base)? {
                 return Ok(DispatchEnd::Returned(v));
@@ -1417,11 +1345,10 @@ impl<'m> Interp<'m> {
     /// nearest instruction count and virtual cycle at which a dispatch-top
     /// concern can fire:
     ///
-    /// * `instr_hazard` — the pause budget (top level only), the
-    ///   instruction budget, and under [`RunConfig::plain_dispatch`] the
-    ///   next op boundary, whichever is nearest;
-    /// * `cycle_hazard` — the next checkpoint-cadence boundary (top
-    ///   level only) or [`CLOCK_LIMIT`], whichever is nearer.
+    /// * `instr_hazard` — the instruction budget, or under
+    ///   [`RunConfig::plain_dispatch`] the next op boundary;
+    /// * `cycle_hazard` — the pause cycle (top level only) or
+    ///   [`CLOCK_LIMIT`], whichever is nearer.
     ///
     /// Until a bound is reached, ops execute with the frame index, pc,
     /// and registers cached in locals: one fetch from the run's handler
@@ -1439,10 +1366,7 @@ impl<'m> Interp<'m> {
         let mut instr_hazard = self.max_instrs;
         let mut cycle_hazard = CLOCK_LIMIT;
         if base == 0 {
-            if let Some(p) = self.pause_at {
-                instr_hazard = instr_hazard.min(p);
-            }
-            cycle_hazard = cycle_hazard.min(self.next_checkpoint);
+            cycle_hazard = cycle_hazard.min(self.pause_at);
         }
         if self.plain_dispatch {
             instr_hazard = instr_hazard.min(self.instrs + 1);
@@ -1514,18 +1438,15 @@ impl<'m> Interp<'m> {
     #[cold]
     #[inline(never)]
     fn close_window(&mut self, base: usize) -> Result<Window, Trap> {
-        // The virtual clock is spent: the run ends here, before any
-        // checkpoint (whose boundary it may be past for good) or
-        // further op.
+        // The virtual clock is spent: the run ends here, before any pause
+        // (whose cycle it may be past for good) or further op.
         if self.clock >= CLOCK_LIMIT {
             self.unwind(base);
             return Err(Trap::Timeout);
         }
-        // A due checkpoint or pause is the dispatch top's to settle, and
-        // it outranks the instruction budget there.
-        let pause_due = base == 0 && self.pause_at.is_some_and(|p| self.instrs >= p);
-        let checkpoint_due = base == 0 && self.clock >= self.next_checkpoint;
-        if pause_due || checkpoint_due || self.instrs < self.max_instrs {
+        // A due pause is the dispatch top's to settle, and it outranks
+        // the instruction budget there.
+        if (base == 0 && self.clock >= self.pause_at) || self.instrs < self.max_instrs {
             return Ok(Window::Closed);
         }
         // The instruction budget is spent: the next op times out, and is

@@ -56,8 +56,7 @@ pub mod prelude {
     pub use crate::fault::{ArmedFault, FaultModel};
     pub use crate::interp::{
         run_with_limits, run_with_registry, CrashKind, DetectionTrap, ExitStatus, Frame, Interp,
-        InterpSnapshot, RunConfig, RunOutcome, Trap, TrapAction, TrapHandler,
-        AUTO_CHECKPOINTS_KEPT, FUNC_BASE,
+        InterpSnapshot, RunConfig, RunOutcome, Trap, TrapAction, TrapHandler, FUNC_BASE,
     };
     pub use crate::lower::lower;
     pub use crate::mem::{

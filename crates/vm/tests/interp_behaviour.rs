@@ -697,71 +697,7 @@ fn frame_count_guard_bounds_simulated_depth() {
 }
 
 #[test]
-fn ring_rotation_pins_nearest_pre_injection_checkpoint() {
-    // A fault-injection marker fires early, then a long loop keeps the
-    // cadence ring rotating. Without pinning, every checkpoint preceding
-    // the marker would rotate out of the bounded ring; the drained
-    // checkpoints must still include one taken at or before the marker's
-    // cycle (and stay in ascending clock order).
-    let mut m = Module::new();
-    let i64t = m.types.int(64);
-    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
-    let sum = b.reg(i64t, "sum");
-    b.assign(sum, Const::i64(0).into());
-    // Warm-up work so cadence checkpoints exist before the injection...
-    b.for_loop(Const::i64(0).into(), Const::i64(2_000).into(), |b, i| {
-        let s = b.bin(BinOp::Add, i64t, sum.into(), i.into());
-        b.assign(sum, s.into());
-    });
-    b.emit(Instr::FiMarker { site: 7 });
-    // ...and enough afterwards to rotate all of them out of the ring.
-    b.for_loop(Const::i64(0).into(), Const::i64(20_000).into(), |b, i| {
-        let s = b.bin(BinOp::Add, i64t, sum.into(), i.into());
-        b.assign(sum, s.into());
-    });
-    b.output(sum.into());
-    b.ret(Some(Const::i64(0).into()));
-    let f = b.finish();
-    m.entry = Some(f);
-
-    let rc = RunConfig::default();
-    let mut it = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
-    it.set_checkpoint_cadence(Some(100));
-    let out = it.run(vec![]);
-    assert_eq!(out.status, ExitStatus::Normal(0));
-    let fi_cycle = out.first_fi_cycle.expect("marker executed");
-    let ckpts = it.take_auto_checkpoints();
-    assert!(
-        ckpts.len() > AUTO_CHECKPOINTS_KEPT,
-        "the pinned checkpoint rides along with the full ring"
-    );
-    assert!(ckpts.len() <= AUTO_CHECKPOINTS_KEPT + 1);
-    assert!(
-        ckpts.windows(2).all(|w| w[0].clock() < w[1].clock()),
-        "still ordered by virtual time"
-    );
-    assert!(
-        ckpts.first().expect("nonempty").clock() <= fi_cycle,
-        "a pre-injection checkpoint survived rotation: first clock {} > fi {}",
-        ckpts[0].clock(),
-        fi_cycle
-    );
-    // The ring proper holds only post-injection checkpoints by now.
-    assert!(
-        ckpts[1].clock() > fi_cycle,
-        "ring fully rotated past the injection"
-    );
-    // The pinned checkpoint is a real restore point.
-    let reference = run_with_limits(&m, &rc);
-    let mut other = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
-    other.restore(&ckpts[0]);
-    let replay = other.resume();
-    assert_eq!(replay.output, reference.output);
-    assert_eq!(replay.cycles, reference.cycles);
-}
-
-#[test]
-fn run_steps_pauses_and_resume_completes_identically() {
+fn run_until_pauses_and_resume_completes_identically() {
     let m = dpmr_workloads::micro::linked_list(20);
     let reference = run_with_limits(&m, &RunConfig::default());
 
@@ -770,9 +706,13 @@ fn run_steps_pauses_and_resume_completes_identically() {
         &RunConfig::default(),
         std::rc::Rc::new(Registry::with_base()),
     );
-    let paused = it.run_steps(vec![], 100);
-    assert!(paused.is_none(), "a 20-node list runs >100 instructions");
+    let paused = it.run_until(vec![], 500);
+    assert!(paused.is_none(), "a 20-node list runs >500 cycles");
     assert!(it.frame_depth() >= 1, "paused with live frames");
+    assert!(
+        it.clock() >= 500,
+        "paused at the first boundary past the bound"
+    );
     let out = it.resume();
     assert_eq!(out.status, reference.status);
     assert_eq!(out.output, reference.output);
@@ -787,7 +727,7 @@ fn midrun_snapshot_restores_into_fresh_interpreter() {
     let reference = run_with_limits(&m, &rc);
 
     let mut it = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
-    assert!(it.run_steps(vec![], 500).is_none());
+    assert!(it.run_until(vec![], reference.cycles / 2).is_none());
     let snap = it.snapshot();
     assert!(snap.is_mid_run());
     // The paused original keeps going...
@@ -804,32 +744,30 @@ fn midrun_snapshot_restores_into_fresh_interpreter() {
 }
 
 #[test]
-fn checkpoint_cadence_collects_bounded_ring() {
-    let m = dpmr_workloads::micro::linked_list(40);
-    let rc = RunConfig::default();
-    let mut it = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
-    it.set_checkpoint_cadence(Some(200));
-    let out = it.run(vec![]);
-    assert_eq!(out.status, ExitStatus::Normal(0));
-    let ckpts = it.take_auto_checkpoints();
-    assert!(!ckpts.is_empty(), "cadence 200 fires on a 40-node list");
-    assert!(ckpts.len() <= AUTO_CHECKPOINTS_KEPT);
-    assert!(
-        ckpts.windows(2).all(|w| w[0].clock() < w[1].clock()),
-        "checkpoints are ordered by virtual time"
-    );
-    assert!(
-        it.take_auto_checkpoints().is_empty(),
-        "take drains the ring"
-    );
-    // A cadence checkpoint resumes to the same completion.
+fn pause_due_where_the_budget_runs_out_still_times_out_identically() {
+    // The pause falls due at the very boundary where the instruction
+    // budget is spent. It outranks the budget there: the run pauses, and
+    // resuming times out exactly as the unpaused run does.
+    let m = dpmr_workloads::micro::linked_list(20);
+    let rc = RunConfig {
+        max_instrs: 300,
+        ..RunConfig::default()
+    };
     let reference = run_with_limits(&m, &rc);
-    let mid = &ckpts[ckpts.len() / 2];
-    let mut other = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
-    other.restore(mid);
-    let replay = other.resume();
-    assert_eq!(replay.output, reference.output);
-    assert_eq!(replay.cycles, reference.cycles);
+    assert_eq!(reference.status, ExitStatus::Timeout);
+
+    let mut it = Interp::new(&m, &rc, std::rc::Rc::new(Registry::with_base()));
+    // The budget's timeout leaves the clock where the last op left it.
+    assert!(it.run_until(vec![], reference.cycles).is_none());
+    assert_eq!(
+        it.instrs(),
+        rc.max_instrs,
+        "paused where the budget ran out"
+    );
+    let out = it.resume();
+    assert_eq!(out.status, ExitStatus::Timeout);
+    assert_eq!(out.instrs, reference.instrs);
+    assert_eq!(out.cycles, reference.cycles);
 }
 
 /// An `alloca` whose byte size overflows the address space traps as a
@@ -1021,6 +959,17 @@ fn huge_malloc_charges_saturate_the_clock() {
         assert!(out.cycles > u64::MAX / 2, "{}", out.cycles);
         assert_eq!(out.alloc_stats.mallocs, 0);
     }
+    // The clock stays spent: another run on the same interpreter times
+    // out at once, even with its pause already due.
+    let mut it = Interp::new(
+        &m,
+        &RunConfig::default(),
+        std::rc::Rc::new(Registry::with_base()),
+    );
+    assert_eq!(it.run(vec![]).status, ExitStatus::Timeout);
+    let again = it.run_until(vec![], 0).expect("a spent clock never pauses");
+    assert_eq!(again.status, ExitStatus::Timeout);
+    assert_eq!(it.run(vec![]).status, ExitStatus::Timeout);
 }
 
 /// `main` calling `memset(malloc(32), 1, len)` and returning 0.

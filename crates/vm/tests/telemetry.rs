@@ -73,7 +73,7 @@ fn site_counters_and_trace_survive_snapshot_restore() {
     // the final counters and trace must be bit-identical — telemetry is
     // part of the timeline, not of the host interpreter.
     let mut it = Interp::new(&t, &rc, Rc::clone(&reg));
-    let out = it.run_steps(vec![], reference.instrs / 2);
+    let out = it.run_until(vec![], reference.cycles / 2);
     assert!(out.is_none(), "the cut is mid-run");
     let snap = it.snapshot();
     let mid: u64 = it.telemetry().site_stats.iter().map(|s| s.executions).sum();

@@ -72,11 +72,11 @@ fn main() {
     // location and the run continues. The policy rides on the DPMR build
     // configuration itself.
     let recovering_cfg = cfg.with_recovery(RecoveryPolicy::RepairFromReplica { max_repairs: 4096 });
-    let driver = RecoveryDriver::from_dpmr_config(
+    let driver = RecoveryDriver::new(
         &protected,
         Rc::new(registry_with_wrappers()),
         RunConfig::default(),
-        &recovering_cfg,
+        recovering_cfg.recovery,
     );
     let out = driver.run();
     println!(

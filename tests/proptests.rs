@@ -585,16 +585,16 @@ proptest! {
         }
     }
 
-    /// Pausing and resuming at arbitrary instruction boundaries cuts
+    /// Pausing and resuming at arbitrary virtual-cycle bounds cuts
     /// hazard windows at arbitrary points; the parked interpreter state
     /// (the whole snapshot, frames and registers included) and the
     /// final outcome must match a plain engine paused at the very same
-    /// boundaries.
+    /// boundaries. Each cut is a cycle distance from the last pause.
     #[test]
     fn pause_resume_cuts_are_invisible_to_the_threaded_engine(
         n in 2i64..14,
         seed in 1u64..500,
-        cuts in proptest::collection::vec(1u64..300, 1..6),
+        cuts in proptest::collection::vec(1u64..1_500, 1..6),
     ) {
         let m = micro::resize_victim(n, n);
         let t = transform(&m, &DpmrConfig::sds())
@@ -602,8 +602,8 @@ proptest! {
         let reg = Rc::new(registry_with_wrappers());
         let mut plain = Interp::new(&t, &dispatch_cfg(seed, true), reg.clone());
         let mut thr = Interp::new(&t, &dispatch_cfg(seed, false), reg);
-        let mut plain_out = plain.run_steps(vec![], cuts[0]);
-        let mut thr_out = thr.run_steps(vec![], cuts[0]);
+        let mut plain_out = plain.run_until(vec![], cuts[0]);
+        let mut thr_out = thr.run_until(vec![], cuts[0]);
         for c in &cuts[1..] {
             prop_assert_eq!(plain_out.is_none(), thr_out.is_none());
             if plain_out.is_some() {
@@ -616,8 +616,9 @@ proptest! {
                 format!("{:?}", plain.snapshot()),
                 format!("{:?}", thr.snapshot())
             );
-            plain_out = plain.resume_steps(*c);
-            thr_out = thr.resume_steps(*c);
+            prop_assert_eq!(plain.clock(), thr.clock());
+            plain_out = plain.resume_until(plain.clock() + c);
+            thr_out = thr.resume_until(thr.clock() + c);
         }
         let plain_fin = match plain_out {
             Some(out) => out,
@@ -963,17 +964,22 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    /// Pause a run at a random instruction boundary, snapshot, restore the
+    /// Pause a run at a random virtual-cycle bound, snapshot, restore the
     /// snapshot into a *fresh* interpreter, and resume: the continuation
     /// must produce a byte-identical `RunOutcome` to the uninterrupted
     /// run. This is the property that makes mid-run checkpoints (and the
     /// recovery driver's bounded rollback) sound: a snapshot between any
     /// two instructions is a complete description of execution state.
+    ///
+    /// A cycle bound pauses only after an op that advanced the clock.
+    /// `op_fi_marker` charges no cycles, so no pause lands between a
+    /// fault-injection marker and the op after it: the cut reaches every
+    /// boundary but those that follow a zero-cycle op.
     #[test]
     fn midrun_snapshot_restore_replay_is_bit_identical(
         n in 2i64..20,
         seed in 1u64..1_000,
-        cut in 1u64..4_000,
+        cut in 1u64..20_000,
         prog in 0usize..3,
     ) {
         let m = match prog {
@@ -995,14 +1001,14 @@ proptest! {
         let reference = fresh.run(vec![]);
 
         let mut it = Interp::new(&t, &rc, reg.clone());
-        let outcome = match it.run_steps(vec![], cut) {
+        let outcome = match it.run_until(vec![], cut) {
             // The program finished inside the budget: nothing was paused,
             // and the outcome must already match.
             Some(done) => done,
             None => {
                 let snap = it.snapshot();
                 prop_assert!(snap.is_mid_run(), "paused runs have live frames");
-                prop_assert!(snap.instrs() >= cut);
+                prop_assert!(snap.clock() >= cut);
                 let mut restored = Interp::new(&t, &rc, reg);
                 restored.restore(&snap);
                 restored.resume()
@@ -1020,14 +1026,14 @@ proptest! {
         prop_assert_eq!(outcome.first_detection_cycle, reference.first_detection_cycle);
     }
 
-    /// Chained pauses: splitting one run into many slices at random points
-    /// never changes the result — execution state is fully carried by the
-    /// explicit frames, never by the pause structure.
+    /// Chained pauses: splitting one run into slices of `slice` virtual
+    /// cycles never changes the result — execution state is fully
+    /// carried by the explicit frames, never by the pause structure.
     #[test]
     fn sliced_execution_equals_straight_execution(
         n in 2i64..16,
         seed in 1u64..1_000,
-        slice in 50u64..900,
+        slice in 250u64..4_500,
     ) {
         let m = micro::qsort_prog(n.max(4));
         let t = transform(&m, &DpmrConfig::sds())
@@ -1041,10 +1047,10 @@ proptest! {
         let reference = fresh.run(vec![]);
 
         let mut it = Interp::new(&t, &rc, reg);
-        let mut out = it.run_steps(vec![], slice);
+        let mut out = it.run_until(vec![], slice);
         let mut slices = 1u32;
         while out.is_none() {
-            out = it.resume_steps(slice);
+            out = it.resume_until(it.clock() + slice);
             slices += 1;
             prop_assert!(slices < 1_000_000, "runaway slicing");
         }
@@ -1343,7 +1349,7 @@ proptest! {
     fn trace_is_bit_identical_under_snapshot_restore_replay(
         n in 2i64..16,
         seed in 1u64..1_000,
-        cut in 1u64..3_000,
+        cut in 1u64..15_000,
         prog in 0usize..3,
     ) {
         use dpmr::vm::telemetry::TelemetryConfig;
@@ -1366,7 +1372,7 @@ proptest! {
         let ref_tele = fresh.telemetry().clone();
 
         let mut it = Interp::new(&t, &rc, reg.clone());
-        match it.run_steps(vec![], cut) {
+        match it.run_until(vec![], cut) {
             Some(done) => {
                 // Finished inside the budget: the traces must already
                 // agree.
