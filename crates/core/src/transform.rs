@@ -46,6 +46,14 @@ pub enum TransformError {
         /// Entry function name.
         func: String,
     },
+    /// A pointer is loaded from or stored to memory not typed as a
+    /// pointer. The verifier accepts such type-punned accesses, but under
+    /// SDS the pointer's companions have no slot in that memory's shadow
+    /// (Table 2.1).
+    PointerTypePun {
+        /// Function containing the access.
+        func: String,
+    },
     /// The transformed module failed verification (an internal bug).
     Verify(Vec<VerifyError>),
 }
@@ -61,6 +69,9 @@ impl fmt::Display for TransformError {
             }
             TransformError::UnsupportedEntrySignature { func } => {
                 write!(f, "unsupported entry signature for {func}")
+            }
+            TransformError::PointerTypePun { func } => {
+                write!(f, "pointer moved through non-pointer memory in {func}")
             }
             TransformError::Verify(errs) => {
                 write!(f, "transformed module failed verification: {errs:?}")
@@ -139,10 +150,12 @@ fn replica_global(n: u32, r: usize, g: GlobalId) -> GlobalId {
 }
 
 /// Member `i` of an aggregate initializer: zero unless it is composite.
+/// A composite too short for its type (which the verifier accepts and
+/// the interpreter refuses to lay out) reads zero past its end.
 fn member_init(init: &GlobalInit, i: usize) -> &GlobalInit {
     static ZERO: GlobalInit = GlobalInit::Zero;
     match init {
-        GlobalInit::Composite(items) => &items[i],
+        GlobalInit::Composite(items) => items.get(i).unwrap_or(&ZERO),
         _ => &ZERO,
     }
 }
@@ -462,17 +475,12 @@ impl<'a> Transformer<'a> {
                         .collect(),
                 )
             }
-            TypeKind::Array { elem, len } => {
-                let n = match init {
-                    GlobalInit::Composite(its) => its.len(),
-                    _ => len.unwrap_or(0) as usize,
-                };
-                GlobalInit::Composite(
-                    (0..n)
-                        .map(|i| self.shadow_init(elem, member_init(init, i)))
-                        .collect(),
-                )
-            }
+            TypeKind::Array { elem, .. } => match init {
+                GlobalInit::Composite(its) => {
+                    GlobalInit::Composite(its.iter().map(|it| self.shadow_init(elem, it)).collect())
+                }
+                _ => GlobalInit::Zero,
+            },
             _ => GlobalInit::Zero,
         }
     }
@@ -730,6 +738,22 @@ impl<'a> Transformer<'a> {
         }
     }
 
+    /// Fails unless `ptr` points to a pointer: the only memory whose
+    /// shadow holds a moved pointer's companions under SDS.
+    fn check_pointer_slot(
+        &self,
+        f: &Function,
+        fname: &str,
+        ptr: &Operand,
+    ) -> Result<(), TransformError> {
+        match self.orig_pointee(f, ptr) {
+            Some(t) if self.src.types.is_pointer(t) => Ok(()),
+            _ => Err(TransformError::PointerTypePun {
+                func: fname.to_string(),
+            }),
+        }
+    }
+
     /// Maps an original operand to its companions in the new function.
     fn map_operand(&mut self, comps: &[Companions], op: &Operand) -> Ops {
         match op {
@@ -938,6 +962,7 @@ impl<'a> Transformer<'a> {
                             // pointer through a shadow-less pointer.
                             return self.store_ptr_via_const_shadow(em, psop, v);
                         }
+                        self.check_pointer_slot(f, fname, ptr)?;
                         for k in 0..self.nreps {
                             let fk = self.shadow_field_addr(em, psop, k as u32);
                             em.ins(Instr::Store {
@@ -981,6 +1006,7 @@ impl<'a> Transformer<'a> {
                 }
                 if d_is_ptr {
                     if sds {
+                        self.check_pointer_slot(f, fname, ptr)?;
                         let psop = p.sop.expect("sds companion");
                         for k in 0..self.nreps {
                             let fk = self.shadow_field_addr(em, psop, k as u32);

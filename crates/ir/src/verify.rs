@@ -33,8 +33,19 @@ impl std::error::Error for VerifyError {}
 struct Ctx<'a> {
     module: &'a Module,
     func: &'a Function,
+    /// The module's types of [`INT_WIDTHS`] and [`FLOAT_WIDTHS`], looked
+    /// up once per module: constants need them, and hashing costs more.
+    int_tys: [Option<TypeId>; 5],
+    float_tys: [Option<TypeId>; 2],
     errors: Vec<VerifyError>,
 }
+
+/// The only integer widths a type table holds
+/// ([`crate::types::TypeTable::int`] asserts them).
+const INT_WIDTHS: [u16; 5] = [1, 8, 16, 32, 64];
+/// The only float widths a type table holds
+/// ([`crate::types::TypeTable::float`] asserts them).
+const FLOAT_WIDTHS: [u16; 2] = [32, 64];
 
 impl Ctx<'_> {
     fn err(&mut self, msg: String) {
@@ -81,10 +92,10 @@ impl Ctx<'_> {
         self.module.types.lookup(kind)
     }
     fn find_int(&self, bits: u16) -> Option<TypeId> {
-        self.find(&TypeKind::Int { bits })
+        self.int_tys[INT_WIDTHS.iter().position(|&w| w == bits)?]
     }
     fn find_float(&self, bits: u16) -> Option<TypeId> {
-        self.find(&TypeKind::Float { bits })
+        self.float_tys[FLOAT_WIDTHS.iter().position(|&w| w == bits)?]
     }
     fn find_pointer(&self, pointee: TypeId) -> Option<TypeId> {
         self.find(&TypeKind::Pointer { pointee })
@@ -126,10 +137,14 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
             });
         }
     }
+    let int_tys = INT_WIDTHS.map(|bits| m.types.lookup(&TypeKind::Int { bits }));
+    let float_tys = FLOAT_WIDTHS.map(|bits| m.types.lookup(&TypeKind::Float { bits }));
     for (i, f) in m.funcs.iter().enumerate() {
         let mut ctx = Ctx {
             module: m,
             func: f,
+            int_tys,
+            float_tys,
             errors: Vec::new(),
         };
         verify_function(&mut ctx, FuncId(i as u32));

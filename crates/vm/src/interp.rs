@@ -45,7 +45,9 @@ use crate::alloc::{AllocStats, Allocator, FreeOutcome};
 use crate::code::{LoadKind, LoweredCode, Op, Opnd, StoreKind};
 use crate::external::{Handler, Registry};
 use crate::fault::{fault_mix, ArmedFault, FaultModel};
-use crate::mem::{Mem, MemConfig, MemFault, MemSnapshot, GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+use crate::mem::{
+    Mem, MemConfig, MemFault, MemSnapshot, GLOBAL_BASE, HEAP_BASE, MAPPED_LIMIT, STACK_BASE,
+};
 use crate::telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 use crate::value::{normalize_int, scalar_bytes, Value};
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
@@ -313,7 +315,7 @@ pub struct InterpSnapshot {
     output: Vec<u64>,
     first_fi_cycle: Option<u64>,
     fi_sites_hit: BTreeSet<u32>,
-    cache_tags: Box<[u64; CACHE_SETS]>,
+    cache_tags: Box<[u16; CACHE_SETS]>,
     detections: u64,
     repairs: u64,
     first_detection_cycle: Option<u64>,
@@ -556,6 +558,9 @@ const CLOCK_LIMIT: u64 = u64::MAX - (1 << 32);
 /// Sets of the direct-mapped cache model (see `Interp::cache_tags`).
 const CACHE_SETS: usize = 4096;
 
+// Every mapped line's tag lies below the always-missing `u16::MAX`.
+const _: () = assert!((MAPPED_LIMIT - 1) >> 18 < u16::MAX as u64);
+
 /// How a dispatch loop ended.
 enum DispatchEnd {
     /// The base frame returned with this value.
@@ -631,7 +636,15 @@ pub struct Interp<'m> {
     /// matching the testbed's L2 (Table 3.1). Loads and stores that miss
     /// pay an extra latency, so memory-layout diversity (pad-malloc,
     /// rearrange-heap) has the locality cost the paper observes.
-    cache_tags: Box<[u64; CACHE_SETS]>,
+    ///
+    /// A line's tag is `addr >> 18`, kept in 16 bits: every mapped
+    /// address lies below [`MAPPED_LIMIT`], so only unmapped addresses
+    /// have wider tags. [`Interp::touch`] stores those as `u16::MAX`, the
+    /// value every set starts with, and `u16::MAX` always misses. That
+    /// charges exactly what full 64-bit tags would: such an access traps
+    /// before the next one, so no later access of the run can hit its
+    /// line.
+    cache_tags: Box<[u16; CACHE_SETS]>,
     trap_handler: Option<Rc<RefCell<dyn TrapHandler>>>,
     detections: u64,
     repairs: u64,
@@ -772,7 +785,7 @@ impl<'m> Interp<'m> {
             fi_sites_hit: BTreeSet::new(),
             frames: Vec::new(),
             max_frames: cfg.max_depth,
-            cache_tags: Box::new([u64::MAX; CACHE_SETS]),
+            cache_tags: Box::new([u16::MAX; CACHE_SETS]),
             trap_handler: None,
             detections: 0,
             repairs: 0,
@@ -942,7 +955,7 @@ impl<'m> Interp<'m> {
         self.output = snap.output.clone();
         self.first_fi_cycle = snap.first_fi_cycle;
         self.fi_sites_hit = snap.fi_sites_hit.clone();
-        self.cache_tags = snap.cache_tags.clone();
+        *self.cache_tags = *snap.cache_tags;
         self.detections = snap.detections;
         self.repairs = snap.repairs;
         self.replica_repairs = snap.replica_repairs;
@@ -1017,11 +1030,13 @@ impl<'m> Interp<'m> {
         self.clock = self.clock.saturating_add(cycles);
     }
 
-    /// Simulates one cache access; misses cost extra cycles.
-    pub fn touch(&mut self, addr: u64) {
+    /// Simulates one cache access; misses cost extra cycles. A tag too
+    /// wide for 16 bits is stored as `u16::MAX` and always misses (see
+    /// `Interp::cache_tags`).
+    fn touch(&mut self, addr: u64) {
         let set = ((addr >> 6) as usize) % CACHE_SETS;
-        let tag = addr >> 18;
-        if self.cache_tags[set] != tag {
+        let tag = (addr >> 18).min(u64::from(u16::MAX)) as u16;
+        if self.cache_tags[set] != tag || tag == u16::MAX {
             self.cache_tags[set] = tag;
             self.clock += cost::CACHE_MISS;
         }
@@ -1653,17 +1668,18 @@ impl<'m> Interp<'m> {
             if self.first_detection_cycle.is_none() {
                 self.first_detection_cycle = Some(self.clock);
             }
-            // Cold path: re-evaluate the replica values into a
-            // vector (operand evaluation is a pure slot read).
-            let mut vreps: Vec<Value> = Vec::with_capacity(reps.len());
+            // Cold path: collect the replica bits and the compared
+            // locations once, straight into the trap the handler sees
+            // (operand evaluation is a pure slot read).
+            let mut rep_bits = Vec::with_capacity(reps.len());
             for &r in reps {
-                vreps.push(eval(regs, r)?);
+                rep_bits.push(eval(regs, r)?.to_bits());
             }
-            let first_bad = vreps
+            let first_bad = rep_bits
                 .iter()
-                .find(|v| v.to_bits() != va.to_bits())
                 .copied()
-                .unwrap_or(vreps[0]);
+                .find(|&b| b != va.to_bits())
+                .unwrap_or(rep_bits[0]);
             let (app_addr, rep_addrs) = match ptrs {
                 Some((ap, rps)) => {
                     let ap = eval_ptr(regs, *ap)?;
@@ -1677,10 +1693,10 @@ impl<'m> Interp<'m> {
             };
             let trap = DetectionTrap {
                 got: va.to_bits(),
-                replica: vreps[0].to_bits(),
-                reps: vreps.iter().map(|v| v.to_bits()).collect(),
+                replica: rep_bits[0],
+                reps: rep_bits,
                 app_addr,
-                rep_addrs: rep_addrs.clone(),
+                rep_addrs,
                 cycle: self.clock,
                 instrs: self.instrs,
                 site,
@@ -1690,7 +1706,7 @@ impl<'m> Interp<'m> {
                     cycle: self.clock,
                     site,
                     got: va.to_bits(),
-                    replica: first_bad.to_bits(),
+                    replica: first_bad,
                 });
             }
             let mut action = match &self.trap_handler {
@@ -1703,16 +1719,18 @@ impl<'m> Interp<'m> {
             if app_addr.is_none() && a_reg.is_none() {
                 action = TrapAction::Terminate;
             }
-            let terminal = Box::new(Trap::Dpmr {
-                got: va.to_bits(),
-                replica: first_bad.to_bits(),
-            });
+            let terminal = || {
+                Box::new(Trap::Dpmr {
+                    got: va.to_bits(),
+                    replica: first_bad,
+                })
+            };
             match action {
                 TrapAction::Terminate => {
                     if self.tele_cfg.sites {
                         self.tele.site_stats[site as usize].terminations += 1;
                     }
-                    return Err(terminal);
+                    return Err(terminal());
                 }
                 TrapAction::Repair => {
                     // Replica 0 is assumed the redundant truth:
@@ -1730,7 +1748,7 @@ impl<'m> Interp<'m> {
                             replica_repairs: 0,
                         });
                     }
-                    let vb = vreps[0];
+                    let vb = eval(regs, reps[0])?;
                     if let (Some(addr), Some((_, kind))) = (app_addr, a_reg) {
                         self.clock += cost::MEM;
                         self.touch(addr);
@@ -1759,21 +1777,23 @@ impl<'m> Interp<'m> {
                         if self.tele_cfg.sites {
                             self.tele.site_stats[site as usize].terminations += 1;
                         }
-                        return Err(terminal);
+                        return Err(terminal());
                     };
                     let Some((slot, kind)) = a_reg else {
                         if self.tele_cfg.sites {
                             self.tele.site_stats[site as usize].terminations += 1;
                         }
-                        return Err(terminal);
+                        return Err(terminal());
                     };
                     let winner = if va.to_bits() == win_bits {
                         va
                     } else {
-                        *vreps
+                        let i = trap
+                            .reps
                             .iter()
-                            .find(|v| v.to_bits() == win_bits)
-                            .expect("majority value occurs among the copies")
+                            .position(|&b| b == win_bits)
+                            .expect("majority value occurs among the copies");
+                        eval(regs, reps[i])?
                     };
                     if va.to_bits() != win_bits {
                         self.repairs += 1;
@@ -1788,9 +1808,9 @@ impl<'m> Interp<'m> {
                         set_reg(regs, *slot, winner);
                     }
                     let mut voted_out = 0u64;
-                    for (i, v) in vreps.iter().enumerate() {
-                        if v.to_bits() != win_bits {
-                            if let Some(addr) = rep_addrs.get(i).copied() {
+                    for (i, &bits) in trap.reps.iter().enumerate() {
+                        if bits != win_bits {
+                            if let Some(addr) = trap.rep_addrs.get(i).copied() {
                                 self.clock += cost::MEM;
                                 self.touch(addr);
                                 self.store_kind(addr, *kind, winner)?;
@@ -3588,5 +3608,144 @@ mod dispatch_table_tests {
             assert_eq!(out.instrs, 2);
             assert_eq!(it.frame_depth(), 0);
         }
+    }
+}
+
+#[cfg(test)]
+mod cache_model_tests {
+    use super::*;
+
+    /// The cache model with full 64-bit tags: a line hits when its set
+    /// holds its tag.
+    #[derive(Clone)]
+    struct Reference {
+        tags: Vec<u64>,
+        clock: u64,
+    }
+
+    impl Reference {
+        /// Charges one load or store; returns whether it missed.
+        fn access(&mut self, addr: u64) -> bool {
+            let set = ((addr >> 6) as usize) % CACHE_SETS;
+            self.clock += cost::MEM;
+            let miss = self.tags[set] != addr >> 18;
+            if miss {
+                self.tags[set] = addr >> 18;
+                self.clock += cost::CACHE_MISS;
+            }
+            miss
+        }
+    }
+
+    /// Loads and stores over lines of all three regions, an unmapped gap,
+    /// and lines on both sides of `MAPPED_LIMIT` charge exactly what the
+    /// 64-bit-tag reference charges. Every access at or beyond the limit
+    /// traps; the run then rolls back to its last checkpoint, as the
+    /// recovery driver does, and the reference rolls back with it.
+    #[test]
+    fn sixteen_bit_tags_charge_like_full_tags() {
+        const REGION: u64 = 512 << 10;
+        let module = Module::new();
+        let mut it = Interp::new(&module, &RunConfig::default(), Rc::new(Registry::new()));
+        it.mem.alloc_global(REGION).expect("globals");
+        it.mem.grow_heap(REGION as usize).expect("heap");
+        // Four tag slots from each base: globals and heap map two of
+        // them, the stack all four; the gap and the lines at and beyond
+        // the limit none. Tags 0xFFFD..=0x10000 straddle the limit, and
+        // tags 0x10000.. share the globals' sets and low 16 tag bits.
+        let bases = [
+            GLOBAL_BASE,
+            HEAP_BASE,
+            STACK_BASE,
+            0x4000_0000,
+            MAPPED_LIMIT - REGION,
+            (1 << 34) + GLOBAL_BASE,
+            u64::MAX - (1 << 20),
+        ];
+        let ops = [
+            Op::Load {
+                dst: 0,
+                ptr: 1,
+                kind: LoadKind::Int { bytes: 8, bits: 64 },
+            },
+            Op::Store {
+                ptr: 1,
+                value: 2,
+                kind: StoreKind::Raw(8),
+            },
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let mut reference = Reference {
+            tags: vec![u64::MAX; CACHE_SETS],
+            clock: it.clock,
+        };
+        let (mut snap, mut saved) = (it.snapshot(), reference.clone());
+        let (mut hits, mut misses, mut traps, mut beyond) = (0, 0, 0, 0);
+        for i in 0..4000u64 {
+            if i % 32 == 0 {
+                snap = it.snapshot();
+                saved = reference.clone();
+            }
+            // 32 lines per tag slot, so lines repeat and slots conflict.
+            let addr = bases[rand(7) as usize] + (rand(4) << 18) + rand(32) * 64;
+            let op = &ops[rand(2) as usize];
+            let mut regs = vec![Reg::UNSET; 3];
+            regs[1].set(Value::Ptr(addr));
+            regs[2].set(Value::Int(i as i64));
+            let before = it.clock;
+            HANDLERS[usize::from(handler_id(op))](&mut it, &mut regs, op, 0);
+            let missed = reference.access(addr);
+            assert_eq!(
+                it.clock - before,
+                cost::MEM + if missed { cost::CACHE_MISS } else { 0 },
+                "access {i} at {addr:#x}: miss {missed} in the reference"
+            );
+            assert_eq!(it.clock, reference.clock, "access {i} at {addr:#x}");
+            if missed {
+                misses += 1;
+            } else {
+                hits += 1;
+            }
+            let trapped = matches!(it.frame_op.take(), Some(FrameOp::Trap(_)));
+            if addr >= MAPPED_LIMIT {
+                assert!(trapped, "{addr:#x} is beyond every region");
+                beyond += 1;
+            }
+            if trapped {
+                traps += 1;
+                it.restore(&snap);
+                reference = saved.clone();
+            }
+        }
+        assert!(hits > 0 && misses > 0 && traps > beyond && beyond > 0);
+    }
+
+    /// A tag too wide for 16 bits never hits, not even right after the
+    /// same line missed: `u16::MAX` stands for no line.
+    #[test]
+    fn wide_tags_always_miss() {
+        let module = Module::new();
+        let mut it = Interp::new(&module, &RunConfig::default(), Rc::new(Registry::new()));
+        for addr in [MAPPED_LIMIT, MAPPED_LIMIT + 64, u64::MAX] {
+            for _ in 0..2 {
+                let before = it.clock;
+                it.touch(addr);
+                assert_eq!(it.clock - before, cost::CACHE_MISS, "{addr:#x}");
+            }
+        }
+        let before = it.clock;
+        it.touch(MAPPED_LIMIT - 64);
+        it.touch(MAPPED_LIMIT - 64);
+        assert_eq!(
+            it.clock - before,
+            cost::CACHE_MISS,
+            "the last mapped tag hits"
+        );
     }
 }

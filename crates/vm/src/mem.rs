@@ -25,6 +25,10 @@ pub const GLOBAL_BASE: u64 = 0x0001_0000;
 pub const HEAP_BASE: u64 = 0x1000_0000;
 /// Base address of the stack region (grows upward).
 pub const STACK_BASE: u64 = 0x7000_0000;
+/// Every mapped address lies below this bound (asserted in [`Mem::new`]),
+/// so the interpreter's cache model keeps the tag of any mapped line
+/// (`addr >> 18`) below `u16::MAX`.
+pub const MAPPED_LIMIT: u64 = 0xFFFF << 18;
 
 /// One of the three mapped regions of the address space, as a value —
 /// used by the runtime fault models ([`crate::fault`]) to constrain
@@ -241,12 +245,17 @@ impl Mem {
     /// Panics when a capacity would let one region reach into the next:
     /// globals, heap and stack must stay ordered and disjoint, which is
     /// what lets every access pick an address's one candidate region
-    /// by its base alone.
+    /// by its base alone. Panics too unless the stack ends below
+    /// [`MAPPED_LIMIT`].
     pub fn new(cfg: &MemConfig) -> Mem {
         assert!(
             cfg.global_capacity as u64 <= HEAP_BASE - GLOBAL_BASE
                 && cfg.heap_capacity as u64 <= STACK_BASE - HEAP_BASE,
             "region capacities overlap the next region's base: {cfg:?}"
+        );
+        assert!(
+            (cfg.stack_capacity as u64) < MAPPED_LIMIT - STACK_BASE,
+            "stack capacity reaches the mapped-address limit: {cfg:?}"
         );
         let reused = BUF_POOL
             .try_with(|p| {
@@ -738,114 +747,18 @@ fn xs_out(x: u64) -> u8 {
     (x.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 56) as u8
 }
 
-/// Byte-sliced jump tables for the xorshift64 state recurrence. The
-/// recurrence is linear over GF(2) (shifts and xors only — the `*`
-/// multiply is an output transform, not state), so "advance the state
-/// `2^k` times" is a 64×64 bit matrix, stored here as 8 lookup tables of
-/// 256 entries per level: `apply` is 8 loads and 7 xors. Levels cover
-/// `2^0 .. 2^32` steps, far beyond any mappable region size. Built once
-/// per process (~0.5 MiB, sub-millisecond).
-const JUMP_LEVELS: usize = 33;
-
-type JumpLevel = [[u64; 256]; 8];
-
-fn jump_tables() -> &'static [JumpLevel] {
-    static TABLES: std::sync::OnceLock<Vec<JumpLevel>> = std::sync::OnceLock::new();
-    TABLES.get_or_init(|| {
-        // Level k's action on the 64 basis vectors; level 0 is one step,
-        // level k+1 composes level k with itself.
-        let mut basis = [0u64; 64];
-        for (i, b) in basis.iter_mut().enumerate() {
-            *b = xs_step(1u64 << i);
-        }
-        let mut levels = Vec::with_capacity(JUMP_LEVELS);
-        for _ in 0..JUMP_LEVELS {
-            let mut t: JumpLevel = [[0u64; 256]; 8];
-            for (j, tj) in t.iter_mut().enumerate() {
-                for v in 1..256usize {
-                    // Incremental subset-xor: drop the lowest set bit.
-                    tj[v] = tj[v & (v - 1)] ^ basis[j * 8 + v.trailing_zeros() as usize];
-                }
-            }
-            let next: Vec<u64> = basis.iter().map(|&b| jump_apply(&t, b)).collect();
-            basis.copy_from_slice(&next);
-            levels.push(t);
-        }
-        levels
-    })
-}
-
-/// Applies one jump level (advances the state `2^k` steps).
-#[inline]
-fn jump_apply(t: &JumpLevel, x: u64) -> u64 {
-    let b = x.to_le_bytes();
-    t[0][b[0] as usize]
-        ^ t[1][b[1] as usize]
-        ^ t[2][b[2] as usize]
-        ^ t[3][b[3] as usize]
-        ^ t[4][b[4] as usize]
-        ^ t[5][b[5] as usize]
-        ^ t[6][b[6] as usize]
-        ^ t[7][b[7] as usize]
-}
-
-/// Advances the xorshift64 state `n` steps in `O(popcount(n))` table
-/// applications.
-fn xs_jump(mut x: u64, mut n: usize) -> u64 {
-    debug_assert!((n as u128) < 1u128 << JUMP_LEVELS, "jump out of range");
-    let tables = jump_tables();
-    let mut k = 0;
-    while n > 0 {
-        if n & 1 == 1 {
-            x = jump_apply(&tables[k], x);
-        }
-        n >>= 1;
-        k += 1;
-    }
-    x
-}
-
-/// Writes the garbage stream seeded by `x0` into `dst` — bit-identical
-/// to the original serial generator (advance once, emit the output byte,
-/// repeat), but with the serial dependency broken: the buffer is split
-/// into four equal stripes whose starting states are computed with
-/// [`xs_jump`], and the four chains then advance in lock-step so the
-/// CPU overlaps their (otherwise latency-bound) xorshift chains. Small
-/// fills stay on the plain serial loop, where a jump would cost more
-/// than it saves.
+/// Writes the garbage stream seeded by `x0` into `dst`: advance the
+/// xorshift64 state, emit its output byte, repeat. This serial loop
+/// defines the stream. It is latency-bound, but fills average about a
+/// hundred bytes and [`memo_garbage_bytes`] serves most filled bytes as
+/// copies, so it stays serial: generating four stripes in lock-step
+/// from GF(2) jump tables saved at most 0.6% per unit and cost 0.5 MiB
+/// of tables per process (DESIGN.md, "What the handler ids measured").
 fn garbage_bytes(x0: u64, dst: &mut [u8]) {
-    let len = dst.len();
-    let stripe = len / 4;
-    if stripe < 32 {
-        let mut x = x0;
-        for b in dst {
-            x = xs_step(x);
-            *b = xs_out(x);
-        }
-        return;
-    }
-    let x1 = xs_jump(x0, stripe);
-    let x2 = xs_jump(x1, stripe);
-    let x3 = xs_jump(x2, stripe);
-    let (s0, rest) = dst.split_at_mut(stripe);
-    let (s1, rest) = rest.split_at_mut(stripe);
-    let (s2, rest) = rest.split_at_mut(stripe);
-    // The fourth stripe carries the `len % 4` remainder serially.
-    let (s3, tail) = rest.split_at_mut(stripe);
-    let (mut c0, mut c1, mut c2, mut c3) = (x0, x1, x2, x3);
-    for (((b0, b1), b2), b3) in s0.iter_mut().zip(s1).zip(s2).zip(s3.iter_mut()) {
-        c0 = xs_step(c0);
-        *b0 = xs_out(c0);
-        c1 = xs_step(c1);
-        *b1 = xs_out(c1);
-        c2 = xs_step(c2);
-        *b2 = xs_out(c2);
-        c3 = xs_step(c3);
-        *b3 = xs_out(c3);
-    }
-    for b in tail {
-        c3 = xs_step(c3);
-        *b = xs_out(c3);
+    let mut x = x0;
+    for b in dst {
+        x = xs_step(x);
+        *b = xs_out(x);
     }
 }
 
@@ -1093,29 +1006,43 @@ mod tests {
         assert_eq!(m.read_u64(a).unwrap(), 0, "no residue above restored sp");
     }
 
+    /// The garbage stream is pinned: the uninit-read detection evidence,
+    /// the engine-parity golden and the campaign digests all consume
+    /// these exact bytes, so any change to the generator must show here
+    /// first. FNV-1a of the first 4,096 bytes for three seeds, and every
+    /// shorter fill is a prefix of the longer one.
     #[test]
-    fn striped_garbage_matches_the_serial_reference() {
-        // The interleaved generator must be bit-identical to the plain
-        // single-chain xorshift64* at every length (the uninit-read
-        // detection evidence and the engine-parity goldens both consume
-        // these exact bytes), including the lengths around the stripe
-        // threshold and `len % 4` remainders.
-        let reference = |x0: u64, len: usize| -> Vec<u8> {
-            let mut x = x0;
-            (0..len)
-                .map(|_| {
-                    x = xs_step(x);
-                    xs_out(x)
-                })
-                .collect()
+    fn garbage_stream_is_pinned() {
+        let fnv = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
         };
-        for seed in [1u64, 0x9e37_79b9, u64::MAX] {
-            for len in [0, 1, 31, 127, 128, 129, 130, 131, 256, 1000, 4096, 9001] {
-                let mut got = vec![0u8; len];
-                garbage_bytes(seed, &mut got);
-                assert_eq!(got, reference(seed, len), "seed {seed:#x} len {len}");
+        for (seed, want) in [
+            (1u64, 0xfab8_5e2c_8997_3b9du64),
+            (0x9e37_79b9, 0x1ec2_d260_57ac_57c9),
+            (u64::MAX, 0xd294_7b8d_f64f_5182),
+        ] {
+            let mut full = vec![0u8; 4096];
+            garbage_bytes(seed, &mut full);
+            assert_eq!(fnv(&full), want, "seed {seed:#x}");
+            for len in [0, 1, 31, 127, 128, 129, 1000] {
+                let mut short = vec![0u8; len];
+                garbage_bytes(seed, &mut short);
+                assert_eq!(short, full[..len], "seed {seed:#x} len {len}");
             }
         }
+    }
+
+    /// The stack may not reach [`MAPPED_LIMIT`], which the cache model's
+    /// 16-bit tags rely on; the check runs before any buffer is allocated.
+    #[test]
+    #[should_panic(expected = "mapped-address limit")]
+    fn a_stack_reaching_the_mapped_limit_is_rejected() {
+        Mem::new(&MemConfig {
+            stack_capacity: (MAPPED_LIMIT - STACK_BASE) as usize,
+            ..MemConfig::default()
+        });
     }
 
     /// Every fill through the memo equals the stream generated directly:
@@ -1165,22 +1092,6 @@ mod tests {
             check(&mut m, HEAP_BASE + 8, MEMO_ARENA_BYTES + 1 + round);
             check(&mut m, HEAP_BASE + 8, 100);
             m.set_fill_seed(rand(u64::MAX));
-        }
-    }
-
-    #[test]
-    fn jump_tables_advance_exactly_n_steps() {
-        let serial = |mut x: u64, n: usize| {
-            for _ in 0..n {
-                x = xs_step(x);
-            }
-            x
-        };
-        for n in [0usize, 1, 2, 3, 64, 255, 256, 257, 100_000] {
-            assert_eq!(
-                xs_jump(0x1234_5678_9abc_def0, n),
-                serial(0x1234_5678_9abc_def0, n)
-            );
         }
     }
 

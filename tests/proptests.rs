@@ -1394,3 +1394,223 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Random-edit fuzzing of printed modules
+// ---------------------------------------------------------------------
+
+/// The fuzz corpus, printed once: the four SPEC analogues, their SDS
+/// builds, `linked_list` and `qsort`.
+fn fuzz_corpus() -> &'static [(String, String)] {
+    static CORPUS: std::sync::OnceLock<Vec<(String, String)>> = std::sync::OnceLock::new();
+    CORPUS.get_or_init(|| {
+        use dpmr::ir::printer::print_module;
+        let params = dpmr::workloads::WorkloadParams::quick();
+        let mut corpus = Vec::new();
+        for app in dpmr::workloads::all_apps() {
+            let m = (app.build)(&params);
+            let sds = transform(&m, &DpmrConfig::sds()).expect("SDS build");
+            corpus.push((app.name.to_string(), print_module(&m)));
+            corpus.push((format!("{} sds", app.name), print_module(&sds)));
+        }
+        corpus.push(("linked_list".into(), print_module(&micro::linked_list(7))));
+        corpus.push(("qsort".into(), print_module(&micro::qsort_prog(10))));
+        corpus
+    })
+}
+
+/// Integer literals an edit substitutes: zero, signs, and the edges of
+/// every width a constant or an array length can carry.
+const EDGE_INTS: [i128; 12] = [
+    0,
+    1,
+    -1,
+    2,
+    127,
+    -129,
+    i32::MAX as i128,
+    i32::MIN as i128 - 1,
+    u32::MAX as i128 + 1,
+    i64::MAX as i128,
+    i64::MIN as i128,
+    u64::MAX as i128,
+];
+
+/// Byte ranges of the integer literals in `text`: maximal digit runs,
+/// with a leading `-`, that no letter, digit, `_`, `%` or `.` touches
+/// (so register, block and type names and float literals never match).
+fn int_literal_spans(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let glued = |c: u8| c.is_ascii_alphanumeric() || b"_%.".contains(&c);
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        if !bytes[i].is_ascii_digit() || (i > 0 && glued(bytes[i - 1])) {
+            i += 1;
+            continue;
+        }
+        let start = if i > 0 && bytes[i - 1] == b'-' {
+            i - 1
+        } else {
+            i
+        };
+        let mut end = i;
+        while end < bytes.len() && bytes[end].is_ascii_digit() {
+            end += 1;
+        }
+        if bytes.get(end).is_none_or(|&c| !glued(c)) {
+            spans.push(start..end);
+        }
+        i = end;
+    }
+    spans
+}
+
+/// Applies integer-coded edits to printed IR. Each edit is
+/// `(kind, a, b)`: kind 0 deletes line `a`, 1 duplicates it, 2 swaps
+/// lines `a` and `b`, 3 replaces integer literal `a` with edge value
+/// `b` (indices taken modulo what the text holds).
+fn apply_edits(text: &str, edits: &[(u8, u32, u32)]) -> String {
+    let mut text = text.to_string();
+    for &(kind, a, b) in edits {
+        let (a, b) = (a as usize, b as usize);
+        if kind == 3 {
+            let spans = int_literal_spans(&text);
+            if let Some(span) = spans.get(a % spans.len().max(1)) {
+                let edge = EDGE_INTS[b % EDGE_INTS.len()].to_string();
+                text.replace_range(span.clone(), &edge);
+            }
+            continue;
+        }
+        let mut lines: Vec<&str> = text.lines().collect();
+        if lines.is_empty() {
+            continue;
+        }
+        let (a, b) = (a % lines.len(), b % lines.len());
+        match kind {
+            0 => {
+                lines.remove(a);
+            }
+            1 => lines.insert(a, lines[a]),
+            _ => lines.swap(a, b),
+        }
+        text = lines.join("\n");
+    }
+    text
+}
+
+/// Parses, verifies and runs edited IR, then SDS-transforms and runs it
+/// when it verifies, each run within a 2M-instruction budget. Rejected
+/// text and failed transforms are fine; a panic anywhere is not.
+fn exercise_edited(text: &str) {
+    use dpmr::ir::{parser::parse_module, verify::verify_module};
+    let Ok(m) = parse_module(text) else {
+        return;
+    };
+    if verify_module(&m).is_err() {
+        return;
+    }
+    let cfg = RunConfig {
+        max_instrs: 2_000_000,
+        ..RunConfig::default()
+    };
+    let reg = Rc::new(registry_with_wrappers());
+    run_with_registry(&m, &cfg, Rc::clone(&reg));
+    if let Ok(t) = transform(&m, &DpmrConfig::sds()) {
+        if verify_module(&t).is_ok() {
+            run_with_registry(&t, &cfg, reg);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(FUZZ_CASES))]
+    /// No edited module panics the pipeline: 1-3 random line deletions,
+    /// duplications, swaps or integer-literal replacements of a printed
+    /// corpus module parse, verify, run, transform and run to errors and
+    /// statuses. Edits are integers, so a failing case shrinks to the
+    /// fewest, earliest edits that still panic.
+    #[test]
+    fn random_edits_never_panic_the_pipeline(
+        module in 0usize..10,
+        edits in proptest::collection::vec((0u8..4, any::<u32>(), any::<u32>()), 1..4),
+    ) {
+        let (name, text) = &fuzz_corpus()[module];
+        let edited = apply_edits(text, &edits);
+        let ran = std::panic::catch_unwind(|| exercise_edited(&edited));
+        prop_assert!(ran.is_ok(), "{} with edits {:?} panicked", name, edits);
+    }
+}
+
+/// Cases of [`random_edits_never_panic_the_pipeline`]: about 5 s in a
+/// debug build.
+const FUZZ_CASES: u32 = 320;
+
+/// A pointer loaded from or stored to memory typed as an integer is a
+/// transform error under SDS, not a panic. The verifier accepts the
+/// type pun, as it does in the edited `mcf` the fuzzer found (a
+/// `fieldaddr` retargeted to an `i64` field, feeding a pointer load).
+#[test]
+fn pointer_type_puns_are_transform_errors() {
+    for access in ["%q = load %f", "store %f, %n"] {
+        let text = format!(
+            "type %L = {{ i64, %L* }}\nfn main() -> i64 {{\n  reg %n: %L*\n  reg %f: i64*\n  \
+             reg %q: %L*\nb0:\n  %n = malloc %L, 1:i64\n  %f = fieldaddr %n, 0\n  {access}\n  \
+             ret 0:i64\n}}\nentry main\n"
+        );
+        let m = dpmr::ir::parser::parse_module(&text).expect("parse");
+        assert!(dpmr::ir::verify::verify_module(&m).is_ok(), "{access}");
+        let err = transform(&m, &DpmrConfig::sds()).expect_err(access);
+        assert!(
+            matches!(err, TransformError::PointerTypePun { .. }),
+            "{access}: {err}"
+        );
+    }
+}
+
+/// A struct global whose initializer has fewer members than the struct
+/// has fields verifies, and the transform used to index past its end.
+/// It now transforms, and both builds end at load with the same crash.
+#[test]
+fn short_struct_initializers_do_not_panic_the_transform() {
+    let text = "type %S = { i64*, i64* }\nglobal @g: %S = {null}\nfn main() -> i64 {\nb0:\n  \
+                ret 0:i64\n}\nentry main\n";
+    let m = dpmr::ir::parser::parse_module(text).expect("parse");
+    assert!(dpmr::ir::verify::verify_module(&m).is_ok());
+    let t = transform(&m, &DpmrConfig::sds()).expect("transform");
+    let reg = Rc::new(registry_with_wrappers());
+    let plain = run_with_registry(&m, &RunConfig::default(), Rc::clone(&reg)).status;
+    let sds = run_with_registry(&t, &RunConfig::default(), reg).status;
+    assert!(
+        matches!(plain, ExitStatus::Crash(CrashKind::InvalidExec(_))),
+        "{plain:?}"
+    );
+    assert_eq!(sds, plain);
+}
+
+/// A zero-initialized array of pointers gets a zero shadow, however long
+/// the array. The transform used to build one null shadow per element,
+/// so an edit to `[4294967296 x i64*]` asked it for 128 GiB and aborted
+/// the process; the module now transforms at once and its run ends
+/// because the global does not fit.
+#[test]
+fn zero_initialized_pointer_arrays_get_a_zero_shadow() {
+    use dpmr::ir::module::GlobalInit;
+    for len in [3u64, 1 << 32] {
+        let text = format!(
+            "global @t: [{len} x i64*] = zero\nfn main() -> i64 {{\nb0:\n  ret 0:i64\n}}\nentry main\n"
+        );
+        let m = dpmr::ir::parser::parse_module(&text).expect("parse");
+        let t = transform(&m, &DpmrConfig::sds()).expect("transform");
+        let shadow = t.global_by_name("t.sdw").expect("shadow global");
+        assert_eq!(t.global(shadow).init, GlobalInit::Zero, "len {len}");
+        let out = run_with_registry(&t, &RunConfig::default(), Rc::new(registry_with_wrappers()));
+        let fits = len == 3;
+        assert_eq!(
+            out.status == ExitStatus::Normal(0),
+            fits,
+            "len {len}: {:?}",
+            out.status
+        );
+    }
+}
