@@ -2097,7 +2097,7 @@ impl<'a> Transformer<'a> {
         let orig_name = self.src.func(entry).name.clone();
         let orig_ty = self.src.func(entry).ty;
         // Rename the transformed entry: main -> mainAug.
-        self.out.funcs[entry.0 as usize].name = format!("{orig_name}{MAIN_AUG_SUFFIX}");
+        self.out.func_mut(entry).name = format!("{orig_name}{MAIN_AUG_SUFFIX}");
 
         let (ret, param_tys) = match self.src.types.kind(orig_ty) {
             TypeKind::Function { ret, params } => (*ret, params.clone()),

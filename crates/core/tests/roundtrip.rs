@@ -229,7 +229,7 @@ fn argv_replication_roundtrips() {
     });
     // A new top-level entry that calls the old main(2, &argvData).
     let old_main = m.entry.expect("entry");
-    m.funcs[old_main.0 as usize].name = "appMain".into();
+    m.func_mut(old_main).name = "appMain".into();
     let i64t = m.types.int(64);
     let argv_unsized = m.types.unsized_array(strp);
     let argvp = m.types.pointer(argv_unsized);

@@ -337,7 +337,8 @@ pub fn trial_seed(site_pc: u32, run: u32) -> u64 {
 pub fn inject(m: &Module, site: &InjectionSite, fault: FaultType) -> Module {
     let mut out = m.clone();
     let i64t = out.types.int(64);
-    let f = &mut out.funcs[site.func.0 as usize];
+    // Copy-on-write: only the edited function stops being shared with `m`.
+    let f = out.func_mut(site.func);
     let idx = site.instr as usize;
     let Instr::Malloc { dst, elem, count } = f.blocks[site.block as usize].instrs[idx].clone()
     else {
@@ -445,6 +446,25 @@ mod tests {
         let out = run_with_limits(&f, &RunConfig::default());
         assert_eq!(out.fi_sites_hit.len(), 1);
         assert!(out.first_fi_cycle.is_some(), "marker records first hit");
+    }
+
+    /// Injection copies only the function it edits: every other function
+    /// body stays shared with the source module, which reads as before.
+    #[test]
+    fn injection_copies_only_the_edited_function() {
+        let mut m = two_alloc_program();
+        let void = m.types.void();
+        let mut b = FunctionBuilder::new(&mut m, "idle", void, &[]);
+        b.ret(None);
+        b.finish();
+        let text = dpmr_ir::printer::print_module(&m);
+        let sites = enumerate_heap_alloc_sites(&m);
+        let f = inject(&m, &sites[1], FaultType::ImmediateFree);
+        for (i, (a, b)) in m.funcs.iter().zip(&f.funcs).enumerate() {
+            let shared = std::sync::Arc::ptr_eq(a, b);
+            assert_eq!(shared, i != sites[1].func.0 as usize, "function {i}");
+        }
+        assert_eq!(dpmr_ir::printer::print_module(&m), text);
     }
 
     #[test]
@@ -601,16 +621,15 @@ mod tests {
             value: 2,
             kind: StoreKind::Raw(8),
         };
-        let mut code = LoweredCode {
-            ops: vec![load(9), check(9), store(1), check(0), store(0)],
-            func_entry: vec![0],
-            frames: vec![FrameLayout {
+        let code = LoweredCode::new(
+            vec![load(9), check(9), store(1), check(0), store(0)],
+            vec![0],
+            0,
+            vec![FrameLayout {
                 regs: 2,
                 consts: vec![Opnd::Imm(Value::Int(0))],
             }],
-            ..LoweredCode::default()
-        };
-        code.rebuild_handler_ids();
+        );
         let pcs: Vec<u32> = enumerate_replica_sites(&code)
             .iter()
             .map(|s| s.pc)

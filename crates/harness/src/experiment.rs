@@ -74,7 +74,9 @@ pub(crate) struct RunRecord {
 }
 
 /// A DPMR-transformed module and its lowered bytecode, stored plain (not
-/// `Rc`-wrapped) so builds stay `Send` for the study scheduler.
+/// `Rc`-wrapped) so builds stay `Send` and `Sync` for the study
+/// scheduler. Function bodies and bytecode are shared by reference
+/// count, so a clone copies neither.
 #[derive(Clone)]
 pub(crate) struct Build {
     /// The transformed module.
@@ -95,7 +97,8 @@ pub(crate) fn build(module: &Module, cfg: &DpmrConfig) -> Build {
 }
 
 impl Build {
-    /// This build, ready to run (its bytecode copied into an `Rc`).
+    /// This build, ready to run. The bytecode is shared with the build,
+    /// not copied: each unit's `Rc` holds a clone that counts references.
     pub(crate) fn exe(&self) -> Exe<'_> {
         Exe::dpmr(&self.module, self.code.clone())
     }
@@ -103,7 +106,8 @@ impl Build {
 
 /// A module ready to run: its lowered bytecode and the registry of
 /// externals it links against. A unit makes one and shares it across its
-/// runs and legs.
+/// runs and legs; the bytecode itself is shared with the [`Build`] it
+/// came from.
 pub(crate) struct Exe<'m> {
     /// The module (`code` was lowered from it).
     pub module: &'m Module,
@@ -143,7 +147,7 @@ pub struct PreparedApp {
     pub module: Module,
     /// The golden module's lowered bytecode (the static filter consults
     /// it; stored plain — not `Rc`-wrapped — so prepared apps stay `Send`
-    /// for the study scheduler).
+    /// and `Sync` for the study scheduler).
     pub code: LoweredCode,
     /// Golden run outcome.
     pub golden: RunOutcome,
@@ -203,12 +207,12 @@ pub(crate) fn try_prepare(
     params: &WorkloadParams,
 ) -> Result<PreparedApp, PrepareError> {
     let module = (app.build)(params);
-    let code_rc = Rc::new(dpmr_vm::lower::lower(&module));
+    let code = dpmr_vm::lower::lower(&module);
     let rc = RunConfig::default();
     let golden = {
         let mut interp = Interp::with_code(
             &module,
-            Rc::clone(&code_rc),
+            Rc::new(code.clone()),
             &rc,
             Rc::new(Registry::with_base()),
         );
@@ -221,8 +225,6 @@ pub(crate) fn try_prepare(
             budget: rc.max_instrs,
         });
     }
-    // The golden interpreter is gone; reclaim the lowering it shared.
-    let code = Rc::try_unwrap(code_rc).expect("golden interpreter dropped");
     let sites = enumerate_heap_alloc_sites(&module);
     Ok(PreparedApp {
         app,

@@ -4,8 +4,10 @@
 //! allocations the DPMR transform (including the `verify_module` it runs on
 //! its output) and lowering make for every `fault_campaign` app under every
 //! replication variant, at the benchmark's sizing
-//! ([`WorkloadParams::quick`]). The counts are a deterministic measure of
-//! build cost that no host's speed moves.
+//! ([`WorkloadParams::quick`]), and what cloning each build costs: the
+//! transformed module (`clone_module`) and its bytecode (`clone_code`).
+//! The counts are a deterministic measure of build cost that no host's
+//! speed moves.
 //!
 //! The test fails when any count differs from `alloc_golden.txt`: a rise is
 //! a regression, and a fall must be recorded so that the table keeps
@@ -16,25 +18,30 @@
 
 use dpmr_core::prelude::*;
 use dpmr_harness::metrics::replication_variants;
-use dpmr_vm::lower::lower;
+use dpmr_ir::module::Module;
+use dpmr_vm::prelude::*;
 use dpmr_workloads::{fault_campaign_apps, WorkloadParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 const GOLDEN: &str = include_str!("alloc_golden.txt");
 
 /// The system allocator, counting the allocations (`alloc`,
-/// `alloc_zeroed`, `realloc`) made on the current thread.
+/// `alloc_zeroed`, `realloc`) made on the current thread and keeping the
+/// largest size asked for.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
-    // `try_with`: the slot may be gone while the thread shuts down.
+fn bump(size: usize) {
+    // `try_with`: the slots may be gone while the thread shuts down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|n| n.set(n.get().max(size)));
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments
@@ -42,12 +49,12 @@ fn bump() {
 // which neither allocates nor takes a lock.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -56,7 +63,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -71,28 +78,55 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, ALLOCS.with(Cell::get) - before)
 }
 
-fn alloc_table() -> String {
+/// `f`'s result and the largest single allocation it made on this
+/// thread (0 for none).
+fn largest<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LARGEST.with(|n| n.replace(0));
+    let out = f();
+    let size = LARGEST.with(|n| n.replace(before.max(n.get())));
+    (out, size)
+}
+
+/// Every `fault_campaign` app under every replication variant: its label,
+/// transformed module and bytecode, and the allocations that made them.
+fn builds() -> Vec<(String, Module, LoweredCode, [u64; 2])> {
     let params = WorkloadParams::quick();
-    let mut out = String::new();
-    let (mut transform_total, mut lower_total) = (0, 0);
+    let mut out = Vec::new();
     for app in fault_campaign_apps() {
         let m = (app.build)(&params);
         for (name, cfg) in replication_variants(&DpmrConfig::sds()) {
             let (t, transform_allocs) = counted(|| transform(&m, &cfg).expect("transform"));
             let (code, lower_allocs) = counted(|| lower(&t));
-            drop(code);
-            let _ = writeln!(
-                out,
-                "{} {name}: transform={transform_allocs} lower={lower_allocs}",
-                app.name
-            );
-            transform_total += transform_allocs;
-            lower_total += lower_allocs;
+            let label = format!("{} {name}", app.name);
+            out.push((label, t, code, [transform_allocs, lower_allocs]));
         }
     }
+    out
+}
+
+fn alloc_table() -> String {
+    let mut out = String::new();
+    let mut totals = [0; 4];
+    for (label, t, code, [transform, lower]) in builds() {
+        let (_, clone_module) = counted(|| t.clone());
+        let (_, clone_code) = counted(|| code.clone());
+        let _ = writeln!(
+            out,
+            "{label}: transform={transform} lower={lower} clone_module={clone_module} \
+             clone_code={clone_code}"
+        );
+        for (total, n) in totals
+            .iter_mut()
+            .zip([transform, lower, clone_module, clone_code])
+        {
+            *total += n;
+        }
+    }
+    let [transform, lower, clone_module, clone_code] = totals;
     let _ = writeln!(
         out,
-        "total: transform={transform_total} lower={lower_total}"
+        "total: transform={transform} lower={lower} clone_module={clone_module} \
+         clone_code={clone_code}"
     );
     out
 }
@@ -137,4 +171,43 @@ fn build_allocations_match_the_recorded_golden() {
         }
     }
     panic!("allocation counts fell: record the table printed above in alloc_golden.txt");
+}
+
+/// Cloning a build copies no function body and no bytecode: the code
+/// clone allocates nothing, and the module clone allocates one function
+/// vector on top of copying its type table, globals and externals.
+#[test]
+fn build_clones_allocate_nothing_per_function_or_op() {
+    for (label, t, code, _) in builds() {
+        let (_, parts) = counted(|| (t.types.clone(), t.globals.clone(), t.externals.clone()));
+        let (_, module) = counted(|| t.clone());
+        assert_eq!(module, parts + 1, "{label}: module clone");
+        let (_, code) = counted(|| code.clone());
+        assert_eq!(code, 0, "{label}: bytecode clone");
+    }
+}
+
+/// A zero-initialized global costs its interpreter no buffer of its size:
+/// the global region it is placed in is handed out zeroed.
+#[test]
+fn zero_initialized_globals_allocate_nothing_at_load() {
+    const GLOBAL_BYTES: usize = 256 << 10;
+    let text = format!(
+        "global @z: [{} x i64] = zero\nfn main() -> i64 {{\nb0:\n  ret 0:i64\n}}\nentry main\n",
+        GLOBAL_BYTES / 8
+    );
+    let m = dpmr_ir::parser::parse_module(&text).expect("parse");
+    let code = Rc::new(lower(&m));
+    let cfg = RunConfig::default();
+    let reg = Rc::new(Registry::with_base());
+    let load = || Interp::with_code(&m, Rc::clone(&code), &cfg, Rc::clone(&reg));
+    // The first interpreter on this thread maps the region buffers; the
+    // next one takes them from the thread's pool.
+    drop(load());
+    let (mut it, size) = largest(load);
+    assert!(
+        size < GLOBAL_BYTES,
+        "loading allocated {size} bytes for a {GLOBAL_BYTES}-byte zero global"
+    );
+    assert_eq!(it.run(Vec::new()).status, ExitStatus::Normal(0));
 }

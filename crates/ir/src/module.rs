@@ -221,12 +221,17 @@ pub struct ExternalDecl {
 }
 
 /// A whole program: types, globals, external declarations, and functions.
+///
+/// Function bodies are shared: cloning a module counts references to its
+/// functions instead of copying them, and [`Module::func_mut`] copies the
+/// one function it hands out only while another module still shares it.
+/// The type table, globals and externals are small and stay owned.
 #[derive(Debug, Clone)]
 pub struct Module {
     /// The type table owning every type referenced by the module.
     pub types: TypeTable,
-    /// Function definitions.
-    pub funcs: Vec<Function>,
+    /// Function definitions, shared with the module's clones.
+    pub funcs: Vec<Arc<Function>>,
     /// Global variables.
     pub globals: Vec<Global>,
     /// External function declarations.
@@ -250,7 +255,7 @@ impl Module {
     /// Adds a function and returns its id.
     pub fn add_function(&mut self, f: Function) -> FuncId {
         let id = FuncId(self.funcs.len() as u32);
-        self.funcs.push(f);
+        self.funcs.push(Arc::new(f));
         id
     }
 
@@ -301,12 +306,14 @@ impl Module {
         &self.funcs[id.0 as usize]
     }
 
-    /// Mutable function reference.
+    /// Mutable function reference. A function still shared with another
+    /// module is copied first (copy-on-write), so the write never shows
+    /// in any other module.
     ///
     /// # Panics
     /// Panics on a foreign id.
     pub fn func_mut(&mut self, id: FuncId) -> &mut Function {
-        &mut self.funcs[id.0 as usize]
+        Arc::make_mut(&mut self.funcs[id.0 as usize])
     }
 
     /// Global reference.
@@ -333,6 +340,12 @@ impl Module {
             .sum()
     }
 }
+
+// Builds cross threads and are read from several at once.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<Module>();
+};
 
 impl Default for Module {
     fn default() -> Self {
@@ -376,6 +389,26 @@ mod tests {
         };
         // b0 holds 2 instrs + 1 terminator, b1 holds 1 terminator.
         assert_eq!(f.linear_block_starts(), vec![0, 3, 4]);
+    }
+
+    /// A module clone shares every function body; a write through
+    /// `func_mut` copies that one function and never shows in the other
+    /// clone.
+    #[test]
+    fn clones_share_functions_until_written() {
+        let mut m = crate::parser::parse_module(
+            "fn f() -> i64 {\nb0:\n  ret 1:i64\n}\nfn main() -> i64 {\nb0:\n  ret 0:i64\n}\n\
+             entry main\n",
+        )
+        .expect("parse");
+        let c = m.clone();
+        assert!(m.funcs.iter().zip(&c.funcs).all(|(a, b)| Arc::ptr_eq(a, b)));
+        let text = crate::printer::print_module(&c);
+        m.func_mut(FuncId(0)).name = "g".into();
+        assert_eq!(crate::printer::print_module(&c), text);
+        assert_ne!(crate::printer::print_module(&m), text);
+        assert!(!Arc::ptr_eq(&m.funcs[0], &c.funcs[0]));
+        assert!(Arc::ptr_eq(&m.funcs[1], &c.funcs[1]));
     }
 
     #[test]

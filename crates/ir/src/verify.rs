@@ -6,7 +6,7 @@
 //! be validated after every pass.
 
 use crate::instr::{BlockId, Callee, CastOp, Const, Instr, Operand, Term};
-use crate::module::{FuncId, Function, Module};
+use crate::module::{FuncId, Function, GlobalInit, Module};
 use crate::types::{TypeId, TypeKind};
 use std::fmt;
 
@@ -137,6 +137,14 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
             });
         }
     }
+    for g in &m.globals {
+        if let Err(msg) = check_init(m, g.ty, &g.init) {
+            errors.push(VerifyError {
+                func: None,
+                msg: format!("global @{}: {msg}", g.name),
+            });
+        }
+    }
     let int_tys = INT_WIDTHS.map(|bits| m.types.lookup(&TypeKind::Int { bits }));
     let float_tys = FLOAT_WIDTHS.map(|bits| m.types.lookup(&TypeKind::Float { bits }));
     for (i, f) in m.funcs.iter().enumerate() {
@@ -154,6 +162,59 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
         Ok(())
     } else {
         Err(errors)
+    }
+}
+
+/// Checks that `init` has the shape of a value of type `ty`, as the
+/// interpreter writes it at load: a scalar for a scalar, eight bytes for
+/// a pointer-valued initializer, one item per struct field, and no item
+/// or byte past the end of the type.
+fn check_init(m: &Module, ty: TypeId, init: &GlobalInit) -> Result<(), String> {
+    let tt = &m.types;
+    let shown = || tt.display(ty);
+    match init {
+        GlobalInit::Zero => Ok(()),
+        GlobalInit::Int(_) | GlobalInit::Float(_) if !tt.is_scalar(ty) => Err(format!(
+            "scalar initializer for non-scalar type {}",
+            shown()
+        )),
+        GlobalInit::Null | GlobalInit::Ref(_) | GlobalInit::FuncRef(_)
+            if !(tt.is_scalar(ty) && tt.size_of(ty) == Ok(8)) =>
+        {
+            Err(format!(
+                "pointer-valued initializer for {}, not an 8-byte scalar",
+                shown()
+            ))
+        }
+        GlobalInit::Ref(g) if g.0 as usize >= m.globals.len() => {
+            Err(format!("reference to unknown global g{}", g.0))
+        }
+        GlobalInit::Bytes(b) if matches!(tt.size_of(ty), Ok(n) if b.len() as u64 > n) => {
+            Err(format!("{} bytes overrun type {}", b.len(), shown()))
+        }
+        GlobalInit::Composite(items) => match tt.kind(ty) {
+            TypeKind::Struct { fields, .. } if fields.len() != items.len() => Err(format!(
+                "{} items for the {} fields of {}",
+                items.len(),
+                fields.len(),
+                shown()
+            )),
+            TypeKind::Struct { fields, .. } => fields
+                .iter()
+                .zip(items)
+                .try_for_each(|(&f, item)| check_init(m, f, item)),
+            TypeKind::Array { len: Some(n), .. } if items.len() as u64 > *n => {
+                Err(format!("{} items overrun type {}", items.len(), shown()))
+            }
+            TypeKind::Array { elem, .. } => {
+                items.iter().try_for_each(|item| check_init(m, *elem, item))
+            }
+            _ => Err(format!(
+                "composite initializer for non-aggregate type {}",
+                shown()
+            )),
+        },
+        _ => Ok(()),
     }
 }
 
@@ -379,7 +440,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_register() {
         let mut m = ok_module();
-        m.funcs[0].blocks[0].instrs.push(Instr::Store {
+        m.func_mut(FuncId(0)).blocks[0].instrs.push(Instr::Store {
             ptr: Operand::Reg(RegId(99)),
             value: Const::i64(0).into(),
         });
@@ -390,7 +451,7 @@ mod tests {
     #[test]
     fn rejects_missing_return_value() {
         let mut m = ok_module();
-        m.funcs[0].blocks[0].term = Term::Ret(None);
+        m.func_mut(FuncId(0)).blocks[0].term = Term::Ret(None);
         let errs = verify_module(&m).unwrap_err();
         assert!(errs.iter().any(|e| e.msg.contains("missing return value")));
     }
@@ -399,7 +460,7 @@ mod tests {
     fn rejects_store_to_non_pointer() {
         let mut m = ok_module();
         let r = m.funcs[0].params[0];
-        m.funcs[0].blocks[0].instrs.push(Instr::Store {
+        m.func_mut(FuncId(0)).blocks[0].instrs.push(Instr::Store {
             ptr: Operand::Reg(r),
             value: Const::i64(0).into(),
         });
@@ -411,12 +472,71 @@ mod tests {
     fn rejects_call_arity_mismatch() {
         let mut m = ok_module();
         let f0 = FuncId(0);
-        m.funcs[0].blocks[0].instrs.push(Instr::Call {
+        m.func_mut(f0).blocks[0].instrs.push(Instr::Call {
             dst: None,
             callee: Callee::Direct(f0),
             args: vec![],
         });
         let errs = verify_module(&m).unwrap_err();
         assert!(errs.iter().any(|e| e.msg.contains("arity")));
+    }
+
+    /// Every global initializer shape the interpreter cannot lay out at
+    /// load is an error of the module, naming the global.
+    #[test]
+    fn rejects_global_initializers_that_do_not_fit_their_type() {
+        let cases = [
+            (
+                "type %S = { i64*, i64* }\nglobal @g: %S = {null}",
+                "1 items for the 2 fields",
+            ),
+            (
+                "type %S = { i64 }\nglobal @g: %S = {1, 2}",
+                "2 items for the 1 fields",
+            ),
+            (
+                "global @g: [2 x i64] = 7",
+                "scalar initializer for non-scalar",
+            ),
+            (
+                "global @g: [2 x i64] = 1.5",
+                "scalar initializer for non-scalar",
+            ),
+            ("global @g: [2 x i64] = null", "not an 8-byte scalar"),
+            ("global @g: i32 = null", "not an 8-byte scalar"),
+            (
+                "global @g: i64 = {1}",
+                "composite initializer for non-aggregate",
+            ),
+            ("global @g: [2 x i64] = {1, 2, 3}", "3 items overrun"),
+            ("global @g: [2 x i8] = bytes 01 02 03", "3 bytes overrun"),
+            (
+                "type %S = { i64, [1 x i8] }\nglobal @g: %S = {1, {2, 3}}",
+                "2 items overrun",
+            ),
+        ];
+        for (decls, want) in cases {
+            let text = format!("{decls}\nfn main() -> i64 {{\nb0:\n  ret 0:i64\n}}\nentry main\n");
+            let m = crate::parser::parse_module(&text).expect("parse");
+            let errs = verify_module(&m).expect_err(decls);
+            assert!(
+                errs.iter().any(|e| e.func.is_none()
+                    && e.msg.starts_with("global @g: ")
+                    && e.msg.contains(want)),
+                "{decls}: {errs:?}"
+            );
+        }
+    }
+
+    /// Initializers that fit, including short arrays and byte strings,
+    /// which the rest of the type leaves zero.
+    #[test]
+    fn accepts_global_initializers_that_fit_their_type() {
+        let text = "type %S = { i64, i8*, [4 x i8] }\nglobal @a: [4 x i64] = {1, 2}\n\
+                    global @b: %S = {-1, @a, bytes 68 69}\nglobal @c: [3 x i8] = bytes 68 69 00\n\
+                    global @d: i64* = @a\nglobal @e: f32 = 2.5\nglobal @f: %S = zero\n\
+                    fn main() -> i64 {\nb0:\n  ret 0:i64\n}\nentry main\n";
+        let m = crate::parser::parse_module(text).expect("parse");
+        assert_eq!(verify_module(&m), Ok(()));
     }
 }

@@ -295,7 +295,7 @@ fn verifier_rejects_branch_out_of_range() {
     let mut b = FunctionBuilder::new(&mut m, "f", void, &[]);
     b.ret(None);
     let f = b.finish();
-    m.funcs[f.0 as usize].blocks[0].term = Term::Br(BlockId(7));
+    m.func_mut(f).blocks[0].term = Term::Br(BlockId(7));
     let errs = verify_module(&m).unwrap_err();
     assert!(errs.iter().any(|e| e.msg.contains("nonexistent block")));
 }
@@ -312,21 +312,20 @@ fn verifier_rejects_field_index_out_of_range() {
     let f = b.finish();
     // Forge a bad field index directly.
     let bogus_dst = {
-        let fmut = &mut m.funcs[f.0 as usize];
+        let ty = m.types.pointer(i64t);
+        let fmut = m.func_mut(f);
         let id = RegId(fmut.regs.len() as u32);
         fmut.regs.push(RegInfo {
-            ty: m.types.pointer(i64t),
+            ty,
             name: RegName::Unnamed,
         });
         id
     };
-    m.funcs[f.0 as usize].blocks[0]
-        .instrs
-        .push(Instr::FieldAddr {
-            dst: bogus_dst,
-            base: p.into(),
-            field: 9,
-        });
+    m.func_mut(f).blocks[0].instrs.push(Instr::FieldAddr {
+        dst: bogus_dst,
+        base: p.into(),
+        field: 9,
+    });
     let errs = verify_module(&m).unwrap_err();
     assert!(errs.iter().any(|e| e.msg.contains("field index")));
 }

@@ -32,6 +32,7 @@ use crate::value::Value;
 use dpmr_ir::instr::{BinOp, CastOp, CmpPred};
 use dpmr_ir::module::FuncId;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// An operand as the IR wrote it: the read-only view
 /// [`LoweredCode::operand`] gives of a slot index. Ops carry only the
@@ -239,13 +240,19 @@ pub enum Op {
 }
 
 /// A whole module compiled to linear bytecode.
+///
+/// The vectors are shared: cloning the code counts references instead of
+/// copying them, so every interpreter, unit and trial of a build runs the
+/// same bytecode. A rewrite ([`crate::opt::optimize`],
+/// [`LoweredCode::rebuild_handler_ids`]) replaces or copies the vector it
+/// writes, never one another clone still reads.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoweredCode {
     /// Every function's ops, concatenated; jump targets and
     /// [`LoweredCode::func_entry`] are absolute indices into this vector.
-    pub ops: Vec<Op>,
+    pub ops: Arc<Vec<Op>>,
     /// Entry pc of each function, indexed by `FuncId`.
-    pub func_entry: Vec<u32>,
+    pub func_entry: Arc<Vec<u32>>,
     /// Number of `dpmr.check` sites (site ids are `0..check_sites`,
     /// assigned in function-major, pc order — stable for a given module).
     pub check_sites: u32,
@@ -254,28 +261,49 @@ pub struct LoweredCode {
     /// the handler without touching the (large, payload-carrying) `Op`.
     /// The id already fixes what the op's payload would otherwise
     /// decide on every execution (a load's width, a binary operator, a
-    /// check's arity). Maintained by [`crate::lower`] and
-    /// [`crate::opt::optimize`]; code built by hand must call
+    /// check's arity). Derived by [`LoweredCode::new`] and maintained by
+    /// [`crate::opt::optimize`]; code built as a struct literal must call
     /// [`LoweredCode::rebuild_handler_ids`] (the interpreter re-derives
     /// it defensively when lengths disagree).
-    pub handler_ids: Vec<u8>,
+    pub handler_ids: Arc<Vec<u8>>,
     /// Each function's frame-slot layout, indexed by `FuncId`: where its
     /// registers end and which constant each later slot holds.
-    pub frames: Vec<FrameLayout>,
+    pub frames: Arc<Vec<FrameLayout>>,
 }
 
+// Builds cross threads and are read from several at once.
+const _: () = {
+    const fn send_sync<T: Send + Sync>() {}
+    send_sync::<LoweredCode>();
+};
+
 impl LoweredCode {
+    /// Code from its parts, with the handler ids derived from `ops`. The
+    /// vectors are wrapped as they are, not copied.
+    pub fn new(
+        ops: Vec<Op>,
+        func_entry: Vec<u32>,
+        check_sites: u32,
+        frames: Vec<FrameLayout>,
+    ) -> LoweredCode {
+        LoweredCode {
+            handler_ids: Arc::new(ops.iter().map(crate::interp::handler_id).collect()),
+            ops: Arc::new(ops),
+            func_entry: Arc::new(func_entry),
+            check_sites,
+            frames: Arc::new(frames),
+        }
+    }
+
     /// Entry pc of function `f`.
     pub fn entry(&self, f: FuncId) -> u32 {
         self.func_entry[f.0 as usize]
     }
 
-    /// Re-derive [`LoweredCode::handler_ids`] from [`LoweredCode::ops`].
-    /// Call after constructing or rewriting `ops` by hand.
+    /// Re-derive [`LoweredCode::handler_ids`] from [`LoweredCode::ops`]
+    /// into a vector of this code's own. Call after rewriting `ops`.
     pub fn rebuild_handler_ids(&mut self) {
-        self.handler_ids.clear();
-        self.handler_ids
-            .extend(self.ops.iter().map(crate::interp::handler_id));
+        self.handler_ids = Arc::new(self.ops.iter().map(crate::interp::handler_id).collect());
     }
 
     /// The function whose lowered range contains `pc`. Lowering
@@ -324,5 +352,21 @@ impl LoweredCode {
             }
         }
         pcs
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A clone of lowered code shares all of its vectors.
+    #[test]
+    fn clones_share_every_vector() {
+        let code = LoweredCode::new(vec![Op::Ret { value: None }], vec![0], 0, Vec::new());
+        let c = code.clone();
+        assert!(Arc::ptr_eq(&code.ops, &c.ops));
+        assert!(Arc::ptr_eq(&code.func_entry, &c.func_entry));
+        assert!(Arc::ptr_eq(&code.handler_ids, &c.handler_ids));
+        assert!(Arc::ptr_eq(&code.frames, &c.frames));
     }
 }

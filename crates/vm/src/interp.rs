@@ -701,8 +701,8 @@ impl<'m> Interp<'m> {
         cfg: &RunConfig,
         externals: Rc<Registry>,
     ) -> Self {
-        // Hand-built code (tests construct `LoweredCode` literals) may
-        // lack the handler-id side-table; re-derive it so the threaded
+        // Code built as a `LoweredCode` literal may lack the handler-id
+        // side-table; re-derive it so the threaded
         // dispatcher can trust `handler_ids[pc] == handler_id(&ops[pc])`.
         let code = if code.handler_ids.len() == code.ops.len() {
             code
@@ -830,10 +830,8 @@ impl<'m> Interp<'m> {
             None => Err(format!("scalar initializer for {:?}", tt.kind(ty))),
         };
         let written = match init {
-            GlobalInit::Zero => {
-                let n = tt.size_of(ty).map_err(|e| e.to_string())?;
-                self.mem.write(addr, &vec![0u8; n as usize])
-            }
+            // `alloc_global` hands out zeroed memory.
+            GlobalInit::Zero => Ok(()),
             GlobalInit::Int(v) => {
                 let (kind, v) = scalar(Value::Int(*v))?;
                 crate::value::store_kind(&mut self.mem, kind, addr, v)
@@ -2179,14 +2177,14 @@ fn run_handler_ids(code: &LoweredCode, cfg: &RunConfig) -> (Option<Rc<[u8]>>, Bo
             Op::Store { .. } => hid::STORE_ARMED,
             _ => return None,
         };
-        let mut ids = code.handler_ids.clone();
+        let mut ids = code.handler_ids.to_vec();
         ids[f.site as usize] = id;
         Some(ids)
     });
     if !cfg.telemetry.profile {
         return (armed.map(Rc::from), Box::default());
     }
-    let forward = armed.unwrap_or_else(|| code.handler_ids.clone());
+    let forward = armed.unwrap_or_else(|| code.handler_ids.to_vec());
     (
         Some(vec![hid::PROFILE; forward.len()].into()),
         forward.into(),
@@ -3133,11 +3131,7 @@ mod dispatch_table_tests {
     /// (the profile entry, and the armed entry it forwards a load or
     /// store to). Returns them with the profile entry's forward table.
     fn entries(op: &Op) -> ([u8; 4], Box<[u8]>) {
-        let mut code = LoweredCode {
-            ops: vec![op.clone()],
-            ..LoweredCode::default()
-        };
-        code.rebuild_handler_ids();
+        let code = LoweredCode::new(vec![op.clone()], Vec::new(), 0, Vec::new());
         let cfg = RunConfig {
             fault: Some(ArmedFault {
                 site: 0,
@@ -3576,8 +3570,8 @@ mod dispatch_table_tests {
         module.entry = Some(FuncId(0));
         // main calls callee, which jumps to the sentinel; a return taken
         // from it would resume main and exit normally.
-        let code = LoweredCode {
-            ops: vec![
+        let code = Rc::new(LoweredCode::new(
+            vec![
                 Op::CallDirect {
                     dst: None,
                     f: FuncId(1),
@@ -3586,15 +3580,13 @@ mod dispatch_table_tests {
                 Op::Ret { value: Some(0) },
                 Op::Jump { target: FRAME_OP },
             ],
-            func_entry: vec![0, 2],
-            check_sites: 0,
-            handler_ids: Vec::new(),
-            frames: vec![FrameLayout {
+            vec![0, 2],
+            0,
+            vec![FrameLayout {
                 regs: 0,
                 consts: vec![Opnd::Imm(Value::Int(0))],
             }],
-        };
-        let code = Rc::new(code);
+        ));
         for plain_dispatch in [false, true] {
             let cfg = RunConfig {
                 plain_dispatch,

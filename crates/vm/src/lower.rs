@@ -52,22 +52,22 @@ use dpmr_ir::types::{FxHashMap, LayoutError, TypeId, TypeKind, TypeTable};
 
 /// Lowers a whole module. See the module docs for the invariants.
 pub fn lower(module: &Module) -> LoweredCode {
-    let mut lc = LoweredCode {
-        ops: Vec::with_capacity(module.static_instr_count()),
-        func_entry: Vec::with_capacity(module.funcs.len()),
-        check_sites: 0,
-        handler_ids: Vec::new(),
-        frames: Vec::with_capacity(module.funcs.len()),
-    };
+    let mut ops = Vec::with_capacity(module.static_instr_count());
+    let mut check_sites = 0;
+    let mut func_entry = Vec::with_capacity(module.funcs.len());
+    let mut frames = Vec::with_capacity(module.funcs.len());
     let mut layouts = Layouts::new(&module.types);
     for f in &module.funcs {
-        let entry = lc.ops.len() as u32;
-        lc.func_entry.push(entry);
-        let frame = lower_function(module, f, entry, &mut lc, &mut layouts);
-        lc.frames.push(frame);
+        func_entry.push(ops.len() as u32);
+        frames.push(lower_function(
+            module,
+            f,
+            &mut ops,
+            &mut check_sites,
+            &mut layouts,
+        ));
     }
-    lc.rebuild_handler_ids();
-    lc
+    LoweredCode::new(ops, func_entry, check_sites, frames)
 }
 
 /// An IR operand as [`LoweredCode::operand`] reports it: constants
@@ -273,15 +273,16 @@ fn dst_bits(tt: &TypeTable, ty: TypeId) -> u16 {
 fn lower_function(
     module: &Module,
     f: &Function,
-    entry: u32,
-    lc: &mut LoweredCode,
+    ops: &mut Vec<Op>,
+    check_sites: &mut u32,
     layouts: &mut Layouts<'_>,
 ) -> FrameLayout {
+    let entry = ops.len() as u32;
     let tt = &module.types;
     let mut slots = Slots::new(f, module.globals.len());
     if f.blocks.is_empty() {
         // The tree-walker trapped "jump to nonexistent block b0" on entry.
-        lc.ops.push(Op::BadBlock { block: 0 });
+        ops.push(Op::BadBlock { block: 0 });
         return slots.layout;
     }
     let starts = f.linear_block_starts();
@@ -441,8 +442,8 @@ fn lower_function(
                     }
                 }
                 Instr::DpmrCheck { a, reps, ptrs } => {
-                    let site = lc.check_sites;
-                    lc.check_sites += 1;
+                    let site = *check_sites;
+                    *check_sites += 1;
                     let a_reg = match a {
                         Operand::Reg(r) => {
                             let ty = f.reg_ty(*r);
@@ -482,7 +483,7 @@ fn lower_function(
                 Instr::FiMarker { site } => Op::FiMarker { site: *site },
                 Instr::Abort { code } => Op::Abort { code: *code },
             };
-            lc.ops.push(slots.checked(op, || eval_order(ins)));
+            ops.push(slots.checked(op, || eval_order(ins)));
         }
         let s = &mut slots;
         let term = match &block.term {
@@ -508,11 +509,10 @@ fn lower_function(
             Term::Ret(v) => *v,
             Term::Br(_) | Term::Unreachable => None,
         };
-        lc.ops
-            .push(slots.checked(term, || read.into_iter().collect()));
+        ops.push(slots.checked(term, || read.into_iter().collect()));
     }
     for b in pads {
-        lc.ops.push(Op::BadBlock { block: b });
+        ops.push(Op::BadBlock { block: b });
     }
     slots.layout
 }
@@ -540,7 +540,7 @@ mod tests {
 
         let a = lower(&m);
         assert_eq!(a.ops.len(), m.static_instr_count());
-        assert_eq!(a.func_entry, vec![0]);
+        assert_eq!(*a.func_entry, vec![0]);
         // Purity: lowering twice yields identical pc layout and sites.
         let c = lower(&m);
         assert_eq!(a.func_entry, c.func_entry);

@@ -23,6 +23,7 @@
 
 use crate::code::{LoweredCode, Op, Opnd};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The optimizer's configuration. The default has no profile:
 /// `optimize` returns the input unchanged.
@@ -148,7 +149,9 @@ impl OptOutcome {
 }
 
 /// Runs profile-guided selection over `code` when `cfg` carries a
-/// profile. Without one this is the identity (a clone of the input).
+/// profile. Without one this is the identity: a clone of the input,
+/// sharing its bytecode. The pass copies the ops only when it drops a
+/// site.
 pub fn optimize(code: &LoweredCode, cfg: &PassConfig) -> OptOutcome {
     let mut out = OptOutcome {
         code: code.clone(),
@@ -162,9 +165,11 @@ pub fn optimize(code: &LoweredCode, cfg: &PassConfig) -> OptOutcome {
         return out;
     };
     out.dropped = profile_guided_select(&mut out.code, p);
-    // The pass rewrites ops in place; refresh the handler ids the
+    // The pass rewrote ops in its own copy; refresh the handler ids the
     // dispatch loop indexes by.
-    out.code.rebuild_handler_ids();
+    if !out.dropped.is_empty() {
+        out.code.rebuild_handler_ids();
+    }
     out
 }
 
@@ -209,7 +214,7 @@ fn profile_guided_select(code: &mut LoweredCode, p: &ProfileGuided) -> Vec<Dropp
             threshold: p.threshold,
             elided_load_pcs: Vec::new(),
         });
-        code.ops[pc] = Op::CheckElided { site, reps: n_reps };
+        Arc::make_mut(&mut code.ops)[pc] = Op::CheckElided { site, reps: n_reps };
     }
     // With the dropped comparisons already rewritten away, a candidate
     // register with zero remaining uses in its function is provably
@@ -235,7 +240,7 @@ fn profile_guided_select(code: &mut LoweredCode, p: &ProfileGuided) -> Vec<Dropp
             for pc in start..end {
                 if let Op::Load { dst, .. } = code.ops[pc] {
                     if dst == r {
-                        code.ops[pc] = Op::LoadElided {
+                        Arc::make_mut(&mut code.ops)[pc] = Op::LoadElided {
                             dst: r,
                             site: dropped[di].site,
                         };

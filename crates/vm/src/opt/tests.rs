@@ -41,18 +41,15 @@ fn checked_load(ops: &mut Vec<Op>, site: u32, app: u32, rep: u32, next_reg: &mut
 }
 
 fn code_of(ops: Vec<Op>, check_sites: u32) -> LoweredCode {
-    let mut lc = LoweredCode {
+    LoweredCode::new(
         ops,
-        func_entry: vec![0],
+        vec![0],
         check_sites,
-        handler_ids: Vec::new(),
-        frames: vec![FrameLayout {
+        vec![FrameLayout {
             regs: REGS,
             consts: (0..8).map(Opnd::Global).collect(),
         }],
-    };
-    lc.rebuild_handler_ids();
-    lc
+    )
 }
 
 #[test]
@@ -70,6 +67,37 @@ fn all_passes_off_is_identity() {
         assert!(out.dropped.is_empty());
         assert_eq!(out.live_checks(), 1);
     }
+}
+
+/// Code the pass leaves alone is shared with its input, not copied; code
+/// it rewrites is its own copy, and the input reads as before.
+#[test]
+fn optimize_shares_the_bytecode_it_does_not_rewrite() {
+    let mut ops = Vec::new();
+    let mut reg = 0;
+    checked_load(&mut ops, 0, 0, 1, &mut reg);
+    ops.push(Op::Ret { value: None });
+    let code = code_of(ops, 1);
+    let before = code.ops.to_vec();
+    let profile = |u: f64| {
+        PassConfig::none().with_profile(ProfileGuided {
+            usefulness: vec![u],
+            threshold: 0.0,
+        })
+    };
+    for cfg in [PassConfig::none(), profile(1.0)] {
+        let out = optimize(&code, &cfg).code;
+        assert!(Arc::ptr_eq(&out.ops, &code.ops), "{cfg:?}");
+        assert!(Arc::ptr_eq(&out.handler_ids, &code.handler_ids), "{cfg:?}");
+        assert!(Arc::ptr_eq(&out.func_entry, &code.func_entry), "{cfg:?}");
+        assert!(Arc::ptr_eq(&out.frames, &code.frames), "{cfg:?}");
+    }
+    let out = optimize(&code, &profile(0.0)).code;
+    assert!(!Arc::ptr_eq(&out.ops, &code.ops));
+    assert!(!Arc::ptr_eq(&out.handler_ids, &code.handler_ids));
+    assert!(matches!(out.ops[2], Op::CheckElided { .. }));
+    assert_eq!(*code.ops, before);
+    assert!(Arc::ptr_eq(&out.frames, &code.frames));
 }
 
 #[test]

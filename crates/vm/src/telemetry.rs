@@ -408,14 +408,12 @@ mod tests {
     #[test]
     fn func_totals_rejects_profile_from_different_code() {
         use crate::code::{LoweredCode, Op};
-        let mut code = LoweredCode {
-            ops: vec![Op::Ret { value: None }, Op::Ret { value: None }],
-            func_entry: vec![0],
-            check_sites: 0,
-            handler_ids: Vec::new(),
-            frames: Vec::new(),
-        };
-        code.rebuild_handler_ids();
+        let code = LoweredCode::new(
+            vec![Op::Ret { value: None }, Op::Ret { value: None }],
+            vec![0],
+            0,
+            Vec::new(),
+        );
         // A profile of the wrong length (taken from different code) is a
         // checked error, not a panic or a silently wrong table.
         let mut t = Telemetry {

@@ -282,16 +282,15 @@ fn malformed_control_flow_traps_instead_of_panicking() {
     assert_eq!(out.instrs, 2);
     // Hand-built code that runs off the end of the op stream traps too.
     let m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
-    let code = LoweredCode {
-        ops: vec![Op::Copy { dst: 0, src: 1 }],
-        func_entry: vec![0],
-        check_sites: 0,
-        handler_ids: Vec::new(),
-        frames: vec![FrameLayout {
+    let code = LoweredCode::new(
+        vec![Op::Copy { dst: 0, src: 1 }],
+        vec![0],
+        0,
+        vec![FrameLayout {
             regs: 1,
             consts: vec![Opnd::Imm(Value::Int(1))],
         }],
-    };
+    );
     let rc = RunConfig::default();
     let out = Interp::with_code(
         &m,

@@ -58,7 +58,7 @@ fn retry_with_padding(buggy: &dpmr::ir::module::Module) -> Option<Vec<u64>> {
     // allocations by rewriting malloc sites (+128 bytes each).
     let mut padded = buggy.clone();
     for f in &mut padded.funcs {
-        for b in &mut f.blocks {
+        for b in &mut std::sync::Arc::make_mut(f).blocks {
             for i in &mut b.instrs {
                 if let dpmr::ir::instr::Instr::Malloc { count, elem, .. } = i {
                     // Grow the request: count' covers 16 extra elements.

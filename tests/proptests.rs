@@ -1569,23 +1569,27 @@ fn pointer_type_puns_are_transform_errors() {
 }
 
 /// A struct global whose initializer has fewer members than the struct
-/// has fields verifies, and the transform used to index past its end.
-/// It now transforms, and both builds end at load with the same crash.
+/// has fields is a verifier error. The transform used to index past its
+/// end; it now returns the verifier's error for its output instead of
+/// panicking, and the plain build still ends at load with a crash.
 #[test]
 fn short_struct_initializers_do_not_panic_the_transform() {
     let text = "type %S = { i64*, i64* }\nglobal @g: %S = {null}\nfn main() -> i64 {\nb0:\n  \
                 ret 0:i64\n}\nentry main\n";
     let m = dpmr::ir::parser::parse_module(text).expect("parse");
-    assert!(dpmr::ir::verify::verify_module(&m).is_ok());
-    let t = transform(&m, &DpmrConfig::sds()).expect("transform");
-    let reg = Rc::new(registry_with_wrappers());
-    let plain = run_with_registry(&m, &RunConfig::default(), Rc::clone(&reg)).status;
-    let sds = run_with_registry(&t, &RunConfig::default(), reg).status;
+    let errs = dpmr::ir::verify::verify_module(&m).expect_err("short initializer");
+    assert!(
+        errs.iter()
+            .any(|e| e.msg.contains("1 items for the 2 fields")),
+        "{errs:?}"
+    );
+    let err = transform(&m, &DpmrConfig::sds()).expect_err("unverifiable output");
+    assert!(matches!(err, TransformError::Verify(_)), "{err}");
+    let plain = run_with_registry(&m, &RunConfig::default(), Rc::new(Registry::with_base())).status;
     assert!(
         matches!(plain, ExitStatus::Crash(CrashKind::InvalidExec(_))),
         "{plain:?}"
     );
-    assert_eq!(sds, plain);
 }
 
 /// A zero-initialized array of pointers gets a zero shadow, however long
