@@ -1,5 +1,4 @@
-//! Interpreter throughput: the MIPS trajectory and the threaded-dispatch
-//! gate.
+//! Interpreter throughput: the threaded-dispatch gate.
 //!
 //! ```bash
 //! cargo bench --bench interp_throughput                  # full size
@@ -10,26 +9,20 @@
 //! list/pointer chasing, an external-call-heavy sort, the recovery
 //! workbench untransformed and transformed at replication degrees 1 and
 //! 2 (the `dpmr.check` compare loop is the hot path under DPMR), and the
-//! check-dense `table_scrub` kernel at K = 2. Each point prints
-//! `BENCH_INTERP_<NAME>_MIPS=<n>` (simulated instructions retired per
-//! wall-clock second, in millions) and appends one JSON line (workload,
-//! mips, git rev, `dirty`, mode) to `BENCH_INTERP.json` at the workspace
-//! root, or to `BENCH_INTERP_JSON=<path>` (empty disables persistence);
-//! `dpmr-harness bench-report` renders that log.
+//! check-dense `table_scrub` kernel at K = 2.
 //!
-//! Points are measured interleaved round-robin, and the recorded MIPS is
-//! the median over the rounds, so a burst of host contention lands in a
-//! round or two instead of one point's whole measurement.
-//!
-//! **The gate is a paired ratio, not a floor.** Every round runs every
-//! point twice on the same bytecode: once as-is and once with
-//! `RunConfig::plain_dispatch` (one-op hazard windows), alternating which
-//! side goes first. Each point prints the median of its per-round
-//! `threaded / plain` MIPS ratios with their range as
-//! `BENCH_INTERP_<NAME>_WINDOW_SPEEDUP=<median> [<min>, <max>]`. The
-//! bench fails when the median of all pooled ratios falls below
+//! **The gate is a paired ratio, not a floor.** Absolute MIPS move with
+//! the host between invocations of the same build, so none is printed or
+//! kept. Points are measured interleaved round-robin, so a burst of host
+//! contention lands in a round or two instead of one point's whole
+//! measurement. Every round runs every point twice on the same bytecode:
+//! once as-is and once with `RunConfig::plain_dispatch` (one-op hazard
+//! windows), alternating which side goes first. Each point prints the
+//! median of its per-round `threaded / plain` MIPS ratios with their
+//! range as `BENCH_INTERP_<NAME>_WINDOW_SPEEDUP=<median> [<min>, <max>]`.
+//! The bench fails when the median of all pooled ratios falls below
 //! [`MIN_WINDOW_SPEEDUP`], which is what losing the hazard-window loop
-//! does on any host; a failed gate appends no point.
+//! does on any host.
 //!
 //! Beside the pooled median it prints a 95% bootstrap interval (fixed
 //! seed, [`BOOTSTRAP_RESAMPLES`] resamples of the pooled ratios), and
@@ -41,8 +34,6 @@ use dpmr_vm::prelude::*;
 use dpmr_workloads::micro;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -74,8 +65,6 @@ struct Point {
     registry: Rc<Registry>,
     /// Instructions retired per run (checked on every run).
     instrs: u64,
-    /// Per-round threaded MIPS.
-    mips: Vec<f64>,
     /// Per-round `threaded / plain` MIPS.
     speedup: Vec<f64>,
 }
@@ -88,7 +77,6 @@ impl Point {
             module,
             registry: Rc::new(registry),
             instrs: 0,
-            mips: Vec::with_capacity(ROUNDS as usize),
             speedup: Vec::with_capacity(ROUNDS as usize),
         };
         let (threaded, plain) = (p.run(false), p.run(true));
@@ -200,62 +188,6 @@ fn bootstrap_median_ci(xs: &[f64]) -> (f64, f64) {
     (at(0.025), at(0.975))
 }
 
-/// The trajectory file at the workspace root unless overridden by
-/// `BENCH_INTERP_JSON`.
-fn trajectory_path() -> Option<PathBuf> {
-    match std::env::var("BENCH_INTERP_JSON") {
-        Ok(p) if p.is_empty() => None,
-        Ok(p) => Some(p.into()),
-        Err(_) => Some(Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_INTERP.json")),
-    }
-}
-
-/// Short git revision of the workspace and whether the tree had
-/// uncommitted changes when measured. Keeping the dirty bit a separate
-/// field (instead of a `-dirty` rev suffix) leaves `git_rev` always a
-/// real commit id, so trajectory tooling can join points against history
-/// while still excluding mid-development points.
-fn git_rev() -> (String, bool) {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]) else {
-        return ("unknown".to_string(), true);
-    };
-    let dirty = git(&["status", "--porcelain"]).is_none_or(|s| !s.trim().is_empty());
-    (rev.trim().to_string(), dirty)
-}
-
-/// Appends the recorded points as JSON lines.
-fn persist(path: &Path, points: &[Point]) {
-    let (rev, dirty) = git_rev();
-    let mode = if smoke() { "smoke" } else { "full" };
-    let lines: String = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"workload\":\"{}\",\"mips\":{:.2},\"git_rev\":\"{rev}\",\"dirty\":{dirty},\"mode\":\"{mode}\"}}\n",
-                p.name,
-                median(&p.mips)
-            )
-        })
-        .collect();
-    let res = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(lines.as_bytes()));
-    if let Err(e) = res {
-        eprintln!("[bench] could not append to {}: {e}", path.display());
-    }
-}
-
 fn main() {
     let budget = if smoke() {
         Duration::from_millis(50)
@@ -273,7 +205,6 @@ fn main() {
             } else {
                 (first, second)
             };
-            p.mips.push(threaded);
             p.speedup.push(threaded / plain);
         }
     }
@@ -285,7 +216,6 @@ fn main() {
             .fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| {
                 (lo.min(r), hi.max(r))
             });
-        println!("BENCH_INTERP_{name}_MIPS={:.2}", median(&p.mips));
         println!(
             "BENCH_INTERP_{name}_WINDOW_SPEEDUP={:.2} [{lo:.2}, {hi:.2}]",
             median(&p.speedup)
@@ -309,11 +239,8 @@ fn main() {
         eprintln!(
             "[bench] FAILED: pooled threaded/plain speedup {pooled_median:.2} is below \
              MIN_WINDOW_SPEEDUP = {MIN_WINDOW_SPEEDUP}: the hazard-window dispatch loop \
-             is not paying for itself; no trajectory point recorded"
+             is not paying for itself"
         );
         std::process::exit(1);
-    }
-    if let Some(path) = trajectory_path() {
-        persist(&path, &points);
     }
 }

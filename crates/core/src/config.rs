@@ -189,7 +189,8 @@ impl RecoveryPolicy {
     }
 }
 
-/// Recovery configuration carried by a DPMR build variant.
+/// How a recovery driver reacts to the detections of one run: the
+/// policy and the checkpoint cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Reaction to detections.
@@ -303,9 +304,6 @@ pub struct DpmrConfig {
     pub replicas: usize,
     /// DSA-derived replication refinement.
     pub plan: ReplicationPlan,
-    /// Runtime reaction to detections (defaults to the paper's
-    /// terminate-on-detection).
-    pub recovery: RecoveryConfig,
 }
 
 impl DpmrConfig {
@@ -319,7 +317,6 @@ impl DpmrConfig {
             seed: 0xD12A,
             replicas: 1,
             plan: ReplicationPlan::default(),
-            recovery: RecoveryConfig::default(),
         }
     }
 
@@ -356,19 +353,6 @@ impl DpmrConfig {
     /// Replaces the comparison policy.
     pub fn with_policy(mut self, p: Policy) -> DpmrConfig {
         self.policy = p;
-        self
-    }
-
-    /// Replaces the recovery policy, keeping the checkpoint cadence.
-    pub fn with_recovery(mut self, r: RecoveryPolicy) -> DpmrConfig {
-        self.recovery.policy = r;
-        self
-    }
-
-    /// Replaces the mid-run checkpoint cadence (virtual cycles) used by
-    /// retry-from-checkpoint recovery; `None` means whole-run rollback.
-    pub fn with_checkpoint_cadence(mut self, cadence: Option<u64>) -> DpmrConfig {
-        self.recovery.checkpoint_cadence = cadence;
         self
     }
 
@@ -423,14 +407,10 @@ mod tests {
 
     #[test]
     fn recovery_defaults_to_abort_and_builds() {
-        assert_eq!(DpmrConfig::sds().recovery.policy, RecoveryPolicy::Abort);
-        let c =
-            DpmrConfig::sds().with_recovery(RecoveryPolicy::RepairFromReplica { max_repairs: 16 });
-        assert_eq!(
-            c.recovery.policy,
-            RecoveryPolicy::RepairFromReplica { max_repairs: 16 }
-        );
-        assert_eq!(c.recovery.policy.name(), "repair <=16");
+        assert_eq!(RecoveryConfig::default().policy, RecoveryPolicy::Abort);
+        let c = RecoveryConfig::policy(RecoveryPolicy::RepairFromReplica { max_repairs: 16 });
+        assert_eq!(c.checkpoint_cadence, None);
+        assert_eq!(c.policy.name(), "repair <=16");
         assert_eq!(RecoveryPolicy::paper_set().len(), 3);
     }
 
@@ -442,17 +422,5 @@ mod tests {
         let mid = set.last().expect("nonempty");
         assert_eq!(mid.checkpoint_cadence, Some(MID_RUN_CADENCE_CYCLES));
         assert_eq!(mid.name(), "retry x8 mid");
-    }
-
-    #[test]
-    fn cadence_plumbs_through_dpmr_config() {
-        let c = DpmrConfig::sds()
-            .with_checkpoint_cadence(Some(10_000))
-            .with_recovery(RecoveryPolicy::RetryFromCheckpoint { max_retries: 2 });
-        assert_eq!(c.recovery.checkpoint_cadence, Some(10_000));
-        assert_eq!(
-            c.recovery.policy,
-            RecoveryPolicy::RetryFromCheckpoint { max_retries: 2 }
-        );
     }
 }

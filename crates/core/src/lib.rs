@@ -55,7 +55,6 @@
 pub mod config;
 pub mod extsupport;
 pub mod shadow;
-pub mod stats;
 pub mod transform;
 
 /// Commonly used items, re-exported for convenience.
@@ -66,6 +65,5 @@ pub mod prelude {
     };
     pub use crate::extsupport::registry_with_wrappers;
     pub use crate::shadow::TypeAlgebra;
-    pub use crate::stats::{ModuleStats, TransformStats};
     pub use crate::transform::{transform, wrapper_name, TransformError, MAIN_AUG_SUFFIX};
 }

@@ -18,7 +18,6 @@
 //! cargo run -p dpmr-harness --release -- fig3.10 tab3.3
 //! ```
 
-pub mod bench_report;
 pub mod experiment;
 pub mod figures;
 pub mod metrics;

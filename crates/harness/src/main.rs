@@ -7,7 +7,6 @@
 //! dpmr-harness profile             # check-site profile (alias: profS.1)
 //! dpmr-harness trace               # event-trace sink (alias: traceE.1)
 //! dpmr-harness optimize            # optimizer study (alias: optP.1)
-//! dpmr-harness bench-report        # interpreter throughput trajectory
 //! dpmr-harness all --runs 3 --scale 2 --max-sites 8 --workers 8 --quiet
 //! ```
 //!
@@ -23,15 +22,13 @@ use dpmr_harness::{all_ids, artifact_descriptions, reproduce};
 use dpmr_workloads::WorkloadParams;
 use std::collections::BTreeSet;
 
-const USAGE: &str = "usage: dpmr-harness <all|quick|list|profile|trace|optimize|bench-report|ids...> [--runs N] [--scale N] [--max-sites N] [--workers N] [--quiet]";
+const USAGE: &str = "usage: dpmr-harness <all|quick|list|profile|trace|optimize|ids...> [--runs N] [--scale N] [--max-sites N] [--workers N] [--quiet]";
 
 /// What a command line asks for.
 #[derive(Debug)]
 enum Command {
     /// Print the known artifacts with their descriptions.
     List,
-    /// Render the interpreter throughput trajectory.
-    BenchReport,
     /// Reproduce `ids` under `cc`; `quiet` suppresses scheduler progress.
     Reproduce {
         ids: BTreeSet<String>,
@@ -80,8 +77,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
     while i < args.len() {
         match args[i].as_str() {
             "list" => return Ok(Command::List),
-            // Pure file rendering — no campaign config applies.
-            "bench-report" => return Ok(Command::BenchReport),
             "all" => ids.extend(all_ids().into_iter().map(String::from)),
             "quick" => {
                 ids.extend(all_ids().into_iter().map(String::from));
@@ -137,7 +132,6 @@ fn main() {
             }
             return;
         }
-        Ok(Command::BenchReport) => bench_report(),
         Err(e) => {
             eprintln!("{e}");
             eprintln!("{USAGE}");
@@ -163,30 +157,6 @@ fn main() {
         ids.len(),
         t0.elapsed().as_secs_f64()
     );
-}
-
-/// Prints the interpreter throughput trajectory and exits.
-fn bench_report() -> ! {
-    let path = dpmr_harness::bench_report::trajectory_path();
-    match std::fs::read_to_string(&path) {
-        Ok(contents) => {
-            print!(
-                "{}",
-                dpmr_harness::bench_report::render_report(&contents, "full")
-            );
-            let smoke = dpmr_harness::bench_report::render_report(&contents, "smoke");
-            if !smoke.starts_with("no ") {
-                println!();
-                print!("{smoke}");
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("bench-report: cannot read {}: {e}", path.display());
-            eprintln!("run `cargo bench --bench interp_throughput` to record points");
-            std::process::exit(1);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -220,6 +190,7 @@ mod tests {
             "tabR.1 --runs",
             "tabR.1 --runs x",
             "nonsense",
+            "bench-report",
             "",
         ] {
             assert!(parse_words(line).is_err(), "{line:?} must be a usage error");

@@ -297,8 +297,8 @@ const HEAP_FLIP: FaultModel = FaultModel::BitFlip {
 };
 
 /// One armed unit of the runtime fault studies (tabF.1's main and replica
-/// legs, tabV.1, profS.1): every trial of one fault class at one op site
-/// of one build of the study's [`BuildGrid`].
+/// legs, tabV.1, profS.1, traceE.1): every trial of one fault class at one
+/// op site of one build of the study's [`BuildGrid`].
 struct ArmedUnit {
     build: usize,
     /// The class armed; `None` is the replica pseudo-class
@@ -878,8 +878,7 @@ pub(crate) fn try_run_fault_campaign(
 /// repair policy available, single-replica copy-back at K = 1 and
 /// majority vote above.
 fn repair_config(cfg: &DpmrConfig) -> RecoveryConfig {
-    let mut rec = cfg.recovery;
-    rec.policy = if cfg.replicas >= 2 {
+    RecoveryConfig::policy(if cfg.replicas >= 2 {
         RecoveryPolicy::VoteAndRepair {
             max_repairs: CAMPAIGN_REPAIR_BUDGET,
         }
@@ -887,8 +886,7 @@ fn repair_config(cfg: &DpmrConfig) -> RecoveryConfig {
         RecoveryPolicy::RepairFromReplica {
             max_repairs: CAMPAIGN_REPAIR_BUDGET,
         }
-    };
-    rec
+    })
 }
 
 /// Every trial of armed unit `u` on `built` (made under `cfg`): a
@@ -1197,33 +1195,26 @@ pub fn run_trace_study(
     cc: &CampaignConfig,
 ) -> Result<TraceStudyResults, PrepareError> {
     let grid = BuildGrid::new(apps, vec![base.clone()], cc)?;
-    let mut units: Vec<(usize, Option<FaultModel>)> = Vec::new();
-    for app_idx in 0..apps.len() {
-        units.push((app_idx, None));
-        for class in FaultModel::paper_set() {
-            units.push((app_idx, Some(class)));
-        }
-    }
-    let outcomes = crate::sched::run_indexed(&units, cc.workers, |&(app_idx, class)| {
-        let p = &grid.prepared[app_idx];
-        let built = &grid.builds[app_idx];
-        let armed = match class {
-            None => None,
-            // A class with no eligible site in this app runs nothing and
-            // records no trace: the sink omits it for this app.
-            Some(c) => {
-                let sites = dpmr_fi::enumerate_op_sites(&built.code, c);
-                let site = *dpmr_fi::sample_sites(&sites, 1).first()?;
-                Some(p.arm(c, site, 0, cc.runs))
-            }
-        };
-        Some(p.run(&built.exe(), armed, TelemetryConfig::full(), 0))
+    // A class with no eligible site in an app has no unit and records no
+    // trace: the sink omits it for this app.
+    let classes: Vec<Option<FaultModel>> = FaultModel::paper_set().into_iter().map(Some).collect();
+    let armed = grid.armed_units(|_| &classes, 1);
+    // Per app, the clean run first, then its armed units in class order.
+    let units: Vec<(usize, Option<&ArmedUnit>)> = (0..apps.len())
+        .flat_map(|b| {
+            let app_units = armed.iter().filter(move |u| u.build == b);
+            std::iter::once((b, None)).chain(app_units.map(move |u| (b, Some(u))))
+        })
+        .collect();
+    let outcomes = crate::sched::run_indexed(&units, cc.workers, |&(b, unit)| {
+        let p = grid.app(b);
+        let armed = unit.map(|u| u.arm(p, 0, cc));
+        p.run(&grid.builds[b].exe(), armed, TelemetryConfig::full(), 0)
     });
     let mut res = TraceStudyResults::default();
-    for (&(app_idx, class), run) in units.iter().zip(&outcomes) {
-        let Some(run) = run else { continue };
-        let app = apps[app_idx].name;
-        let config = class.map_or_else(|| "clean".to_string(), FaultModel::name);
+    for (&(b, unit), run) in units.iter().zip(&outcomes) {
+        let app = apps[b].name;
+        let config = unit.map_or_else(|| "clean".to_string(), |u| class_name(u.class));
         res.experiments += 1;
         res.traces.push(KeyedTrace {
             app: app.to_string(),

@@ -218,19 +218,6 @@ fn instr_str(
     }
 }
 
-/// Renders one instruction (computes register names on the fly; for bulk
-/// rendering prefer [`print_function`]).
-pub fn print_instr(m: &Module, f: &Function, ins: &Instr) -> String {
-    let names = reg_names(f);
-    let tnames = type_names(m);
-    let mut txt = instr_str(m, &names, &tnames, ins);
-    // Append the result type for casts so the parser can reconstruct it.
-    if let Instr::Cast { dst, .. } = ins {
-        let _ = write!(txt, " : {}", ty_str(m, &tnames, f.reg_ty(*dst)));
-    }
-    txt
-}
-
 /// Renders one function.
 pub fn print_function(m: &Module, f: &Function) -> String {
     let names = reg_names(f);

@@ -382,11 +382,6 @@ impl TypeTable {
         )
     }
 
-    /// True for function types.
-    pub fn is_function(&self, id: TypeId) -> bool {
-        matches!(self.kind(id), TypeKind::Function { .. })
-    }
-
     /// The pointee of a pointer type, if `id` is a pointer.
     pub fn pointee(&self, id: TypeId) -> Option<TypeId> {
         match self.kind(id) {

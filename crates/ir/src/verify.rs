@@ -138,7 +138,13 @@ pub fn verify_module(m: &Module) -> Result<(), Vec<VerifyError>> {
         }
     }
     for g in &m.globals {
-        if let Err(msg) = check_init(m, g.ty, &g.init) {
+        // The interpreter lays every global out at load, so its type
+        // needs a size before its initializer can fit it.
+        let fits = match m.types.size_of(g.ty) {
+            Ok(_) => check_init(m, g.ty, &g.init),
+            Err(e) => Err(e.to_string()),
+        };
+        if let Err(msg) = fits {
             errors.push(VerifyError {
                 func: None,
                 msg: format!("global @{}: {msg}", g.name),
@@ -514,6 +520,11 @@ mod tests {
                 "type %S = { i64, [1 x i8] }\nglobal @g: %S = {1, {2, 3}}",
                 "2 items overrun",
             ),
+            // No layout size: the interpreter cannot place the global,
+            // whatever its initializer.
+            ("global @g: i64[] = zero", "has no size"),
+            ("global @g: i64[] = {1, 2}", "has no size"),
+            ("global @g: void = zero", "has no size"),
         ];
         for (decls, want) in cases {
             let text = format!("{decls}\nfn main() -> i64 {{\nb0:\n  ret 0:i64\n}}\nentry main\n");

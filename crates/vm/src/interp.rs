@@ -870,11 +870,6 @@ impl<'m> Interp<'m> {
         written.map_err(|e| e.to_string())
     }
 
-    /// Address assigned to a global.
-    pub fn global_addr(&self, g: dpmr_ir::module::GlobalId) -> u64 {
-        self.global_addrs[g.0 as usize]
-    }
-
     /// The module's lowered bytecode.
     pub fn code(&self) -> &LoweredCode {
         &self.code
@@ -885,11 +880,6 @@ impl<'m> Interp<'m> {
     /// unconditionally terminal exits.
     pub fn set_trap_handler(&mut self, handler: Rc<RefCell<dyn TrapHandler>>) {
         self.trap_handler = Some(handler);
-    }
-
-    /// Removes the recovery trap handler (detections become terminal again).
-    pub fn clear_trap_handler(&mut self) {
-        self.trap_handler = None;
     }
 
     /// Number of live frames (simulated call depth).
@@ -986,11 +976,6 @@ impl<'m> Interp<'m> {
             .set_fill_seed(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
     }
 
-    /// The active telemetry configuration (fixed at construction).
-    pub fn telemetry_config(&self) -> TelemetryConfig {
-        self.tele_cfg
-    }
-
     /// The telemetry collected so far on this timeline (empty vectors
     /// when collection is off).
     pub fn telemetry(&self) -> &Telemetry {
@@ -1040,11 +1025,6 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Appends a scalar to the output channel.
-    pub fn push_output(&mut self, v: Value) {
-        self.output.push(v.to_bits());
-    }
-
     /// Reads a NUL-terminated byte string from simulated memory.
     ///
     /// # Errors
@@ -1076,19 +1056,6 @@ impl<'m> Interp<'m> {
         Ok(self.alloc.malloc(&mut self.mem, size)?)
     }
 
-    /// Frees heap memory (external-handler API), honouring the allocator's
-    /// crash/corrupt semantics.
-    ///
-    /// # Errors
-    /// Traps on allocator aborts.
-    pub fn free_ptr(&mut self, ptr: u64) -> Result<(), Trap> {
-        self.charge(cost::FREE);
-        match self.alloc.free(&mut self.mem, ptr) {
-            FreeOutcome::Ok | FreeOutcome::SilentCorruption => Ok(()),
-            FreeOutcome::Abort(msg) => Err(Trap::Alloc(msg)),
-        }
-    }
-
     /// Calls a function through a function-pointer value (external-handler
     /// API; e.g. `qsort`'s comparator).
     ///
@@ -1112,13 +1079,8 @@ impl<'m> Interp<'m> {
         }
     }
 
-    /// Uniform random integer in `[lo, hi]` from the run-seeded RNG
+    /// Uniform random integer in `[lo, hi]` from RNG stream `stream`
     /// (external-handler API mirroring the `randint` instruction).
-    pub fn rand_range(&mut self, lo: i64, hi: i64) -> i64 {
-        self.rand_range_stream(0, lo, hi)
-    }
-
-    /// Like [`Interp::rand_range`] but drawing from RNG stream `stream`.
     /// Stream 0 is the run-seeded default; stream `k > 0` is an
     /// independent stream derived from `(run seed, k)` on first use —
     /// replica `k`'s decorrelated diversity stream.

@@ -1216,9 +1216,10 @@ fn non_scalar_memory_ops_lower_to_traps() {
 }
 
 /// A type larger than 2^64 bytes is a layout error naming it, not an
-/// overflow panic or a wrapped size. As a global it is a load error that
-/// ends every run as an invalid-execution crash; as an alloca it lowers
-/// to an op that traps the same way when reached.
+/// overflow panic or a wrapped size. As a global it fails verification,
+/// and unverified, it is a load error that ends every run as an
+/// invalid-execution crash; as an alloca it lowers to an op that traps
+/// the same way when reached.
 #[test]
 fn layouts_past_2_pow_64_bytes_fail_every_run() {
     let mut m = module_with_main(|b| b.ret(Some(Const::i64(0).into())));
@@ -1229,7 +1230,11 @@ fn layouts_past_2_pow_64_bytes_fail_every_run() {
         ty: huge,
         init: GlobalInit::Zero,
     });
-    assert!(dpmr_ir::verify::verify_module(&m).is_ok());
+    let errs = dpmr_ir::verify::verify_module(&m).expect_err("unsized global");
+    assert_eq!(
+        errs[0].msg,
+        format!("global @huge: type t{} is larger than 2^64 bytes", huge.0)
+    );
     let mut it = Interp::new(
         &m,
         &RunConfig::default(),

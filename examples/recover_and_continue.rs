@@ -69,14 +69,13 @@ fn main() {
 
     // Detection-to-recovery: the same detections become resumable traps;
     // each one copies the replica's value over the divergent application
-    // location and the run continues. The policy rides on the DPMR build
-    // configuration itself.
-    let recovering_cfg = cfg.with_recovery(RecoveryPolicy::RepairFromReplica { max_repairs: 4096 });
+    // location and the run continues. The policy is the driver's; the
+    // build is unchanged.
     let driver = RecoveryDriver::new(
         &protected,
         Rc::new(registry_with_wrappers()),
         RunConfig::default(),
-        recovering_cfg.recovery,
+        RecoveryConfig::policy(RecoveryPolicy::RepairFromReplica { max_repairs: 4096 }),
     );
     let out = driver.run();
     println!(
