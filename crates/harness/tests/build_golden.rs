@@ -7,7 +7,9 @@
 //! text, the op count and the check-site count. The apps are
 //! `common::golden_apps`, at the default workload sizing. The variants
 //! are the SDS and MDS diversity and policy grids plus the replication
-//! grid over SDS. A transform error is recorded as such.
+//! grid over SDS. Two micro programs follow: `argv_echo` under SDS and
+//! MDS at K = 1 and 2, and `linked_list` with its first allocation site
+//! excluded from replication. A transform error is recorded as such.
 //!
 //! A change to the transform, the type algebra, the verifier or lowering
 //! that is meant to leave every build unchanged must keep this test
@@ -17,9 +19,10 @@
 
 use dpmr_core::prelude::*;
 use dpmr_harness::metrics::{diversity_variants, policy_variants, replication_variants};
+use dpmr_ir::module::Module;
 use dpmr_ir::printer::print_module;
 use dpmr_vm::lower::lower;
-use dpmr_workloads::WorkloadParams;
+use dpmr_workloads::{micro, WorkloadParams};
 use std::fmt::Write as _;
 
 mod common;
@@ -53,26 +56,64 @@ fn build_table() -> String {
     for app in &apps {
         let m = (app.build)(&params);
         for (group, name, cfg) in &variants {
-            let _ = write!(out, "{} {group} {name}: ", app.name);
-            match transform(&m, cfg) {
-                Ok(t) => {
-                    let lc = lower(&t);
-                    let _ = writeln!(
-                        out,
-                        "ir={:016x} ops={:016x} n={} checks={}",
-                        fnv1a(print_module(&t).as_bytes()),
-                        fnv1a(format!("{:?}", lc.ops).as_bytes()),
-                        lc.ops.len(),
-                        lc.check_sites
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "error {e}");
-                }
-            }
+            write_row(&mut out, app.name, group, name, &m, cfg);
         }
     }
+
+    // Two shapes no golden app has: an entry taking `argv` (the entry
+    // wrapper's argv replication) and a freed allocation site under an
+    // exclusion plan (the guarded replica free).
+    let argv = micro::argv_echo();
+    let list = micro::linked_list(4);
+    let mut excluded = Vec::new();
+    for base in [DpmrConfig::sds(), DpmrConfig::mds()] {
+        let tag = format!("{:?}", base.scheme).to_lowercase();
+        for k in [1, 2] {
+            let cfg = base.clone().with_replicas(k);
+            write_row(
+                &mut out,
+                "argv_echo",
+                &format!("{tag}-argv"),
+                &format!("K={k}"),
+                &argv,
+                &cfg,
+            );
+        }
+        for d in [Diversity::None, Diversity::ZeroBeforeFree] {
+            let mut cfg = base.clone().with_diversity(d);
+            let site = dpmr_fi::enumerate_heap_alloc_sites(&list)[0];
+            cfg.plan
+                .exclude_allocs
+                .insert((site.func.0, site.block, site.instr));
+            excluded.push((format!("{tag}-excl"), d.name(), cfg));
+        }
+    }
+    for (group, name, cfg) in &excluded {
+        write_row(&mut out, "linked_list", group, name, &list, cfg);
+    }
     out
+}
+
+/// Appends one build's row: transform, lower, and digest, or the
+/// transform error.
+fn write_row(out: &mut String, app: &str, group: &str, name: &str, m: &Module, cfg: &DpmrConfig) {
+    let _ = write!(out, "{app} {group} {name}: ");
+    match transform(m, cfg) {
+        Ok(t) => {
+            let lc = lower(&t);
+            let _ = writeln!(
+                out,
+                "ir={:016x} ops={:016x} n={} checks={}",
+                fnv1a(print_module(&t).as_bytes()),
+                fnv1a(format!("{:?}", lc.ops).as_bytes()),
+                lc.ops.len(),
+                lc.check_sites
+            );
+        }
+        Err(e) => {
+            let _ = writeln!(out, "error {e}");
+        }
+    }
 }
 
 #[test]
