@@ -880,7 +880,15 @@ impl<'a> Transformer<'a> {
                 // runtime aliasing check whenever exclusions are in play.
                 for k in 0..self.nreps {
                     let rop = o.rop(k);
-                    if !self.cfg.plan.exclude_allocs.is_empty() {
+                    let free_rop = move |t: &mut Self, em: &mut Emit| {
+                        if t.cfg.diversity == Diversity::ZeroBeforeFree {
+                            t.emit_zero_before_free(em, rop);
+                        }
+                        em.ins(Instr::Free { ptr: rop });
+                    };
+                    if self.cfg.plan.exclude_allocs.is_empty() {
+                        free_rop(self, em);
+                    } else {
                         let i8t = self.out.types.int(8);
                         let differs = em.reg(i8t, RegName::Unnamed);
                         em.ins(Instr::Cmp {
@@ -889,25 +897,7 @@ impl<'a> Transformer<'a> {
                             lhs: rop,
                             rhs: o.app,
                         });
-                        let free_bb = em.new_block();
-                        let cont_bb = em.new_block();
-                        em.term(Term::CondBr {
-                            cond: Operand::Reg(differs),
-                            then_bb: free_bb,
-                            else_bb: cont_bb,
-                        });
-                        em.start(free_bb);
-                        if self.cfg.diversity == Diversity::ZeroBeforeFree {
-                            self.emit_zero_before_free(em, rop);
-                        }
-                        em.ins(Instr::Free { ptr: rop });
-                        em.term(Term::Br(cont_bb));
-                        em.start(cont_bb);
-                    } else {
-                        if self.cfg.diversity == Diversity::ZeroBeforeFree {
-                            self.emit_zero_before_free(em, rop);
-                        }
-                        em.ins(Instr::Free { ptr: rop });
+                        self.emit_if(em, Operand::Reg(differs), free_rop);
                     }
                 }
                 if sds {
@@ -922,17 +912,9 @@ impl<'a> Transformer<'a> {
                         lhs: sop,
                         rhs: Operand::Const(Const::Null { pointee: void }),
                     });
-                    let free_bb = em.new_block();
-                    let cont_bb = em.new_block();
-                    em.term(Term::CondBr {
-                        cond: Operand::Reg(cnd),
-                        then_bb: free_bb,
-                        else_bb: cont_bb,
+                    self.emit_if(em, Operand::Reg(cnd), |_, em| {
+                        em.ins(Instr::Free { ptr: sop });
                     });
-                    em.start(free_bb);
-                    em.ins(Instr::Free { ptr: sop });
-                    em.term(Term::Br(cont_bb));
-                    em.start(cont_bb);
                 }
             }
             // ---- store (Table 2.6 / 4.3) ----------------------------------
@@ -1736,7 +1718,6 @@ impl<'a> Transformer<'a> {
                 // tmp1 <- randint(1,20); allocate tmp1 decoys into B;
                 // xr <- malloc(at(τ), count); free the decoys.
                 let i64t = self.out.types.int(64);
-                let i8t = self.out.types.int(8);
                 let buf = self.rearrange_buf.expect("rearrange buffer global");
                 let n = em.reg(i64t, RegName::Static("rh.n"));
                 em.ins(Instr::RandInt {
@@ -1749,121 +1730,55 @@ impl<'a> Transformer<'a> {
                     stream: k as u32,
                 });
                 let i = em.reg(i64t, RegName::Static("rh.i"));
-                em.ins(Instr::Copy {
-                    dst: i,
-                    src: Operand::Const(Const::i64(0)),
-                });
-                // Allocation loop.
-                let head1 = em.new_block();
-                let body1 = em.new_block();
-                let mid = em.new_block();
-                em.term(Term::Br(head1));
-                em.start(head1);
-                let c1 = em.reg(i8t, RegName::Unnamed);
-                em.ins(Instr::Cmp {
-                    dst: c1,
-                    pred: CmpPred::Slt,
-                    lhs: Operand::Reg(i),
-                    rhs: Operand::Reg(n),
-                });
-                em.term(Term::CondBr {
-                    cond: Operand::Reg(c1),
-                    then_bb: body1,
-                    else_bb: mid,
-                });
-                em.start(body1);
-                let decoy = em.reg(self.out.types.pointer(aty), RegName::Unnamed);
-                em.ins(Instr::Malloc {
-                    dst: decoy,
-                    elem: aty,
-                    count,
-                });
                 let vp = self.out.types.void_ptr();
-                let decoy_v = em.reg(vp, RegName::Unnamed);
-                em.ins(Instr::Cast {
-                    dst: decoy_v,
-                    op: CastOp::Bitcast,
-                    src: Operand::Reg(decoy),
+                // Allocation loop.
+                self.emit_loop(em, i, Operand::Reg(n), |t, em| {
+                    let decoy = em.reg(t.out.types.pointer(aty), RegName::Unnamed);
+                    em.ins(Instr::Malloc {
+                        dst: decoy,
+                        elem: aty,
+                        count,
+                    });
+                    let decoy_v = em.reg(vp, RegName::Unnamed);
+                    em.ins(Instr::Cast {
+                        dst: decoy_v,
+                        op: CastOp::Bitcast,
+                        src: Operand::Reg(decoy),
+                    });
+                    let slot = em.reg(t.out.types.pointer(vp), RegName::Unnamed);
+                    em.ins(Instr::IndexAddr {
+                        dst: slot,
+                        base: Operand::Global(buf),
+                        index: Operand::Reg(i),
+                    });
+                    em.ins(Instr::Store {
+                        ptr: Operand::Reg(slot),
+                        value: Operand::Reg(decoy_v),
+                    });
                 });
-                let slot = em.reg(self.out.types.pointer(vp), RegName::Unnamed);
-                em.ins(Instr::IndexAddr {
-                    dst: slot,
-                    base: Operand::Global(buf),
-                    index: Operand::Reg(i),
-                });
-                em.ins(Instr::Store {
-                    ptr: Operand::Reg(slot),
-                    value: Operand::Reg(decoy_v),
-                });
-                let i2 = em.reg(i64t, RegName::Unnamed);
-                em.ins(Instr::Bin {
-                    dst: i2,
-                    op: BinOp::Add,
-                    lhs: Operand::Reg(i),
-                    rhs: Operand::Const(Const::i64(1)),
-                });
-                em.ins(Instr::Copy {
-                    dst: i,
-                    src: Operand::Reg(i2),
-                });
-                em.term(Term::Br(head1));
                 // The replica allocation itself.
-                em.start(mid);
                 em.ins(Instr::Malloc {
                     dst: rop,
                     elem: aty,
                     count,
                 });
-                em.ins(Instr::Copy {
-                    dst: i,
-                    src: Operand::Const(Const::i64(0)),
-                });
                 // Free loop.
-                let head2 = em.new_block();
-                let body2 = em.new_block();
-                let done = em.new_block();
-                em.term(Term::Br(head2));
-                em.start(head2);
-                let c2 = em.reg(i8t, RegName::Unnamed);
-                em.ins(Instr::Cmp {
-                    dst: c2,
-                    pred: CmpPred::Slt,
-                    lhs: Operand::Reg(i),
-                    rhs: Operand::Reg(n),
+                self.emit_loop(em, i, Operand::Reg(n), |t, em| {
+                    let slot = em.reg(t.out.types.pointer(vp), RegName::Unnamed);
+                    em.ins(Instr::IndexAddr {
+                        dst: slot,
+                        base: Operand::Global(buf),
+                        index: Operand::Reg(i),
+                    });
+                    let d = em.reg(vp, RegName::Unnamed);
+                    em.ins(Instr::Load {
+                        dst: d,
+                        ptr: Operand::Reg(slot),
+                    });
+                    em.ins(Instr::Free {
+                        ptr: Operand::Reg(d),
+                    });
                 });
-                em.term(Term::CondBr {
-                    cond: Operand::Reg(c2),
-                    then_bb: body2,
-                    else_bb: done,
-                });
-                em.start(body2);
-                let slot2 = em.reg(self.out.types.pointer(vp), RegName::Unnamed);
-                em.ins(Instr::IndexAddr {
-                    dst: slot2,
-                    base: Operand::Global(buf),
-                    index: Operand::Reg(i),
-                });
-                let d = em.reg(vp, RegName::Unnamed);
-                em.ins(Instr::Load {
-                    dst: d,
-                    ptr: Operand::Reg(slot2),
-                });
-                em.ins(Instr::Free {
-                    ptr: Operand::Reg(d),
-                });
-                let i3 = em.reg(i64t, RegName::Unnamed);
-                em.ins(Instr::Bin {
-                    dst: i3,
-                    op: BinOp::Add,
-                    lhs: Operand::Reg(i),
-                    rhs: Operand::Const(Const::i64(1)),
-                });
-                em.ins(Instr::Copy {
-                    dst: i,
-                    src: Operand::Reg(i3),
-                });
-                em.term(Term::Br(head2));
-                em.start(done);
             }
         }
     }
@@ -1887,51 +1802,80 @@ impl<'a> Transformer<'a> {
             src: rop,
         });
         let i = em.reg(i64t, RegName::Static("zbf.i"));
+        self.emit_loop(em, i, Operand::Reg(size), |t, em| {
+            let slot = em.reg(t.out.types.pointer(i8t), RegName::Unnamed);
+            em.ins(Instr::IndexAddr {
+                dst: slot,
+                base: Operand::Reg(bytes),
+                index: Operand::Reg(i),
+            });
+            em.ins(Instr::Store {
+                ptr: Operand::Reg(slot),
+                value: Operand::Const(Const::i8(0)),
+            });
+        });
+    }
+
+    /// Emits the counted loop `for (i = 0; i < end; i++) body` on the
+    /// caller's counter `i`, leaving emission in the loop's exit block.
+    fn emit_loop(
+        &mut self,
+        em: &mut Emit,
+        i: RegId,
+        end: Operand,
+        body: impl FnOnce(&mut Self, &mut Emit),
+    ) {
         em.ins(Instr::Copy {
             dst: i,
             src: Operand::Const(Const::i64(0)),
         });
         let head = em.new_block();
-        let body = em.new_block();
-        let done = em.new_block();
+        let body_bb = em.new_block();
+        let exit = em.new_block();
         em.term(Term::Br(head));
         em.start(head);
-        let c = em.reg(i8t, RegName::Unnamed);
+        let c = em.reg(self.out.types.int(8), RegName::Unnamed);
         em.ins(Instr::Cmp {
             dst: c,
             pred: CmpPred::Slt,
             lhs: Operand::Reg(i),
-            rhs: Operand::Reg(size),
+            rhs: end,
         });
         em.term(Term::CondBr {
             cond: Operand::Reg(c),
-            then_bb: body,
-            else_bb: done,
+            then_bb: body_bb,
+            else_bb: exit,
         });
-        em.start(body);
-        let slot = em.reg(self.out.types.pointer(i8t), RegName::Unnamed);
-        em.ins(Instr::IndexAddr {
-            dst: slot,
-            base: Operand::Reg(bytes),
-            index: Operand::Reg(i),
-        });
-        em.ins(Instr::Store {
-            ptr: Operand::Reg(slot),
-            value: Operand::Const(Const::i8(0)),
-        });
-        let i2 = em.reg(i64t, RegName::Unnamed);
+        em.start(body_bb);
+        body(self, em);
+        let next = em.reg(self.out.types.int(64), RegName::Unnamed);
         em.ins(Instr::Bin {
-            dst: i2,
+            dst: next,
             op: BinOp::Add,
             lhs: Operand::Reg(i),
             rhs: Operand::Const(Const::i64(1)),
         });
         em.ins(Instr::Copy {
             dst: i,
-            src: Operand::Reg(i2),
+            src: Operand::Reg(next),
         });
         em.term(Term::Br(head));
-        em.start(done);
+        em.start(exit);
+    }
+
+    /// Emits `if (cond) then`, leaving emission in the join block.
+    fn emit_if(&mut self, em: &mut Emit, cond: Operand, then: impl FnOnce(&mut Self, &mut Emit)) {
+        let then_bb = em.new_block();
+        let join = em.new_block();
+        em.term(Term::CondBr {
+            cond,
+            then_bb,
+            else_bb: join,
+        });
+        em.start(then_bb);
+        then(self, em);
+        em.term(Term::Br(join));
+        em.start(join);
     }
 
     /// Emits the policy-gated load check: one replica load per replica +
@@ -1996,17 +1940,9 @@ impl<'a> Transformer<'a> {
                     lhs: Operand::Reg(bit),
                     rhs: Operand::Const(Const::i64(0)),
                 });
-                let check_bb = em.new_block();
-                let cont_bb = em.new_block();
-                em.term(Term::CondBr {
-                    cond: Operand::Reg(cnd),
-                    then_bb: check_bb,
-                    else_bb: cont_bb,
+                self.emit_if(em, Operand::Reg(cnd), |t, em| {
+                    t.emit_check_now(em, app, ptr);
                 });
-                em.start(check_bb);
-                self.emit_check_now(em, app, ptr);
-                em.term(Term::Br(cont_bb));
-                em.start(cont_bb);
                 // maskCounter <- (maskCounter + 1) % 64 (always).
                 let c1 = em.reg(i64t, RegName::Unnamed);
                 em.ins(Instr::Bin {
@@ -2261,127 +2197,94 @@ impl<'a> Transformer<'a> {
         let strcpy = self.out.declare_external("strcpy", strcpy_ty);
 
         let i = em.reg(i64t, RegName::Static("ar.i"));
-        em.ins(Instr::Copy {
-            dst: i,
-            src: Operand::Const(Const::i64(0)),
-        });
-        let head = em.new_block();
-        let body = em.new_block();
-        let done = em.new_block();
-        em.term(Term::Br(head));
-        em.start(head);
-        let c = em.reg(self.out.types.int(8), RegName::Unnamed);
-        em.ins(Instr::Cmp {
-            dst: c,
-            pred: CmpPred::Slt,
-            lhs: Operand::Reg(i),
-            rhs: Operand::Reg(argc),
-        });
-        em.term(Term::CondBr {
-            cond: Operand::Reg(c),
-            then_bb: body,
-            else_bb: done,
-        });
-        em.start(body);
-        // ai = argv[i]
-        let slot = em.reg(self.out.types.pointer(strp), RegName::Unnamed);
-        em.ins(Instr::IndexAddr {
-            dst: slot,
-            base: Operand::Reg(argv),
-            index: Operand::Reg(i),
-        });
-        let ai = em.reg(strp, RegName::Unnamed);
-        em.ins(Instr::Load {
-            dst: ai,
-            ptr: Operand::Reg(slot),
-        });
-        // Replica strings on the heap: one copy per replica.
-        let len = em.reg(i64t, RegName::Unnamed);
-        em.ins(Instr::Call {
-            dst: Some(len),
-            callee: Callee::External(strlen),
-            args: vec![Operand::Reg(ai)],
-        });
-        let len1 = em.reg(i64t, RegName::Unnamed);
-        em.ins(Instr::Bin {
-            dst: len1,
-            op: BinOp::Add,
-            lhs: Operand::Reg(len),
-            rhs: Operand::Const(Const::i64(1)),
-        });
-        let mut bufs = Vec::with_capacity(self.nreps);
-        for _ in 0..self.nreps {
-            let buf_raw = em.reg(self.out.types.pointer(i8t), RegName::Unnamed);
-            em.ins(Instr::Malloc {
-                dst: buf_raw,
-                elem: i8t,
-                count: Operand::Reg(len1),
+        self.emit_loop(em, i, Operand::Reg(argc), |t, em| {
+            // ai = argv[i]
+            let slot = em.reg(t.out.types.pointer(strp), RegName::Unnamed);
+            em.ins(Instr::IndexAddr {
+                dst: slot,
+                base: Operand::Reg(argv),
+                index: Operand::Reg(i),
             });
-            let buf = em.reg(strp, RegName::Unnamed);
-            em.ins(Instr::Cast {
-                dst: buf,
-                op: CastOp::Bitcast,
-                src: Operand::Reg(buf_raw),
+            let ai = em.reg(strp, RegName::Unnamed);
+            em.ins(Instr::Load {
+                dst: ai,
+                ptr: Operand::Reg(slot),
             });
+            // Replica strings on the heap: one copy per replica.
+            let len = em.reg(i64t, RegName::Unnamed);
             em.ins(Instr::Call {
-                dst: None,
-                callee: Callee::External(strcpy),
-                args: vec![Operand::Reg(buf), Operand::Reg(ai)],
+                dst: Some(len),
+                callee: Callee::External(strlen),
+                args: vec![Operand::Reg(ai)],
             });
-            bufs.push(buf);
-        }
-        // argv_r_k[i]: SDS stores the identical pointer (comparable); MDS
-        // stores replica k's string pointer (its ROP).
-        for k in 0..self.nreps {
-            let rslot = em.reg(self.out.types.pointer(strp), RegName::Unnamed);
-            em.ins(Instr::IndexAddr {
-                dst: rslot,
-                base: Operand::Reg(argv_rs[k]),
-                index: Operand::Reg(i),
+            let len1 = em.reg(i64t, RegName::Unnamed);
+            em.ins(Instr::Bin {
+                dst: len1,
+                op: BinOp::Add,
+                lhs: Operand::Reg(len),
+                rhs: Operand::Const(Const::i64(1)),
             });
-            let stored = if sds { ai } else { bufs[k] };
-            em.ins(Instr::Store {
-                ptr: Operand::Reg(rslot),
-                value: Operand::Reg(stored),
-            });
-        }
-        if let Some(argv_s) = argv_s {
-            let sslot = em.reg(
-                self.out.types.pointer(sat_elem.expect("sat")),
-                RegName::Unnamed,
-            );
-            em.ins(Instr::IndexAddr {
-                dst: sslot,
-                base: Operand::Reg(argv_s),
-                index: Operand::Reg(i),
-            });
-            for (k, &buf) in bufs.iter().enumerate() {
-                let fk = self.shadow_field_addr(em, Operand::Reg(sslot), k as u32);
+            let mut bufs = Vec::with_capacity(t.nreps);
+            for _ in 0..t.nreps {
+                let buf_raw = em.reg(t.out.types.pointer(i8t), RegName::Unnamed);
+                em.ins(Instr::Malloc {
+                    dst: buf_raw,
+                    elem: i8t,
+                    count: Operand::Reg(len1),
+                });
+                let buf = em.reg(strp, RegName::Unnamed);
+                em.ins(Instr::Cast {
+                    dst: buf,
+                    op: CastOp::Bitcast,
+                    src: Operand::Reg(buf_raw),
+                });
+                em.ins(Instr::Call {
+                    dst: None,
+                    callee: Callee::External(strcpy),
+                    args: vec![Operand::Reg(buf), Operand::Reg(ai)],
+                });
+                bufs.push(buf);
+            }
+            // argv_r_k[i]: SDS stores the identical pointer (comparable); MDS
+            // stores replica k's string pointer (its ROP).
+            for k in 0..t.nreps {
+                let rslot = em.reg(t.out.types.pointer(strp), RegName::Unnamed);
+                em.ins(Instr::IndexAddr {
+                    dst: rslot,
+                    base: Operand::Reg(argv_rs[k]),
+                    index: Operand::Reg(i),
+                });
+                let stored = if sds { ai } else { bufs[k] };
                 em.ins(Instr::Store {
-                    ptr: fk,
-                    value: Operand::Reg(buf),
+                    ptr: Operand::Reg(rslot),
+                    value: Operand::Reg(stored),
                 });
             }
-            let fn_ = self.shadow_field_addr(em, Operand::Reg(sslot), self.nreps as u32);
-            let void = self.out.types.void();
-            em.ins(Instr::Store {
-                ptr: fn_,
-                value: Operand::Const(Const::Null { pointee: void }),
-            });
-        }
-        let i2 = em.reg(i64t, RegName::Unnamed);
-        em.ins(Instr::Bin {
-            dst: i2,
-            op: BinOp::Add,
-            lhs: Operand::Reg(i),
-            rhs: Operand::Const(Const::i64(1)),
+            if let Some(argv_s) = argv_s {
+                let sslot = em.reg(
+                    t.out.types.pointer(sat_elem.expect("sat")),
+                    RegName::Unnamed,
+                );
+                em.ins(Instr::IndexAddr {
+                    dst: sslot,
+                    base: Operand::Reg(argv_s),
+                    index: Operand::Reg(i),
+                });
+                for (k, &buf) in bufs.iter().enumerate() {
+                    let fk = t.shadow_field_addr(em, Operand::Reg(sslot), k as u32);
+                    em.ins(Instr::Store {
+                        ptr: fk,
+                        value: Operand::Reg(buf),
+                    });
+                }
+                let fn_ = t.shadow_field_addr(em, Operand::Reg(sslot), t.nreps as u32);
+                let void = t.out.types.void();
+                em.ins(Instr::Store {
+                    ptr: fn_,
+                    value: Operand::Const(Const::Null { pointee: void }),
+                });
+            }
         });
-        em.ins(Instr::Copy {
-            dst: i,
-            src: Operand::Reg(i2),
-        });
-        em.term(Term::Br(head));
-        em.start(done);
         (argv_rs, argv_s)
     }
 }

@@ -285,3 +285,79 @@ fn huge_memset_traps_under_wrappers() {
         );
     }
 }
+
+/// `atoi` of `i64::MIN`'s digits: the magnitude wraps to `i64::MIN`, and
+/// the sign is applied with a wrapping multiply, as the base `atoi`
+/// does, instead of overflowing inside the wrapper.
+#[test]
+fn atoi_wrapper_wraps_at_i64_min() {
+    let digits = b"-9223372036854775808\0";
+    let mut m = Module::new();
+    let i64t = m.types.int(64);
+    let i8t = m.types.int(8);
+    let sarr = m.types.unsized_array(i8t);
+    let sp = m.types.pointer(sarr);
+    let atoi_ty = m.types.function(i64t, vec![sp]);
+    let atoi = m.declare_external("atoi", atoi_ty);
+    let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+    let raw = b.malloc(i8t, Const::i64(digits.len() as i64).into(), "raw");
+    let s = b.cast(CastOp::Bitcast, sp, raw.into(), "s");
+    for (i, &c) in digits.iter().enumerate() {
+        let p = b.index_addr(s.into(), Const::i64(i as i64).into(), "p");
+        b.store(p.into(), Const::i8(c as i8).into());
+    }
+    let v = b
+        .call(Callee::External(atoi), vec![s.into()], Some(i64t), "v")
+        .expect("v");
+    b.output(v.into());
+    b.ret(Some(Const::i64(0).into()));
+    let f = b.finish();
+    m.entry = Some(f);
+    run_both_schemes(&m, &[i64::MIN as u64]);
+}
+
+/// A hand-written SDS `memcpy`/`memmove` call at K = 8 asking for
+/// `i64::MAX` bytes: the load check's per-replica charge saturates
+/// instead of overflowing, and the first divergent byte is detected.
+#[test]
+fn huge_sds_copy_charge_saturates() {
+    const K: usize = 8;
+    for name in ["memcpy", "memmove"] {
+        let mut m = Module::new();
+        let i64t = m.types.int(64);
+        let vp = m.types.void_ptr();
+        // (sdwSize, rvSop, dest, dest_r*K, dest_s, src, src_r*K, src_s, n)
+        let fty = m.types.function(vp, vec![vp; 7 + 2 * K]);
+        let ext = m.declare_external(wrapper_name(name, Scheme::Sds), fty);
+        let mut b = FunctionBuilder::new(&mut m, "main", i64t, &[]);
+        let word = |b: &mut FunctionBuilder<'_>, v: i64| {
+            let p = b.malloc(i64t, Const::i64(K as i64 + 1).into(), "p");
+            b.store(p.into(), Const::i64(v).into());
+            Operand::Reg(p)
+        };
+        let (rv, dest, app, rep) = (
+            word(&mut b, 0),
+            word(&mut b, 0),
+            word(&mut b, 1),
+            word(&mut b, 2),
+        );
+        let null = Operand::Const(Const::Null { pointee: i64t });
+        let mut args = vec![Const::i64(0).into(), rv, dest];
+        args.extend([dest; K]);
+        args.extend([null, app]);
+        args.extend([rep; K]);
+        args.extend([null, Const::i64(i64::MAX).into()]);
+        b.call(Callee::External(ext), args, Some(vp), "r");
+        b.ret(Some(Const::i64(0).into()));
+        let f = b.finish();
+        m.entry = Some(f);
+        let reg = Rc::new(registry_with_wrappers());
+        let out = run_with_registry(&m, &RunConfig::default(), reg);
+        assert_eq!(
+            out.status,
+            ExitStatus::DpmrDetected { got: 1, replica: 2 },
+            "{name}"
+        );
+        assert_eq!(out.cycles, u64::MAX, "{name}: the charge saturates");
+    }
+}

@@ -86,7 +86,7 @@ fn arg_int(args: &[Value], i: usize) -> Result<i64, Trap> {
 
 /// Registers the native libc subset into `r`.
 #[allow(clippy::too_many_lines)]
-pub fn register_base(r: &mut Registry) {
+fn register_base(r: &mut Registry) {
     r.register("strlen", |it, args| {
         let p = arg_ptr(args, 0)?;
         let s = it.read_c_string(p)?;
@@ -195,23 +195,15 @@ pub fn register_base(r: &mut Registry) {
         Ok(Some(Value::Float(v.sqrt())))
     });
 
-    r.register("qsort", |it, args| qsort_native(it, args, None));
+    r.register("qsort", qsort_native);
 }
 
 /// The native `qsort`: in-place insertion sort over simulated memory,
 /// calling back into the IR comparator through its function pointer.
 ///
-/// `elem_shadow` optionally carries (shadow base pointer, shadow element
-/// size) so the SDS wrapper can keep shadow memory sorted in lock-step
-/// (the `sdwSize` extra parameter of Fig. 3.3).
-///
 /// # Errors
 /// Traps on memory faults or bad comparator pointers.
-pub fn qsort_native(
-    it: &mut Interp<'_>,
-    args: &[Value],
-    elem_shadow: Option<(u64, u64, u64)>,
-) -> Result<Option<Value>, Trap> {
+fn qsort_native(it: &mut Interp<'_>, args: &[Value]) -> Result<Option<Value>, Trap> {
     let base = arg_ptr(args, 0)?;
     let nmemb = u64::try_from(arg_int(args, 1)?.max(0)).unwrap_or(0);
     let size = u64::try_from(arg_int(args, 2)?.max(0)).unwrap_or(0);
@@ -222,12 +214,12 @@ pub fn qsort_native(
     // Insertion sort: O(n^2) but deterministic and simple; workload sizes
     // are small. Element addresses wrap, as `indexaddr` does, so a wild
     // one faults when it is accessed.
-    let elem = |base: u64, j: u64, size: u64| base.wrapping_add(j.wrapping_mul(size));
+    let elem = |j: u64| base.wrapping_add(j.wrapping_mul(size));
     for i in 1..nmemb {
         let mut j = i;
         while j > 0 {
-            let a = elem(base, j - 1, size);
-            let b = elem(base, j, size);
+            let a = elem(j - 1);
+            let b = elem(j);
             let r = it.call_fn_ptr(cmp, vec![Value::Ptr(a), Value::Ptr(b)])?;
             let r = match r {
                 Some(Value::Int(v)) => v,
@@ -243,24 +235,6 @@ pub fn qsort_native(
             it.mem.write(a, &bb)?;
             it.mem.write(b, &ab)?;
             it.charge(size / 2 + 4);
-            if let Some((rbase, sbase, ssize)) = elem_shadow {
-                // Mirror the swap in replica memory, and in shadow memory
-                // when present.
-                let ra = elem(rbase, j - 1, size);
-                let rb = elem(rbase, j, size);
-                let rab = it.mem.read(ra, size as usize)?.to_vec();
-                let rbb = it.mem.read(rb, size as usize)?.to_vec();
-                it.mem.write(ra, &rbb)?;
-                it.mem.write(rb, &rab)?;
-                if ssize > 0 {
-                    let sa = elem(sbase, j - 1, ssize);
-                    let sb = elem(sbase, j, ssize);
-                    let sab = it.mem.read(sa, ssize as usize)?.to_vec();
-                    let sbb = it.mem.read(sb, ssize as usize)?.to_vec();
-                    it.mem.write(sa, &sbb)?;
-                    it.mem.write(sb, &sab)?;
-                }
-            }
             j -= 1;
         }
     }
